@@ -13,8 +13,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .closed_form import phi1, t_p
-from .solver import SolveConfig, SolverError, maximize_phik
+from .closed_form import _tp_band_log, phi1, t_p
+from .solver import SolveConfig, maximize_phik
 from .verify import run_suite
 from .wiener import sharpness_ratio
 
@@ -209,13 +209,11 @@ def figure1_rows():
 def figure2_rows():
     """(p, t_p, lower, upper) over p = i/257, i = 1..256.
 
-    The band is 2^{-1/p} < t_p < 2^{-1/p} sqrt(p) (2-p)^{1/p-1/2}; the upper
-    edge is assembled in log space so small p cannot overflow the powers.
+    The band is 2^{-1/p} < t_p < 2^{-1/p} sqrt(p) (2-p)^{1/p-1/2}.
     """
     for i in range(1, _FIG2_POINTS + 1):
         p = i / (_FIG2_POINTS + 1)
-        log_lo = -math.log(2.0) / p
-        log_hi = log_lo + 0.5 * math.log(p) + (1.0 / p - 0.5) * math.log(2.0 - p)
+        log_lo, log_hi = _tp_band_log(p)
         yield p, t_p(p), math.exp(log_lo), math.exp(log_hi)
 
 
@@ -341,10 +339,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (SolverError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except OSError as exc:
+    except (RuntimeError, OSError) as exc:
+        # SolverError and QuadratureError are RuntimeErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

@@ -367,6 +367,16 @@ def t_p(p: float) -> float:
     return _t_of_log_alpha(p, math.log(ap))
 
 
+def _tp_band_log(p: float) -> tuple[float, float]:
+    """Logs of the band edges 2^{-1/p} < t_p < 2^{-1/p} sqrt(p) (2-p)^{1/p-1/2}.
+
+    In log space, so small p can neither underflow the lower edge nor
+    overflow the powers in the upper one.
+    """
+    log_lo = -math.log(2.0) / p
+    return log_lo, log_lo + 0.5 * math.log(p) + (1.0 / p - 0.5) * math.log(2.0 - p)
+
+
 def beta_of_alpha(p: float, alpha: float) -> float:
     """The outer-branch parameter reaching the same t as alpha."""
     if not (0 < alpha <= 1):

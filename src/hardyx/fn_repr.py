@@ -195,6 +195,25 @@ def _pointwise_limit(f, theta: float, h: float):
     return None
 
 
+def _eval_points(f, z: np.ndarray) -> np.ndarray:
+    """f at every point of the array z, as a complex array.
+
+    One vectorized call is tried first.  A callable that takes scalars only
+    (TypeError or ValueError on an array), or returns a value of another
+    shape, such as a constant, is called once per point instead.  An
+    EvaluationError propagates at once: f ran and refused the points.
+    """
+    try:
+        vals = np.asarray(f(z), dtype=complex)
+        if vals.shape == z.shape:
+            return vals
+    except EvaluationError:
+        raise
+    except (TypeError, ValueError):
+        pass
+    return np.array([complex(f(zm)) for zm in z])
+
+
 def sample_boundary(f, n: int) -> BoundarySamples:
     """Sample an evaluator on the uniform boundary grid of size n.
 
@@ -203,15 +222,7 @@ def sample_boundary(f, n: int) -> BoundarySamples:
     """
     if n < 4 or (n & (n - 1)) != 0:
         raise ValueError(f"sample count {n} must be a power of two >= 4")
-    grid = boundary_grid(n)
-    try:
-        vals = np.asarray(f(grid), dtype=complex)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([complex(f(zm)) for zm in grid])
-    except EvaluationError:
-        raise
+    vals = _eval_points(f, boundary_grid(n))
     bad = ~np.isfinite(vals)
     if np.any(bad):
         h = (2 * np.pi / n) * 1e-6

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fn_repr import BoundarySamples, PolyCoeffs, StructuredExtremal, boundary_grid
+from .fn_repr import BoundarySamples, PolyCoeffs, _eval_points
 
 __all__ = [
     "QuadConfig",
@@ -69,22 +69,11 @@ class QuadConfig:
 
 def _as_theta_evaluator(f):
     """Adapt the accepted function representations to a vectorized theta -> |f| map."""
-    if isinstance(f, (PolyCoeffs, StructuredExtremal)):
-        fn = f
-    elif callable(f):
-        fn = f
-    else:
+    if not callable(f):
         raise TypeError(f"cannot evaluate object of type {type(f).__name__}")
 
     def absf(theta: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * theta)
-        try:
-            vals = np.asarray(fn(z), dtype=complex)
-            if vals.shape != z.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([complex(fn(zm)) for zm in z])
-        return np.abs(vals)
+        return np.abs(_eval_points(f, np.exp(1j * theta)))
 
     return absf
 
@@ -201,7 +190,6 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
         mean = 0.5 * (mean + float(np.mean(mid_pows)))
         n *= 2
         theta = _TWO_PI * np.arange(n) / n
-        pows = None  # samples folded into the running mean
         cur = mean ** (1.0 / p) if mean > 0 else 0.0
         last_two = (prev, cur)
         if abs(cur - prev) <= cfg.rel_tol * max(cur, 1e-300):

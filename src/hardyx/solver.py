@@ -23,8 +23,6 @@ taylor_coeff as an independent consistency check.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,17 +57,6 @@ _CLUSTER_DIST_TOL = 1e-3
 
 class SolverError(RuntimeError):
     """Optimization failed to converge or to pass its consistency checks."""
-
-
-def worker_count() -> int:
-    """Thread budget for the multistart stage (HARDYX_THREADS overrides)."""
-    env = os.environ.get("HARDYX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -191,17 +178,20 @@ def _series_data(p: float, lams, l: int):
 # parametrization and per-l optimization
 # ---------------------------------------------------------------------------
 
-def _dim(k: int, l: int, p: float, pinned: bool) -> int:
+def _free_slots(k: int, l: int, p: float, pinned: bool) -> range:
+    """Indices of the lambdas that x parametrizes, two coordinates each.
+
+    For p = inf only the l Blaschke lambdas act; a pinned f(0) = 0 fixes
+    lam_0 = 0 and frees the rest.
+    """
     active = l if math.isinf(p) else k
-    return 2 * (active - 1) if pinned else 2 * active
+    return range(1 if pinned else 0, active)
 
 def _lams_from_x(x, k: int, l: int, p: float, pinned: bool):
-    active = l if math.isinf(p) else k
     lams = [0.0 + 0.0j] * k
     xs = x.tolist() if hasattr(x, "tolist") else list(x)
     idx = 0
-    first = 1 if pinned else 0
-    for j in range(first, active):
+    for j in _free_slots(k, l, p, pinned):
         r, th = xs[idx], xs[idx + 1]
         idx += 2
         m = math.sin(r) ** 2
@@ -209,10 +199,8 @@ def _lams_from_x(x, k: int, l: int, p: float, pinned: bool):
     return lams
 
 def _x_from_lams(lams, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
-    active = l if math.isinf(p) else k
     xs = []
-    first = 1 if pinned else 0
-    for j in range(first, active):
+    for j in _free_slots(k, l, p, pinned):
         m = min(abs(lams[j]), 1.0)
         xs.extend([math.asin(math.sqrt(m)), np.angle(lams[j])])
     return np.array(xs)
@@ -221,9 +209,7 @@ def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
     """Returns x -> (objective, t_hat)."""
     # SLSQP evaluates the objective and the constraint (and their finite
     # difference stencils) at identical points; a one-slot memo removes the
-    # duplicated series work.  Stored as a single tuple so concurrent
-    # explorers cannot interleave a key from one thread with a value from
-    # another.
+    # duplicated series work.
     memo = [None]
 
     def parts(x):
@@ -260,20 +246,16 @@ def _warm_starts(p: float, k: int, l: int, t: float, pinned: bool):
     outs = []
     if pinned:
         return outs
-    if l == k:
+    # alpha: all k lambdas carry zeros; beta: the zero-free outer extremal
+    for solve, lifts in ((solve_alpha, l == k), (solve_beta, l == 0 and not math.isinf(p))):
+        if not lifts:
+            continue
         try:
-            alpha = solve_alpha(p, t)
+            root = solve(p, t)
         except ValueError:
-            alpha = None
-        if alpha is not None and 0 < alpha < 1:
-            outs.append(_x_from_lams(_root_pattern(alpha ** (1.0 / k), k), k, l, p, pinned))
-    if l == 0 and not math.isinf(p):
-        try:
-            beta = solve_beta(p, t)
-        except ValueError:
-            beta = None
-        if beta is not None and 0 < beta < 1:
-            outs.append(_x_from_lams(_root_pattern(beta ** (1.0 / k), k), k, l, p, pinned))
+            continue
+        if 0 < root < 1:
+            outs.append(_x_from_lams(_root_pattern(root ** (1.0 / k), k), k, l, p, pinned))
     return outs
 
 def _solve_one_l(cfg: SolveConfig, l: int):
@@ -281,7 +263,7 @@ def _solve_one_l(cfg: SolveConfig, l: int):
     p, t, k = cfg.p, cfg.t, cfg.k
     pinned = t == 0.0
     parts = _evaluator(p, k, l, t, pinned)
-    dim = _dim(k, l, p, pinned)
+    dim = 2 * len(_free_slots(k, l, p, pinned))
 
     if dim == 0:
         J, t_hat = parts(np.empty(0))
@@ -308,12 +290,7 @@ def _solve_one_l(cfg: SolveConfig, l: int):
         )
         return res.x, float(res.fun)
 
-    nthreads = worker_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            explored = list(pool.map(explore, x0s))
-    else:
-        explored = [explore(x0) for x0 in x0s]
+    explored = [explore(x0) for x0 in x0s]
 
     explored.sort(key=lambda e: e[1])
     leaders = [x for x, fv in explored[:8]]
@@ -322,21 +299,15 @@ def _solve_one_l(cfg: SolveConfig, l: int):
         if fv <= cut and len(leaders) < 16:
             leaders.append(x)
 
+    # pinned, f(0) = 0 holds by construction and only J is polished
+    constraints = () if pinned else [{"type": "eq", "fun": lambda x: parts(x)[1] - t}]
     feasible = []
     for x0 in leaders:
-        if pinned:
-            res = minimize(
-                lambda x: -parts(x)[0], x0, method="SLSQP",
-                options={"ftol": cfg.opt_tol, "maxiter": 200},
-            )
-            xs = res.x if res.success else x0
-        else:
-            res = minimize(
-                lambda x: -parts(x)[0], x0, method="SLSQP",
-                constraints=[{"type": "eq", "fun": lambda x: parts(x)[1] - t}],
-                options={"ftol": cfg.opt_tol, "maxiter": 200},
-            )
-            xs = res.x
+        res = minimize(
+            lambda x: -parts(x)[0], x0, method="SLSQP", constraints=constraints,
+            options={"ftol": cfg.opt_tol, "maxiter": 200},
+        )
+        xs = x0 if pinned and not res.success else res.x
         J, t_hat = parts(xs)
         if abs(t_hat - t) <= _FEAS_TOL:
             feasible.append((float(J), _lams_from_x(xs, k, l, p, pinned)))

@@ -15,6 +15,7 @@ import numpy as np
 from .closed_form import (
     BOTH,
     F_p,
+    _tp_band_log,
     alpha1,
     alpha2,
     alpha_p,
@@ -90,6 +91,17 @@ def run_wiener(seed: int = 0, n_polys: int = 200) -> list:
     worst_at = ""
     near_eq_checked = 0
     near_eq_bad = ""
+
+    def check_near_equality(f, rep, where: str) -> None:
+        # for 1 < p < inf the bound 1 is attained only on fixed points of W_k
+        nonlocal near_eq_checked, near_eq_bad
+        k, p = rep.k, rep.p
+        if 1.0 < p < math.inf and rep.ratio >= rep.bound - 1e-9:
+            near_eq_checked += 1
+            dn = norm_hp(_wiener_defect(f, k), p, cfg)
+            if dn >= 1e-6 and not near_eq_bad:
+                near_eq_bad = f"{where}, k={k}, p={p}: ||Wf-f||={dn:.3e}"
+
     for i, f in enumerate(polys):
         for k in _WIENER_KS:
             for p in _WIENER_PS:
@@ -98,11 +110,7 @@ def run_wiener(seed: int = 0, n_polys: int = 200) -> list:
                 if slack > worst:
                     worst = slack
                     worst_at = f"poly {i}, k={k}, p={p}"
-                if 1.0 < p < math.inf and rep.ratio >= rep.bound - 1e-9:
-                    near_eq_checked += 1
-                    dn = norm_hp(_wiener_defect(f, k), p, cfg)
-                    if dn >= 1e-6 and not near_eq_bad:
-                        near_eq_bad = f"poly {i}, k={k}, p={p}: ||Wf-f||={dn:.3e}"
+                check_near_equality(f, rep, f"poly {i}")
 
     results = [
         _result(
@@ -121,11 +129,7 @@ def run_wiener(seed: int = 0, n_polys: int = 200) -> list:
             for p in (2.0, 4.0):
                 rep = wiener_bound_check(f, k, p, cfg=cfg)
                 low = min(low, rep.ratio / rep.bound)
-                if rep.ratio >= rep.bound - 1e-9:
-                    near_eq_checked += 1
-                    dn = norm_hp(_wiener_defect(f, k), p, cfg)
-                    if dn >= 1e-6 and not near_eq_bad:
-                        near_eq_bad = f"fixed point, k={k}, p={p}: ||Wf-f||={dn:.3e}"
+                check_near_equality(f, rep, "fixed point")
         results.append(
             _result(
                 f"wiener/fixed-points-k{k}",
@@ -179,8 +183,7 @@ def run_appendix(n_grid: int = 1000) -> list:
             order_bad = f"p={p}: a1={a1:.6e}, ap={ap:.6e}, a2={a2:.6e}"
         # log t_p vs the log of both band edges
         log_tp = math.log(ap) - math.log1p(ap * ap) / p
-        log_lo = -math.log(2.0) / p
-        log_hi = log_lo + 0.5 * math.log(p) + (1.0 / p - 0.5) * math.log(2.0 - p)
+        log_lo, log_hi = _tp_band_log(p)
         if not (log_lo < log_tp < log_hi) and not band_bad:
             band_bad = f"p={p}: log t_p={log_tp:.6f} outside ({log_lo:.6f}, {log_hi:.6f})"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fn_repr import PolyCoeffs, StructuredExtremal
+from .fn_repr import PolyCoeffs, StructuredExtremal, _eval_points
 from .hardy_norm import QuadConfig, circle_mean, norm_hinf, norm_hp
 
 __all__ = [
@@ -71,13 +71,7 @@ def wiener_eval(f, k: int, z):
     acc = np.zeros_like(zs)
     for j in range(k):
         rot = np.exp(2j * math.pi * j / k)
-        try:
-            vals = np.asarray(f(rot * zs), dtype=complex)
-            if vals.shape != zs.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([complex(f(rot * zv)) for zv in zs])
-        acc = acc + vals
+        acc = acc + _eval_points(f, rot * zs)
     acc /= k
     return complex(acc[0]) if scalar else acc
 
@@ -194,12 +188,7 @@ def inner_defect(f, k: int, N: int = 4096) -> float:
         raise ValueError("N must be at least 4")
     theta = _TWO_PI * np.arange(N) / N
     z = np.exp(1j * theta)
-    try:
-        fv = np.asarray(f(z), dtype=complex)
-        if fv.shape != z.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fv = np.array([complex(f(zv)) for zv in z])
+    fv = _eval_points(f, z)
     if np.max(np.abs(np.abs(fv) - 1.0)) > 1e-8:
         raise ValueError("f does not have unit modulus on the boundary grid")
     wv = wiener_eval(f, k, z)

@@ -80,6 +80,13 @@ def test_solve_json_record(capsys):
     assert rec.diagnostics["norm_residual"] < 1e-7
 
 
+def test_solver_error_exits_3(capsys):
+    # t = 1 admits only the zero-free constant, which --l 1 excludes
+    rc, _, err = run(capsys, "solve", "--k", "1", "--p", "2", "--t", "1", "--l", "1")
+    assert rc == EXIT_NO_CONVERGENCE
+    assert "zero-free constant" in err
+
+
 def test_wiener_table_values(capsys):
     rc, out, _ = run(
         capsys, "wiener", "--p", "0.5", "--k", "2", "--eps-list", "0.1", "0.01",

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from hardyx.fn_repr import (
     sample_boundary,
     taylor_coeff,
 )
+from hardyx.hardy_norm import norm_hinf, norm_hp
+from hardyx.wiener import inner_defect, wiener_eval
 
 
 def test_all_lambdas_zero_gives_constant():
@@ -181,3 +184,59 @@ def test_removable_singularity_is_patched():
 
     s = sample_boundary(f, 16)
     assert s.values[0] == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f: sample_boundary(f, 8),
+        lambda f: norm_hp(f, 1.0),
+        lambda f: wiener_eval(f, 2, boundary_grid(8)),
+    ],
+    ids=["sample_boundary", "norm_hp", "wiener_eval"],
+)
+def test_evaluation_error_is_not_retried_per_point(entry):
+    calls = []
+
+    def refuses(z):
+        calls.append(z)
+        raise EvaluationError("refused")
+
+    with pytest.raises(EvaluationError):
+        entry(refuses)
+    assert len(calls) == 1
+
+
+def _exp_scalar(z):
+    # cmath takes one number at a time: an array raises TypeError
+    return cmath.exp(z) * (2.0 + z)
+
+
+def _exp_numpy(z):
+    return np.exp(z) * (2.0 + z)
+
+
+def _inner_scalar(z):
+    # z^2 times a Blaschke factor, unimodular on the circle
+    return cmath.exp(2.0 * cmath.log(z)) * (z - 0.5) / (1.0 - 0.5 * z)
+
+
+def _inner_numpy(z):
+    return np.exp(2.0 * np.log(z)) * (z - 0.5) / (1.0 - 0.5 * z)
+
+
+@pytest.mark.parametrize(
+    "entry, scalar, twin",
+    [
+        (lambda f: sample_boundary(f, 64).values, _exp_scalar, _exp_numpy),
+        (lambda f: norm_hp(f, 0.7), _exp_scalar, _exp_numpy),
+        (lambda f: norm_hinf(f), _exp_scalar, _exp_numpy),
+        (lambda f: wiener_eval(f, 3, 0.6 * boundary_grid(16)), _exp_scalar, _exp_numpy),
+        (lambda f: inner_defect(f, 2), _inner_scalar, _inner_numpy),
+    ],
+    ids=["sample_boundary", "norm_hp", "norm_hinf", "wiener_eval", "inner_defect"],
+)
+def test_scalar_only_callable_matches_numpy_twin(entry, scalar, twin):
+    with pytest.raises(TypeError):
+        scalar(boundary_grid(8))
+    np.testing.assert_allclose(entry(scalar), entry(twin), rtol=1e-12, atol=1e-14)
