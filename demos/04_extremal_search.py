@@ -14,7 +14,6 @@ from hardyx import (
     phi1,
     sandwich_check,
     t_p,
-    zero_count_scan,
 )
 
 
@@ -49,12 +48,13 @@ def main():
     # winner carries
     p = 0.5
     print(f"\nk = 2, p = {p}:")
+    counts = {}
     for t in (0.3, 0.7, 0.9):
         rep = sandwich_check(2, p, t, starts=24)
         print(f"  t={t:<4g} band [{rep.lower:.8f}, {rep.upper:.8f}]  "
               f"solved {rep.solved:.8f}")
-    counts = zero_count_scan(2, p, [0.3, 0.7, 0.9], starts=24)
-    print(f"  winning zero counts: { {t: l for t, l in sorted(counts.items())} }")
+        counts[t] = rep.l_used
+    print(f"  winning zero counts: {counts}")
 
 
 if __name__ == "__main__":

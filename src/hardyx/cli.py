@@ -251,20 +251,15 @@ def cmd_verify(args) -> int:
 
 def cmd_wiener(args) -> int:
     p = _parse_p(args.p)
-    if not (0 < p < 1):
-        raise ValueError(f"the sharpness table needs 0 < p < 1 (got {args.p})")
-    if args.k < 2:
-        raise ValueError(f"k must be at least 2 (got {args.k})")
     eps_list = list(args.eps_list)
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
-
-    limit = args.k ** (1.0 - p)
     ratios = []
     t0 = time.perf_counter()
     for eps in eps_list:
         ratios.append(sharpness_ratio(p, args.k, eps))
     elapsed = time.perf_counter() - t0
+    # formed only once sharpness_ratio has checked p, k and eps: k = 0 with
+    # p > 1 would otherwise raise ZeroDivisionError here
+    limit = args.k ** (1.0 - p)
 
     record = OutputRecord(
         command="wiener",

@@ -1,12 +1,14 @@
 """Hardy space norms from boundary data.
 
 ``norm_hp`` computes (integral of |f|^p over the circle / 2 pi)^(1/p) by the
-periodic trapezoidal rule with dyadic refinement.  For smooth boundary moduli
-the trapezoid converges spectrally; when 0 < p < 1 and f has boundary zeros
-the integrand |f|^p only has a Hoelder cusp there, so an adaptive pass
-subdivides panels until the error concentrated at the cusp is below the
-requested tolerance.  The same panel machinery handles integrands with a
-sharp near-singular peak, refining geometrically into it.
+periodic trapezoidal rule, starting from 4096 points and doubling up to 8
+times.  For smooth boundary moduli the trapezoid converges spectrally; when
+0 < p < 1 and f has boundary zeros the integrand |f|^p only has a Hoelder
+cusp there, so if the doublings stall an adaptive pass subdivides panels
+until the error concentrated at the cusp is below the requested tolerance.
+The same panel machinery handles integrands with a sharp near-singular
+peak, refining geometrically into it.  ``QuadConfig.rel_tol`` is the one
+quadrature setting.
 
 ``norm_hinf`` takes a grid maximum and polishes it with golden-section search
 around the best grid angle.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fn_repr import BoundarySamples, PolyCoeffs, _eval_points
+from .fn_repr import PolyCoeffs, _eval_points
 
 __all__ = [
     "QuadConfig",
@@ -33,6 +35,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+# the dyadic pass: starting grid size and the doublings allowed before the
+# panel pass takes over
+_BASE_SAMPLES = 4096
+_MAX_REFINEMENTS = 8
 
 
 class QuadratureError(RuntimeError):
@@ -45,24 +51,15 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature controls.
+    """Quadrature control.
 
-    base_samples: starting grid size (power of two).
-    max_refinements: dyadic doublings allowed before giving up.
-    rel_tol: relative agreement required between successive estimates.
-    zero_split: enable the adaptive panel pass when plain refinement stalls,
-        as happens for p < 1 cusps and for sharply peaked integrands.
+    rel_tol: relative agreement required between successive dyadic
+        estimates, and the panel pass's error target.
     """
 
-    base_samples: int = 4096
-    max_refinements: int = 8
     rel_tol: float = 1e-9
-    zero_split: bool = True
 
     def __post_init__(self):
-        n = self.base_samples
-        if n < 4 or (n & (n - 1)) != 0:
-            raise ValueError("base_samples must be a power of two >= 4")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be positive")
 
@@ -127,9 +124,10 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
         if err_total <= rel_tol * max(abs(total), 1e-300):
             break
         if counter >= max_panels:
-            est = total / _TWO_PI
+            # the panel edges are numpy floats; report plain ones
             raise QuadratureError(
-                "adaptive panel budget exhausted", (est, (total + err_total) / _TWO_PI)
+                "adaptive panel budget exhausted",
+                (float(total / _TWO_PI), float((total + err_total) / _TWO_PI)),
             )
         neg_err, _, a, b, halves = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -156,69 +154,47 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
 
     Dyadic refinement doubles the grid, reusing previous samples, until two
     successive norm estimates agree to cfg.rel_tol relatively.  If that
-    stalls within cfg.max_refinements and cfg.zero_split is set, an adaptive
-    panel pass finishes the job; otherwise a QuadratureError carrying the
-    last two estimates is raised.
+    stalls, an adaptive panel pass finishes the job, and raises
+    QuadratureError with its last two estimates if it runs out of panels.
     """
     if not (0 < p < math.inf):
         raise ValueError(f"p must lie in (0, inf) (got {p})")
     cfg = cfg or QuadConfig()
-
-    if isinstance(f, BoundarySamples):
-        # fixed data: compare the full-resolution estimate with its
-        # stride-2 subsample; no further refinement is possible.
-        full = np.abs(f.values) ** p
-        est_hi = float(np.mean(full)) ** (1.0 / p) if np.any(full) else 0.0
-        est_lo = float(np.mean(full[::2])) ** (1.0 / p) if np.any(full[::2]) else 0.0
-        if abs(est_hi - est_lo) <= cfg.rel_tol * max(est_hi, 1e-300):
-            return est_hi
-        raise QuadratureError(
-            "sample resolution too coarse for requested tolerance", (est_lo, est_hi)
-        )
-
     absf = _as_theta_evaluator(f)
 
-    n = cfg.base_samples
-    theta = _TWO_PI * np.arange(n) / n
-    pows = absf(theta) ** p
-    mean = float(np.mean(pows))
+    n = _BASE_SAMPLES
+    theta = coarse_theta = _TWO_PI * np.arange(n) / n
+    prof = absf(theta)
+    mean = float(np.mean(prof ** p))
     prev = mean ** (1.0 / p) if mean > 0 else 0.0
-    last_two = (math.nan, prev)
-    for _ in range(cfg.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         mids = theta + _TWO_PI / (2 * n)
         mid_pows = absf(mids) ** p
         mean = 0.5 * (mean + float(np.mean(mid_pows)))
         n *= 2
         theta = _TWO_PI * np.arange(n) / n
         cur = mean ** (1.0 / p) if mean > 0 else 0.0
-        last_two = (prev, cur)
         if abs(cur - prev) <= cfg.rel_tol * max(cur, 1e-300):
             return cur
         prev = cur
 
-    if cfg.zero_split:
-        # refinement stalled: cusp or sharp peak; locate trouble from the
-        # coarse profile and hand over to the adaptive panels.
-        coarse_theta = _TWO_PI * np.arange(4096) / 4096
-        prof = absf(coarse_theta)
-        big = prof.max()
-        seeds = coarse_theta[prof < 1e-6 * max(big, 1e-300)]
-        seeds = list(seeds[:64]) + [float(coarse_theta[int(np.argmax(prof))])]
-        mean = circle_mean(lambda th: absf(th) ** p, cfg.rel_tol, seeds=seeds)
-        return mean ** (1.0 / p) if mean > 0 else 0.0
-
-    raise QuadratureError("dyadic refinement did not converge", last_two)
+    # refinement stalled: cusp or sharp peak; locate trouble from the
+    # starting grid's profile and hand over to the adaptive panels.
+    big = prof.max()
+    seeds = coarse_theta[prof < 1e-6 * max(big, 1e-300)]
+    seeds = list(seeds[:64]) + [float(coarse_theta[int(np.argmax(prof))])]
+    mean = circle_mean(lambda th: absf(th) ** p, cfg.rel_tol, seeds=seeds)
+    return mean ** (1.0 / p) if mean > 0 else 0.0
 
 
-def norm_hinf(f, cfg: QuadConfig | None = None, return_witness: bool = False):
+def norm_hinf(f, return_witness: bool = False):
     """The boundary sup-norm: grid maximum plus golden-section polish.
 
     With return_witness=True the attained angle is returned alongside the
     norm value.
     """
-    cfg = cfg or QuadConfig()
     absf = _as_theta_evaluator(f)
-    n = max(cfg.base_samples, 4096)
+    n = _BASE_SAMPLES
     theta = _TWO_PI * np.arange(n) / n
     vals = absf(theta)
     m = int(np.argmax(vals))

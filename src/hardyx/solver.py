@@ -23,14 +23,14 @@ taylor_coeff as an independent consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .closed_form import phi1, solve_alpha, solve_beta
 from .fn_repr import StructuredExtremal, sample_boundary, taylor_coeff
-from .hardy_norm import QuadConfig, norm_hinf, norm_hp
+from .hardy_norm import norm_hinf, norm_hp
 
 __all__ = [
     "SolverError",
@@ -39,7 +39,6 @@ __all__ = [
     "SandwichReport",
     "maximize_phik",
     "sandwich_check",
-    "zero_count_scan",
     "t0_scan",
 ]
 
@@ -53,6 +52,8 @@ _FEAS_TOL = 1e-9
 _TIE_TOL = 1e-9
 _CLUSTER_VALUE_TOL = 1e-6
 _CLUSTER_DIST_TOL = 1e-3
+# SLSQP's convergence tolerance in the polish
+_POLISH_FTOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -67,8 +68,6 @@ class SolveConfig:
     l_range: tuple[int, ...] | None = None
     starts: int = 64
     seed: int = 0
-    opt_tol: float = 1e-10
-    quad: QuadConfig = field(default_factory=QuadConfig)
 
     def __post_init__(self):
         if self.k < 1:
@@ -115,6 +114,7 @@ class SandwichReport:
     lower: float
     upper: float
     solved: float
+    l_used: int
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def _solve_one_l(cfg: SolveConfig, l: int):
     for x0 in leaders:
         res = minimize(
             lambda x: -parts(x)[0], x0, method="SLSQP", constraints=constraints,
-            options={"ftol": cfg.opt_tol, "maxiter": 200},
+            options={"ftol": _POLISH_FTOL, "maxiter": 200},
         )
         xs = x0 if pinned and not res.success else res.x
         J, t_hat = parts(xs)
@@ -440,9 +440,9 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
             f"series/quadrature disagreement: {J_win} vs {value}"
         )
     if math.isinf(p):
-        nrm_meas = norm_hinf(best, cfg.quad)
+        nrm_meas = norm_hinf(best)
     else:
-        nrm_meas = norm_hp(best, p, cfg.quad)
+        nrm_meas = norm_hp(best, p)
     t_meas = abs(complex(best(0.0)) - t)
 
     clusters = _count_clusters(
@@ -458,7 +458,11 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
 
 def sandwich_check(k: int, p: float, t: float, seed: int = 0,
                    starts: int = 64) -> SandwichReport:
-    """Solver value against the closed-form band [phi1, k^{1/p-1} phi1]."""
+    """Solver value against the closed-form band [phi1, k^{1/p-1} phi1].
+
+    The report also carries the solve's winning zero count l_used (ties
+    resolved to the smallest l).
+    """
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
     lower = phi1(p, t).value
@@ -469,20 +473,7 @@ def sandwich_check(k: int, p: float, t: float, seed: int = 0,
             f"solved value {sol.value} escapes the band [{lower}, {upper}] "
             f"at k={k}, p={p}, t={t}"
         )
-    return SandwichReport(lower=lower, upper=upper, solved=sol.value)
-
-
-def zero_count_scan(k: int, p: float, t_grid, seed: int = 0,
-                    starts: int = 64) -> dict:
-    """Winning zero count l at each t (ties resolved to the smallest l)."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2 (got {k})")
-    out = {}
-    for t in t_grid:
-        sol = maximize_phik(SolveConfig(k=k, p=p, t=float(t), seed=seed,
-                                        starts=starts))
-        out[float(t)] = sol.l_used
-    return out
+    return SandwichReport(lower=lower, upper=upper, solved=sol.value, l_used=sol.l_used)
 
 
 def t0_scan(k: int, p: float, seed: int = 0, starts: int = 64,

@@ -95,8 +95,8 @@ def wiener_bound_check(f, k: int, p: float, cfg: QuadConfig | None = None) -> Wi
         wf = lambda z: wiener_eval(f, k, z)  # noqa: E731
 
     if math.isinf(p):
-        nf = norm_hinf(f, cfg)
-        nw = norm_hinf(wf, cfg)
+        nf = norm_hinf(f)
+        nw = norm_hinf(wf)
     else:
         nf = norm_hp(f, p, cfg)
         nw = norm_hp(wf, p, cfg)

@@ -57,6 +57,7 @@ def test_phi1_sup_norm_records_inf_as_string(capsys):
         ("wiener", "--p", "1", "--k", "2", "--eps-list", "0.1"),
         ("wiener", "--p", "0.5", "--k", "1", "--eps-list", "0.1"),
         ("solve", "--k", "0", "--p", "2", "--t", "0.5"),
+        ("wiener", "--p", "0.5", "--k", "2", "--eps-list", "0"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv):

@@ -1,0 +1,55 @@
+"""Every exported name resolves, and every name the demos import exists.
+
+The demos are not run by the test suite, so a removed or renamed public
+name would otherwise break them silently.  This reads their imports with
+``ast`` instead of running them.
+"""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import pytest
+
+import hardyx
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+SUBMODULES = sorted(
+    m.name for m in pkgutil.iter_modules(hardyx.__path__) if m.name != "__main__"
+)
+
+
+@pytest.mark.parametrize("modname", ["hardyx"] + [f"hardyx.{m}" for m in SUBMODULES])
+def test_all_names_resolve(modname):
+    mod = importlib.import_module(modname)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{modname}.__all__ lists missing names {missing}"
+
+
+def _hardyx_imports(tree):
+    """(module, name) for each name imported from hardyx; name None for plain imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "hardyx" or node.module.startswith("hardyx."):
+                for alias in node.names:
+                    yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "hardyx" or alias.name.startswith("hardyx."):
+                    yield alias.name, None
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_imports_resolve(demo):
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    missing = []
+    for modname, name in _hardyx_imports(tree):
+        mod = importlib.import_module(modname)
+        if name is not None and name != "*" and not hasattr(mod, name):
+            missing.append(f"{modname}.{name}")
+    assert not missing, f"{demo.name} imports missing names {missing}"

@@ -10,7 +10,6 @@ from hardyx.solver import (
     maximize_phik,
     sandwich_check,
     t0_scan,
-    zero_count_scan,
 )
 
 INF = math.inf
@@ -95,9 +94,8 @@ def test_sandwich_band():
 
 
 def test_zero_count_drops_past_threshold():
-    counts = zero_count_scan(2, 0.5, [0.85, 0.95], starts=24)
-    assert set(counts) == {0.85, 0.95}
-    assert all(l <= 1 for l in counts.values())
+    counts = {t: sandwich_check(2, 0.5, t, starts=24).l_used for t in (0.85, 0.95)}
+    assert all(l <= 1 for l in counts.values()), counts
 
 
 def test_t0_scan_validation():
