@@ -318,11 +318,17 @@ def _alpha1_log(p: float) -> float:
 
 
 def alpha1(p: float) -> float:
-    """The root in (0, 1) of 1 - 2 a^p + a^2 = 0; behaves like 2^{-1/p}."""
-    out = math.exp(_alpha1_log(p))
-    if out == 0.0:
-        raise RuntimeError(f"alpha_1 underflows the double range for p={p}")
-    return out
+    """The root in (0, 1) of 1 - 2 a^p + a^2 = 0; behaves like 2^{-1/p}.
+
+    Domain: 1/1022 <= p < 1, where the root is at least the smallest normal
+    double 2^-1022 and keeps full relative precision.  Smaller p raise
+    ValueError: the root would be subnormal or underflow to 0.  t_p and phi1
+    work with log alpha and do not need it.
+    """
+    if 0 < p < 1.0 / 1022.0:
+        raise ValueError(f"alpha1 needs p >= 1/1022 (got {p}): "
+                         f"alpha_1 ~ 2^(-1/p) leaves the normal double range")
+    return math.exp(_alpha1_log(p))  # ValueError outside (0, 1)
 
 
 def alpha2(p: float) -> float:

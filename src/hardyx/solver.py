@@ -14,15 +14,20 @@ loop exact and quadrature-free:
 The scale C is eliminated: normalizing ||f|| = 1 and f(0) = t pins
 C = t / g(0) on the feasible set, leaving the smooth objective
 Re(conj(g0) a_k) / (|g0| ||g||) under the scalar constraint
-|g0| / ||g|| = t.  Multistart simplex descent with an exact penalty
-explores; a sequential quadratic polish enforces the constraint on the
-leaders.  The returned solution is then re-measured through hardy_norm and
-taylor_coeff as an independent consistency check.
+|g0| / ||g|| = t.  Simplex descent on an exact penalty explores from every
+start at once: one Nelder-Mead advances the whole start population in
+lockstep, following scipy's rules for each start, and evaluates the
+penalty for all of its trial points in one array pass of the series.  A
+sequential quadratic polish then enforces the constraint on the leaders,
+one point per call.  The returned solution is re-measured through
+hardy_norm and taylor_coeff as an independent consistency check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +75,16 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1 (got {self.k})")
+        for name, low in (("k", 1), ("starts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low} (got {value})")
         if not (self.p > 0):
             raise ValueError(f"p must be positive (got {self.p})")
         if not (0.0 <= self.t <= 1.0):
             raise ValueError(f"t must lie in [0, 1] (got {self.t})")
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
         ls = self.l_range
         if ls is None:
             ls = tuple(range(self.k + 1))
@@ -174,6 +181,195 @@ def _series_data(p: float, lams, l: int):
     return s[0], s[k], nrm
 
 
+# The population forms below repeat the scalar arithmetic above, operation
+# for operation, on float arrays whose first axis holds the real and
+# imaginary parts and whose last axis runs over the n points.  numpy's
+# complex multiply may fuse multiply-adds and its power may be vectorised,
+# so both would round differently from the scalar code; spelled out this way
+# every point reproduces the scalar result up to the sign of zero terms.  A
+# product x * y is formed as x[0] * y2[0] + x[1] * y2[1] with
+# y2 = [[y.re, y.im], [-y.im, y.re]], which rounds like Python's.
+
+@functools.lru_cache(maxsize=16)
+def _toeplitz_index(m: int) -> np.ndarray:
+    # entry [a, c, d, i] picks from (b.re | b.im | -b.im | 0) the factor by
+    # which part a of s_i enters part c of the coefficient d of s * b
+    gap = np.subtract.outer(np.arange(m), np.arange(m))
+    idx = np.empty((2, 2, m, m), dtype=np.intp)
+    for a, c, block in ((0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0)):
+        idx[a, c] = np.where(gap >= 0, block * m + gap, 3 * m)
+    return idx
+
+@functools.lru_cache(maxsize=16)
+def _recurrence_table(p: float, k: int, l: int):
+    # which lambda drives each recurrence of _series_data_batch, and the real
+    # factor of its y_d: 1 for a Blaschke factor, -binom(e, d) / binom(e, d-1)
+    # for a binomial one; (-c) conj(lam) rounds like Python's c * (-conj(lam))
+    e = 2.0 / p
+    b = 0 if math.isinf(p) else k
+    scale = [[1.0] * k] * l + [[-((e - d + 1) / d) for d in range(1, k + 1)]] * b
+    return np.r_[0:l, 0:b], np.array(scale).reshape(l + b, k, 1)
+
+def _series_data_batch(p: float, lams: np.ndarray, l: int):
+    """_series_data for every row of lams, shape (n, k): arrays g0, a_k, ||g||."""
+    n, k = lams.shape
+    b = 0 if math.isinf(p) else k  # the binomial factors
+    lr, li = lams.real.T, lams.imag.T
+    w2 = np.array(((lr, -li), (li, lr)))  # conj(lam) in product form
+    # x_d = x_{d-1} y_d from x_0 = 1: the powers of conj(lam) for the l
+    # Blaschke factors (y_d = conj(lam)) and the binomial terms of the k
+    # outer factors (y_d = -conj(lam) times the ratio of binomial coefficients)
+    slots, scale = _recurrence_table(p, k, l)
+    y2 = scale * w2[:, :, slots, None]
+    x = np.empty((2, l + b, k + 1, n))
+    x[0, :, 0], x[1, :, 0] = 1.0, 0.0
+    for d in range(1, k + 1):
+        t = x[:, None, :, d - 1] * y2[:, :, :, d - 1]
+        x[:, :, d] = t[0] + t[1]
+    # the factor series in the scalar order: Blaschke, then binomial
+    f = x
+    if l:
+        lam = w2[:, 0, :l]
+        sq = lam * lam
+        fac = sq[0] + sq[1] - 1.0
+        blaschke = np.empty((2, l, k + 1, n))
+        blaschke[:, :, 0] = lam
+        blaschke[:, :, 1:] = fac[:, None] * x[:, :l, :k]
+        unit = np.abs(np.hypot(lam[0], lam[1]) - 1.0) <= 1e-14
+        if unit.any():
+            blaschke[:, :, 1:] = np.where(unit[:, None], 0.0, blaschke[:, :, 1:])
+        f = np.concatenate((blaschke, x[:, l:]), axis=1)
+    if f.shape[1]:
+        # the scalar product starts from the series 1, which changes no digit
+        s = f[:, 0]
+        table = np.concatenate((f[0], f[1], -f[1], np.zeros((f.shape[1], 1, n))), axis=1)
+        toeplitz = table[1:, _toeplitz_index(k + 1)]
+        for factor in toeplitz:
+            terms = s[:, None, None] * factor
+            terms = terms[0] + terms[1]
+            # each coefficient summed over i in the scalar order
+            s = terms[:, :, 0]
+            for i in range(1, k + 1):
+                s = s + terms[:, :, i]
+    else:
+        s = np.zeros((2, k + 1, n))
+        s[0, 0] = 1.0
+    if b:
+        c = np.zeros((2, k + 1, n))
+        c[0, 0] = 1.0
+        for j in range(k):
+            # c[d] -= conj(lam_j) c[d - 1] for d = j+1 .. 1, all from the old c
+            t = c[:, None, :j + 1] * w2[:, :, j:j + 1]
+            c[:, 1:j + 2] -= t[0] + t[1]
+        sq = c * c
+        # the scalar fsum and power, point by point
+        nrm = np.array([math.fsum(col) ** (1.0 / p) for col in (sq[0] + sq[1]).T.tolist()])
+    else:
+        nrm = np.ones(n)
+    return s[0, 0] + 1j * s[1, 0], s[0, k] + 1j * s[1, k], nrm
+
+
+# ---------------------------------------------------------------------------
+# lockstep Nelder-Mead
+# ---------------------------------------------------------------------------
+
+# the reflection, expansion, contraction and shrink coefficients and the
+# initial-simplex steps of scipy's Nelder-Mead
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+
+def _nm_sort(sim, fsim):
+    # np.argsort's default kind, as in scipy: it is not stable on every
+    # platform, and tied vertices must fall the same way
+    ind = np.argsort(fsim, axis=1)
+    row = np.arange(len(fsim))[:, None]
+    return sim[row, ind], fsim[row, ind]
+
+def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxfev: int):
+    """Nelder-Mead from every row of x0s at once; returns arrays x, fun, nfev.
+
+    fun maps an (m, dim) array of points to their m values.  Each start
+    follows scipy.optimize.minimize(method="Nelder-Mead") with the same
+    xatol, fatol and maxfev (> dim): the same initial simplex, coefficients,
+    sorts and stopping test, and an expansion, contraction or shrink cut off
+    where the start runs out of evaluations.  So each row of the result is
+    what scipy returns for that start alone.
+    """
+    rho, chi, psi, sigma = _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA
+    n, N = x0s.shape
+    sim = np.repeat(x0s[:, None, :], N + 1, axis=1)
+    for j in range(N):
+        y = x0s[:, j]
+        sim[:, j + 1, j] = np.where(y != 0, (1 + _NM_NONZDELT) * y, _NM_ZDELT)
+    fsim = fun(sim.reshape(-1, N)).reshape(n, N + 1)
+    # scipy sorts twice before its first step; with an unstable sort the
+    # second pass can reorder ties
+    sim, fsim = _nm_sort(*_nm_sort(sim, fsim))
+    nfev = np.full(n, N + 1)
+
+    x_out, f_out, nfev_out = np.empty((n, N)), np.empty(n), np.empty(n, dtype=int)
+    rows = np.arange(n)  # the starts still running, in population order
+    while rows.size:
+        done = (nfev >= maxfev) | (
+            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
+        )
+        if done.any():
+            x_out[rows[done]] = sim[done, 0]
+            f_out[rows[done]] = fsim[done].min(axis=1)
+            nfev_out[rows[done]] = nfev[done]
+            live = ~done
+            rows, sim, fsim, nfev = rows[live], sim[live], fsim[live], nfev[live]
+            if not rows.size:
+                break
+
+        xbar = np.add.reduce(sim[:, :-1], axis=1) / N
+        worst, f_worst = sim[:, -1], fsim[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = fun(xr)
+        nfev += 1
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < f_worst)
+        # the second trial point, while the start has evaluations left: the
+        # expansion (1 + rho chi) xbar - rho chi worst, the outside
+        # contraction (1 + psi rho) xbar - psi rho worst, or the inside
+        # contraction (1 - psi) xbar + psi worst, each rounded as in scipy
+        a = np.where(expand, 1 + rho * chi, np.where(outside, 1 + psi * rho, 1 - psi))
+        c = np.where(expand, -(rho * chi), np.where(outside, -(psi * rho), psi))
+        x2 = a[:, None] * xbar + c[:, None] * worst
+        tried = ~reflect & (nfev < maxfev)
+        f2 = np.full(rows.size, np.nan)
+        if tried.any():
+            f2[tried] = fun(x2[tried])
+        nfev += tried
+        better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < f_worst))
+        take_2 = tried & better
+        take_r = reflect | (tried & expand & ~better)
+        shrink = tried & ~expand & ~better
+        sim[:, -1] = np.where(take_2[:, None], x2, np.where(take_r[:, None], xr, worst))
+        fsim[:, -1] = np.where(take_2, f2, np.where(take_r, fxr, f_worst))
+
+        if shrink.any():
+            s = np.nonzero(shrink)[0]
+            ssim, sf = sim[s], fsim[s]
+            moved = ssim[:, :1] + sigma * (ssim[:, 1:] - ssim[:, :1])
+            # scipy moves vertex j, then evaluates it; the vertex at which a
+            # start runs out is moved but keeps its old value
+            left = (maxfev - nfev[s])[:, None]
+            vertex = np.arange(1, N + 1)
+            evaluated = vertex <= left
+            relocated = vertex <= left + 1
+            ssim[:, 1:][relocated] = moved[relocated]
+            if evaluated.any():
+                sf[:, 1:][evaluated] = fun(moved[evaluated])
+            sim[s], fsim[s] = ssim, sf
+            nfev[s] += evaluated.sum(axis=1)
+
+        sim, fsim = _nm_sort(sim, fsim)
+    return x_out, f_out, nfev_out
+
+
 # ---------------------------------------------------------------------------
 # parametrization and per-l optimization
 # ---------------------------------------------------------------------------
@@ -198,6 +394,17 @@ def _lams_from_x(x, k: int, l: int, p: float, pinned: bool):
         lams[j] = complex(m * math.cos(th), m * math.sin(th))
     return lams
 
+def _lams_from_x_batch(X: np.ndarray, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
+    """_lams_from_x for every row of X; the lambdas have shape (n, k)."""
+    slots = _free_slots(k, l, p, pinned)
+    r, th = X[:, 0::2], X[:, 1::2]
+    # Python's pow, as in _lams_from_x: it does not always round like r * r
+    m = np.array([v ** 2 for v in np.sin(r).ravel().tolist()]).reshape(r.shape)
+    lams = np.zeros((X.shape[0], k), dtype=complex)
+    lams.real[:, slots.start:slots.stop] = m * np.cos(th)
+    lams.imag[:, slots.start:slots.stop] = m * np.sin(th)
+    return lams
+
 def _x_from_lams(lams, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
     xs = []
     for j in _free_slots(k, l, p, pinned):
@@ -206,14 +413,14 @@ def _x_from_lams(lams, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
     return np.array(xs)
 
 def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
-    """Returns x -> (objective, t_hat)."""
+    """Returns x -> (objective, t_hat), one point per call, for the polish."""
     # SLSQP evaluates the objective and the constraint (and their finite
     # difference stencils) at identical points; a one-slot memo removes the
     # duplicated series work.
     memo = [None]
 
     def parts(x):
-        key = x.tobytes() if hasattr(x, "tobytes") else tuple(x)
+        key = x.tobytes()
         hit = memo[0]
         if hit is not None and hit[0] == key:
             return hit[1]
@@ -231,6 +438,25 @@ def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
         return out
 
     return parts
+
+def _penalized_batch(p: float, k: int, l: int, t: float, pinned: bool):
+    """Returns X -> -objective + _PENALTY |t_hat - t| for every row of X.
+
+    Row for row this equals the penalty built on _evaluator's parts.
+    """
+    def penalized(X):
+        g0, ak, nrm = _series_data_batch(p, _lams_from_x_batch(X, k, l, p, pinned), l)
+        if pinned:
+            J, t_hat = np.hypot(ak.real, ak.imag) / nrm, 0.0
+        else:
+            a0 = np.hypot(g0.real, g0.imag)
+            live = ~(a0 < 1e-150)
+            J = np.divide(g0.real * ak.real + g0.imag * ak.imag, a0 * nrm,
+                          out=np.zeros_like(a0), where=live)
+            t_hat = np.divide(a0, nrm, out=np.zeros_like(a0), where=live)
+        return -J + _PENALTY * np.abs(t_hat - t)
+
+    return penalized
 
 def _root_pattern(radius: float, k: int):
     # lam_j on the k-th roots of a negative real number: the product
@@ -271,10 +497,6 @@ def _solve_one_l(cfg: SolveConfig, l: int):
             return [(J, _lams_from_x(np.empty(0), k, l, p, pinned))]
         return []
 
-    def penalized(x):
-        J, t_hat = parts(x)
-        return -J + _PENALTY * abs(t_hat - t)
-
     rng = np.random.default_rng([cfg.seed, k, l, 1])
     x0s = _warm_starts(p, k, l, t, pinned)
     n_random = max(cfg.starts - len(x0s), 1)
@@ -283,16 +505,11 @@ def _solve_one_l(cfg: SolveConfig, l: int):
         th = rng.uniform(0.0, 2.0 * math.pi, size=dim // 2)
         x0s.append(np.column_stack([r, th]).ravel())
 
-    def explore(x0):
-        res = minimize(
-            penalized, x0, method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": 140 * dim},
-        )
-        return res.x, float(res.fun)
-
-    explored = [explore(x0) for x0 in x0s]
-
-    explored.sort(key=lambda e: e[1])
+    ends, fends, _ = _nelder_mead_lockstep(
+        _penalized_batch(p, k, l, t, pinned), np.array(x0s),
+        xatol=1e-4, fatol=1e-8, maxfev=140 * dim,
+    )
+    explored = sorted(zip(ends, fends.tolist()), key=lambda e: e[1])
     leaders = [x for x, fv in explored[:8]]
     cut = explored[0][1] + 1e-4
     for x, fv in explored[8:]:

@@ -138,6 +138,14 @@ def test_alpha1_tiny_p():
     assert alpha1(1 / 257) == pytest.approx(2.0**-257, rel=1e-12)
     a = alpha1(0.002)
     assert abs(2 * a**0.002 - 1 - a * a) < 1e-13
+    # the documented edge: the root is still a normal double at p = 1/1022
+    assert alpha1(1 / 1022) == pytest.approx(2.0**-1022, rel=1e-12)
+    # below it alpha_1 leaves the normal range: a ValueError, not a bare
+    # RuntimeError, while t_p stays defined there
+    for p in (1 / 1023, 1e-4, 1e-300):
+        with pytest.raises(ValueError):
+            alpha1(p)
+    assert 0 < t_p(1e-4) < 1
 
 
 def test_alpha2_value_and_stationarity():

@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from hardyx import solver
 from hardyx.closed_form import alpha_p, beta_of_alpha, phi1, psi1, solve_alpha, t_p
 from hardyx.solver import (
     ExtremalSolution,
@@ -116,5 +119,105 @@ def test_config_validation():
         SolveConfig(k=2, p=2.0, t=0.5, l_range=(3,))
     with pytest.raises(ValueError):
         SolveConfig(k=2, p=2.0, t=0.5, starts=0)
+    # integer fields take integers only, checked before any solve
+    for bad in ({"starts": 2.5}, {"seed": -1}, {"seed": 1.5}, {"k": True}, {"k": 2.5}):
+        with pytest.raises(ValueError):
+            SolveConfig(**{"k": 2, "p": 2.0, "t": 0.5, **bad})
     cfg = SolveConfig(k=2, p=2.0, t=0.5, l_range=None)
     assert cfg.l_range == (0, 1, 2)
+    assert SolveConfig(k=np.int64(2), p=2.0, t=0.5, starts=np.int32(3)).starts == 3
+
+
+# ---------------------------------------------------------------------------
+# the population kernel and the lockstep explorer against their references
+# ---------------------------------------------------------------------------
+
+def _scalar_penalty(p, k, l, t, pinned):
+    parts = solver._evaluator(p, k, l, t, pinned)
+
+    def penalized(x):
+        J, t_hat = parts(x)
+        return -J + solver._PENALTY * abs(t_hat - t)
+
+    return penalized
+
+
+def _population(rng, k, l, p, pinned, rows):
+    half = len(solver._free_slots(k, l, p, pinned))
+    r = rng.uniform(0.0, math.pi / 2, (rows, half))
+    th = rng.uniform(0.0, 2 * math.pi, (rows, half))
+    # |lam| = 1 exactly takes the constant-series branch of a Blaschke factor
+    r[0] = math.pi / 2
+    r[1, 0] = math.pi / 2
+    # lam_0 = 0 or |lam_0| ~ 1e-160: with l >= 1, |g0| < 1e-150
+    r[2, 0] = 0.0
+    r[3, 0] = 1e-80
+    return np.stack((r, th), axis=2).reshape(rows, 2 * half)
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_series_batch_matches_scalar(p, pinned):
+    rng = np.random.default_rng(7)
+    t = 0.0 if pinned else 0.4
+    close = dict(rel=1e-13, abs=0.0)
+    for k in range(1, 5):
+        for l in range(1 if pinned else 0, k + 1):
+            if not solver._free_slots(k, l, p, pinned):
+                continue
+            X = _population(rng, k, l, p, pinned, rows=12)
+            lams = solver._lams_from_x_batch(X, k, l, p, pinned)
+            g0, ak, nrm = solver._series_data_batch(p, lams, l)
+            batch = solver._penalized_batch(p, k, l, t, pinned)(X)
+            scalar = _scalar_penalty(p, k, l, t, pinned)
+            for i, x in enumerate(X):
+                ref = solver._series_data(p, solver._lams_from_x(x, k, l, p, pinned), l)
+                assert (g0[i], ak[i], nrm[i]) == pytest.approx(ref, **close), (k, l, i)
+                assert batch[i] == pytest.approx(scalar(x), **close), (k, l, i)
+            if l and not pinned:
+                # the |g0| < 1e-150 guard: objective and t_hat read 0
+                assert abs(g0[2]) < 1e-150 and abs(g0[3]) < 1e-150
+                assert batch[2] == batch[3] == solver._PENALTY * t
+
+
+def _quantised_rosenbrock(x):
+    # plateaus make ties between simplex vertices and force shrinks
+    return math.floor(20 * sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2)) / 20
+
+
+def _replica_cases():
+    rng = np.random.default_rng(11)
+    # the solver's own penalty from its seeded starts; the pinned case shrinks
+    for k, p, t, l in ((2, 0.5, 0.5, 1), (2, 0.5, 0.0, 1), (3, 0.5, 0.5, 2), (2, math.inf, 0.5, 2)):
+        pinned = t == 0.0
+        dim = 2 * len(solver._free_slots(k, l, p, pinned))
+        x0s = solver._warm_starts(p, k, l, t, pinned)
+        x0s += [np.column_stack([rng.uniform(0, math.pi / 2, dim // 2),
+                                 rng.uniform(0, 2 * math.pi, dim // 2)]).ravel() for _ in range(10)]
+        yield _scalar_penalty(p, k, l, t, pinned), x0s, 140 * dim
+    # small budgets cut starts off in every phase of a step, shrinks included
+    for dim in (2, 3, 5):
+        x0s = [rng.uniform(-2, 2, dim) for _ in range(6)] + [np.zeros(dim)]
+        for maxfev in (dim + 2, 23, 37, 61, 2000):
+            yield _quantised_rosenbrock, x0s, maxfev
+
+
+def test_lockstep_nelder_mead_replicates_scipy():
+    exhausted = shrunk = 0
+    for f, x0s, maxfev in _replica_cases():
+        # the batch objective calls the scalar one row by row, so both sides
+        # see bit-identical values
+        xs, fun, nfev = solver._nelder_mead_lockstep(
+            lambda X: np.array([f(x) for x in X]), np.array(x0s),
+            xatol=1e-4, fatol=1e-8, maxfev=maxfev,
+        )
+        for i, x0 in enumerate(x0s):
+            res = minimize(f, x0, method="Nelder-Mead",
+                           options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": maxfev})
+            assert np.array_equal(xs[i], res.x), (maxfev, i)
+            assert fun[i] == res.fun and nfev[i] == res.nfev, (maxfev, i)
+            dim = len(x0)
+            exhausted += res.nfev >= maxfev
+            # a step costs 1 or 2 evaluations unless it shrinks
+            shrunk += res.nfev < maxfev and res.nfev > dim + 1 + 2 * (res.nit - 1)
+    assert exhausted >= 10 and shrunk >= 10
