@@ -18,9 +18,12 @@ Re(conj(g0) a_k) / (|g0| ||g||) under the scalar constraint
 start at once: one Nelder-Mead advances the whole start population in
 lockstep, following scipy's rules for each start, and evaluates the
 penalty for all of its trial points in one array pass of the series.  A
-sequential quadratic polish then enforces the constraint on the leaders,
-one point per call.  The returned solution is re-measured through
-hardy_norm and taylor_coeff as an independent consistency check.
+sequential quadratic polish then enforces the constraint on the leaders.
+It evaluates the objective and the constraint one point per call; their
+gradients are scipy's forward differences, bit for bit, with the stencil
+of each iterate evaluated in one array pass for both.  The returned
+solution is re-measured through hardy_norm and taylor_coeff as an
+independent consistency check.
 """
 
 from __future__ import annotations
@@ -65,6 +68,10 @@ class SolverError(RuntimeError):
     """Optimization failed to converge or to pass its consistency checks."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     k: int
@@ -77,7 +84,7 @@ class SolveConfig:
     def __post_init__(self):
         for name, low in (("k", 1), ("starts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer (got {value!r})")
             if value < low:
                 raise ValueError(f"{name} must be >= {low} (got {value})")
@@ -89,6 +96,13 @@ class SolveConfig:
         if ls is None:
             ls = tuple(range(self.k + 1))
         else:
+            try:
+                ls = tuple(ls)
+            except TypeError:
+                raise ValueError(f"l_range must be a sequence of integers (got {ls!r})") from None
+            for l in ls:
+                if not _is_int(l):
+                    raise ValueError(f"l_range entries must be integers (got {l!r})")
             ls = tuple(sorted(set(int(l) for l in ls)))
             if not ls:
                 raise ValueError("l_range must be non-empty")
@@ -414,9 +428,9 @@ def _x_from_lams(lams, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
 
 def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
     """Returns x -> (objective, t_hat), one point per call, for the polish."""
-    # SLSQP evaluates the objective and the constraint (and their finite
-    # difference stencils) at identical points; a one-slot memo removes the
-    # duplicated series work.
+    # SLSQP evaluates the objective and the constraint at identical points;
+    # a one-slot memo removes the duplicated series work.  Their gradients
+    # come from _stencil instead.
     memo = [None]
 
     def parts(x):
@@ -439,24 +453,71 @@ def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
 
     return parts
 
-def _penalized_batch(p: float, k: int, l: int, t: float, pinned: bool):
-    """Returns X -> -objective + _PENALTY |t_hat - t| for every row of X.
+def _objective_batch(p: float, k: int, l: int, pinned: bool):
+    """Returns X -> (objective, t_hat) as arrays over the rows of X.
 
-    Row for row this equals the penalty built on _evaluator's parts.
+    Row for row this equals _evaluator's parts, bit for bit.
     """
-    def penalized(X):
+    def batch(X):
         g0, ak, nrm = _series_data_batch(p, _lams_from_x_batch(X, k, l, p, pinned), l)
         if pinned:
-            J, t_hat = np.hypot(ak.real, ak.imag) / nrm, 0.0
-        else:
-            a0 = np.hypot(g0.real, g0.imag)
-            live = ~(a0 < 1e-150)
-            J = np.divide(g0.real * ak.real + g0.imag * ak.imag, a0 * nrm,
-                          out=np.zeros_like(a0), where=live)
-            t_hat = np.divide(a0, nrm, out=np.zeros_like(a0), where=live)
+            return np.hypot(ak.real, ak.imag) / nrm, 0.0
+        a0 = np.hypot(g0.real, g0.imag)
+        live = ~(a0 < 1e-150)
+        J = np.divide(g0.real * ak.real + g0.imag * ak.imag, a0 * nrm,
+                      out=np.zeros_like(a0), where=live)
+        t_hat = np.divide(a0, nrm, out=np.zeros_like(a0), where=live)
+        return J, t_hat
+
+    return batch
+
+def _penalized_batch(p: float, k: int, l: int, t: float, pinned: bool):
+    """Returns X -> -objective + _PENALTY |t_hat - t| for every row of X."""
+    batch = _objective_batch(p, k, l, pinned)
+
+    def penalized(X):
+        J, t_hat = batch(X)
         return -J + _PENALTY * np.abs(t_hat - t)
 
     return penalized
+
+# the absolute step of SLSQP's default finite differences
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+def _stencil(parts, p: float, k: int, l: int, t: float, pinned: bool):
+    """Returns x -> (gradient of -objective, gradient of t_hat - t).
+
+    Both are scipy's 2-point forward differences with SLSQP's absolute
+    step, as approx_derivative forms them: the step falls back to
+    sqrt(eps) sign(x) max(1, |x|) where x + h rounds to x, dx = (x + h) - x,
+    and each difference is taken on the function SLSQP sees, from its
+    value at x (parts' memo).  The dim shifted points of one x go through
+    _objective_batch together, and a one-slot memo serves the objective's
+    gradient and the constraint's Jacobian from that one pass.
+    """
+    batch = _objective_batch(p, k, l, pinned)
+    memo = [None]
+
+    def grads(x):
+        key = x.tobytes()
+        hit = memo[0]
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        h = np.full(x.shape, _FD_STEP)
+        h = np.where((x + h) - x == 0,
+                     _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x)), h)
+        xh = x + h
+        dx = xh - x
+        # row i is x with x_i + h_i in place of x_i, every other entry as is
+        X = np.repeat(x[None, :], x.size, axis=0)
+        np.fill_diagonal(X, xh)
+        J, t_hat = batch(X)
+        J0, t_hat0 = parts(x)
+        out = (-J - -J0) / dx, ((t_hat - t) - (t_hat0 - t)) / dx
+        memo[0] = (key, out)
+        return out
+
+    return grads
 
 def _root_pattern(radius: float, k: int):
     # lam_j on the k-th roots of a negative real number: the product
@@ -516,13 +577,16 @@ def _solve_one_l(cfg: SolveConfig, l: int):
         if fv <= cut and len(leaders) < 16:
             leaders.append(x)
 
+    grads = _stencil(parts, p, k, l, t, pinned)
     # pinned, f(0) = 0 holds by construction and only J is polished
-    constraints = () if pinned else [{"type": "eq", "fun": lambda x: parts(x)[1] - t}]
+    constraints = () if pinned else [
+        {"type": "eq", "fun": lambda x: parts(x)[1] - t, "jac": lambda x: grads(x)[1]}
+    ]
     feasible = []
     for x0 in leaders:
         res = minimize(
-            lambda x: -parts(x)[0], x0, method="SLSQP", constraints=constraints,
-            options={"ftol": _POLISH_FTOL, "maxiter": 200},
+            lambda x: -parts(x)[0], x0, method="SLSQP", jac=lambda x: grads(x)[0],
+            constraints=constraints, options={"ftol": _POLISH_FTOL, "maxiter": 200},
         )
         xs = x0 if pinned and not res.success else res.x
         J, t_hat = parts(xs)
@@ -700,6 +764,11 @@ def t0_scan(k: int, p: float, seed: int = 0, starts: int = 64,
         raise ValueError("the threshold scan is defined for k = 2 only")
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
+    # a fractional grid never closes the bisection, and grid = 0 divides by 0
+    if not _is_int(grid) or grid < 1:
+        raise ValueError(f"grid must be an integer >= 1 (got {grid!r})")
+    if not (tol > 0):
+        raise ValueError(f"tol must be positive (got {tol!r})")
 
     def gap(t: float) -> float:
         sol = maximize_phik(SolveConfig(k=k, p=p, t=t, seed=seed, starts=starts))

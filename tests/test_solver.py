@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.optimize._numdiff import approx_derivative
 
 from hardyx import solver
 from hardyx.closed_form import alpha_p, beta_of_alpha, phi1, psi1, solve_alpha, t_p
@@ -101,11 +102,16 @@ def test_zero_count_drops_past_threshold():
     assert all(l <= 1 for l in counts.values()), counts
 
 
-def test_t0_scan_validation():
-    with pytest.raises(ValueError):
-        t0_scan(3, 0.5)
-    with pytest.raises(ValueError):
-        t0_scan(2, 2.0)
+def test_t0_scan_validation(monkeypatch):
+    def no_solve(cfg):
+        raise AssertionError("t0_scan solved before checking its input")
+
+    monkeypatch.setattr(solver, "maximize_phik", no_solve)
+    # grid = 2.5 used to bisect forever and grid = 0 to divide by zero
+    for bad in ({"k": 3}, {"p": 2.0}, {"grid": 0}, {"grid": 2.5}, {"grid": True},
+                {"grid": -4}, {"tol": 0.0}, {"tol": -1e-6}, {"tol": math.nan}):
+        with pytest.raises(ValueError):
+            t0_scan(**{"k": 2, "p": 0.5, **bad})
 
 
 def test_config_validation():
@@ -120,12 +126,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(k=2, p=2.0, t=0.5, starts=0)
     # integer fields take integers only, checked before any solve
-    for bad in ({"starts": 2.5}, {"seed": -1}, {"seed": 1.5}, {"k": True}, {"k": 2.5}):
+    for bad in ({"starts": 2.5}, {"seed": -1}, {"seed": 1.5}, {"k": True}, {"k": 2.5},
+                {"l_range": (1.7,)}, {"l_range": (True,)}, {"l_range": ("1",)},
+                {"l_range": (1.0,)}, {"l_range": 5}, {"l_range": "1"}, {"l_range": ()}):
         with pytest.raises(ValueError):
             SolveConfig(**{"k": 2, "p": 2.0, "t": 0.5, **bad})
     cfg = SolveConfig(k=2, p=2.0, t=0.5, l_range=None)
     assert cfg.l_range == (0, 1, 2)
     assert SolveConfig(k=np.int64(2), p=2.0, t=0.5, starts=np.int32(3)).starts == 3
+    assert SolveConfig(k=2, p=2.0, t=0.5, l_range=[2, np.int64(0), 2]).l_range == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +230,71 @@ def test_lockstep_nelder_mead_replicates_scipy():
             # a step costs 1 or 2 evaluations unless it shrinks
             shrunk += res.nfev < maxfev and res.nfev > dim + 1 + 2 * (res.nit - 1)
     assert exhausted >= 10 and shrunk >= 10
+
+
+# ---------------------------------------------------------------------------
+# the polish's batch stencil against scipy's finite differences
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_stencil_matches_scipy_finite_differences(p, pinned):
+    rng = np.random.default_rng(5)
+    t = 0.0 if pinned else 0.4
+    step = math.sqrt(np.finfo(float).eps)  # SLSQP's default absolute step
+    checked = 0
+    for k in range(1, 4):
+        for l in range(k + 1):
+            if not solver._free_slots(k, l, p, pinned):
+                continue
+            X = _population(rng, k, l, p, pinned, rows=8)
+            # from 2**27 up the step sqrt(eps) can be lost in x + h, which
+            # takes scipy's fallback step, for either sign of x
+            X[4, 1] = 2.0 ** 28 + 0.5
+            X[5, -1] = -(2.0 ** 27 + 1.0)
+            parts = solver._evaluator(p, k, l, t, pinned)
+            grads = solver._stencil(parts, p, k, l, t, pinned)
+
+            def objective(x):
+                return -parts(x)[0]
+
+            def constraint(x):
+                return parts(x)[1] - t
+
+            for x in X:
+                obj, con = grads(x)
+                ref = approx_derivative(objective, x, method="2-point", abs_step=step,
+                                        f0=objective(x))
+                assert np.array_equal(obj, ref), (k, l, x)
+                if not pinned:
+                    ref = approx_derivative(constraint, x, method="2-point", abs_step=step)
+                    assert np.array_equal(con, ref), (k, l, x)
+                checked += 1
+    assert checked >= 24
+
+
+@pytest.mark.parametrize("t", [0.5, 0.0])
+def test_polish_matches_scipy_finite_differences(monkeypatch, t):
+    # every leader's SLSQP run with the stencil against the same run with
+    # scipy's own finite differences on a fresh _evaluator
+    cfg = SolveConfig(k=2, p=0.5, t=t, starts=32)
+    pinned = t == 0.0
+    runs = []
+    for l in cfg.l_range:
+        if pinned and l == 0:
+            continue
+        parts = solver._evaluator(cfg.p, cfg.k, l, t, pinned)
+        cons = () if pinned else [{"type": "eq", "fun": lambda x: parts(x)[1] - t}]
+
+        def polish(fun, x0, jac, constraints, **kwargs):
+            res = minimize(fun, x0, jac=jac, constraints=constraints, **kwargs)
+            ref = minimize(lambda x: -parts(x)[0], x0, constraints=cons, **kwargs)
+            runs.append((res, ref))
+            return res
+
+        monkeypatch.setattr(solver, "minimize", polish)
+        solver._solve_one_l(cfg, l)
+    assert len(runs) >= 16
+    for res, ref in runs:
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert (res.nit, res.status) == (ref.nit, ref.status)
