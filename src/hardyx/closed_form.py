@@ -122,6 +122,19 @@ def _t_of_log_alpha(p: float, L: float) -> float:
     return math.exp(L - math.log1p(math.exp(2 * L)) / p)
 
 
+def _branch_top(p: float) -> tuple[float, float]:
+    """(log alpha, t) at the top of the increasing branch of t(alpha), finite p.
+
+    The branch ends at alpha = 1 for p >= 1 and at alpha2(p) for 0 < p < 1,
+    where t = alpha (1+alpha^2)^{-1/p} turns around; its t is the largest
+    value the map reaches on [0, 1].
+    """
+    if p >= 1:
+        return 0.0, 2.0 ** (-1.0 / p)
+    L = 0.5 * (math.log(p) - math.log(2.0 - p))  # log alpha2
+    return L, _t_of_log_alpha(p, L)
+
+
 def solve_alpha(p: float, t: float) -> float:
     """Invert t = alpha (1+alpha^2)^{-1/p} on the relevant increasing branch.
 
@@ -139,12 +152,7 @@ def solve_alpha(p: float, t: float) -> float:
             raise ValueError(f"t={t} outside [0, 1) for the p=inf branch")
         return t
 
-    if p >= 1:
-        hi_L = 0.0
-        top = 2.0 ** (-1.0 / p)
-    else:
-        hi_L = 0.5 * (math.log(p) - math.log(2.0 - p))  # log alpha2
-        top = _t_of_log_alpha(p, hi_L)
+    hi_L, top = _branch_top(p)
     if t > top:
         # boundary rounding noise is snapped, anything worse is a domain error
         if t <= top * (1 + 1e-12):

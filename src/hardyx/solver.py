@@ -14,16 +14,27 @@ loop exact and quadrature-free:
 The scale C is eliminated: normalizing ||f|| = 1 and f(0) = t pins
 C = t / g(0) on the feasible set, leaving the smooth objective
 Re(conj(g0) a_k) / (|g0| ||g||) under the scalar constraint
-|g0| / ||g|| = t.  Simplex descent on an exact penalty explores from every
-start at once: one Nelder-Mead advances the whole start population in
-lockstep, following scipy's rules for each start, and evaluates the
-penalty for all of its trial points in one array pass of the series.  A
-sequential quadratic polish then enforces the constraint on the leaders.
-It evaluates the objective and the constraint one point per call; their
-gradients are scipy's forward differences, bit for bit, with the stencil
-of each iterate evaluated in one array pass for both.  The returned
-solution is re-measured through hardy_norm and taylor_coeff as an
-independent consistency check.
+t_hat = |g0| / ||g|| = t.
+
+The same identities bound the values t_hat takes at a given zero count.
+With c the coefficients of prod_j (1 - conj(lam_j) z), ||g||^p = sum |c_n|^2
+and |g0| = prod_{j<l} |lam_j|.  At l = k, c_0 = 1 and |c_k| = |g0| = P, so
+t_hat <= P (1+P^2)^{-1/p} <= T(p), the top of the k = 1 alpha branch (alpha2
+for p < 1, 1 for p >= 1); the k = 1 extremal lifted through z -> z^k
+attains it.  At l = 0, |g0| = 1 and |c_n| <= C(k, n), so
+t_hat >= C(2k, k)^{-1/p}, attained at lam_j = 1.  A zero count whose range
+excludes t is skipped before any search.  At p = infinity ||g|| = 1 and
+neither bound applies.
+
+Simplex descent on an exact penalty explores from every start at once:
+one Nelder-Mead advances the whole start population in lockstep, following
+scipy's rules for each start, and evaluates the penalty for all of its
+trial points in one array pass of the series.  A sequential quadratic
+polish then enforces the constraint on the leaders.  It evaluates the
+objective and the constraint one point per call; their gradients are
+scipy's forward differences, bit for bit, with the stencil of each iterate
+evaluated in one array pass for both.  The returned solution is re-measured
+through hardy_norm and taylor_coeff as an independent consistency check.
 """
 
 from __future__ import annotations
@@ -34,9 +45,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .closed_form import phi1, solve_alpha, solve_beta
+from .closed_form import _branch_top, phi1, solve_alpha, solve_beta
 from .fn_repr import StructuredExtremal, sample_boundary, taylor_coeff
 from .hardy_norm import norm_hinf, norm_hp
 
@@ -62,6 +72,17 @@ _CLUSTER_VALUE_TOL = 1e-6
 _CLUSTER_DIST_TOL = 1e-3
 # SLSQP's convergence tolerance in the polish
 _POLISH_FTOL = 1e-10
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use.
+
+    scipy takes longer to import than the rest of hardyx, and only the
+    polish needs it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class SolverError(RuntimeError):
@@ -546,9 +567,20 @@ def _warm_starts(p: float, k: int, l: int, t: float, pinned: bool):
     return outs
 
 def _solve_one_l(cfg: SolveConfig, l: int):
-    """Multistart for a fixed zero count; returns feasible (J, lams) list."""
+    """Multistart for a fixed zero count; returns feasible (J, lams) list.
+
+    A zero count whose exact range of t_hat excludes t returns [] before any
+    search (module docstring): for finite p, l = k reaches at most the
+    k = 1 branch maximum T(p), and l = 0 at least C(2k, k)^{-1/p}.  The
+    margin of 2 _FEAS_TOL keeps every point the polish could accept.
+    """
     p, t, k = cfg.p, cfg.t, cfg.k
     pinned = t == 0.0
+    if not math.isinf(p):
+        if l == k and t > _branch_top(p)[1] + 2 * _FEAS_TOL:
+            return []
+        if l == 0 and t < math.exp(-math.log(math.comb(2 * k, k)) / p) - 2 * _FEAS_TOL:
+            return []
     parts = _evaluator(p, k, l, t, pinned)
     dim = 2 * len(_free_slots(k, l, p, pinned))
 

@@ -1,12 +1,28 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
 
+import hardyx
 from hardyx import solver
-from hardyx.closed_form import alpha_p, beta_of_alpha, phi1, psi1, solve_alpha, t_p
+from hardyx.closed_form import (
+    _branch_top,
+    alpha_p,
+    beta_of_alpha,
+    phi1,
+    psi1,
+    solve_alpha,
+    t_p,
+)
 from hardyx.solver import (
     ExtremalSolution,
     SolveConfig,
@@ -135,6 +151,90 @@ def test_config_validation():
     assert cfg.l_range == (0, 1, 2)
     assert SolveConfig(k=np.int64(2), p=2.0, t=0.5, starts=np.int32(3)).starts == 3
     assert SolveConfig(k=2, p=2.0, t=0.5, l_range=[2, np.int64(0), 2]).l_range == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the range of t_hat at l = k and l = 0, and the zero counts it rules out
+# ---------------------------------------------------------------------------
+
+def _lower_t(p, k):
+    return math.comb(2 * k, k) ** (-1.0 / p)
+
+
+# the closed polydisc, its boundary included
+_polydisc = st.lists(
+    st.builds(lambda r, th: r * complex(math.cos(th), math.sin(th)),
+              st.floats(0.0, 1.0) | st.just(1.0), st.floats(0.0, 2 * math.pi)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(0.1, 8.0), lams=_polydisc)
+def test_t_hat_stays_within_the_zero_count_bounds(p, lams):
+    k = len(lams)
+    g0, _, nrm = solver._series_data(p, lams, k)
+    assert abs(g0) / nrm <= _branch_top(p)[1] * (1 + 1e-12)
+    g0, _, nrm = solver._series_data(p, lams, 0)
+    assert abs(g0) / nrm >= _lower_t(p, k) * (1 - 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.1, 8.0), k=st.integers(1, 4))
+@example(p=1.0, k=2)
+def test_zero_count_bounds_are_attained(p, k):
+    log_alpha, top = _branch_top(p)
+    # the k = 1 extremal at the top of its branch, lifted through z -> z^k
+    g0, _, nrm = solver._series_data(p, solver._root_pattern(math.exp(log_alpha / k), k), k)
+    assert abs(g0) / nrm == pytest.approx(top, rel=1e-12)
+    g0, _, nrm = solver._series_data(p, [1.0 + 0j] * k, 0)
+    assert abs(g0) / nrm == pytest.approx(_lower_t(p, k), rel=1e-12)
+    with mpmath.workdps(40):
+        alpha = mpmath.sqrt(p / (2 - mpmath.mpf(p))) if p < 1 else mpmath.mpf(1)
+        exact = alpha * (1 + alpha ** 2) ** (-1 / mpmath.mpf(p))
+    assert top == pytest.approx(float(exact), rel=1e-14)
+
+
+# T(1/2) = 0.3248 caps l = 2, and C(4, 2)^-2 = 0.0278 floors l = 0; the
+# outside values include one just past the 2 _FEAS_TOL margin
+@pytest.mark.parametrize("l,outside,inside", [
+    (2, (0.6, _branch_top(0.5)[1] + 3e-9), _branch_top(0.5)[1] - 1e-7),
+    (0, (0.02, 6.0 ** -2 - 3e-9), 6.0 ** -2 + 1e-7),
+])
+def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
+    nelder_mead = solver._nelder_mead_lockstep
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a zero count that cannot reach t")
+
+    monkeypatch.setattr(solver, "_nelder_mead_lockstep", no_search)
+    monkeypatch.setattr(solver, "minimize", no_search)
+    for t in outside:
+        with pytest.raises(SolverError):
+            maximize_phik(SolveConfig(k=2, p=0.5, t=t, l_range=(l,)))
+
+    # just inside the bound the search runs and meets the constraint
+    monkeypatch.undo()
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(args)
+        return nelder_mead(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_nelder_mead_lockstep", counted)
+    sol = maximize_phik(SolveConfig(k=2, p=0.5, t=inside, l_range=(l,), starts=16))
+    assert searched
+    assert sol.per_l_values[l] is not None
+    assert sol.t_residual < 1e-9
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy loads on the first polish, not with the package
+    src = str(pathlib.Path(hardyx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, hardyx; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
