@@ -16,6 +16,7 @@ all relative accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -346,8 +347,13 @@ def alpha2(p: float) -> float:
     return math.sqrt(p / (2.0 - p))
 
 
+@functools.lru_cache(maxsize=256)
 def alpha_p(p: float) -> float:
-    """The unique zero of F_p between alpha1 and alpha2, to |F_p| < 1e-12."""
+    """The unique zero of F_p between alpha1 and alpha2, to |F_p| < 1e-12.
+
+    Memoised per p: ``phi1`` and ``t_p`` ask for it on every call.  A p that
+    raises is not remembered and raises again.
+    """
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
     lo_L = _alpha1_log(p)

@@ -141,6 +141,22 @@ def boundary_grid(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+def _poly_grid(c: PolyCoeffs, n: int, half: bool = False) -> np.ndarray:
+    """c at exp(2 pi i m / n), m = 0..n-1, by one zero-padded inverse FFT.
+
+    With ``half`` the grid moves by half a step, to exp(2 pi i (m + 1/2) / n):
+    a_j is twisted by exp(i pi j / n).  On either grid z^n is a constant, so
+    coefficients from index n on fold onto j mod n after the twist.
+    """
+    a = np.asarray(c.coeffs)
+    if half:
+        a = a * np.exp(1j * np.pi * np.arange(a.size) / n)
+    if a.size > n:
+        a = np.concatenate([a, np.zeros(-a.size % n)]).reshape(-1, n).sum(axis=0)
+    # "forward" leaves the inverse transform unscaled: sum_j a_j w^(jm)
+    return np.fft.ifft(a, n, norm="forward")
+
+
 def _blaschke(lam: complex, z: np.ndarray) -> np.ndarray:
     if abs(abs(lam) - 1.0) <= _UNIT_TOL:
         # (lam - z)/(1 - conj(lam) z) == lam identically when |lam| = 1.

@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from hardyx import hardy_norm
-from hardyx.fn_repr import PolyCoeffs
+from hardyx.fn_repr import PolyCoeffs, _poly_grid
 from hardyx.hardy_norm import (
     QuadConfig,
     QuadratureError,
@@ -154,3 +155,108 @@ def test_circle_mean_with_seeded_singularity():
 def test_quadconfig_validation():
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
+
+
+def _random_poly(rng, deg):
+    return PolyCoeffs(tuple(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)))
+
+
+def _horner_on_grid(f, n, half):
+    theta = 2 * np.pi * (np.arange(n) + 0.5 * half) / n
+    return f(np.exp(1j * theta))
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("n", [8, 64, 4096])
+def test_poly_grid_matches_horner(n, half):
+    # degrees up to 64 cover every fold of the smaller grids (degree >= n)
+    rng = np.random.default_rng(n + half)
+    for deg in range(65):
+        f = _random_poly(rng, deg)
+        scale = sum(abs(a) for a in f.coeffs)
+        got = _poly_grid(f, n, half)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - _horner_on_grid(f, n, half))) <= 1e-13 * scale
+
+
+def test_point_sampler_matches_numpy_horner():
+    rng = np.random.default_rng(11)
+    for deg in (0, 1, 5, 32, 64):
+        f = _random_poly(rng, deg)
+        one = hardy_norm._point_sampler(f, hardy_norm._as_theta_evaluator(f))
+        scale = sum(abs(a) for a in f.coeffs)
+        for theta in rng.uniform(-10.0, 10.0, 20):
+            value = one(float(theta))
+            assert type(value) is float
+            assert value == pytest.approx(abs(f(np.exp(1j * theta))), abs=1e-13 * scale)
+
+
+def test_polynomial_norms_make_no_grid_sized_call(monkeypatch):
+    sizes = []
+    call = PolyCoeffs.__call__
+    monkeypatch.setattr(
+        PolyCoeffs, "__call__", lambda self, z: sizes.append(np.size(z)) or call(self, z)
+    )
+    rng = np.random.default_rng(2)
+    f = _random_poly(rng, 20)
+    for p in (0.4, 1.0, 3.0):
+        norm_hp(f, p)
+    norm_hinf(f, return_witness=True)
+    # a stalled cusp: the panels evaluate 16 points at a time
+    norm_hp(PolyCoeffs((1.0, 1.0)), 0.5)
+    assert sizes and max(sizes) == 16
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_cusp_norms_match_gamma_formula(j):
+    # ||(1 + z^m)^j||_p^p = Gamma(1 + jp) / Gamma(1 + jp/2)^2 for every m
+    for p in (0.3, 0.4, 0.5, 0.6):
+        exact = (math.gamma(1 + j * p) / math.gamma(1 + j * p / 2) ** 2) ** (1 / p)
+        for m in (1, 2, 3, 4):
+            coeffs = [0.0] * (j * m + 1)
+            for i in range(j + 1):
+                coeffs[i * m] = float(math.comb(j, i))
+            assert norm_hp(PolyCoeffs(tuple(coeffs)), p) == pytest.approx(exact, rel=1e-8)
+
+
+def test_stalled_dyadic_pass_hands_over_after_three_doublings():
+    # 4096 starting points and three doublings of the midpoints: 2^15 in all
+    grid_points = []
+
+    def cusp(z):
+        if np.size(z) > 16:
+            grid_points.append(np.size(z))
+        return 1 + z
+
+    assert norm_hp(cusp, 0.5) == pytest.approx(
+        (math.gamma(1.5) / math.gamma(1.25) ** 2) ** 2, rel=1e-8
+    )
+    assert sum(grid_points) <= 2**15 + 4096
+
+
+@pytest.mark.parametrize("d", [10.0 ** -e for e in range(2, 9)])
+def test_near_pole_norms_match_mpmath(d):
+    mpmath = pytest.importorskip("mpmath")
+    z0 = (1 + d) * cmath.exp(1j)
+    with mpmath.workdps(30):
+        dd = mpmath.mpf(d)
+        # |e^{i theta} - z0| after rotating the pole onto theta = 0
+        g = lambda th: 1 / mpmath.sqrt(dd**2 + 4 * (1 + dd) * mpmath.sin(th / 2) ** 2)
+        exact = float(mpmath.quad(g, [0, mpmath.pi]) / mpmath.pi)
+    assert norm_hp(lambda z: 1 / (z - z0), 1.0) == pytest.approx(exact, rel=1e-9)
+
+
+def test_round_off_floor_raises_early():
+    # z - z0 rounds at ~1e-16 against a distance of 1e-10: the peak carries
+    # ~1e-6 relative noise, so no panel count reaches rel_tol 1e-9
+    z0 = (1 + 1e-10) * cmath.exp(1j)
+    calls = [0]
+
+    def g(z):
+        calls[0] += 1
+        return 1 / (z - z0)
+
+    with pytest.raises(QuadratureError, match="round-off floor"):
+        norm_hp(g, 1.0)
+    # a split takes 6 calls of g: the 20000-panel budget would take 60000
+    assert calls[0] < 30000
