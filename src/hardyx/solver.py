@@ -26,15 +26,17 @@ t_hat >= C(2k, k)^{-1/p}, attained at lam_j = 1.  A zero count whose range
 excludes t is skipped before any search.  At p = infinity ||g|| = 1 and
 neither bound applies.
 
-Simplex descent on an exact penalty explores from every start at once:
-one Nelder-Mead advances the whole start population in lockstep, following
-scipy's rules for each start, and evaluates the penalty for all of its
-trial points in one array pass of the series.  A sequential quadratic
-polish then enforces the constraint on the leaders.  It evaluates the
-objective and the constraint one point per call; their gradients are
-scipy's forward differences, bit for bit, with the stencil of each iterate
-evaluated in one array pass for both.  The returned solution is re-measured
-through hardy_norm and taylor_coeff as an independent consistency check.
+Simplex descent on an exact penalty explores every zero count of a solve
+at once: one Nelder-Mead advances the starts of all counts with the same
+free dimension (every count for finite p) in lockstep, following scipy's
+rules for each start, and evaluates the penalty for all of its trial points
+in one array pass of the series, each row with its own zero count.  A
+sequential quadratic polish then enforces the constraint on the leaders of
+each count.  It evaluates the objective and the constraint one point per
+call; their gradients are scipy's forward differences, bit for bit, with
+the stencil of each iterate evaluated in one array pass for both.  The
+returned solution is re-measured through hardy_norm and taylor_coeff as an
+independent consistency check.
 """
 
 from __future__ import annotations
@@ -196,6 +198,14 @@ def _binom_series(w: complex, e: float, k: int) -> list:
         out[n] = term
     return out
 
+def _pth_root(total: float, p: float) -> float:
+    # a norm past the largest double reads inf, where the point scores
+    # J = t_hat = 0
+    try:
+        return total ** (1.0 / p)
+    except OverflowError:
+        return math.inf
+
 def _series_data(p: float, lams, l: int):
     """(g0, a_k, ||g||) for the unscaled product with l Blaschke zeros."""
     k = len(lams)
@@ -209,7 +219,7 @@ def _series_data(p: float, lams, l: int):
         w = lam.conjugate()
         for n in range(m + 1, 0, -1):
             c[n] -= w * c[n - 1]
-    nrm = math.fsum(x.real * x.real + x.imag * x.imag for x in c) ** (1.0 / p)
+    nrm = _pth_root(math.fsum(x.real * x.real + x.imag * x.imag for x in c), p)
     e = 2.0 / p
     for lam in lams:
         s = _mul_trunc(s, _binom_series(lam.conjugate(), e, k), k)
@@ -245,9 +255,16 @@ def _recurrence_table(p: float, k: int, l: int):
     scale = [[1.0] * k] * l + [[-((e - d + 1) / d) for d in range(1, k + 1)]] * b
     return np.r_[0:l, 0:b], np.array(scale).reshape(l + b, k, 1)
 
-def _series_data_batch(p: float, lams: np.ndarray, l: int):
-    """_series_data for every row of lams, shape (n, k): arrays g0, a_k, ||g||."""
+def _series_data_batch(p: float, lams: np.ndarray, l):
+    """_series_data for every row of lams, shape (n, k): arrays g0, a_k, ||g||.
+
+    l is the zero count of every row, or an array of one count per row.  A
+    row with fewer zeros than the largest count takes the series 1 in each
+    Blaschke slot it does not use.
+    """
     n, k = lams.shape
+    per_row = isinstance(l, np.ndarray)
+    ls, l = l, int(l.max()) if per_row else l
     b = 0 if math.isinf(p) else k  # the binomial factors
     lr, li = lams.real.T, lams.imag.T
     w2 = np.array(((lr, -li), (li, lr)))  # conj(lam) in product form
@@ -270,9 +287,15 @@ def _series_data_batch(p: float, lams: np.ndarray, l: int):
         blaschke = np.empty((2, l, k + 1, n))
         blaschke[:, :, 0] = lam
         blaschke[:, :, 1:] = fac[:, None] * x[:, :l, :k]
-        unit = np.abs(np.hypot(lam[0], lam[1]) - 1.0) <= 1e-14
-        if unit.any():
-            blaschke[:, :, 1:] = np.where(unit[:, None], 0.0, blaschke[:, :, 1:])
+        # a factor with |lam| = 1 is the constant lam; like the start from the
+        # series 1 below, an unused slot's series 1 changes no digit
+        const = np.abs(np.hypot(lam[0], lam[1]) - 1.0) <= 1e-14
+        unused = np.arange(l)[:, None] >= ls if per_row else None
+        if per_row and unused.any():
+            blaschke[:, :, 0] = np.where(unused, np.array((1.0, 0.0))[:, None, None], lam)
+            const |= unused
+        if const.any():
+            blaschke[:, :, 1:] = np.where(const[:, None], 0.0, blaschke[:, :, 1:])
         f = np.concatenate((blaschke, x[:, l:]), axis=1)
     if f.shape[1]:
         # the scalar product starts from the series 1, which changes no digit
@@ -298,7 +321,7 @@ def _series_data_batch(p: float, lams: np.ndarray, l: int):
             c[:, 1:j + 2] -= t[0] + t[1]
         sq = c * c
         # the scalar fsum and power, point by point
-        nrm = np.array([math.fsum(col) ** (1.0 / p) for col in (sq[0] + sq[1]).T.tolist()])
+        nrm = np.array([_pth_root(math.fsum(col), p) for col in (sq[0] + sq[1]).T.tolist()])
     else:
         nrm = np.ones(n)
     return s[0, 0] + 1j * s[1, 0], s[0, k] + 1j * s[1, k], nrm
@@ -323,9 +346,10 @@ def _nm_sort(sim, fsim):
 def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxfev: int):
     """Nelder-Mead from every row of x0s at once; returns arrays x, fun, nfev.
 
-    fun maps an (m, dim) array of points to their m values.  Each start
-    follows scipy.optimize.minimize(method="Nelder-Mead") with the same
-    xatol, fatol and maxfev (> dim): the same initial simplex, coefficients,
+    fun maps an (m, dim) array of points, and the index of the start each
+    belongs to, onto their m values.  Each start follows
+    scipy.optimize.minimize(method="Nelder-Mead") with the same xatol,
+    fatol and maxfev (> dim): the same initial simplex, coefficients,
     sorts and stopping test, and an expansion, contraction or shrink cut off
     where the start runs out of evaluations.  So each row of the result is
     what scipy returns for that start alone.
@@ -336,7 +360,10 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
     for j in range(N):
         y = x0s[:, j]
         sim[:, j + 1, j] = np.where(y != 0, (1 + _NM_NONZDELT) * y, _NM_ZDELT)
-    fsim = fun(sim.reshape(-1, N)).reshape(n, N + 1)
+    # one call per vertex, no larger than a step's call
+    fsim = np.empty((n, N + 1))
+    for j in range(N + 1):
+        fsim[:, j] = fun(sim[:, j], np.arange(n))
     # scipy sorts twice before its first step; with an unstable sort the
     # second pass can reorder ties
     sim, fsim = _nm_sort(*_nm_sort(sim, fsim))
@@ -361,7 +388,7 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
         xbar = np.add.reduce(sim[:, :-1], axis=1) / N
         worst, f_worst = sim[:, -1], fsim[:, -1]
         xr = (1 + rho) * xbar - rho * worst
-        fxr = fun(xr)
+        fxr = fun(xr, rows)
         nfev += 1
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
@@ -376,7 +403,7 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
         tried = ~reflect & (nfev < maxfev)
         f2 = np.full(rows.size, np.nan)
         if tried.any():
-            f2[tried] = fun(x2[tried])
+            f2[tried] = fun(x2[tried], rows[tried])
         nfev += tried
         better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < f_worst))
         take_2 = tried & better
@@ -397,7 +424,8 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
             relocated = vertex <= left + 1
             ssim[:, 1:][relocated] = moved[relocated]
             if evaluated.any():
-                sf[:, 1:][evaluated] = fun(moved[evaluated])
+                owner = np.broadcast_to(rows[s][:, None], evaluated.shape)
+                sf[:, 1:][evaluated] = fun(moved[evaluated], owner[evaluated])
             sim[s], fsim[s] = ssim, sf
             nfev[s] += evaluated.sum(axis=1)
 
@@ -429,15 +457,18 @@ def _lams_from_x(x, k: int, l: int, p: float, pinned: bool):
         lams[j] = complex(m * math.cos(th), m * math.sin(th))
     return lams
 
-def _lams_from_x_batch(X: np.ndarray, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
-    """_lams_from_x for every row of X; the lambdas have shape (n, k)."""
-    slots = _free_slots(k, l, p, pinned)
+def _lams_from_x_batch(X: np.ndarray, k: int, pinned: bool) -> np.ndarray:
+    """_lams_from_x for every row of X; the lambdas have shape (n, k).
+
+    The free slots are the X.shape[1] // 2 from lam_1 (pinned) or lam_0 on.
+    """
     r, th = X[:, 0::2], X[:, 1::2]
+    lo, hi = int(pinned), int(pinned) + r.shape[1]
     # Python's pow, as in _lams_from_x: it does not always round like r * r
     m = np.array([v ** 2 for v in np.sin(r).ravel().tolist()]).reshape(r.shape)
     lams = np.zeros((X.shape[0], k), dtype=complex)
-    lams.real[:, slots.start:slots.stop] = m * np.cos(th)
-    lams.imag[:, slots.start:slots.stop] = m * np.sin(th)
+    lams.real[:, lo:hi] = m * np.cos(th)
+    lams.imag[:, lo:hi] = m * np.sin(th)
     return lams
 
 def _x_from_lams(lams, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
@@ -474,13 +505,14 @@ def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
 
     return parts
 
-def _objective_batch(p: float, k: int, l: int, pinned: bool):
-    """Returns X -> (objective, t_hat) as arrays over the rows of X.
+def _objective_batch(p: float, k: int, pinned: bool):
+    """Returns (X, l) -> (objective, t_hat) as arrays over the rows of X.
 
-    Row for row this equals _evaluator's parts, bit for bit.
+    l is the zero count of every row, or one count per row.  Row for row
+    this equals _evaluator's parts, bit for bit.
     """
-    def batch(X):
-        g0, ak, nrm = _series_data_batch(p, _lams_from_x_batch(X, k, l, p, pinned), l)
+    def batch(X, l):
+        g0, ak, nrm = _series_data_batch(p, _lams_from_x_batch(X, k, pinned), l)
         if pinned:
             return np.hypot(ak.real, ak.imag) / nrm, 0.0
         a0 = np.hypot(g0.real, g0.imag)
@@ -492,12 +524,12 @@ def _objective_batch(p: float, k: int, l: int, pinned: bool):
 
     return batch
 
-def _penalized_batch(p: float, k: int, l: int, t: float, pinned: bool):
-    """Returns X -> -objective + _PENALTY |t_hat - t| for every row of X."""
-    batch = _objective_batch(p, k, l, pinned)
+def _penalized_batch(p: float, k: int, t: float, pinned: bool):
+    """Returns (X, l) -> -objective + _PENALTY |t_hat - t| for every row of X."""
+    batch = _objective_batch(p, k, pinned)
 
-    def penalized(X):
-        J, t_hat = batch(X)
+    def penalized(X, l):
+        J, t_hat = batch(X, l)
         return -J + _PENALTY * np.abs(t_hat - t)
 
     return penalized
@@ -516,7 +548,7 @@ def _stencil(parts, p: float, k: int, l: int, t: float, pinned: bool):
     _objective_batch together, and a one-slot memo serves the objective's
     gradient and the constraint's Jacobian from that one pass.
     """
-    batch = _objective_batch(p, k, l, pinned)
+    batch = _objective_batch(p, k, pinned)
     memo = [None]
 
     def grads(x):
@@ -532,7 +564,7 @@ def _stencil(parts, p: float, k: int, l: int, t: float, pinned: bool):
         # row i is x with x_i + h_i in place of x_i, every other entry as is
         X = np.repeat(x[None, :], x.size, axis=0)
         np.fill_diagonal(X, xh)
-        J, t_hat = batch(X)
+        J, t_hat = batch(X, l)
         J0, t_hat0 = parts(x)
         out = (-J - -J0) / dx, ((t_hat - t) - (t_hat0 - t)) / dx
         memo[0] = (key, out)
@@ -566,42 +598,38 @@ def _warm_starts(p: float, k: int, l: int, t: float, pinned: bool):
             outs.append(_x_from_lams(_root_pattern(root ** (1.0 / k), k), k, l, p, pinned))
     return outs
 
-def _solve_one_l(cfg: SolveConfig, l: int):
-    """Multistart for a fixed zero count; returns feasible (J, lams) list.
+def _unreachable(cfg: SolveConfig, l: int) -> bool:
+    """Whether the exact range of t_hat at zero count l excludes t.
 
-    A zero count whose exact range of t_hat excludes t returns [] before any
-    search (module docstring): for finite p, l = k reaches at most the
-    k = 1 branch maximum T(p), and l = 0 at least C(2k, k)^{-1/p}.  The
-    margin of 2 _FEAS_TOL keeps every point the polish could accept.
+    f(0) = 0 needs a zero.  For finite p, l = k reaches at most the k = 1
+    branch maximum T(p), and l = 0 at least C(2k, k)^{-1/p} (module
+    docstring).  The margin of 2 _FEAS_TOL keeps every point the polish
+    could accept.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
-    pinned = t == 0.0
-    if not math.isinf(p):
-        if l == k and t > _branch_top(p)[1] + 2 * _FEAS_TOL:
-            return []
-        if l == 0 and t < math.exp(-math.log(math.comb(2 * k, k)) / p) - 2 * _FEAS_TOL:
-            return []
-    parts = _evaluator(p, k, l, t, pinned)
-    dim = 2 * len(_free_slots(k, l, p, pinned))
+    if t == 0.0 and l == 0:
+        return True
+    if math.isinf(p):
+        return False
+    if l == k and t > _branch_top(p)[1] + 2 * _FEAS_TOL:
+        return True
+    return l == 0 and t < math.exp(-math.log(math.comb(2 * k, k)) / p) - 2 * _FEAS_TOL
 
-    if dim == 0:
-        J, t_hat = parts(np.empty(0))
-        if abs(t_hat - t) <= _FEAS_TOL:
-            return [(J, _lams_from_x(np.empty(0), k, l, p, pinned))]
-        return []
-
-    rng = np.random.default_rng([cfg.seed, k, l, 1])
-    x0s = _warm_starts(p, k, l, t, pinned)
+def _starts(cfg: SolveConfig, l: int, dim: int) -> list:
+    """The warm starts and cfg.starts random ones, from zero count l's own stream."""
+    rng = np.random.default_rng([cfg.seed, cfg.k, l, 1])
+    x0s = _warm_starts(cfg.p, cfg.k, l, cfg.t, cfg.t == 0.0)
     n_random = max(cfg.starts - len(x0s), 1)
     for _ in range(n_random):
         r = rng.uniform(0.0, math.pi / 2.0, size=dim // 2)
         th = rng.uniform(0.0, 2.0 * math.pi, size=dim // 2)
         x0s.append(np.column_stack([r, th]).ravel())
+    return x0s
 
-    ends, fends, _ = _nelder_mead_lockstep(
-        _penalized_batch(p, k, l, t, pinned), np.array(x0s),
-        xatol=1e-4, fatol=1e-8, maxfev=140 * dim,
-    )
+def _polish(cfg: SolveConfig, l: int, ends: np.ndarray, fends: np.ndarray) -> list:
+    """SLSQP from the leaders of one zero count's explore; feasible (J, lams)."""
+    p, t, k = cfg.p, cfg.t, cfg.k
+    pinned = t == 0.0
     explored = sorted(zip(ends, fends.tolist()), key=lambda e: e[1])
     leaders = [x for x, fv in explored[:8]]
     cut = explored[0][1] + 1e-4
@@ -609,6 +637,7 @@ def _solve_one_l(cfg: SolveConfig, l: int):
         if fv <= cut and len(leaders) < 16:
             leaders.append(x)
 
+    parts = _evaluator(p, k, l, t, pinned)
     grads = _stencil(parts, p, k, l, t, pinned)
     # pinned, f(0) = 0 holds by construction and only J is polished
     constraints = () if pinned else [
@@ -624,6 +653,43 @@ def _solve_one_l(cfg: SolveConfig, l: int):
         J, t_hat = parts(xs)
         if abs(t_hat - t) <= _FEAS_TOL:
             feasible.append((float(J), _lams_from_x(xs, k, l, p, pinned)))
+    return feasible
+
+def _solve_zero_counts(cfg: SolveConfig) -> dict:
+    """Multistart for every zero count of cfg; returns l -> feasible (J, lams).
+
+    A zero count whose range of t_hat excludes t gets [] before any search.
+    The others explore in one lockstep population per free dimension: for
+    finite p that is every count, at p = inf (dimension 2l) each count
+    alone.  Each count keeps its own starts, leaders and polish.
+    """
+    p, t, k = cfg.p, cfg.t, cfg.k
+    pinned = t == 0.0
+    feasible = {l: [] for l in cfg.l_range}
+    groups: dict = {}  # dim -> [(l, starts)]
+    for l in cfg.l_range:
+        if _unreachable(cfg, l):
+            continue
+        dim = 2 * len(_free_slots(k, l, p, pinned))
+        if dim == 0:
+            J, t_hat = _evaluator(p, k, l, t, pinned)(np.empty(0))
+            if abs(t_hat - t) <= _FEAS_TOL:
+                feasible[l] = [(J, _lams_from_x(np.empty(0), k, l, p, pinned))]
+            continue
+        groups.setdefault(dim, []).append((l, _starts(cfg, l, dim)))
+
+    penalized = _penalized_batch(p, k, t, pinned)
+    for dim, members in groups.items():
+        counts = np.concatenate([np.full(len(x0s), l) for l, x0s in members])
+        ends, fends, _ = _nelder_mead_lockstep(
+            lambda X, starts: penalized(X, counts[starts]),
+            np.array([x0 for _, x0s in members for x0 in x0s]),
+            xatol=1e-4, fatol=1e-8, maxfev=140 * dim,
+        )
+        at = 0
+        for l, x0s in members:
+            feasible[l] = _polish(cfg, l, ends[at:at + len(x0s)], fends[at:at + len(x0s)])
+            at += len(x0s)
     return feasible
 
 
@@ -723,12 +789,10 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
             cluster_count=1, per_l_values=per_l,
         )
 
+    searched = _solve_zero_counts(cfg)
     pool = []  # (J, lams, l_raw)
     for l in cfg.l_range:
-        if t == 0.0 and l == 0:
-            per_l[l] = None
-            continue
-        feas = _solve_one_l(cfg, l)
+        feas = searched[l]
         if not feas:
             per_l[l] = None
             continue

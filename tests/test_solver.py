@@ -23,6 +23,7 @@ from hardyx.closed_form import (
     solve_alpha,
     t_p,
 )
+from hardyx.hardy_norm import QuadratureError
 from hardyx.solver import (
     ExtremalSolution,
     SolveConfig,
@@ -227,6 +228,38 @@ def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
     assert sol.per_l_values[l] is not None
     assert sol.t_residual < 1e-9
 
+    # with every zero count searched beside it, no row of the skipped count
+    # reaches the kernel that the explore and the polish's stencils share
+    monkeypatch.undo()
+    kernel = solver._series_data_batch
+    seen = set()
+
+    def recorded(p, lams, counts):
+        seen.update(np.unique(counts).tolist())
+        return kernel(p, lams, counts)
+
+    monkeypatch.setattr(solver, "_series_data_batch", recorded)
+    sol = maximize_phik(SolveConfig(k=2, p=0.5, t=outside[0], starts=16))
+    assert seen == {0, 1, 2} - {l}
+    assert sol.per_l_values[l] is None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [1e-3, 2e-3, 5e-3])
+def test_tiny_p_solves_or_raises_a_typed_error(k, p):
+    # ||g|| = (sum |c_n|^2)^(1/p) can pass the largest double here; it then
+    # reads inf in both series forms, and the point scores J = t_hat = 0
+    lams = [1.0 + 0j] * k
+    g0, ak, nrm = solver._series_data(p, lams, 0)
+    batch = solver._series_data_batch(p, np.array([lams]), 0)
+    assert (g0, ak, nrm) == tuple(v[0] for v in batch)
+    assert (nrm == math.inf) == (math.log(math.comb(2 * k, k)) / p > math.log(sys.float_info.max))
+    try:
+        sol = maximize_phik(SolveConfig(k=k, p=p, t=0.5, starts=4))
+    except (SolverError, QuadratureError):
+        return
+    assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
+
 
 def test_import_leaves_scipy_unloaded():
     # scipy loads on the first polish, not with the package
@@ -264,29 +297,53 @@ def _population(rng, k, l, p, pinned, rows):
     return np.stack((r, th), axis=2).reshape(rows, 2 * half)
 
 
+def _assert_batch_rows_match_scalar(p, k, t, pinned, X, ls):
+    # exact equality, which does not see the sign of zero
+    lams = solver._lams_from_x_batch(X, k, pinned)
+    g0, ak, nrm = solver._series_data_batch(p, lams, ls)
+    batch = solver._penalized_batch(p, k, t, pinned)(X, ls)
+    width = X.shape[1]
+    for i, (x, l) in enumerate(zip(X, np.broadcast_to(ls, len(X)).tolist())):
+        row = [complex(z) for z in lams[i]]
+        ref = solver._series_data(p, row, l)
+        assert (g0[i], ak[i], nrm[i]) == ref, (k, l, i)
+        # at p = inf the scalar parametrization of l < k frees fewer slots
+        if 2 * len(solver._free_slots(k, l, p, pinned)) == width:
+            assert row == solver._lams_from_x(x, k, l, p, pinned), (k, l, i)
+            assert batch[i] == _scalar_penalty(p, k, l, t, pinned)(x), (k, l, i)
+    return g0, batch
+
+
 @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
 @pytest.mark.parametrize("pinned", [False, True])
 def test_series_batch_matches_scalar(p, pinned):
     rng = np.random.default_rng(7)
     t = 0.0 if pinned else 0.4
-    close = dict(rel=1e-13, abs=0.0)
     for k in range(1, 5):
-        for l in range(1 if pinned else 0, k + 1):
+        counts = range(1 if pinned else 0, k + 1)
+        for l in counts:
             if not solver._free_slots(k, l, p, pinned):
                 continue
             X = _population(rng, k, l, p, pinned, rows=12)
-            lams = solver._lams_from_x_batch(X, k, l, p, pinned)
-            g0, ak, nrm = solver._series_data_batch(p, lams, l)
-            batch = solver._penalized_batch(p, k, l, t, pinned)(X)
-            scalar = _scalar_penalty(p, k, l, t, pinned)
-            for i, x in enumerate(X):
-                ref = solver._series_data(p, solver._lams_from_x(x, k, l, p, pinned), l)
-                assert (g0[i], ak[i], nrm[i]) == pytest.approx(ref, **close), (k, l, i)
-                assert batch[i] == pytest.approx(scalar(x), **close), (k, l, i)
+            g0, batch = _assert_batch_rows_match_scalar(p, k, t, pinned, X, l)
             if l and not pinned:
                 # the |g0| < 1e-150 guard: objective and t_hat read 0
                 assert abs(g0[2]) < 1e-150 and abs(g0[3]) < 1e-150
                 assert batch[2] == batch[3] == solver._PENALTY * t
+        # every zero count in one population, interleaved, each row with its
+        # own count: the parametrization of l = k sets the lambdas
+        if not solver._free_slots(k, k, p, pinned):
+            continue
+        X = np.concatenate([_population(rng, k, k, p, pinned, rows=12) for _ in counts])
+        ls = np.repeat(list(counts), 12)
+        tiny = np.tile(np.isin(np.arange(12), (2, 3)), len(counts))  # _population's rows 2 and 3
+        order = rng.permutation(len(ls))
+        X, ls, tiny = X[order], ls[order], tiny[order]
+        g0, batch = _assert_batch_rows_match_scalar(p, k, t, pinned, X, ls)
+        if not pinned:
+            guarded = tiny & (ls > 0)
+            assert guarded.any() and (np.abs(g0[guarded]) < 1e-150).all()
+            assert (batch[guarded] == solver._PENALTY * t).all()
 
 
 def _quantised_rosenbrock(x):
@@ -317,7 +374,7 @@ def test_lockstep_nelder_mead_replicates_scipy():
         # the batch objective calls the scalar one row by row, so both sides
         # see bit-identical values
         xs, fun, nfev = solver._nelder_mead_lockstep(
-            lambda X: np.array([f(x) for x in X]), np.array(x0s),
+            lambda X, starts: np.array([f(x) for x in X]), np.array(x0s),
             xatol=1e-4, fatol=1e-8, maxfev=maxfev,
         )
         for i, x0 in enumerate(x0s):
@@ -330,6 +387,86 @@ def test_lockstep_nelder_mead_replicates_scipy():
             # a step costs 1 or 2 evaluations unless it shrinks
             shrunk += res.nfev < maxfev and res.nfev > dim + 1 + 2 * (res.nit - 1)
     assert exhausted >= 10 and shrunk >= 10
+
+
+def _explore(fun, x0s, dim):
+    return solver._nelder_mead_lockstep(fun, x0s, xatol=1e-4, fatol=1e-8, maxfev=140 * dim)
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_merged_explore_matches_each_zero_count_alone(p, pinned):
+    # the solver's starts of every zero count with the same free dimension
+    # in one population, against each count's starts explored by themselves
+    t = 0.0 if pinned else 0.4
+    merged = 0
+    for k in range(1, 4):
+        cfg = SolveConfig(k=k, p=p, t=t, starts=6)
+        penalized = solver._penalized_batch(p, k, t, pinned)
+        groups = {}
+        for l in range(1 if pinned else 0, k + 1):
+            dim = 2 * len(solver._free_slots(k, l, p, pinned))
+            if dim:
+                groups.setdefault(dim, []).append((l, np.array(solver._starts(cfg, l, dim))))
+        for dim, members in groups.items():
+            counts = np.concatenate([np.full(len(x0s), l) for l, x0s in members])
+            xs, fun, nfev = _explore(lambda X, starts: penalized(X, counts[starts]),
+                                     np.concatenate([x0s for _, x0s in members]), dim)
+            at = 0
+            for l, x0s in members:
+                ref_x, ref_fun, ref_nfev = _explore(lambda X, starts: penalized(X, l), x0s, dim)
+                part = slice(at, at + len(x0s))
+                assert xs[part].tobytes() == ref_x.tobytes(), (k, l)
+                assert np.array_equal(fun[part], ref_fun) and np.array_equal(nfev[part], ref_nfev), (k, l)
+                at += len(x0s)
+            merged += len(members) > 1
+    # at p = inf the free dimension grows with l, so no two counts merge
+    assert merged == (0 if p == math.inf else 3 - pinned)
+
+
+def test_solve_explores_its_zero_counts_in_one_population(monkeypatch):
+    # k = 2, p = 1/2, t = 0.3 searches all three zero counts, in one explore
+    # whose ends are those of each count explored alone, for at most half
+    # the objective calls
+    cfg = SolveConfig(k=2, p=0.5, t=0.3, starts=32)
+    nelder_mead = solver._nelder_mead_lockstep
+    runs = []
+
+    def counted(fun, x0s, **kwargs):
+        calls = [0]
+
+        def counting(X, starts):
+            calls[0] += 1
+            return fun(X, starts)
+
+        out = nelder_mead(counting, x0s, **kwargs)
+        runs.append((x0s, out, calls))
+        return out
+
+    monkeypatch.setattr(solver, "_nelder_mead_lockstep", counted)
+    maximize_phik(cfg)
+    monkeypatch.undo()
+    (x0s, (xs, fun, nfev), merged_calls), = runs
+    penalized = solver._penalized_batch(cfg.p, cfg.k, cfg.t, False)
+    dim = 2 * cfg.k
+    alone_calls = at = 0
+    for l in cfg.l_range:
+        block = np.array(solver._starts(cfg, l, dim))
+        part = slice(at, at + len(block))
+        assert x0s[part].tobytes() == block.tobytes(), l
+        calls = [0]
+
+        def alone(X, starts):
+            calls[0] += 1
+            return penalized(X, l)
+
+        ref_x, ref_fun, ref_nfev = _explore(alone, block, dim)
+        assert xs[part].tobytes() == ref_x.tobytes(), l
+        assert np.array_equal(fun[part], ref_fun) and np.array_equal(nfev[part], ref_nfev), l
+        alone_calls += calls[0]
+        at += len(block)
+    assert at == len(x0s)
+    assert merged_calls[0] <= alone_calls / 2, (merged_calls, alone_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +513,28 @@ def test_stencil_matches_scipy_finite_differences(p, pinned):
 @pytest.mark.parametrize("t", [0.5, 0.0])
 def test_polish_matches_scipy_finite_differences(monkeypatch, t):
     # every leader's SLSQP run with the stencil against the same run with
-    # scipy's own finite differences on a fresh _evaluator
+    # scipy's own finite differences on a fresh _evaluator of its zero count
     cfg = SolveConfig(k=2, p=0.5, t=t, starts=32)
     pinned = t == 0.0
+    polish_count = solver._polish
     runs = []
-    for l in cfg.l_range:
-        if pinned and l == 0:
-            continue
-        parts = solver._evaluator(cfg.p, cfg.k, l, t, pinned)
+    fresh = {}
+
+    def polish_fresh(cfg, l, *args):
+        fresh["parts"] = solver._evaluator(cfg.p, cfg.k, l, t, pinned)
+        return polish_count(cfg, l, *args)
+
+    def polish(fun, x0, jac, constraints, **kwargs):
+        parts = fresh["parts"]
         cons = () if pinned else [{"type": "eq", "fun": lambda x: parts(x)[1] - t}]
+        res = minimize(fun, x0, jac=jac, constraints=constraints, **kwargs)
+        ref = minimize(lambda x: -parts(x)[0], x0, constraints=cons, **kwargs)
+        runs.append((res, ref))
+        return res
 
-        def polish(fun, x0, jac, constraints, **kwargs):
-            res = minimize(fun, x0, jac=jac, constraints=constraints, **kwargs)
-            ref = minimize(lambda x: -parts(x)[0], x0, constraints=cons, **kwargs)
-            runs.append((res, ref))
-            return res
-
-        monkeypatch.setattr(solver, "minimize", polish)
-        solver._solve_one_l(cfg, l)
+    monkeypatch.setattr(solver, "_polish", polish_fresh)
+    monkeypatch.setattr(solver, "minimize", polish)
+    maximize_phik(cfg)
     assert len(runs) >= 16
     for res, ref in runs:
         assert res.x.tobytes() == ref.x.tobytes()
