@@ -290,10 +290,11 @@ def _series_data_batch(p: float, lams: np.ndarray, l):
         # a factor with |lam| = 1 is the constant lam; like the start from the
         # series 1 below, an unused slot's series 1 changes no digit
         const = np.abs(np.hypot(lam[0], lam[1]) - 1.0) <= 1e-14
-        unused = np.arange(l)[:, None] >= ls if per_row else None
-        if per_row and unused.any():
-            blaschke[:, :, 0] = np.where(unused, np.array((1.0, 0.0))[:, None, None], lam)
-            const |= unused
+        if per_row:
+            unused = np.arange(l)[:, None] >= ls
+            if unused.any():
+                blaschke[:, :, 0] = np.where(unused, np.array((1.0, 0.0))[:, None, None], lam)
+                const |= unused
         if const.any():
             blaschke[:, :, 1:] = np.where(const[:, None], 0.0, blaschke[:, :, 1:])
         f = np.concatenate((blaschke, x[:, l:]), axis=1)
