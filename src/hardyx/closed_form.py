@@ -136,6 +136,48 @@ def _branch_top(p: float) -> tuple[float, float]:
     return L, _t_of_log_alpha(p, L)
 
 
+@functools.lru_cache(maxsize=256)
+def _one_zero_top(k: int, p: float) -> tuple[float, float]:
+    """(log r*, U) for U = sup_{0<r<=1} r (S_{k-1}(r) / S_k(r))^{1/p}, finite p.
+
+    S_n(r) = sum_{j<=n} r^{2j}.  U bounds |g(0)|/||g|| at zero count 1 of
+    the degree-k search (solver module docstring).  With x = r^2 = e^u, the
+    log of the maximand is h(u) = u/2 - log1p(x^k / S_{k-1}) / p, and
+    h'(u) = 1/2 - D(x)/p, where D = m_k - m_{k-1} and m_n is the mean of j
+    under the weights x^j on 0..n.  D' = V_k - V_{k-1} for the variances
+    V_n under the same weights; for x <= 1 the top point k adds spread, so
+    h is strictly concave.  D(1) = 1/2, so for p >= 1 the sup is at r = 1,
+    where U = (k/(k+1))^{1/p}.  For p < 1 the root of h' lies where
+    x^k / 2 <= D = p/2 <= k x^k, and bisection on the sign of h' finds it.
+    There -h'' <= k^2 x^k / p <= k, so at the midpoint of the final bracket,
+    of width du <= 1e-12, h falls short of its maximum by at most k du^2,
+    and its rounding costs a few ulp: the solver's 2 _FEAS_TOL margin
+    covers both.  At k = 1 this is the top of the alpha branch, _branch_top.
+    """
+    if p >= 1:
+        return 0.0, (k / (k + 1)) ** (1.0 / p)
+
+    def gap(x):
+        # D(x) = x^k sum_{j<k} (k-j) x^j / (S_{k-1} S_k), and S_{k-1}, by Horner
+        s = w = 0.0
+        for j in range(k - 1, -1, -1):
+            s = s * x + 1.0
+            w = w * x + (k - j)
+        xk = x ** k
+        return xk * w / (s * (s + xk)), xk / s
+
+    lo = (math.log(p) - math.log(2 * k)) / k
+    hi = math.log(p) / k
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if gap(math.exp(mid))[0] < 0.5 * p:
+            lo = mid
+        else:
+            hi = mid
+    u = 0.5 * (lo + hi)
+    return 0.5 * u, math.exp(0.5 * u - math.log1p(gap(math.exp(u))[1]) / p)
+
+
 def solve_alpha(p: float, t: float) -> float:
     """Invert t = alpha (1+alpha^2)^{-1/p} on the relevant increasing branch.
 

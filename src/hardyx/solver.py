@@ -22,9 +22,17 @@ and |g0| = prod_{j<l} |lam_j|.  At l = k, c_0 = 1 and |c_k| = |g0| = P, so
 t_hat <= P (1+P^2)^{-1/p} <= T(p), the top of the k = 1 alpha branch (alpha2
 for p < 1, 1 for p >= 1); the k = 1 extremal lifted through z -> z^k
 attains it.  At l = 0, |g0| = 1 and |c_n| <= C(k, n), so
-t_hat >= C(2k, k)^{-1/p}, attained at lam_j = 1.  A zero count whose range
-excludes t is skipped before any search.  At p = infinity ||g|| = 1 and
-neither bound applies.
+t_hat >= C(2k, k)^{-1/p}, attained at lam_j = 1.  At l = 1, with
+r = |lam_1| and q = prod_j (1 - conj(lam_j) z), t_hat = r / ||q||_2^{2/p}.
+q has degree at most k, q(0) = 1 and q(1/conj(lam_1)) = 0; the reproducing
+kernel sum_{n<=k} (z conj(w))^n of those polynomials (Aronszajn, Theory of
+reproducing kernels, 1950) gives min ||q||_2^2 = S_k(r)/S_{k-1}(r), with
+S_n(r) = sum_{j<=n} r^{2j}.  So t_hat <= U_1(k, p), the sup over r in (0, 1]
+of r (S_{k-1}(r)/S_k(r))^{1/p} (closed_form._one_zero_top), which is
+(k/(k+1))^{1/p} for p >= 1; lam_j = 1/conj(root_j) over the roots of the
+minimal interpolant at the maximizing r attains it.  A zero count whose
+range excludes t is skipped before any search.  At p = infinity ||g|| = 1
+and none of these bounds applies.
 
 Simplex descent on an exact penalty explores every zero count of a solve
 at once: one Nelder-Mead advances the starts of all counts with the same
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _branch_top, phi1, solve_alpha, solve_beta
+from .closed_form import _branch_top, _one_zero_top, phi1, solve_alpha, solve_beta
 from .fn_repr import StructuredExtremal, sample_boundary, taylor_coeff
 from .hardy_norm import norm_hinf, norm_hp
 
@@ -74,6 +82,8 @@ _CLUSTER_VALUE_TOL = 1e-6
 _CLUSTER_DIST_TOL = 1e-3
 # SLSQP's convergence tolerance in the polish
 _POLISH_FTOL = 1e-10
+# the largest gap allowed between the series Re a_k and the FFT cross-check's
+_AGREE_TOL = 1e-8
 
 
 def minimize(*args, **kwargs):
@@ -603,9 +613,9 @@ def _unreachable(cfg: SolveConfig, l: int) -> bool:
     """Whether the exact range of t_hat at zero count l excludes t.
 
     f(0) = 0 needs a zero.  For finite p, l = k reaches at most the k = 1
-    branch maximum T(p), and l = 0 at least C(2k, k)^{-1/p} (module
-    docstring).  The margin of 2 _FEAS_TOL keeps every point the polish
-    could accept.
+    branch maximum T(p), l = 1 at most U_1(k, p), and l = 0 at least
+    C(2k, k)^{-1/p} (module docstring).  The margin of 2 _FEAS_TOL keeps
+    every point the polish could accept.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
     if t == 0.0 and l == 0:
@@ -613,6 +623,8 @@ def _unreachable(cfg: SolveConfig, l: int) -> bool:
     if math.isinf(p):
         return False
     if l == k and t > _branch_top(p)[1] + 2 * _FEAS_TOL:
+        return True
+    if l == 1 and t > _one_zero_top(k, p)[1] + 2 * _FEAS_TOL:
         return True
     return l == 0 and t < math.exp(-math.log(math.comb(2 * k, k)) / p) - 2 * _FEAS_TOL
 
@@ -748,12 +760,29 @@ def _count_clusters(cands, best_value: float, k: int) -> int:
 # final assembly
 # ---------------------------------------------------------------------------
 
-def _coeff_via_fft(fn: StructuredExtremal, k: int) -> complex:
+def _coeff_via_fft(fn: StructuredExtremal, k: int, series: float) -> complex:
+    """a_k of fn by FFT on doubling boundary grids, until two agree.
+
+    The FFT of samples as large as max|f| carries a round-off floor of
+    about eps max|f| on each coefficient.  Where the first grid's floor
+    already exceeds _AGREE_TOL (tiny p, where |f| peaks steeply), no grid
+    can check the series value of Re a_k, and the error names that floor
+    beside it.
+    """
     n = 4096
     prev = None
     while n <= 1 << 18:
-        cur = taylor_coeff(sample_boundary(fn, n), k)
-        if prev is not None and abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
+        samples = sample_boundary(fn, n)
+        cur = taylor_coeff(samples, k)
+        if prev is None:
+            floor = np.finfo(float).eps * float(np.abs(samples.values).max())
+            if floor > _AGREE_TOL:
+                raise SolverError(
+                    f"the FFT cross-check cannot resolve a_{k}: its round-off floor "
+                    f"eps*max|f| = {floor:.3g} on {n} points exceeds the {_AGREE_TOL:g} "
+                    f"agreement bound, with Re a_{k} = {series:.6g} from the series"
+                )
+        elif abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
             return cur
         prev = cur
         n *= 2
@@ -812,8 +841,8 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     lams_eff, l_eff = _effective(lams_win, winner)
     best = _build_best(cfg, lams_eff, l_eff)
 
-    value = float(_coeff_via_fft(best, k).real)
-    if abs(value - J_win) > 1e-8:
+    value = float(_coeff_via_fft(best, k, J_win).real)
+    if abs(value - J_win) > _AGREE_TOL:
         raise SolverError(
             f"series/quadrature disagreement: {J_win} vs {value}"
         )

@@ -16,6 +16,7 @@ import hardyx
 from hardyx import solver
 from hardyx.closed_form import (
     _branch_top,
+    _one_zero_top,
     alpha_p,
     beta_of_alpha,
     phi1,
@@ -155,7 +156,7 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# the range of t_hat at l = k and l = 0, and the zero counts it rules out
+# the range of t_hat at l = k, l = 1 and l = 0, and the zero counts it rules out
 # ---------------------------------------------------------------------------
 
 def _lower_t(p, k):
@@ -163,11 +164,9 @@ def _lower_t(p, k):
 
 
 # the closed polydisc, its boundary included
-_polydisc = st.lists(
-    st.builds(lambda r, th: r * complex(math.cos(th), math.sin(th)),
-              st.floats(0.0, 1.0) | st.just(1.0), st.floats(0.0, 2 * math.pi)),
-    min_size=1, max_size=4,
-)
+_point = st.builds(lambda r, th: r * complex(math.cos(th), math.sin(th)),
+                   st.floats(0.0, 1.0) | st.just(1.0), st.floats(0.0, 2 * math.pi))
+_polydisc = st.lists(_point, min_size=1, max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,11 +195,83 @@ def test_zero_count_bounds_are_attained(p, k):
     assert top == pytest.approx(float(exact), rel=1e-14)
 
 
-# T(1/2) = 0.3248 caps l = 2, and C(4, 2)^-2 = 0.0278 floors l = 0; the
-# outside values include one just past the 2 _FEAS_TOL margin
+def _kernel_interpolant_lams(k, log_r):
+    """lam_j = 1/conj(root_j) over the roots of the least-norm q of degree k
+    with q(0) = 1 and q(1/r) = 0, lam_0 = r first: the l = 1 extremal."""
+    a = math.exp(-log_r)
+    s = sum(a ** (2 * n) for n in range(k + 1))
+    # q(z) = 1 - sum_{n=1..k} (a z)^n / (s - 1), highest power first
+    q = [-(a ** n) / (s - 1) for n in range(k, 0, -1)] + [1.0]
+    roots = sorted(np.roots(q), key=lambda z: abs(z - a))
+    return [1 / complex(z).conjugate() for z in roots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1e-3, 8.0), lams=st.lists(_point, min_size=2, max_size=4))
+def test_t_hat_at_one_zero_stays_below_its_ceiling(p, lams):
+    g0, _, nrm = solver._series_data(p, lams, 1)
+    assert abs(g0) / nrm <= _one_zero_top(len(lams), p)[1] * (1 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1e-3, 8.0), k=st.integers(2, 4))
+@example(p=0.5, k=2)
+@example(p=1.0, k=3)
+def test_one_zero_ceiling_is_attained(p, k):
+    log_r, top = _one_zero_top(k, p)
+    lams = _kernel_interpolant_lams(k, log_r)
+    assert lams[0] == pytest.approx(math.exp(log_r), rel=1e-12)
+    assert all(abs(lam) <= 1 + 1e-12 for lam in lams)
+    g0, _, nrm = solver._series_data(p, lams, 1)
+    assert abs(g0) / nrm == pytest.approx(top, rel=1e-12)
+
+
+def _mp_one_zero_top(k, p):
+    # the sup of r (S_{k-1}(r)/S_k(r))^{1/p} over (0, 1] at 40 digits, from
+    # the root of the derivative of its log in r, or r = 1 if it is positive there
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        S = lambda n, r: sum(r ** (2 * j) for j in range(n + 1))  # noqa: E731
+        dS = lambda n, r: sum(2 * j * r ** (2 * j - 1) for j in range(1, n + 1))  # noqa: E731
+        slope = lambda r: 1 / r - (dS(k, r) / S(k, r) - dS(k - 1, r) / S(k - 1, r)) / p  # noqa: E731
+        r = mpmath.mpf(1)
+        if slope(r) < 0:
+            r = mpmath.findroot(slope, (mpmath.mpf("1e-6"), mpmath.mpf(1)), solver="anderson")
+        return r * (S(k - 1, r) / S(k, r)) ** (1 / p)
+
+
+@pytest.mark.parametrize("k,p,value", [
+    (2, 0.5, 0.5197433), (3, 0.5, 0.6289762), (4, 0.5, 0.6980696),
+    (2, 0.3, None), (3, 0.9, None), (2, 1.0, None), (3, 2.0, None), (4, 7.5, None),
+])
+def test_one_zero_ceiling_matches_a_40_digit_oracle(k, p, value):
+    top = _one_zero_top(k, p)[1]
+    assert top == pytest.approx(float(_mp_one_zero_top(k, p)), rel=1e-14)
+    if value is not None:
+        assert round(top, 7) == value
+    if p >= 1:
+        assert top == (k / (k + 1)) ** (1 / p)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 0.999, 1.0, 3.0])
+def test_one_zero_ceiling_at_one_zero_of_one_is_the_branch_top(p):
+    # the bisection places log r* within 1e-12; at the flat top that moves t
+    # by far less
+    (log_r, top), (log_alpha, t_top) = _one_zero_top(1, p), _branch_top(p)
+    assert log_r == pytest.approx(log_alpha, abs=1e-12)
+    assert top == pytest.approx(t_top, rel=1e-14)
+    for k in range(1, 5):
+        log_r, top = _one_zero_top(k, p)
+        assert math.isfinite(log_r) and 0 < top < 1
+
+
+# T(1/2) = 0.3248 caps l = 2, U_1(2, 1/2) = 0.5197 caps l = 1, and
+# C(4, 2)^-2 = 0.0278 floors l = 0; the outside values include one just past
+# the 2 _FEAS_TOL margin
 @pytest.mark.parametrize("l,outside,inside", [
     (2, (0.6, _branch_top(0.5)[1] + 3e-9), _branch_top(0.5)[1] - 1e-7),
     (0, (0.02, 6.0 ** -2 - 3e-9), 6.0 ** -2 + 1e-7),
+    (1, (0.6, _one_zero_top(2, 0.5)[1] + 3e-9), _one_zero_top(2, 0.5)[1] - 1e-7),
 ])
 def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
     nelder_mead = solver._nelder_mead_lockstep
@@ -238,9 +309,11 @@ def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
         seen.update(np.unique(counts).tolist())
         return kernel(p, lams, counts)
 
+    # just past the margin only l is out of reach, except that t > U_1 also
+    # passes T(1/2) and leaves l = 0 alone
     monkeypatch.setattr(solver, "_series_data_batch", recorded)
-    sol = maximize_phik(SolveConfig(k=2, p=0.5, t=outside[0], starts=16))
-    assert seen == {0, 1, 2} - {l}
+    sol = maximize_phik(SolveConfig(k=2, p=0.5, t=outside[-1], starts=16))
+    assert seen == ({0} if l == 1 else {0, 1, 2} - {l})
     assert sol.per_l_values[l] is None
 
 
@@ -259,6 +332,18 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
     except (SolverError, QuadratureError):
         return
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
+
+
+@pytest.mark.parametrize("p", [1e-3, 5e-3, 1e-2, 2e-2])
+def test_fft_cross_check_names_its_round_off_floor(p):
+    # at k = 1, t = 1/2 the first grid's eps*max|f| is 4.2e6 at p = 1e-3,
+    # 9.8e-7 at 5e-3 and 1.0e-9 at 1e-2, against the 1e-8 agreement bound
+    cfg = SolveConfig(k=1, p=p, t=0.5, starts=4)
+    if p < 1e-2:
+        with pytest.raises(SolverError, match="round-off floor"):
+            maximize_phik(cfg)
+    else:
+        assert maximize_phik(cfg).value == pytest.approx(phi1(p, 0.5).value, abs=1e-6)
 
 
 def test_import_leaves_scipy_unloaded():
