@@ -19,11 +19,9 @@ def test_summary_and_pair_wins_follow_each_metrics_direction():
     summary = bench_pairs.summarize(base)["ops_per_s"]
     assert summary["median"] == 2.4
     assert summary["iqr"] == pytest.approx(summary["q3"] - summary["q1"])
-    cmp = bench_pairs.compare(base, head, {"ops_per_s": "higher", "op_p50_ms": "lower",
-                                           "setup_s": "lower"})
-    # pair 2 is the one the head loses, on both metrics; setup_s was not run
+    cmp = bench_pairs.compare(base, head, {"ops_per_s": "higher", "op_p50_ms": "lower"})
+    # pair 2 is the one the head loses, on both metrics
     assert cmp["ops_per_s"]["head_better_pairs"] == 4
     assert cmp["op_p50_ms"]["head_better_pairs"] == 4
     assert cmp["ops_per_s"]["ratio"] == pytest.approx(3.0 / 2.4)
     assert cmp["ops_per_s"]["beats_base_iqr"] == (3.0 - 2.4 > summary["iqr"])
-    assert "setup_s" not in cmp

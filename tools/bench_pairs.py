@@ -77,8 +77,6 @@ def compare(base: list[dict], head: list[dict], better: dict) -> dict:
     sb, sh = summarize(base), summarize(head)
     out = {}
     for name, direction in better.items():
-        if name not in sb:
-            continue
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (h["metrics"][name] - b["metrics"][name]) > 0
                    for b, h in zip(base, head))
