@@ -254,7 +254,7 @@ def test_one_zero_ceiling_matches_a_40_digit_oracle(k, p, value):
 
 
 @pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 0.999, 1.0, 3.0])
-def test_one_zero_ceiling_at_one_zero_of_one_is_the_branch_top(p):
+def test_one_zero_ceiling_at_k1_is_the_branch_top(p):
     # the bisection places log r* within 1e-12; at the flat top that moves t
     # by far less
     (log_r, top), (log_alpha, t_top) = _one_zero_top(1, p), _branch_top(p)
