@@ -334,16 +334,25 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
 
 
-@pytest.mark.parametrize("p", [1e-3, 5e-3, 1e-2, 2e-2])
+@pytest.mark.parametrize("p", [1e-3, 5e-3, 7e-3, 1e-2, 2e-2])
 def test_fft_cross_check_names_its_round_off_floor(p):
-    # at k = 1, t = 1/2 the first grid's eps*max|f| is 4.2e6 at p = 1e-3,
-    # 9.8e-7 at 5e-3 and 1.0e-9 at 1e-2, against the 1e-8 agreement bound
+    # at k = 1, t = 1/2 the first grid's eps*max|f| is 4.2e6 at p = 1e-3 (no
+    # second grid is sampled), 9.8e-7 at 5e-3 (no two grids up to 2^18 points
+    # agree), 2.6e-8 at 7e-3 (two agree at 2^17) and 1.0e-9 at 1e-2
     cfg = SolveConfig(k=1, p=p, t=0.5, starts=4)
-    if p < 1e-2:
+    if p < 7e-3:
         with pytest.raises(SolverError, match="round-off floor"):
             maximize_phik(cfg)
     else:
         assert maximize_phik(cfg).value == pytest.approx(phi1(p, 0.5).value, abs=1e-6)
+
+
+@pytest.mark.parametrize("k, p, t", [(2, 0.05, 0.5), (2, 0.015, 0.2)])
+def test_fft_cross_check_passes_small_p_at_k2(k, p, t):
+    # |f| peaks at 1e3 and 1.2e8 here, floors 2.4e-13 and 2.7e-8: the
+    # second is above the agreement bound, yet two grids agree at 8192 points
+    sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
+    assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
 
 
 def test_import_leaves_scipy_unloaded():

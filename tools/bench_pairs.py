@@ -7,14 +7,15 @@
 Each commit's files are exported with ``git archive`` into a fresh
 temporary directory, and each run is ``python3 perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` from the root of that export, as a new
-process.  A block ``W:S:N`` makes N pairs at seed S; pair i runs the base
-first when i is even and the head first when it is odd, so a drift in the
-machine's speed falls on both sides alike.
+process, with T the ``run_seconds`` of BENCHMARK.json.  A block ``W:S:N``
+makes N pairs at seed S; pair i runs the base first when i is even and the
+head first when it is odd, so a drift in the machine's speed falls on both
+sides alike.
 
 Both files hold the commit and its ``src`` tree, and per block the
 workload, seed, seconds, each run's metrics, failed share and check
-outcome, and the median and quartiles of every metric
-(``statistics.quantiles(values, n=4)``, as perfbench/README.md).  The head's
+outcome, and the median and quartiles of every metric, taken by
+perfbench/steady.py's ``summarize``.  The head's
 file adds, per metric, the ratio of the medians and the pairs in which the
 head is better, with the direction ("better") of BENCHMARK.json.
 """
@@ -25,12 +26,14 @@ import argparse
 import json
 import os
 import pathlib
-import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from steady import summarize as quartiles  # noqa: E402
 
 
 def _git(*args: str) -> str:
@@ -47,6 +50,7 @@ def export(rev: str, dest: pathlib.Path) -> None:
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
+    # steady.py's runner runs the checkout's run.py; this one runs the export's
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -66,9 +70,9 @@ def summarize(runs: list[dict]) -> dict:
     """Median and quartiles of every metric over the runs."""
     out = {}
     for name in runs[0]["metrics"]:
-        values = [r["metrics"][name] for r in runs]
-        q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-        out[name] = {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+        q = quartiles([r["metrics"][name] for r in runs])
+        out[name] = {"median": q["median"], "q1": q["q1"], "q3": q["q3"],
+                     "iqr": q["q3"] - q["q1"]}
     return out
 
 
@@ -100,13 +104,13 @@ def main(argv=None) -> int:
     ap.add_argument("--head", required=True, help="the commit of the change")
     ap.add_argument("--block", action="append", type=_block, required=True,
                     help="WORKLOAD:SEED:PAIRS, repeatable")
-    ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--out-base", type=pathlib.Path, required=True)
     ap.add_argument("--out-head", type=pathlib.Path, required=True)
     args = ap.parse_args(argv)
 
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {}
     for role, rev in (("base", args.base), ("head", args.head)):
         commit = _git("rev-parse", f"{rev}^{{commit}}")
@@ -121,12 +125,12 @@ def main(argv=None) -> int:
             runs = {"base": [], "head": []}
             for i in range(pairs):
                 for role in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                    runs[role].append(run_once(trees[role], workload, seed, args.seconds))
+                    runs[role].append(run_once(trees[role], workload, seed, seconds))
                 b, h = runs["base"][-1]["metrics"], runs["head"][-1]["metrics"]
                 print(f"{workload} seed {seed} pair {i + 1}/{pairs}: ops_per_s "
                       f"{b['ops_per_s']:.4g} -> {h['ops_per_s']:.4g}", file=sys.stderr, flush=True)
             for role in sides:
-                block = {"workload": workload, "seed": seed, "seconds": args.seconds,
+                block = {"workload": workload, "seed": seed, "seconds": seconds,
                          "pairs": pairs, "runs": runs[role], "summary": summarize(runs[role])}
                 if role == "head":
                     block["against_base"] = compare(runs["base"], runs["head"], better)
