@@ -13,7 +13,7 @@ from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
 
 import hardyx
-from hardyx import solver
+from hardyx import fn_repr, solver
 from hardyx.closed_form import (
     _branch_top,
     _one_zero_top,
@@ -335,14 +335,22 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
 
 
 @pytest.mark.parametrize("p", [1e-3, 5e-3, 7e-3, 1e-2, 2e-2])
-def test_fft_cross_check_names_its_round_off_floor(p):
+def test_fft_cross_check_names_its_round_off_floor(p, monkeypatch):
     # at k = 1, t = 1/2 the first grid's eps*max|f| is 4.2e6 at p = 1e-3 (no
     # second grid is sampled), 9.8e-7 at 5e-3 (no two grids up to 2^18 points
     # agree), 2.6e-8 at 7e-3 (two agree at 2^17) and 1.0e-9 at 1e-2
+    grids = []
+
+    def sample_boundary(fn, n):
+        grids.append(n)
+        return fn_repr.sample_boundary(fn, n)
+
+    monkeypatch.setattr(solver, "sample_boundary", sample_boundary)
     cfg = SolveConfig(k=1, p=p, t=0.5, starts=4)
     if p < 7e-3:
         with pytest.raises(SolverError, match="round-off floor"):
             maximize_phik(cfg)
+        assert max(grids) == (4096 if p < 5e-3 else 1 << 18)
     else:
         assert maximize_phik(cfg).value == pytest.approx(phi1(p, 0.5).value, abs=1e-6)
 
