@@ -38,18 +38,19 @@ Simplex descent on an exact penalty explores every zero count of a solve
 at once: one Nelder-Mead advances the starts of all counts with the same
 free dimension (every count for finite p) in lockstep, following scipy's
 rules for each start, and evaluates the penalty for all of its trial points
-in one array pass of the series, each row with its own zero count.  A
-sequential quadratic polish then enforces the constraint on the leaders of
-each count.  It evaluates the objective and the constraint one point per
-call; their gradients are scipy's forward differences, bit for bit, with
-the stencil of each iterate evaluated in one array pass for both.  The
-returned solution is re-measured through hardy_norm and taylor_coeff as an
-independent consistency check.
+in one complex array pass, each row with its own zero count
+(_series_batch).  That pass agrees with the scalar series to about 1e-15
+of the terms' size, not bit for bit, and no row's result depends on the
+other rows.  A sequential quadratic polish then enforces the constraint on
+the leaders of each count, on the scalar series alone: the objective and
+the constraint one point per call, and their gradients, scipy's forward
+differences bit for bit, from one pass over each iterate's shifted points
+for both.  The returned solution is re-measured through hardy_norm and
+taylor_coeff as an independent consistency check.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -236,106 +237,67 @@ def _series_data(p: float, lams, l: int):
     return s[0], s[k], nrm
 
 
-# The population forms below repeat the scalar arithmetic above, operation
-# for operation, on float arrays whose first axis holds the real and
-# imaginary parts and whose last axis runs over the n points.  numpy's
-# complex multiply may fuse multiply-adds and its power may be vectorised,
-# so both would round differently from the scalar code; spelled out this way
-# every point reproduces the scalar result up to the sign of zero terms.  A
-# product x * y is formed as x[0] * y2[0] + x[1] * y2[1] with
-# y2 = [[y.re, y.im], [-y.im, y.re]], which rounds like Python's.
+def _series_batch(p: float, lams: np.ndarray, l):
+    """(g0, a_k, ||g||) of _series_data for every row of lams, shape (n, k).
 
-@functools.lru_cache(maxsize=16)
-def _toeplitz_index(m: int) -> np.ndarray:
-    # entry [a, c, d, i] picks from (b.re | b.im | -b.im | 0) the factor by
-    # which part a of s_i enters part c of the coefficient d of s * b
-    gap = np.subtract.outer(np.arange(m), np.arange(m))
-    idx = np.empty((2, 2, m, m), dtype=np.intp)
-    for a, c, block in ((0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0)):
-        idx[a, c] = np.where(gap >= 0, block * m + gap, 3 * m)
-    return idx
+    l is the zero count of every row, or an array of one count per row.
+    With w = conj(lam) and e = 2/p (0 at p = inf, where ||g|| = 1), g is
+    the numerator prod_{j<l} (lam_j - z) times exp(sum_m A_m z^m), with
+    m A_m = P_m = sum_{j<l} w_j^m - e sum_{j<k} w_j^m: each Blaschke
+    denominator and outer factor is a power of (1 - w_j z).  The
+    exponential's coefficients follow from E_0 = 1 and
+    E_d = (1/d) sum_{m<=d} P_m E_{d-m}.  ||g||^p is sum |c_n|^2 over the
+    coefficients of prod_j (1 - w_j z), and reads inf where its p-th root
+    passes the largest double.
 
-@functools.lru_cache(maxsize=16)
-def _recurrence_table(p: float, k: int, l: int):
-    # which lambda drives each recurrence of _series_data_batch, and the real
-    # factor of its y_d: 1 for a Blaschke factor, -binom(e, d) / binom(e, d-1)
-    # for a binomial one; (-c) conj(lam) rounds like Python's c * (-conj(lam))
-    e = 2.0 / p
-    b = 0 if math.isinf(p) else k
-    scale = [[1.0] * k] * l + [[-((e - d + 1) / d) for d in range(1, k + 1)]] * b
-    return np.r_[0:l, 0:b], np.array(scale).reshape(l + b, k, 1)
-
-def _series_data_batch(p: float, lams: np.ndarray, l):
-    """_series_data for every row of lams, shape (n, k): arrays g0, a_k, ||g||.
-
-    l is the zero count of every row, or an array of one count per row.  A
-    row with fewer zeros than the largest count takes the series 1 in each
-    Blaschke slot it does not use.
+    Every operation is elementwise over the rows, and each sum over slots
+    or degrees is a chain of additions in a fixed order (a numpy reduction
+    may associate one row differently from many), so a row's result does
+    not depend on the other rows or their counts.  It agrees with
+    _series_data to about 1e-15 of the majorant series, the product with
+    every term replaced by its modulus.
     """
     n, k = lams.shape
-    per_row = isinstance(l, np.ndarray)
-    ls, l = l, int(l.max()) if per_row else l
-    b = 0 if math.isinf(p) else k  # the binomial factors
-    lr, li = lams.real.T, lams.imag.T
-    w2 = np.array(((lr, -li), (li, lr)))  # conj(lam) in product form
-    # x_d = x_{d-1} y_d from x_0 = 1: the powers of conj(lam) for the l
-    # Blaschke factors (y_d = conj(lam)) and the binomial terms of the k
-    # outer factors (y_d = -conj(lam) times the ratio of binomial coefficients)
-    slots, scale = _recurrence_table(p, k, l)
-    y2 = scale * w2[:, :, slots, None]
-    x = np.empty((2, l + b, k + 1, n))
-    x[0, :, 0], x[1, :, 0] = 1.0, 0.0
+    lam = lams.T
+    w = lam.conj()
+    zeros = np.arange(k)[:, None] < l  # slot j of a row carries a Blaschke zero
+    num = np.zeros((k + 1, n), dtype=complex)
+    num[0] = 1.0
+    for j in range(int(np.max(l))):
+        times = lam[j] * num
+        times[1:] -= num[:-1]
+        num = np.where(zeros[j], times, num)
+    e = 0.0 if math.isinf(p) else 2.0 / p
+    weight = zeros - e
+    power, P = w, []
+    for _ in range(k):
+        terms = weight * power
+        total = terms[0]
+        for j in range(1, k):
+            total = total + terms[j]
+        P.append(total)
+        power = power * w
+    E = [1.0]
     for d in range(1, k + 1):
-        t = x[:, None, :, d - 1] * y2[:, :, :, d - 1]
-        x[:, :, d] = t[0] + t[1]
-    # the factor series in the scalar order: Blaschke, then binomial
-    f = x
-    if l:
-        lam = w2[:, 0, :l]
-        sq = lam * lam
-        fac = sq[0] + sq[1] - 1.0
-        blaschke = np.empty((2, l, k + 1, n))
-        blaschke[:, :, 0] = lam
-        blaschke[:, :, 1:] = fac[:, None] * x[:, :l, :k]
-        # a factor with |lam| = 1 is the constant lam; like the start from the
-        # series 1 below, an unused slot's series 1 changes no digit
-        const = np.abs(np.hypot(lam[0], lam[1]) - 1.0) <= 1e-14
-        if per_row:
-            unused = np.arange(l)[:, None] >= ls
-            if unused.any():
-                blaschke[:, :, 0] = np.where(unused, np.array((1.0, 0.0))[:, None, None], lam)
-                const |= unused
-        if const.any():
-            blaschke[:, :, 1:] = np.where(const[:, None], 0.0, blaschke[:, :, 1:])
-        f = np.concatenate((blaschke, x[:, l:]), axis=1)
-    if f.shape[1]:
-        # the scalar product starts from the series 1, which changes no digit
-        s = f[:, 0]
-        table = np.concatenate((f[0], f[1], -f[1], np.zeros((f.shape[1], 1, n))), axis=1)
-        toeplitz = table[1:, _toeplitz_index(k + 1)]
-        for factor in toeplitz:
-            terms = s[:, None, None] * factor
-            terms = terms[0] + terms[1]
-            # each coefficient summed over i in the scalar order
-            s = terms[:, :, 0]
-            for i in range(1, k + 1):
-                s = s + terms[:, :, i]
-    else:
-        s = np.zeros((2, k + 1, n))
-        s[0, 0] = 1.0
-    if b:
-        c = np.zeros((2, k + 1, n))
-        c[0, 0] = 1.0
-        for j in range(k):
-            # c[d] -= conj(lam_j) c[d - 1] for d = j+1 .. 1, all from the old c
-            t = c[:, None, :j + 1] * w2[:, :, j:j + 1]
-            c[:, 1:j + 2] -= t[0] + t[1]
-        sq = c * c
-        # the scalar fsum and power, point by point
-        nrm = np.array([_pth_root(math.fsum(col), p) for col in (sq[0] + sq[1]).T.tolist()])
-    else:
-        nrm = np.ones(n)
-    return s[0, 0] + 1j * s[1, 0], s[0, k] + 1j * s[1, k], nrm
+        total = P[d - 1]
+        for m in range(1, d):
+            total = total + P[m - 1] * E[d - m]
+        E.append(total / d)
+    ak = num[k]
+    for i in range(k):
+        ak = ak + num[i] * E[k - i]
+    if not e:
+        return num[0], ak, np.ones(n)
+    c = np.zeros((k + 1, n), dtype=complex)
+    c[0] = 1.0
+    for j in range(k):
+        c[1:j + 2] -= w[j] * c[:j + 1]
+    sq = c.real * c.real + c.imag * c.imag
+    total = sq[0]
+    for d in range(1, k + 1):
+        total = total + sq[d]
+    with np.errstate(over="ignore"):
+        return num[0], ak, np.exp(np.log(total) / p)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +436,9 @@ def _lams_from_x_batch(X: np.ndarray, k: int, pinned: bool) -> np.ndarray:
     The free slots are the X.shape[1] // 2 from lam_1 (pinned) or lam_0 on.
     """
     r, th = X[:, 0::2], X[:, 1::2]
-    lo, hi = int(pinned), int(pinned) + r.shape[1]
-    # Python's pow, as in _lams_from_x: it does not always round like r * r
-    m = np.array([v ** 2 for v in np.sin(r).ravel().tolist()]).reshape(r.shape)
+    lo = int(pinned)
     lams = np.zeros((X.shape[0], k), dtype=complex)
-    lams.real[:, lo:hi] = m * np.cos(th)
-    lams.imag[:, lo:hi] = m * np.sin(th)
+    lams[:, lo:lo + r.shape[1]] = np.sin(r) ** 2 * np.exp(1j * th)
     return lams
 
 def _x_from_lams(lams, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
@@ -488,6 +447,16 @@ def _x_from_lams(lams, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
         m = min(abs(lams[j]), 1.0)
         xs.extend([math.asin(math.sqrt(m)), np.angle(lams[j])])
     return np.array(xs)
+
+def _objective(x, p: float, k: int, l: int, pinned: bool):
+    """(objective, t_hat) at the point x, from the scalar series."""
+    g0, ak, nrm = _series_data(p, _lams_from_x(x, k, l, p, pinned), l)
+    if pinned:
+        return abs(ak) / nrm, 0.0
+    a0 = abs(g0)
+    if a0 < 1e-150:
+        return 0.0, 0.0
+    return (g0.conjugate() * ak).real / (a0 * nrm), a0 / nrm
 
 def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
     """Returns x -> (objective, t_hat), one point per call, for the polish."""
@@ -501,46 +470,28 @@ def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
         hit = memo[0]
         if hit is not None and hit[0] == key:
             return hit[1]
-        lams = _lams_from_x(x, k, l, p, pinned)
-        g0, ak, nrm = _series_data(p, lams, l)
-        if pinned:
-            out = abs(ak) / nrm, 0.0
-        else:
-            a0 = abs(g0)
-            if a0 < 1e-150:
-                out = 0.0, 0.0
-            else:
-                out = (g0.conjugate() * ak).real / (a0 * nrm), a0 / nrm
+        out = _objective(x, p, k, l, pinned)
         memo[0] = (key, out)
         return out
 
     return parts
 
-def _objective_batch(p: float, k: int, pinned: bool):
-    """Returns (X, l) -> (objective, t_hat) as arrays over the rows of X.
-
-    l is the zero count of every row, or one count per row.  Row for row
-    this equals _evaluator's parts, bit for bit.
-    """
-    def batch(X, l):
-        g0, ak, nrm = _series_data_batch(p, _lams_from_x_batch(X, k, pinned), l)
-        if pinned:
-            return np.hypot(ak.real, ak.imag) / nrm, 0.0
-        a0 = np.hypot(g0.real, g0.imag)
-        live = ~(a0 < 1e-150)
-        J = np.divide(g0.real * ak.real + g0.imag * ak.imag, a0 * nrm,
-                      out=np.zeros_like(a0), where=live)
-        t_hat = np.divide(a0, nrm, out=np.zeros_like(a0), where=live)
-        return J, t_hat
-
-    return batch
-
 def _penalized_batch(p: float, k: int, t: float, pinned: bool):
-    """Returns (X, l) -> -objective + _PENALTY |t_hat - t| for every row of X."""
-    batch = _objective_batch(p, k, pinned)
+    """Returns (X, l) -> -objective + _PENALTY |t_hat - t| for every row of X.
 
+    l is the zero count of every row, or one count per row.  The objective
+    and t_hat are _objective's, from _series_batch in place of the scalar
+    series.
+    """
     def penalized(X, l):
-        J, t_hat = batch(X, l)
+        g0, ak, nrm = _series_batch(p, _lams_from_x_batch(X, k, pinned), l)
+        if pinned:
+            J, t_hat = np.abs(ak) / nrm, 0.0
+        else:
+            a0 = np.abs(g0)
+            live = ~(a0 < 1e-150)
+            J = np.divide((g0.conj() * ak).real, a0 * nrm, out=np.zeros_like(a0), where=live)
+            t_hat = np.divide(a0, nrm, out=np.zeros_like(a0), where=live)
         return -J + _PENALTY * np.abs(t_hat - t)
 
     return penalized
@@ -555,11 +506,11 @@ def _stencil(parts, p: float, k: int, l: int, t: float, pinned: bool):
     step, as approx_derivative forms them: the step falls back to
     sqrt(eps) sign(x) max(1, |x|) where x + h rounds to x, dx = (x + h) - x,
     and each difference is taken on the function SLSQP sees, from its
-    value at x (parts' memo).  The dim shifted points of one x go through
-    _objective_batch together, and a one-slot memo serves the objective's
-    gradient and the constraint's Jacobian from that one pass.
+    value at x (parts' memo).  The dim shifted points of one x are
+    evaluated once, by _objective as parts evaluates, and a one-slot memo
+    serves the objective's gradient and the constraint's Jacobian from
+    that one pass.
     """
-    batch = _objective_batch(p, k, pinned)
     memo = [None]
 
     def grads(x):
@@ -575,7 +526,7 @@ def _stencil(parts, p: float, k: int, l: int, t: float, pinned: bool):
         # row i is x with x_i + h_i in place of x_i, every other entry as is
         X = np.repeat(x[None, :], x.size, axis=0)
         np.fill_diagonal(X, xh)
-        J, t_hat = batch(X, l)
+        J, t_hat = np.array([_objective(row, p, k, l, pinned) for row in X]).T
         J0, t_hat0 = parts(x)
         out = (-J - -J0) / dx, ((t_hat - t) - (t_hat0 - t)) / dx
         memo[0] = (key, out)

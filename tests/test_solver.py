@@ -300,9 +300,9 @@ def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
     assert sol.t_residual < 1e-9
 
     # with every zero count searched beside it, no row of the skipped count
-    # reaches the kernel that the explore and the polish's stencils share
+    # reaches the explore's kernel
     monkeypatch.undo()
-    kernel = solver._series_data_batch
+    kernel = solver._series_batch
     seen = set()
 
     def recorded(p, lams, counts):
@@ -311,7 +311,7 @@ def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
 
     # just past the margin only l is out of reach, except that t > U_1 also
     # passes T(1/2) and leaves l = 0 alone
-    monkeypatch.setattr(solver, "_series_data_batch", recorded)
+    monkeypatch.setattr(solver, "_series_batch", recorded)
     sol = maximize_phik(SolveConfig(k=2, p=0.5, t=outside[-1], starts=16))
     assert seen == ({0} if l == 1 else {0, 1, 2} - {l})
     assert sol.per_l_values[l] is None
@@ -324,9 +324,10 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
     # reads inf in both series forms, and the point scores J = t_hat = 0
     lams = [1.0 + 0j] * k
     g0, ak, nrm = solver._series_data(p, lams, 0)
-    batch = solver._series_data_batch(p, np.array([lams]), 0)
-    assert (g0, ak, nrm) == tuple(v[0] for v in batch)
-    assert (nrm == math.inf) == (math.log(math.comb(2 * k, k)) / p > math.log(sys.float_info.max))
+    (b_g0,), (b_ak,), (b_nrm,) = solver._series_batch(p, np.array([lams]), 0)
+    assert b_g0 == pytest.approx(g0, rel=1e-13) and b_ak == pytest.approx(ak, rel=1e-13)
+    overflows = math.log(math.comb(2 * k, k)) / p > math.log(sys.float_info.max)
+    assert (nrm == math.inf) == (b_nrm == math.inf) == overflows
     try:
         sol = maximize_phik(SolveConfig(k=k, p=p, t=0.5, starts=4))
     except (SolverError, QuadratureError):
@@ -399,20 +400,80 @@ def _population(rng, k, l, p, pinned, rows):
     return np.stack((r, th), axis=2).reshape(rows, 2 * half)
 
 
+def _majorant(p, lams, l):
+    """Coefficients of prod_{j<l} (|lam_j| + z) prod_j (1 - |lam_j| z)^-(e + [j<l]).
+
+    They bound, term by term, every product that the scalar series and the
+    kernel form, so they scale the rounding of both.  a_k itself can vanish
+    by cancellation (at |lam| = 1 a Blaschke factor is the constant lam).
+    """
+    k = len(lams)
+    e = 0.0 if p == math.inf else 2.0 / p
+    s = [1.0] + [0.0] * k
+    for j, lam in enumerate(lams):
+        a, c = abs(lam), e + (j < l)
+        f = [1.0] + [0.0] * k
+        for n in range(1, k + 1):
+            f[n] = f[n - 1] * (c + n - 1) / n * a
+        if j < l:
+            f = [a * f[0]] + [a * f[n] + f[n - 1] for n in range(1, k + 1)]
+        s = [sum(s[i] * f[d - i] for i in range(d + 1)) for d in range(k + 1)]
+    return s
+
+
+def _mp_series(p, lams, l):
+    """(g0, a_k, ||g||) of the truncated product series at 30 digits: the
+    Blaschke series lam + sum_n (|lam|^2 - 1) conj(lam)^(n-1) z^n of the l
+    zeros times the binomial series of (1 - conj(lam_j) z)^(2/p)."""
+    k = len(lams)
+    with mpmath.workdps(30):
+        lams = [mpmath.mpc(z) for z in lams]
+
+        def times(s, f):
+            return [mpmath.fsum(s[i] * f[d - i] for i in range(d + 1)) for d in range(k + 1)]
+
+        s = [mpmath.mpc(1)] + [mpmath.mpc(0)] * k
+        for lam in lams[:l]:
+            w, fac = mpmath.conj(lam), abs(lam) ** 2 - 1
+            s = times(s, [lam] + [fac * w ** (n - 1) for n in range(1, k + 1)])
+        if p == math.inf:
+            return complex(s[0]), complex(s[k]), 1.0
+        e = 2 / mpmath.mpf(p)
+        c = [mpmath.mpc(1)] + [mpmath.mpc(0)] * k
+        for lam in lams:
+            w = mpmath.conj(lam)
+            s = times(s, [mpmath.binomial(e, n) * (-w) ** n for n in range(k + 1)])
+            c = times(c, [1, -w] + [0] * (k - 1))
+        nrm = mpmath.fsum(abs(x) ** 2 for x in c) ** (1 / mpmath.mpf(p))
+        return complex(s[0]), complex(s[k]), float(nrm)
+
+
 def _assert_batch_rows_match_scalar(p, k, t, pinned, X, ls):
-    # exact equality, which does not see the sign of zero
+    # the kernel against the scalar series to 1e-13 and against a 30-digit
+    # evaluation to 1e-12, on the scale of each coefficient's majorant; the
+    # rows with |lam_0| ~ 1e-160 reach subnormals, which round absolutely
+    tiny = sys.float_info.min
     lams = solver._lams_from_x_batch(X, k, pinned)
-    g0, ak, nrm = solver._series_data_batch(p, lams, ls)
+    g0, ak, nrm = solver._series_batch(p, lams, ls)
     batch = solver._penalized_batch(p, k, t, pinned)(X, ls)
     width = X.shape[1]
     for i, (x, l) in enumerate(zip(X, np.broadcast_to(ls, len(X)).tolist())):
+        # the row alone gives the same bytes as the row in the batch
+        alone = solver._series_batch(p, lams[i:i + 1], l)
+        assert all(v[i:i + 1].tobytes() == a.tobytes() for v, a in zip((g0, ak, nrm), alone)), (k, l, i)
         row = [complex(z) for z in lams[i]]
-        ref = solver._series_data(p, row, l)
-        assert (g0[i], ak[i], nrm[i]) == ref, (k, l, i)
+        scale = _majorant(p, row, l)
+        for tol, (ref_g0, ref_ak, ref_nrm) in ((1e-13, solver._series_data(p, row, l)),
+                                               (1e-12, _mp_series(p, row, l))):
+            assert abs(g0[i] - ref_g0) <= tol * scale[0] + tiny, (k, l, i)
+            assert abs(ak[i] - ref_ak) <= tol * scale[k] + tiny, (k, l, i)
+            assert abs(nrm[i] - ref_nrm) <= tol * ref_nrm, (k, l, i)
         # at p = inf the scalar parametrization of l < k frees fewer slots
         if 2 * len(solver._free_slots(k, l, p, pinned)) == width:
-            assert row == solver._lams_from_x(x, k, l, p, pinned), (k, l, i)
-            assert batch[i] == _scalar_penalty(p, k, l, t, pinned)(x), (k, l, i)
+            ref = solver._lams_from_x(x, k, l, p, pinned)
+            assert np.allclose(row, ref, rtol=0, atol=1e-15), (k, l, i)
+            ref = _scalar_penalty(p, k, l, t, pinned)(x)
+            assert abs(batch[i] - ref) <= 1e-12 * max(1.0, abs(ref)), (k, l, i)
     return g0, batch
 
 
