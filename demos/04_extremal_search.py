@@ -2,9 +2,9 @@
 
 The candidates are products of Blaschke factors and outer-type powers
 determined by k points in the disc.  A Nelder-Mead exploration, which
-moves every start of a zero count in lockstep, feeds an SLSQP polish;
-agreement with the closed form for k = 1, and the series/quadrature
-double-check inside the solver, guard the result.
+moves every start of every zero count in lockstep, feeds a lockstep SQP
+polish on exact gradients; agreement with the closed form for k = 1, and
+the series/quadrature double-check inside the solver, guard the result.
 """
 
 from hardyx import (

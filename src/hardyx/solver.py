@@ -41,12 +41,13 @@ rules for each start, and evaluates the penalty for all of its trial points
 in one complex array pass, each row with its own zero count
 (_series_batch).  That pass agrees with the scalar series to about 1e-15
 of the terms' size, not bit for bit, and no row's result depends on the
-other rows.  A sequential quadratic polish then enforces the constraint on
-the leaders of each count, on the scalar series alone: the objective and
-the constraint one point per call, and their gradients, scipy's forward
-differences bit for bit, from one pass over each iterate's shifted points
-for both.  The returned solution is re-measured through hardy_norm and
-taylor_coeff as an independent consistency check.
+other rows.  One sequential quadratic programming polish then enforces the
+constraint on the leaders of every count of the population in lockstep,
+each iteration evaluating the objective, t_hat and their exact gradients
+for all of its rows in one pass of the same kernel; the series are finite
+in lam and conj(lam), so the derivatives are too (_series_batch,
+_objective_batch).  The returned solution is re-measured through
+hardy_norm and taylor_coeff as an independent consistency check.
 """
 
 from __future__ import annotations
@@ -81,18 +82,16 @@ _FEAS_TOL = 1e-9
 _TIE_TOL = 1e-9
 _CLUSTER_VALUE_TOL = 1e-6
 _CLUSTER_DIST_TOL = 1e-3
-# SLSQP's convergence tolerance in the polish
+# the polish's convergence tolerance on the change of the objective and on
+# |t_hat - t|, SLSQP's ftol in the polish this replaced
 _POLISH_FTOL = 1e-10
 # the largest gap allowed between the series Re a_k and the FFT cross-check's
 _AGREE_TOL = 1e-8
 
 
+# no solve calls this: it is kept because perfbench/tracing.py patches it
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use.
-
-    scipy takes longer to import than the rest of hardyx, and only the
-    polish needs it.
-    """
+    """scipy.optimize.minimize, imported on first use."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
@@ -237,7 +236,7 @@ def _series_data(p: float, lams, l: int):
     return s[0], s[k], nrm
 
 
-def _series_batch(p: float, lams: np.ndarray, l):
+def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     """(g0, a_k, ||g||) of _series_data for every row of lams, shape (n, k).
 
     l is the zero count of every row, or an array of one count per row.
@@ -249,6 +248,17 @@ def _series_batch(p: float, lams: np.ndarray, l):
     E_d = (1/d) sum_{m<=d} P_m E_{d-m}.  ||g||^p is sum |c_n|^2 over the
     coefficients of prod_j (1 - w_j z), and reads inf where its p-th root
     passes the largest double.
+
+    With grad, a fourth item holds the derivatives in each slot j, arrays
+    of shape (k, n): d g0/d lam_j, d a_k/d lam_j, d a_k/d w_j and
+    d log||g||/d w_j.  g0 and a_k are holomorphic in lam through the
+    numerator and in w through E = prod_j (1 - w_j z)^-weight_j, with
+    weight_j = [j < l] - e, and ||g|| depends on w alone.  The numerator
+    over (lam_j - z) and c over (1 - w_j z) come by synthetic division,
+    from the top and from the bottom, both stable for |lam_j| <= 1; the
+    coefficients of d E/d w_j = weight_j z E/(1 - w_j z) follow
+    F_d = weight_j E_{d-1} + w_j F_{d-1}; and d (sum |c_n|^2)/d w_j is
+    sum_n conj(c_n) d c_n/d w_j.
 
     Every operation is elementwise over the rows, and each sum over slots
     or degrees is a chain of additions in a fixed order (a numpy reduction
@@ -286,8 +296,24 @@ def _series_batch(p: float, lams: np.ndarray, l):
     ak = num[k]
     for i in range(k):
         ak = ak + num[i] * E[k - i]
+    if grad:
+        # slot j's numerator without its factor (0 where j carries no zero),
+        # and the coefficients of d E/d w_j, each of shape (k, n) per degree
+        quot = [np.zeros((k, n), dtype=complex)] * (k + 1)
+        for d in range(k, 0, -1):
+            quot[d - 1] = lam * quot[d] - num[d]
+        quot = [np.where(zeros, q, 0) for q in quot]
+        F = [0.0]
+        for d in range(1, k + 1):
+            F.append(weight * E[d - 1] + w * F[d - 1])
+        dak_dlam, dak_dw = quot[k], num[0] * F[k]
+        for i in range(k):
+            dak_dlam = dak_dlam + quot[i] * E[k - i]
+        for i in range(1, k):
+            dak_dw = dak_dw + num[i] * F[k - i]
+        derivs = [quot[0], dak_dlam, dak_dw, np.zeros((k, n), dtype=complex)]
     if not e:
-        return num[0], ak, np.ones(n)
+        return (num[0], ak, np.ones(n)) + ((derivs,) if grad else ())
     c = np.zeros((k + 1, n), dtype=complex)
     c[0] = 1.0
     for j in range(k):
@@ -297,7 +323,17 @@ def _series_batch(p: float, lams: np.ndarray, l):
     for d in range(1, k + 1):
         total = total + sq[d]
     with np.errstate(over="ignore"):
-        return num[0], ak, np.exp(np.log(total) / p)
+        nrm = np.exp(np.log(total) / p)
+    if not grad:
+        return num[0], ak, nrm
+    # d c_d/d w_j = -q_{d-1}, with q = c/(1 - w_j z)
+    q = np.ones((k, n), dtype=complex)
+    dS = c[1].conj() * q
+    for d in range(2, k + 1):
+        q = c[d - 1] + w * q
+        dS = dS + c[d].conj() * q
+    derivs[3] = -dS / (p * total)
+    return num[0], ak, nrm, derivs
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +443,129 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
 
 
 # ---------------------------------------------------------------------------
+# lockstep SQP
+# ---------------------------------------------------------------------------
+
+# the sufficient-decrease fraction of the polish's line search, and its most
+# step halvings, as many as SLSQP's line search takes
+_LS_ETA, _LS_CUTS = 1e-4, 10
+_EPS = np.finfo(float).eps
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a chain of additions over the last axis: a numpy reduction may
+    # associate one row differently from many
+    total = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j] * b[..., j]
+    return total
+
+def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool, maxiter: int = 200):
+    """min f subject to c = 0 from every row of x0s at once; returns x, f, c, converged.
+
+    fun maps an (m, dim) array of points, and the index of the start each
+    belongs to, onto f and c, and with grad=True also onto their gradients,
+    each of shape (m, dim); without constrained, c is ignored.  Each start
+    follows Nocedal & Wright, Numerical Optimization, Algorithm 18.3:
+    * the step and multiplier solve the KKT system [[B, a], [a^T, 0]],
+      a = grad c;
+    * the merit is f + mu |c|, with mu at least their (18.36) bound at
+      rho = 1/2, so that the step descends, and otherwise Powell's
+      max(|multiplier|, mean of the last mu and |multiplier|), which
+      SLSQP uses and which lets mu fall again;
+    * the line search backtracks by halves to sufficient decrease; where
+      the full step fails, its second-order correction back onto the
+      constraint along a bends the search to the arc
+      x + alpha step + alpha^2 correction (their section 15.5, the Maratos
+      effect);
+    * B is updated by damped BFGS (Procedure 18.2) from B = I.
+    A start converges on SLSQP's test, |f change| < _POLISH_FTOL and
+    |c| < _POLISH_FTOL, and stops unconverged after maxiter steps, where
+    its line search fails or where grad c vanishes (SLSQP's status 8 and 7).
+    Every operation is elementwise over the starts, and the batched KKT
+    solve factors each matrix alone, so each row is what it would be alone.
+    """
+    n, dim = x0s.shape
+    rows = np.arange(n)  # the starts still running
+    x = x0s.copy()
+    f, c, gf, gc = fun(x, rows, grad=True)
+    x_out, f_out, c_out, conv_out = x.copy(), f.copy(), c.copy(), np.zeros(n, dtype=bool)
+    B = np.tile(np.eye(dim), (n, 1, 1))
+    mu = np.zeros(n)
+    for _ in range(maxiter):
+        if constrained:
+            # grad c vanishes where no step of a radian moves c by a rounding
+            # unit of t_hat <= 1: the |g0| guard, an overflowed norm, and
+            # points where t_hat underflows
+            out = ~(_dot(gc, gc) > _EPS * _EPS)
+            x_out[rows[out]], f_out[rows[out]], c_out[rows[out]] = x[out], f[out], c[out]
+            rows, x, f, c, gf, gc, B, mu = (v[~out] for v in (rows, x, f, c, gf, gc, B, mu))
+        m = rows.size
+        if not m:
+            break
+        if constrained:
+            K = np.zeros((m, dim + 1, dim + 1))
+            K[:, :dim, :dim] = B
+            K[:, :dim, dim] = K[:, dim, :dim] = gc
+            sol = np.linalg.solve(K, np.concatenate((-gf, -c[:, None]), axis=1)[..., None])[..., 0]
+            step, mult = sol[:, :dim], sol[:, dim:]
+        else:
+            step, mult = np.linalg.solve(B, -gf[..., None])[..., 0], np.zeros((m, 1))
+        Bs = _dot(B, step[:, None, :])
+        sBs, slope, viol = _dot(step, Bs), _dot(gf, step), np.abs(c)
+        need = np.divide(slope + 0.5 * np.maximum(sBs, 0.0), 0.5 * viol,
+                         out=np.zeros(m), where=viol > 0)
+        size = np.abs(mult[:, 0])
+        mu = np.maximum(need, np.maximum(size, 0.5 * (mu + size)))
+        merit, descent = f + mu * viol, slope - mu * viol
+
+        alpha, corr = np.ones(m), np.zeros((m, dim))
+        x_new, f_new, c_new, moved = x.copy(), f.copy(), c.copy(), np.zeros(m, dtype=bool)
+        trial = np.arange(m)
+        for cut in range(_LS_CUTS + 1):
+            a = alpha[trial, None]
+            xt = x[trial] + a * step[trial] + a * a * corr[trial]
+            ft, ct = fun(xt, rows[trial])
+            # a change within the rounding of the merit counts as none
+            ok = (ft + mu[trial] * np.abs(ct) - merit[trial]
+                  <= _LS_ETA * alpha[trial] * descent[trial] + 4 * _EPS * np.abs(merit[trial]))
+            x_new[trial[ok]], f_new[trial[ok]], c_new[trial[ok]], moved[trial[ok]] = xt[ok], ft[ok], ct[ok], True
+            trial, ct = trial[~ok], ct[~ok]
+            if not trial.size:
+                break
+            if constrained and cut == 0:
+                corr[trial] = -gc[trial] * (ct / _dot(gc[trial], gc[trial]))[:, None]
+            else:
+                alpha[trial] *= 0.5
+
+        conv = moved & (np.abs(f_new - f) < _POLISH_FTOL) & (np.abs(c_new) < _POLISH_FTOL)
+        stop = ~moved | conv
+        x_out[rows[stop]], f_out[rows[stop]], c_out[rows[stop]] = x_new[stop], f_new[stop], c_new[stop]
+        conv_out[rows[stop]] = conv[stop]
+        rows, x, x_new, f, c, gf, gc, B, mu, mult = (
+            v[~stop] for v in (rows, x, x_new, f, c, gf, gc, B, mu, mult))
+        if not rows.size:
+            break
+        f, c, gf_new, gc_new = fun(x_new, rows, grad=True)
+        s = x_new - x
+        y = (gf_new + mult * gc_new) - (gf + mult * gc)
+        Bs = _dot(B, s[:, None, :])
+        sBs, sy = _dot(s, Bs), _dot(s, y)
+        damped = sy < 0.2 * sBs
+        theta = np.divide(0.8 * sBs, sBs - sy, out=np.ones(rows.size), where=damped)
+        r = theta[:, None] * y + (1 - theta[:, None]) * Bs
+        sr = _dot(s, r)
+        # a step lost in the rounding of x leaves B as it is
+        upd = ((sBs > 0) & (sr > 0))[:, None, None]
+        B = np.where(upd, B - np.divide(Bs[:, :, None] * Bs[:, None, :], sBs[:, None, None],
+                                        out=np.zeros_like(B), where=upd)
+                     + np.divide(r[:, :, None] * r[:, None, :], sr[:, None, None],
+                                 out=np.zeros_like(B), where=upd), B)
+        x, gf, gc = x_new, gf_new, gc_new
+    x_out[rows], f_out[rows], c_out[rows] = x, f, c
+    return x_out, f_out, c_out, conv_out
+
+
+# ---------------------------------------------------------------------------
 # parametrization and per-l optimization
 # ---------------------------------------------------------------------------
 
@@ -458,81 +617,60 @@ def _objective(x, p: float, k: int, l: int, pinned: bool):
         return 0.0, 0.0
     return (g0.conjugate() * ak).real / (a0 * nrm), a0 / nrm
 
-def _evaluator(p: float, k: int, l: int, t: float, pinned: bool):
-    """Returns x -> (objective, t_hat), one point per call, for the polish."""
-    # SLSQP evaluates the objective and the constraint at identical points;
-    # a one-slot memo removes the duplicated series work.  Their gradients
-    # come from _stencil instead.
-    memo = [None]
+def _objective_batch(p: float, k: int, pinned: bool, X: np.ndarray, l, grad: bool = False):
+    """(objective, t_hat) of _objective for every row of X, from _series_batch.
 
-    def parts(x):
-        key = x.tobytes()
-        hit = memo[0]
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        out = _objective(x, p, k, l, pinned)
-        memo[0] = (key, out)
-        return out
-
-    return parts
+    l is the zero count of every row, or one count per row.  With grad,
+    their gradients in x follow, each of shape X.shape, through
+    lam_j = sin(r_j)^2 e^{i th_j}: d lam/d r = sin(2r) e^{i th} and
+    d lam/d th = i lam, and a function of lam and w = conj(lam) moves by
+    (d/d lam) dlam + (d/d w) conj(dlam).  Where the objective reads 0 by
+    the |g0| guard or an overflowed norm, so do both gradients.
+    """
+    lams = _lams_from_x_batch(X, k, pinned)
+    out = _series_batch(p, lams, l, grad)
+    g0, ak, nrm = out[:3]
+    n = len(X)
+    if pinned:
+        size = np.abs(ak)
+        J, t_hat = size / nrm, np.zeros(n)
+    else:
+        a0 = np.abs(g0)
+        live = ~(a0 < 1e-150)
+        J = np.divide((g0.conj() * ak).real, a0 * nrm, out=np.zeros(n), where=live)
+        t_hat = np.divide(a0, nrm, out=np.zeros(n), where=live)
+    if not grad:
+        return J, t_hat
+    slot = int(pinned) + np.arange(X.shape[1]) // 2  # the lambda each column moves
+    dg0, dak_dlam, dak_dw, dlog_dw = (d.T[:, slot] for d in out[3])
+    dlam = np.empty(X.shape, dtype=complex)
+    dlam[:, 0::2] = np.sin(2 * X[:, 0::2]) * np.exp(1j * X[:, 1::2])
+    dlam[:, 1::2] = 1j * lams[:, slot[1::2]]
+    dak = dak_dlam * dlam + dak_dw * dlam.conj()
+    dlog_nrm = 2 * (dlog_dw * dlam.conj()).real
+    zero = np.zeros(X.shape)
+    if pinned:
+        dJ = np.divide((ak.conj()[:, None] * dak).real, (size * nrm)[:, None], out=zero.copy(),
+                       where=(size > 0)[:, None] & np.isfinite(nrm)[:, None])
+        return J, t_hat, dJ - J[:, None] * dlog_nrm, zero
+    # h = dg0/g0: log|g0| moves by Re h, and the phase conj(g0)/|g0| by -i Im h
+    ok = (live & np.isfinite(nrm))[:, None]
+    h = np.divide(dg0 * dlam, g0[:, None], out=np.zeros(X.shape, dtype=complex), where=ok)
+    phase = np.divide(g0.conj(), a0, out=np.zeros(n, dtype=complex), where=live)[:, None]
+    dJ = np.divide((phase * (dak - 1j * h.imag * ak[:, None])).real, nrm[:, None], out=zero.copy(),
+                   where=ok) - J[:, None] * dlog_nrm
+    return J, t_hat, np.where(ok, dJ, 0.0), np.where(ok, t_hat[:, None] * (h.real - dlog_nrm), 0.0)
 
 def _penalized_batch(p: float, k: int, t: float, pinned: bool):
     """Returns (X, l) -> -objective + _PENALTY |t_hat - t| for every row of X.
 
-    l is the zero count of every row, or one count per row.  The objective
-    and t_hat are _objective's, from _series_batch in place of the scalar
-    series.
+    l is the zero count of every row, or one count per row.
     """
     def penalized(X, l):
-        g0, ak, nrm = _series_batch(p, _lams_from_x_batch(X, k, pinned), l)
-        if pinned:
-            J, t_hat = np.abs(ak) / nrm, 0.0
-        else:
-            a0 = np.abs(g0)
-            live = ~(a0 < 1e-150)
-            J = np.divide((g0.conj() * ak).real, a0 * nrm, out=np.zeros_like(a0), where=live)
-            t_hat = np.divide(a0, nrm, out=np.zeros_like(a0), where=live)
+        J, t_hat = _objective_batch(p, k, pinned, X, l)
         return -J + _PENALTY * np.abs(t_hat - t)
 
     return penalized
-
-# the absolute step of SLSQP's default finite differences
-_FD_STEP = math.sqrt(np.finfo(float).eps)
-
-def _stencil(parts, p: float, k: int, l: int, t: float, pinned: bool):
-    """Returns x -> (gradient of -objective, gradient of t_hat - t).
-
-    Both are scipy's 2-point forward differences with SLSQP's absolute
-    step, as approx_derivative forms them: the step falls back to
-    sqrt(eps) sign(x) max(1, |x|) where x + h rounds to x, dx = (x + h) - x,
-    and each difference is taken on the function SLSQP sees, from its
-    value at x (parts' memo).  The dim shifted points of one x are
-    evaluated once, by _objective as parts evaluates, and a one-slot memo
-    serves the objective's gradient and the constraint's Jacobian from
-    that one pass.
-    """
-    memo = [None]
-
-    def grads(x):
-        key = x.tobytes()
-        hit = memo[0]
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        h = np.full(x.shape, _FD_STEP)
-        h = np.where((x + h) - x == 0,
-                     _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x)), h)
-        xh = x + h
-        dx = xh - x
-        # row i is x with x_i + h_i in place of x_i, every other entry as is
-        X = np.repeat(x[None, :], x.size, axis=0)
-        np.fill_diagonal(X, xh)
-        J, t_hat = np.array([_objective(row, p, k, l, pinned) for row in X]).T
-        J0, t_hat0 = parts(x)
-        out = (-J - -J0) / dx, ((t_hat - t) - (t_hat0 - t)) / dx
-        memo[0] = (key, out)
-        return out
-
-    return grads
 
 def _root_pattern(radius: float, k: int):
     # lam_j on the k-th roots of a negative real number: the product
@@ -590,42 +728,40 @@ def _starts(cfg: SolveConfig, l: int, dim: int) -> list:
         x0s.append(np.column_stack([r, th]).ravel())
     return x0s
 
-def _polish(cfg: SolveConfig, l: int, ends: np.ndarray, fends: np.ndarray) -> list:
-    """SLSQP from the leaders of one zero count's explore; feasible (J, lams)."""
+def _polish(cfg: SolveConfig, x0s: np.ndarray, counts: np.ndarray) -> list:
+    """The lockstep SQP from leaders x0s, row i of zero count counts[i].
+
+    Returns per row (J, lams) where it ends feasible, else None.  Pinned,
+    f(0) = 0 holds by construction and only J is polished; a row that
+    stops unconverged keeps its leader.
+    """
     p, t, k = cfg.p, cfg.t, cfg.k
     pinned = t == 0.0
-    explored = sorted(zip(ends, fends.tolist()), key=lambda e: e[1])
-    leaders = [x for x, fv in explored[:8]]
-    cut = explored[0][1] + 1e-4
-    for x, fv in explored[8:]:
-        if fv <= cut and len(leaders) < 16:
-            leaders.append(x)
 
-    parts = _evaluator(p, k, l, t, pinned)
-    grads = _stencil(parts, p, k, l, t, pinned)
-    # pinned, f(0) = 0 holds by construction and only J is polished
-    constraints = () if pinned else [
-        {"type": "eq", "fun": lambda x: parts(x)[1] - t, "jac": lambda x: grads(x)[1]}
-    ]
-    feasible = []
-    for x0 in leaders:
-        res = minimize(
-            lambda x: -parts(x)[0], x0, method="SLSQP", jac=lambda x: grads(x)[0],
-            constraints=constraints, options={"ftol": _POLISH_FTOL, "maxiter": 200},
-        )
-        xs = x0 if pinned and not res.success else res.x
-        J, t_hat = parts(xs)
-        if abs(t_hat - t) <= _FEAS_TOL:
-            feasible.append((float(J), _lams_from_x(xs, k, l, p, pinned)))
-    return feasible
+    def fun(X, rows, grad=False):
+        # f = -objective and c = t_hat - t
+        out = _objective_batch(p, k, pinned, X, counts[rows], grad)
+        if grad:
+            J, t_hat, dJ, dt = out
+            return -J, t_hat - t, -dJ, dt
+        return -out[0], out[1] - t
+
+    x, f, c, conv = _sqp_lockstep(fun, x0s, constrained=not pinned)
+    if pinned and not conv.all():
+        x[~conv] = x0s[~conv]
+        f[~conv], c[~conv] = fun(x0s[~conv], np.nonzero(~conv)[0])
+    lams = _lams_from_x_batch(x, k, pinned)
+    return [(-fv, [complex(z) for z in row]) if abs(cv) <= _FEAS_TOL else None
+            for fv, cv, row in zip(f.tolist(), c.tolist(), lams)]
 
 def _solve_zero_counts(cfg: SolveConfig) -> dict:
     """Multistart for every zero count of cfg; returns l -> feasible (J, lams).
 
     A zero count whose range of t_hat excludes t gets [] before any search.
-    The others explore in one lockstep population per free dimension: for
-    finite p that is every count, at p = inf (dimension 2l) each count
-    alone.  Each count keeps its own starts, leaders and polish.
+    The others explore in one lockstep population per free dimension, and
+    their leaders polish in one lockstep SQP: for finite p that is every
+    count, at p = inf (dimension 2l) each count alone.  Each count keeps
+    its own starts and leaders.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
     pinned = t == 0.0
@@ -636,7 +772,7 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
             continue
         dim = 2 * len(_free_slots(k, l, p, pinned))
         if dim == 0:
-            J, t_hat = _evaluator(p, k, l, t, pinned)(np.empty(0))
+            J, t_hat = _objective(np.empty(0), p, k, l, pinned)
             if abs(t_hat - t) <= _FEAS_TOL:
                 feasible[l] = [(J, _lams_from_x(np.empty(0), k, l, p, pinned))]
             continue
@@ -650,10 +786,20 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
             np.array([x0 for _, x0s in members for x0 in x0s]),
             xatol=1e-4, fatol=1e-8, maxfev=140 * dim,
         )
+        # each count's 8 best ends, and up to 16 within 1e-4 of its best
+        leaders, owners = [], []
         at = 0
         for l, x0s in members:
-            feasible[l] = _polish(cfg, l, ends[at:at + len(x0s)], fends[at:at + len(x0s)])
+            explored = sorted(zip(ends[at:at + len(x0s)], fends[at:at + len(x0s)].tolist()),
+                              key=lambda e: e[1])
+            cut = explored[0][1] + 1e-4
+            block = [x for i, (x, fv) in enumerate(explored) if i < 8 or (i < 16 and fv <= cut)]
+            leaders += block
+            owners += [l] * len(block)
             at += len(x0s)
+        for l, found in zip(owners, _polish(cfg, np.array(leaders), np.array(owners))):
+            if found is not None:
+                feasible[l].append(found)
     return feasible
 
 

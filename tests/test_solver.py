@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
-from scipy.optimize._numdiff import approx_derivative
 
 import hardyx
 from hardyx import fn_repr, solver
@@ -280,7 +279,7 @@ def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
         raise AssertionError("searched a zero count that cannot reach t")
 
     monkeypatch.setattr(solver, "_nelder_mead_lockstep", no_search)
-    monkeypatch.setattr(solver, "minimize", no_search)
+    monkeypatch.setattr(solver, "_polish", no_search)
     for t in outside:
         with pytest.raises(SolverError):
             maximize_phik(SolveConfig(k=2, p=0.5, t=t, l_range=(l,)))
@@ -300,14 +299,14 @@ def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
     assert sol.t_residual < 1e-9
 
     # with every zero count searched beside it, no row of the skipped count
-    # reaches the explore's kernel
+    # reaches the kernel of the explore or of the polish
     monkeypatch.undo()
     kernel = solver._series_batch
     seen = set()
 
-    def recorded(p, lams, counts):
+    def recorded(p, lams, counts, grad=False):
         seen.update(np.unique(counts).tolist())
-        return kernel(p, lams, counts)
+        return kernel(p, lams, counts, grad)
 
     # just past the margin only l is out of reach, except that t > U_1 also
     # passes T(1/2) and leaves l = 0 alone
@@ -365,10 +364,14 @@ def test_fft_cross_check_passes_small_p_at_k2(k, p, t):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy loads on the first polish, not with the package
+    # scipy is a test dependency only: neither the import nor a solve, at
+    # finite p and at p = inf, loads it
     src = str(pathlib.Path(hardyx.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, hardyx; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import math, sys, hardyx\n"
+            "for p in (0.5, math.inf):\n"
+            "    hardyx.maximize_phik(hardyx.SolveConfig(k=2, p=p, t=0.5, starts=4))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -378,10 +381,8 @@ def test_import_leaves_scipy_unloaded():
 # ---------------------------------------------------------------------------
 
 def _scalar_penalty(p, k, l, t, pinned):
-    parts = solver._evaluator(p, k, l, t, pinned)
-
     def penalized(x):
-        J, t_hat = parts(x)
+        J, t_hat = solver._objective(x, p, k, l, pinned)
         return -J + solver._PENALTY * abs(t_hat - t)
 
     return penalized
@@ -421,31 +422,37 @@ def _majorant(p, lams, l):
     return s
 
 
-def _mp_series(p, lams, l):
-    """(g0, a_k, ||g||) of the truncated product series at 30 digits: the
-    Blaschke series lam + sum_n (|lam|^2 - 1) conj(lam)^(n-1) z^n of the l
-    zeros times the binomial series of (1 - conj(lam_j) z)^(2/p)."""
+def _mp_parts(p, lams, l):
+    """(g0, a_k, ||g||) of the truncated product series as mpmath numbers, at
+    the working precision: the Blaschke series
+    lam + sum_n (|lam|^2 - 1) conj(lam)^(n-1) z^n of the l zeros times the
+    binomial series of (1 - conj(lam_j) z)^(2/p)."""
     k = len(lams)
+    lams = [mpmath.mpc(z) for z in lams]
+
+    def times(s, f):
+        return [mpmath.fsum(s[i] * f[d - i] for i in range(d + 1)) for d in range(k + 1)]
+
+    s = [mpmath.mpc(1)] + [mpmath.mpc(0)] * k
+    for lam in lams[:l]:
+        w, fac = mpmath.conj(lam), abs(lam) ** 2 - 1
+        s = times(s, [lam] + [fac * w ** (n - 1) for n in range(1, k + 1)])
+    if p == math.inf:
+        return s[0], s[k], mpmath.mpf(1)
+    e = 2 / mpmath.mpf(p)
+    c = [mpmath.mpc(1)] + [mpmath.mpc(0)] * k
+    for lam in lams:
+        w = mpmath.conj(lam)
+        s = times(s, [mpmath.binomial(e, n) * (-w) ** n for n in range(k + 1)])
+        c = times(c, [1, -w] + [0] * (k - 1))
+    return s[0], s[k], mpmath.fsum(abs(x) ** 2 for x in c) ** (1 / mpmath.mpf(p))
+
+
+def _mp_series(p, lams, l):
+    """_mp_parts at 30 digits, rounded to doubles."""
     with mpmath.workdps(30):
-        lams = [mpmath.mpc(z) for z in lams]
-
-        def times(s, f):
-            return [mpmath.fsum(s[i] * f[d - i] for i in range(d + 1)) for d in range(k + 1)]
-
-        s = [mpmath.mpc(1)] + [mpmath.mpc(0)] * k
-        for lam in lams[:l]:
-            w, fac = mpmath.conj(lam), abs(lam) ** 2 - 1
-            s = times(s, [lam] + [fac * w ** (n - 1) for n in range(1, k + 1)])
-        if p == math.inf:
-            return complex(s[0]), complex(s[k]), 1.0
-        e = 2 / mpmath.mpf(p)
-        c = [mpmath.mpc(1)] + [mpmath.mpc(0)] * k
-        for lam in lams:
-            w = mpmath.conj(lam)
-            s = times(s, [mpmath.binomial(e, n) * (-w) ** n for n in range(k + 1)])
-            c = times(c, [1, -w] + [0] * (k - 1))
-        nrm = mpmath.fsum(abs(x) ** 2 for x in c) ** (1 / mpmath.mpf(p))
-        return complex(s[0]), complex(s[k]), float(nrm)
+        g0, ak, nrm = _mp_parts(p, lams, l)
+        return complex(g0), complex(ak), float(nrm)
 
 
 def _assert_batch_rows_match_scalar(p, k, t, pinned, X, ls):
@@ -633,72 +640,127 @@ def test_solve_explores_its_zero_counts_in_one_population(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the polish's batch stencil against scipy's finite differences
+# the polish: exact gradients, and one lockstep SQP for every zero count
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
 @pytest.mark.parametrize("pinned", [False, True])
-def test_stencil_matches_scipy_finite_differences(p, pinned):
+def test_exact_gradient_matches_central_differences(p, pinned):
+    # _population's rows take |lam| = 1 (rows 0 and 1) and lam_0 = 0 or
+    # |lam_0| ~ 1e-160 (rows 2 and 3), where with l >= 1 the |g0| guard
+    # zeroes the objective, t_hat and both gradients
     rng = np.random.default_rng(5)
-    t = 0.0 if pinned else 0.4
-    step = math.sqrt(np.finfo(float).eps)  # SLSQP's default absolute step
+    h = 1e-6
     checked = 0
-    for k in range(1, 4):
-        for l in range(k + 1):
+    for k in range(1, 5):
+        for l in range(1 if pinned else 0, k + 1):
             if not solver._free_slots(k, l, p, pinned):
                 continue
             X = _population(rng, k, l, p, pinned, rows=8)
-            # from 2**27 up the step sqrt(eps) can be lost in x + h, which
-            # takes scipy's fallback step, for either sign of x
-            X[4, 1] = 2.0 ** 28 + 0.5
-            X[5, -1] = -(2.0 ** 27 + 1.0)
-            parts = solver._evaluator(p, k, l, t, pinned)
-            grads = solver._stencil(parts, p, k, l, t, pinned)
+            J, t_hat, dJ, dt = solver._objective_batch(p, k, pinned, X, l, grad=True)
+            smooth = np.ones(len(X), dtype=bool)
+            if l and not pinned:
+                smooth[2:4] = False
+                assert not (J[2:4].any() or t_hat[2:4].any() or dJ[2:4].any() or dt[2:4].any())
+            if pinned:
+                assert not dt.any()
+            for i in range(X.shape[1]):
+                shift = h * (np.arange(X.shape[1]) == i)
+                Jp, tp = solver._objective_batch(p, k, pinned, X[smooth] + shift, l)
+                Jm, tm = solver._objective_batch(p, k, pinned, X[smooth] - shift, l)
+                for ref, got in (((Jp - Jm) / (2 * h), dJ[smooth, i]), ((tp - tm) / (2 * h), dt[smooth, i])):
+                    assert np.abs(ref - got).max() <= 1e-7 * max(1.0, np.abs(got).max()), (k, l, i)
+            checked += smooth.sum()
+    assert checked >= 40
 
-            def objective(x):
-                return -parts(x)[0]
 
-            def constraint(x):
-                return parts(x)[1] - t
+def _mp_objective(p, k, l, pinned, x):
+    """(objective, t_hat) at x from _mp_parts, at the working precision."""
+    lams = [mpmath.mpc(0)] * k
+    for j in range(len(x) // 2):
+        lams[int(pinned) + j] = mpmath.sin(x[2 * j]) ** 2 * mpmath.expj(x[2 * j + 1])
+    g0, ak, nrm = _mp_parts(p, lams, l)
+    if pinned:
+        return abs(ak) / nrm, mpmath.mpf(0)
+    return mpmath.re(mpmath.conj(g0) * ak) / (abs(g0) * nrm), abs(g0) / nrm
 
-            for x in X:
-                obj, con = grads(x)
-                ref = approx_derivative(objective, x, method="2-point", abs_step=step,
-                                        f0=objective(x))
-                assert np.array_equal(obj, ref), (k, l, x)
-                if not pinned:
-                    ref = approx_derivative(constraint, x, method="2-point", abs_step=step)
-                    assert np.array_equal(con, ref), (k, l, x)
-                checked += 1
-    assert checked >= 24
+
+@pytest.mark.parametrize("p", [0.3, 1.0, math.inf])
+def test_exact_gradient_matches_a_30_digit_oracle(p):
+    rng = np.random.default_rng(9)
+    checked = 0
+    for pinned in (False, True):
+        for k in (2, 3):
+            for l in range(1 if pinned else 0, k + 1):
+                if not solver._free_slots(k, l, p, pinned):
+                    continue
+                # two rows away from _population's special ones
+                X = _population(rng, k, l, p, pinned, rows=6)[4:]
+                _, _, dJ, dt = solver._objective_batch(p, k, pinned, X, l, grad=True)
+                for x, gJ, gt in zip(X, dJ, dt):
+                    with mpmath.workdps(30):
+                        point = [mpmath.mpf(v) for v in x.tolist()]
+                        for i in range(len(point)):
+                            order = tuple(int(j == i) for j in range(len(point)))
+                            for part, got in ((0, gJ[i]), (1, gt[i])):
+                                ref = mpmath.diff(lambda *v: _mp_objective(p, k, l, pinned, v)[part],
+                                                  point, order)
+                                assert abs(got - float(ref)) <= 1e-12 * max(1.0, abs(got)), (k, l, i, part)
+                    checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_merged_polish_matches_each_zero_count_alone(p, pinned):
+    # the solver's starts of every zero count with the same free dimension
+    # polished in one lockstep SQP, against each count's starts polished by
+    # themselves: every row ends on the same bytes
+    t = 0.0 if pinned else 0.4
+    merged = feasible = 0
+    for k in range(1, 4):
+        cfg = SolveConfig(k=k, p=p, t=t, starts=4)
+        groups = {}
+        for l in range(1 if pinned else 0, k + 1):
+            dim = 2 * len(solver._free_slots(k, l, p, pinned))
+            if dim:
+                groups.setdefault(dim, []).append((l, np.array(solver._starts(cfg, l, dim))))
+        for dim, members in groups.items():
+            counts = np.concatenate([np.full(len(x0s), l) for l, x0s in members])
+            found = solver._polish(cfg, np.concatenate([x0s for _, x0s in members]), counts)
+            at = 0
+            for l, x0s in members:
+                alone = solver._polish(cfg, x0s, np.full(len(x0s), l))
+                assert repr(found[at:at + len(x0s)]) == repr(alone), (k, l)
+                at += len(x0s)
+            merged += len(members) > 1
+            feasible += sum(row is not None for row in found)
+    # at p = inf the free dimension grows with l, so no two counts merge
+    assert merged == (0 if p == math.inf else 3 - pinned)
+    assert feasible >= 10
 
 
 @pytest.mark.parametrize("t", [0.5, 0.0])
-def test_polish_matches_scipy_finite_differences(monkeypatch, t):
-    # every leader's SLSQP run with the stencil against the same run with
-    # scipy's own finite differences on a fresh _evaluator of its zero count
+def test_polish_ends_at_kkt_points(monkeypatch, t):
+    # every leader the SQP reports converged meets the constraint to
+    # _POLISH_FTOL, where the gradient of the objective along the constraint
+    # (all of it, pinned) vanishes to the accuracy the stopping test allows
     cfg = SolveConfig(k=2, p=0.5, t=t, starts=32)
-    pinned = t == 0.0
-    polish_count = solver._polish
+    lockstep = solver._sqp_lockstep
     runs = []
-    fresh = {}
 
-    def polish_fresh(cfg, l, *args):
-        fresh["parts"] = solver._evaluator(cfg.p, cfg.k, l, t, pinned)
-        return polish_count(cfg, l, *args)
+    def recorded(fun, x0s, constrained, **kwargs):
+        out = lockstep(fun, x0s, constrained, **kwargs)
+        runs.append((fun, constrained, out))
+        return out
 
-    def polish(fun, x0, jac, constraints, **kwargs):
-        parts = fresh["parts"]
-        cons = () if pinned else [{"type": "eq", "fun": lambda x: parts(x)[1] - t}]
-        res = minimize(fun, x0, jac=jac, constraints=constraints, **kwargs)
-        ref = minimize(lambda x: -parts(x)[0], x0, constraints=cons, **kwargs)
-        runs.append((res, ref))
-        return res
-
-    monkeypatch.setattr(solver, "_polish", polish_fresh)
-    monkeypatch.setattr(solver, "minimize", polish)
+    monkeypatch.setattr(solver, "_sqp_lockstep", recorded)
     maximize_phik(cfg)
-    assert len(runs) >= 16
-    for res, ref in runs:
-        assert res.x.tobytes() == ref.x.tobytes()
-        assert (res.nit, res.status) == (ref.nit, ref.status)
+    (fun, constrained, (x, f, c, conv)), = runs
+    assert constrained == (t > 0)
+    assert len(x) >= 16 and conv.sum() >= 12
+    _, _, gf, gc = fun(x[conv], np.nonzero(conv)[0], grad=True)
+    if constrained:
+        assert (np.abs(c[conv]) < solver._POLISH_FTOL).all()
+        gf = gf - ((gf * gc).sum(axis=1) / (gc * gc).sum(axis=1))[:, None] * gc
+    assert np.abs(gf).max() < 1e-4
