@@ -459,7 +459,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         total = total + a[..., j] * b[..., j]
     return total
 
-def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool, maxiter: int = 200):
+def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     """min f subject to c = 0 from every row of x0s at once; returns x, f, c, converged.
 
     fun maps an (m, dim) array of points, and the index of the start each
@@ -475,12 +475,13 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool, maxiter: int = 200):
     * the line search backtracks by halves to sufficient decrease; where
       the full step fails, its second-order correction back onto the
       constraint along a bends the search to the arc
-      x + alpha step + alpha^2 correction (their section 15.5, the Maratos
+      x + alpha step + alpha^2 correction (their remedy for the Maratos
       effect);
     * B is updated by damped BFGS (Procedure 18.2) from B = I.
     A start converges on SLSQP's test, |f change| < _POLISH_FTOL and
-    |c| < _POLISH_FTOL, and stops unconverged after maxiter steps, where
-    its line search fails or where grad c vanishes (SLSQP's status 8 and 7).
+    |c| < _POLISH_FTOL.  It stops unconverged after 200 steps (SLSQP's
+    maxiter in the polish this replaced), where its line search fails, or
+    where grad c vanishes (SLSQP's status 8 and 7).
     Every operation is elementwise over the starts, and the batched KKT
     solve factors each matrix alone, so each row is what it would be alone.
     """
@@ -491,7 +492,7 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool, maxiter: int = 200):
     x_out, f_out, c_out, conv_out = x.copy(), f.copy(), c.copy(), np.zeros(n, dtype=bool)
     B = np.tile(np.eye(dim), (n, 1, 1))
     mu = np.zeros(n)
-    for _ in range(maxiter):
+    for _ in range(200):
         if constrained:
             # grad c vanishes where no step of a radian moves c by a rounding
             # unit of t_hat <= 1: the |g0| guard, an overflowed norm, and
