@@ -447,8 +447,9 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
 # ---------------------------------------------------------------------------
 
 # the sufficient-decrease fraction of the polish's line search, and its most
-# step halvings, as many as SLSQP's line search takes
-_LS_ETA, _LS_CUTS = 1e-4, 10
+# step halvings: from a learned B as many as SLSQP's line search takes, and
+# from B = I, whose scale can be far off (tiny p), more
+_LS_ETA, _LS_CUTS, _LS_CUTS_FROM_I = 1e-4, 10, 30
 _EPS = np.finfo(float).eps
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -477,11 +478,13 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
       constraint along a bends the search to the arc
       x + alpha step + alpha^2 correction (their remedy for the Maratos
       effect);
-    * B is updated by damped BFGS (Procedure 18.2) from B = I.
+    * B is updated by damped BFGS (Procedure 18.2) from B = I, and starts
+      again from I, once, where the line search fails on a learned B.
     A start converges on SLSQP's test, |f change| < _POLISH_FTOL and
     |c| < _POLISH_FTOL.  It stops unconverged after 200 steps (SLSQP's
-    maxiter in the polish this replaced), where its line search fails, or
-    where grad c vanishes (SLSQP's status 8 and 7).
+    maxiter in the polish this replaced), where its line search fails
+    from B = I or after the restart, or where grad c vanishes (SLSQP's
+    status 8 and 7).
     Every operation is elementwise over the starts, and the batched KKT
     solve factors each matrix alone, so each row is what it would be alone.
     """
@@ -491,6 +494,8 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     f, c, gf, gc = fun(x, rows, grad=True)
     x_out, f_out, c_out, conv_out = x.copy(), f.copy(), c.copy(), np.zeros(n, dtype=bool)
     B = np.tile(np.eye(dim), (n, 1, 1))
+    fresh = np.ones(n, dtype=bool)  # B = I
+    spare = np.ones(n, dtype=bool)  # B may still start again from I
     mu = np.zeros(n)
     for _ in range(200):
         if constrained:
@@ -499,7 +504,8 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
             # points where t_hat underflows
             out = ~(_dot(gc, gc) > _EPS * _EPS)
             x_out[rows[out]], f_out[rows[out]], c_out[rows[out]] = x[out], f[out], c[out]
-            rows, x, f, c, gf, gc, B, mu = (v[~out] for v in (rows, x, f, c, gf, gc, B, mu))
+            rows, x, f, c, gf, gc, B, fresh, spare, mu = (
+                v[~out] for v in (rows, x, f, c, gf, gc, B, fresh, spare, mu))
         m = rows.size
         if not m:
             break
@@ -522,7 +528,7 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
         alpha, corr = np.ones(m), np.zeros((m, dim))
         x_new, f_new, c_new, moved = x.copy(), f.copy(), c.copy(), np.zeros(m, dtype=bool)
         trial = np.arange(m)
-        for cut in range(_LS_CUTS + 1):
+        for cut in range(_LS_CUTS_FROM_I + 1):
             a = alpha[trial, None]
             xt = x[trial] + a * step[trial] + a * a * corr[trial]
             ft, ct = fun(xt, rows[trial])
@@ -531,6 +537,8 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
                   <= _LS_ETA * alpha[trial] * descent[trial] + 4 * _EPS * np.abs(merit[trial]))
             x_new[trial[ok]], f_new[trial[ok]], c_new[trial[ok]], moved[trial[ok]] = xt[ok], ft[ok], ct[ok], True
             trial, ct = trial[~ok], ct[~ok]
+            keep = fresh[trial] | (cut < _LS_CUTS)
+            trial, ct = trial[keep], ct[keep]
             if not trial.size:
                 break
             if constrained and cut == 0:
@@ -539,11 +547,15 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
                 alpha[trial] *= 0.5
 
         conv = moved & (np.abs(f_new - f) < _POLISH_FTOL) & (np.abs(c_new) < _POLISH_FTOL)
-        stop = ~moved | conv
+        stop = (~moved & (fresh | ~spare)) | conv
+        again = ~moved & ~stop
+        B[again] = np.eye(dim)
+        fresh |= again
+        spare &= ~again
         x_out[rows[stop]], f_out[rows[stop]], c_out[rows[stop]] = x_new[stop], f_new[stop], c_new[stop]
         conv_out[rows[stop]] = conv[stop]
-        rows, x, x_new, f, c, gf, gc, B, mu, mult = (
-            v[~stop] for v in (rows, x, x_new, f, c, gf, gc, B, mu, mult))
+        rows, x, x_new, f, c, gf, gc, B, fresh, spare, mu, mult = (
+            v[~stop] for v in (rows, x, x_new, f, c, gf, gc, B, fresh, spare, mu, mult))
         if not rows.size:
             break
         f, c, gf_new, gc_new = fun(x_new, rows, grad=True)
@@ -561,6 +573,7 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
                                         out=np.zeros_like(B), where=upd)
                      + np.divide(r[:, :, None] * r[:, None, :], sr[:, None, None],
                                  out=np.zeros_like(B), where=upd), B)
+        fresh &= ~upd[:, 0, 0]
         x, gf, gc = x_new, gf_new, gc_new
     x_out[rows], f_out[rows], c_out[rows] = x, f, c
     return x_out, f_out, c_out, conv_out

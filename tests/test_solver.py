@@ -740,6 +740,17 @@ def test_merged_polish_matches_each_zero_count_alone(p, pinned):
     assert feasible >= 10
 
 
+@pytest.mark.parametrize("k, p, t", [(2, 0.0168261370424421, 0.3981608154465375),
+                                     (2, 0.0032542507601116023, 0.8240017986428428)])
+def test_polish_restarts_a_failed_line_search_at_tiny_p(k, p, t):
+    # at tiny p a learned B can point the line search nowhere within 10
+    # halvings; starting again from B = I reaches the constraint here, where
+    # no leader is feasible otherwise
+    sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
+    assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
+    assert sol.value >= phi1(p, t).value - 1e-6
+
+
 @pytest.mark.parametrize("t", [0.5, 0.0])
 def test_polish_ends_at_kkt_points(monkeypatch, t):
     # every leader the SQP reports converged meets the constraint to
