@@ -832,27 +832,41 @@ def _effective(lams, l: int):
     moved = [lam for lam in lams[:l] if abs(lam) >= 1.0 - _UNIT_SNAP]
     return interior + moved + list(lams[l:]), len(interior)
 
-def _sorted_key(lams):
-    # order on a grid coarser than optimizer noise (~1e-8) so that the
-    # canonical ordering of a converged configuration does not depend on
-    # the sign of that noise; ties fall through to the next component
-    return sorted(lams, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+def _pairs_off(a, b) -> bool:
+    """Whether the lambdas a and b pair off one to one within _CLUSTER_DIST_TOL.
 
-def _param_dist(a_lams, a_l, b_lams, b_l, k: int) -> float:
+    A perfect matching of the pairs within the tolerance, grown by
+    augmenting paths (Kuhn), O(len(a)^3); the lambdas' order plays no part.
+    """
+    near = [[j for j, y in enumerate(b) if abs(x - y) <= _CLUSTER_DIST_TOL] for x in a]
+    owner = [None] * len(b)
+
+    def augment(i, seen):
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] is None or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    # a lambda left unmatched now stays unmatched as the matching grows
+    return all(augment(i, set()) for i in range(len(a)))
+
+def _same_configuration(a_lams, a_l, b_lams, b_l, k: int) -> bool:
+    """Whether a and b agree, up to a k-th-root rotation, in each block.
+
+    The blocks are the l zero lambdas and the outer ones; within a block
+    the lambdas match as a set.
+    """
     if a_l != b_l:
-        return math.inf
-    best = math.inf
-    bp = _sorted_key(b_lams[:b_l])
-    bs = _sorted_key(b_lams[b_l:])
+        return False
     for m in range(k):
         rot = complex(math.cos(2 * math.pi * m / k), -math.sin(2 * math.pi * m / k))
-        ap = _sorted_key([z * rot for z in a_lams[:a_l]])
-        asf = _sorted_key([z * rot for z in a_lams[a_l:]])
-        d = 0.0
-        for x, y in zip(ap + asf, bp + bs):
-            d = max(d, abs(x - y))
-        best = min(best, d)
-    return best
+        turned = [z * rot for z in a_lams]
+        if _pairs_off(turned[:a_l], b_lams[:b_l]) and _pairs_off(turned[a_l:], b_lams[b_l:]):
+            return True
+    return False
 
 def _count_clusters(cands, best_value: float, k: int) -> int:
     reps = []
@@ -860,7 +874,7 @@ def _count_clusters(cands, best_value: float, k: int) -> int:
         if J < best_value - _CLUSTER_VALUE_TOL:
             continue
         for r_lams, r_l in reps:
-            if _param_dist(lams, l_eff, r_lams, r_l, k) <= _CLUSTER_DIST_TOL:
+            if _same_configuration(lams, l_eff, r_lams, r_l, k):
                 break
         else:
             reps.append((lams, l_eff))

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -93,6 +94,45 @@ def test_p_one_degenerate_plateau():
     sol = maximize_phik(SolveConfig(k=2, p=1.0, t=0.3))
     assert sol.value == pytest.approx(1.0, abs=1e-6)
     assert sol.cluster_count >= 2
+
+
+def test_clusters_ignore_the_order_of_the_lambdas():
+    # a conjugate pair whose real parts straddle the 1e-6 rounding boundary
+    # 0.3000005, so that an order by rounded real parts flips between the
+    # two polishes of one configuration
+    a = [0.30000049 + 0.5j, 0.30000051 - 0.5j]
+    b = [0.30000051 + 0.5j, 0.30000049 - 0.5j]
+    for l in (0, 2):
+        assert solver._count_clusters([(1.0, a, l), (1.0, b, l)], 1.0, 2) == 1
+    # a half turn maps the pair onto itself turned; a different set, a
+    # different zero count or a lower value is not the same configuration
+    turned = [-z for z in b]
+    moved = [0.3 + 0.5j, 0.3 - 0.4j]
+    assert solver._count_clusters([(1.0, a, 2), (1.0, turned, 2)], 1.0, 2) == 1
+    assert solver._count_clusters([(1.0, a, 2), (1.0, moved, 2)], 1.0, 2) == 2
+    assert solver._count_clusters([(1.0, a, 2), (1.0, b, 1)], 1.0, 2) == 2
+    assert solver._count_clusters([(1.0, a, 2), (0.9, moved, 2)], 1.0, 2) == 1
+
+
+def test_cluster_comparison_at_k6_is_fast():
+    rng = np.random.default_rng(3)
+    k = 6
+    a = list(0.5 * rng.standard_normal(k) + 0.5j * rng.standard_normal(k))
+    l = 3
+    # each block permuted and turned by the last k-th root, which the
+    # comparison tries last; then one lambda moved, so that no rotation fits
+    rot = complex(math.cos(2 * math.pi / k), math.sin(2 * math.pi / k))
+    order = np.concatenate((rng.permutation(l), l + rng.permutation(k - l)))
+    b = [a[i] * rot for i in order]
+    c = b[:-1] + [b[-1] + 0.01]
+    for other, same in ((b, True), (c, False)):
+        best = math.inf
+        for _ in range(20):
+            start = time.perf_counter()
+            got = solver._same_configuration(a, l, other, l, k)
+            best = min(best, time.perf_counter() - start)
+        assert got is same
+        assert best < 5e-4, best
 
 
 def test_same_seed_same_answer():
