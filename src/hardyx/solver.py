@@ -41,7 +41,11 @@ rules for each start, and evaluates the penalty for all of its trial points
 in one complex array pass, each row with its own zero count
 (_series_batch).  That pass agrees with the scalar series to about 1e-15
 of the terms' size, not bit for bit, and no row's result depends on the
-other rows.  One sequential quadratic programming polish then enforces the
+other rows.  Each start has 50 penalty evaluations per free coordinate
+(_EXPLORE_FEV_PER_DIM), enough to pick its basin: near the feasible set
+the penalty has a kink along t_hat = t, which a simplex follows only
+slowly, and the polish does that constrained descent on exact gradients.
+One sequential quadratic programming polish then enforces the
 constraint on the leaders of every count of the population in lockstep,
 each iteration evaluating the objective, t_hat and their exact gradients
 for all of its rows in one pass of the same kernel; the series are finite
@@ -344,6 +348,9 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
 # initial-simplex steps of scipy's Nelder-Mead
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+# the explore's evaluations per start and free coordinate: enough to pick a
+# start's basin, which the polish finishes (module docstring)
+_EXPLORE_FEV_PER_DIM = 50
 
 def _nm_sort(sim, fsim):
     # np.argsort's default kind, as in scipy: it is not stable on every
@@ -798,7 +805,7 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
         ends, fends, _ = _nelder_mead_lockstep(
             lambda X, starts: penalized(X, counts[starts]),
             np.array([x0 for _, x0s in members for x0 in x0s]),
-            xatol=1e-4, fatol=1e-8, maxfev=140 * dim,
+            xatol=1e-4, fatol=1e-8, maxfev=_EXPLORE_FEV_PER_DIM * dim,
         )
         # each count's 8 best ends, and up to 16 within 1e-4 of its best
         leaders, owners = [], []

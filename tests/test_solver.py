@@ -570,7 +570,9 @@ def _replica_cases():
         x0s = solver._warm_starts(p, k, l, t, pinned)
         x0s += [np.column_stack([rng.uniform(0, math.pi / 2, dim // 2),
                                  rng.uniform(0, 2 * math.pi, dim // 2)]).ravel() for _ in range(10)]
-        yield _scalar_penalty(p, k, l, t, pinned), x0s, 140 * dim
+        # the explore's budget, and the 140 dim it had before the exact polish
+        for per_dim in (solver._EXPLORE_FEV_PER_DIM, 140):
+            yield _scalar_penalty(p, k, l, t, pinned), x0s, per_dim * dim
     # small budgets cut starts off in every phase of a step, shrinks included
     for dim in (2, 3, 5):
         x0s = [rng.uniform(-2, 2, dim) for _ in range(6)] + [np.zeros(dim)]
@@ -600,7 +602,8 @@ def test_lockstep_nelder_mead_replicates_scipy():
 
 
 def _explore(fun, x0s, dim):
-    return solver._nelder_mead_lockstep(fun, x0s, xatol=1e-4, fatol=1e-8, maxfev=140 * dim)
+    return solver._nelder_mead_lockstep(fun, x0s, xatol=1e-4, fatol=1e-8,
+                                        maxfev=solver._EXPLORE_FEV_PER_DIM * dim)
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
@@ -677,6 +680,19 @@ def test_solve_explores_its_zero_counts_in_one_population(monkeypatch):
         at += len(block)
     assert at == len(x0s)
     assert merged_calls[0] <= alone_calls / 2, (merged_calls, alone_calls)
+
+
+@pytest.mark.parametrize("k,p,t", [(2, 0.5, 0.3), (2, 0.5, 0.6), (3, 0.5, 0.5), (2, 1.0, 0.2),
+                                   (2, INF, 0.78)])
+def test_explore_budget_leaves_the_answer(monkeypatch, k, p, t):
+    # the explore only picks basins, and the polish finishes them: its
+    # budget of 140 dim before the exact polish gives the same answer
+    cfg = SolveConfig(k=k, p=p, t=t, starts=32)
+    sol = maximize_phik(cfg)
+    monkeypatch.setattr(solver, "_EXPLORE_FEV_PER_DIM", 140)
+    ref = maximize_phik(cfg)
+    assert abs(sol.value - ref.value) <= 1e-9, (sol.value, ref.value)
+    assert sol.l_used == ref.l_used
 
 
 # ---------------------------------------------------------------------------
