@@ -104,8 +104,8 @@ def test_clusters_ignore_the_order_of_the_lambdas():
     b = [0.30000051 + 0.5j, 0.30000049 - 0.5j]
     for l in (0, 2):
         assert solver._count_clusters([(1.0, a, l), (1.0, b, l)], 1.0, 2) == 1
-    # a half turn maps the pair onto itself turned; a different set, a
-    # different zero count or a lower value is not the same configuration
+    # turned by the other square root of 1 it is the same configuration; a
+    # different set, zero count or lower value is not
     turned = [-z for z in b]
     moved = [0.3 + 0.5j, 0.3 - 0.4j]
     assert solver._count_clusters([(1.0, a, 2), (1.0, turned, 2)], 1.0, 2) == 1
