@@ -37,21 +37,24 @@ and none of these bounds applies.
 Simplex descent on an exact penalty explores every zero count of a solve
 at once: one Nelder-Mead advances the starts of all counts with the same
 free dimension (every count for finite p) in lockstep, following scipy's
-rules for each start, and evaluates the penalty for all of its trial points
-in one complex array pass, each row with its own zero count
-(_series_batch).  That pass agrees with the scalar series to about 1e-15
-of the terms' size, not bit for bit, and no row's result depends on the
-other rows.  Each start has 50 penalty evaluations per free coordinate
-(_EXPLORE_FEV_PER_DIM), enough to pick its basin: near the feasible set
-the penalty has a kink along t_hat = t, which a simplex follows only
-slowly, and the polish does that constrained descent on exact gradients.
-One sequential quadratic programming polish then enforces the
-constraint on the leaders of every count of the population in lockstep,
-each iteration evaluating the objective, t_hat and their exact gradients
-for all of its rows in one pass of the same kernel; the series are finite
-in lam and conj(lam), so the derivatives are too (_series_batch,
-_objective_batch).  The returned solution is re-measured through
-hardy_norm and taylor_coeff as an independent consistency check.
+rules for each start, and evaluates the penalty in one complex array pass,
+each row with its own zero count (_series_batch).  That pass agrees with
+the scalar series to about 1e-15 of the terms' size, not bit for bit, and
+no row's result depends on the other rows.  So one pass per step holds the
+reflection and all three second trials of every start, and each start
+takes the values scipy would evaluate, to the bit.  Each start has 50
+penalty evaluations per free coordinate (_EXPLORE_FEV_PER_DIM), enough to
+pick its basin: near the feasible set the penalty has a kink along
+t_hat = t, which a simplex follows only slowly, and the polish does that
+constrained descent on exact gradients.  One sequential quadratic
+programming polish then enforces the constraint on the leaders of every
+count of the population in lockstep, each iteration evaluating the
+objective, t_hat and their exact gradients for all of its rows in one pass
+of the same kernel; the series are finite in lam and conj(lam), so the
+derivatives are too (_series_batch, _objective_batch).  Its line search is
+at most two passes: the full step, then every halving of the rows that
+step fails, all fixed by then.  The returned solution is re-measured
+through hardy_norm and taylor_coeff as an independent consistency check.
 """
 
 from __future__ import annotations
@@ -159,12 +162,13 @@ class ExtremalSolution:
     per_l_values: dict
 
     def __post_init__(self):
-        if self.norm_residual >= 1e-7:
-            raise SolverError(f"norm residual {self.norm_residual} exceeds 1e-7")
-        if self.t_residual >= 1e-9:
-            raise SolverError(f"t residual {self.t_residual} exceeds 1e-9")
-        if self.value < 0:
-            raise SolverError(f"negative extremal value {self.value}")
+        # a NaN fails each test
+        if not (self.norm_residual < 1e-7):
+            raise SolverError(f"norm residual {self.norm_residual} is not below 1e-7")
+        if not (self.t_residual < 1e-9):
+            raise SolverError(f"t residual {self.t_residual} is not below 1e-9")
+        if not (self.value >= 0):
+            raise SolverError(f"extremal value {self.value} is not >= 0")
 
 
 @dataclass(frozen=True)
@@ -344,10 +348,11 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
 # lockstep Nelder-Mead
 # ---------------------------------------------------------------------------
 
-# the reflection, expansion, contraction and shrink coefficients and the
-# initial-simplex steps of scipy's Nelder-Mead
-_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
-_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+# scipy's Nelder-Mead: the reflection, expansion, outside and inside
+# contraction a xbar + c worst (scipy's a xbar - |c| worst, the same double:
+# a - b == a + (-b)), the shrink coefficient and the initial-simplex steps
+_NM_TRIAL_A, _NM_TRIAL_C = np.array([2, 3, 1.5, 0.5]), np.array([-1, -2, -0.5, 0.5])
+_NM_SIGMA, _NM_NONZDELT, _NM_ZDELT = 0.5, 0.05, 0.00025
 # the explore's evaluations per start and free coordinate: enough to pick a
 # start's basin, which the polish finishes (module docstring)
 _EXPLORE_FEV_PER_DIM = 50
@@ -368,18 +373,18 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
     fatol and maxfev (> dim): the same initial simplex, coefficients,
     sorts and stopping test, and an expansion, contraction or shrink cut off
     where the start runs out of evaluations.  So each row of the result is
-    what scipy returns for that start alone.
+    what scipy returns for that start alone, where no value of fun depends
+    on the other points of its call: fun is called once for the initial
+    simplices, once per step on the reflection and all three second trials
+    of every start, and once per step in which a start shrinks, and nfev
+    counts only the points scipy evaluates.
     """
-    rho, chi, psi, sigma = _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA
     n, N = x0s.shape
     sim = np.repeat(x0s[:, None, :], N + 1, axis=1)
     for j in range(N):
         y = x0s[:, j]
         sim[:, j + 1, j] = np.where(y != 0, (1 + _NM_NONZDELT) * y, _NM_ZDELT)
-    # one call per vertex, no larger than a step's call
-    fsim = np.empty((n, N + 1))
-    for j in range(N + 1):
-        fsim[:, j] = fun(sim[:, j], np.arange(n))
+    fsim = fun(sim.reshape(-1, N), np.repeat(np.arange(n), N + 1)).reshape(n, N + 1)
     # scipy sorts twice before its first step; with an unstable sort the
     # second pass can reorder ties
     sim, fsim = _nm_sort(*_nm_sort(sim, fsim))
@@ -388,10 +393,12 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
     x_out, f_out, nfev_out = np.empty((n, N)), np.empty(n), np.empty(n, dtype=int)
     rows = np.arange(n)  # the starts still running, in population order
     while rows.size:
-        done = (nfev >= maxfev) | (
-            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
-        )
+        done = nfev >= maxfev
+        # the vertex spread only where the values pass: nearly every start
+        # runs to its cap
+        flat = ~done & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
+        if flat.any():
+            done[flat] = np.abs(sim[flat, 1:] - sim[flat, :1]).max(axis=(1, 2)) <= xatol
         if done.any():
             x_out[rows[done]] = sim[done, 0]
             f_out[rows[done]] = fsim[done].min(axis=1)
@@ -402,46 +409,36 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
                 break
 
         xbar = np.add.reduce(sim[:, :-1], axis=1) / N
-        worst, f_worst = sim[:, -1], fsim[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = fun(xr, rows)
+        trial = _NM_TRIAL_A[:, None] * xbar[:, None] + _NM_TRIAL_C[:, None] * sim[:, -1:]
+        ftrial = fun(trial.reshape(-1, N), np.repeat(rows, 4)).reshape(-1, 4)
+        fxr = ftrial[:, 0]
         nfev += 1
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~reflect & (fxr < f_worst)
-        # the second trial point, while the start has evaluations left: the
-        # expansion (1 + rho chi) xbar - rho chi worst, the outside
-        # contraction (1 + psi rho) xbar - psi rho worst, or the inside
-        # contraction (1 - psi) xbar + psi worst, each rounded as in scipy
-        a = np.where(expand, 1 + rho * chi, np.where(outside, 1 + psi * rho, 1 - psi))
-        c = np.where(expand, -(rho * chi), np.where(outside, -(psi * rho), psi))
-        x2 = a[:, None] * xbar + c[:, None] * worst
-        tried = ~reflect & (nfev < maxfev)
-        f2 = np.full(rows.size, np.nan)
-        if tried.any():
-            f2[tried] = fun(x2[tried], rows[tried])
+        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+        # scipy's second trial: the expansion, outside or inside contraction
+        second = 3 - 2 * expand - outside
+        f2 = ftrial[np.arange(rows.size), second]
+        tried = ~reflect & (nfev < maxfev)  # while the start has evaluations left
         nfev += tried
-        better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < f_worst))
+        better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
         take_2 = tried & better
-        take_r = reflect | (tried & expand & ~better)
         shrink = tried & ~expand & ~better
-        sim[:, -1] = np.where(take_2[:, None], x2, np.where(take_r[:, None], xr, worst))
-        fsim[:, -1] = np.where(take_2, f2, np.where(take_r, fxr, f_worst))
+        swap = np.nonzero(take_2 | reflect | (tried & expand))[0]
+        pick = np.where(take_2, second, 0)[swap]
+        sim[swap, -1], fsim[swap, -1] = trial[swap, pick], ftrial[swap, pick]
 
         if shrink.any():
             s = np.nonzero(shrink)[0]
             ssim, sf = sim[s], fsim[s]
-            moved = ssim[:, :1] + sigma * (ssim[:, 1:] - ssim[:, :1])
+            moved = ssim[:, :1] + _NM_SIGMA * (ssim[:, 1:] - ssim[:, :1])
             # scipy moves vertex j, then evaluates it; the vertex at which a
             # start runs out is moved but keeps its old value
-            left = (maxfev - nfev[s])[:, None]
-            vertex = np.arange(1, N + 1)
-            evaluated = vertex <= left
-            relocated = vertex <= left + 1
+            room = (maxfev - nfev[s])[:, None] - np.arange(1, N + 1)
+            evaluated, relocated = room >= 0, room >= -1
             ssim[:, 1:][relocated] = moved[relocated]
             if evaluated.any():
-                owner = np.broadcast_to(rows[s][:, None], evaluated.shape)
-                sf[:, 1:][evaluated] = fun(moved[evaluated], owner[evaluated])
+                sf[:, 1:][evaluated] = fun(moved[evaluated], np.repeat(rows[s], evaluated.sum(axis=1)))
             sim[s], fsim[s] = ssim, sf
             nfev[s] += evaluated.sum(axis=1)
 
@@ -484,7 +481,8 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
       the full step fails, its second-order correction back onto the
       constraint along a bends the search to the arc
       x + alpha step + alpha^2 correction (their remedy for the Maratos
-      effect);
+      effect), in two calls: the full step, then every halving of the rows
+      it fails, all fixed by the full step's c;
     * B is updated by damped BFGS (Procedure 18.2) from B = I, and starts
       again from I, once, where the line search fails on a learned B.
     A start converges on SLSQP's test, |f change| < _POLISH_FTOL and
@@ -493,7 +491,8 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     from B = I or after the restart, or where grad c vanishes (SLSQP's
     status 8 and 7).
     Every operation is elementwise over the starts, and the batched KKT
-    solve factors each matrix alone, so each row is what it would be alone.
+    solve factors each matrix alone, so each row is what it would be alone
+    where no value of fun depends on the other points of its call.
     """
     n, dim = x0s.shape
     rows = np.arange(n)  # the starts still running
@@ -532,26 +531,29 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
         mu = np.maximum(need, np.maximum(size, 0.5 * (mu + size)))
         merit, descent = f + mu * viol, slope - mu * viol
 
-        alpha, corr = np.ones(m), np.zeros((m, dim))
-        x_new, f_new, c_new, moved = x.copy(), f.copy(), c.copy(), np.zeros(m, dtype=bool)
-        trial = np.arange(m)
-        for cut in range(_LS_CUTS_FROM_I + 1):
-            a = alpha[trial, None]
-            xt = x[trial] + a * step[trial] + a * a * corr[trial]
-            ft, ct = fun(xt, rows[trial])
+        def attempt(at, a, corr):
+            # x + a step + a^2 corr for rows at, in one call; each row takes its first pass
+            xt = x[at] + a[:, None] * step[at] + (a * a)[:, None] * corr
+            ft, ct = fun(xt, rows[at])
             # a change within the rounding of the merit counts as none
-            ok = (ft + mu[trial] * np.abs(ct) - merit[trial]
-                  <= _LS_ETA * alpha[trial] * descent[trial] + 4 * _EPS * np.abs(merit[trial]))
-            x_new[trial[ok]], f_new[trial[ok]], c_new[trial[ok]], moved[trial[ok]] = xt[ok], ft[ok], ct[ok], True
-            trial, ct = trial[~ok], ct[~ok]
-            keep = fresh[trial] | (cut < _LS_CUTS)
-            trial, ct = trial[keep], ct[keep]
-            if not trial.size:
-                break
-            if constrained and cut == 0:
-                corr[trial] = -gc[trial] * (ct / _dot(gc[trial], gc[trial]))[:, None]
-            else:
-                alpha[trial] *= 0.5
+            ok = (ft + mu[at] * np.abs(ct) - merit[at]
+                  <= _LS_ETA * a * descent[at] + 4 * _EPS * np.abs(merit[at]))
+            won, first = np.unique(at[ok], return_index=True)
+            pick = np.nonzero(ok)[0][first]
+            x_new[won], f_new[won], c_new[won], moved[won] = xt[pick], ft[pick], ct[pick], True
+            return ct
+
+        x_new, f_new, c_new, moved = x.copy(), f.copy(), c.copy(), np.zeros(m, dtype=bool)
+        ct = attempt(np.arange(m), np.ones(m), np.zeros((m, dim)))
+        # the full step's c fixes every later trial of the rows it fails: with
+        # the correction, cut j is at alpha = 2^(1-j), and without, at 2^-j
+        fail = np.nonzero(~moved)[0]
+        if fail.size:
+            cuts = np.arange(1, _LS_CUTS_FROM_I + 1)
+            at, cut = np.nonzero(cuts <= np.where(fresh[fail], _LS_CUTS_FROM_I, _LS_CUTS)[:, None])
+            gcf = gc[fail]
+            corr = -gcf * (ct[fail] / _dot(gcf, gcf))[:, None] if constrained else np.zeros_like(gcf)
+            attempt(fail[at], np.ldexp(1.0, int(constrained) - cuts[cut]), corr[at])
 
         conv = moved & (np.abs(f_new - f) < _POLISH_FTOL) & (np.abs(c_new) < _POLISH_FTOL)
         stop = (~moved & (fresh | ~spare)) | conv
@@ -975,10 +977,8 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     best = _build_best(cfg, lams_eff, l_eff)
 
     value = float(_coeff_via_fft(best, k, J_win).real)
-    if abs(value - J_win) > _AGREE_TOL:
-        raise SolverError(
-            f"series/quadrature disagreement: {J_win} vs {value}"
-        )
+    if not (abs(value - J_win) <= _AGREE_TOL):  # a NaN fails
+        raise SolverError(f"series/quadrature disagreement: {J_win} vs {value}")
     if math.isinf(p):
         nrm_meas = norm_hinf(best)
     else:

@@ -561,6 +561,10 @@ def _quantised_rosenbrock(x):
     return math.floor(20 * sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2)) / 20
 
 
+def _rosenbrock_rows(X, starts):
+    return np.array([_quantised_rosenbrock(x) for x in X])
+
+
 def _replica_cases():
     rng = np.random.default_rng(11)
     # the solver's own penalty from its seeded starts; the pinned case shrinks
@@ -570,35 +574,89 @@ def _replica_cases():
         x0s = solver._warm_starts(p, k, l, t, pinned)
         x0s += [np.column_stack([rng.uniform(0, math.pi / 2, dim // 2),
                                  rng.uniform(0, 2 * math.pi, dim // 2)]).ravel() for _ in range(10)]
+        penalized = solver._penalized_batch(p, k, t, pinned)
         # the explore's budget, and the 140 dim it had before the exact polish
         for per_dim in (solver._EXPLORE_FEV_PER_DIM, 140):
-            yield _scalar_penalty(p, k, l, t, pinned), x0s, per_dim * dim
+            yield (lambda X, starts, l=l, penalized=penalized: penalized(X, l)), x0s, per_dim * dim
     # small budgets cut starts off in every phase of a step, shrinks included
     for dim in (2, 3, 5):
         x0s = [rng.uniform(-2, 2, dim) for _ in range(6)] + [np.zeros(dim)]
         for maxfev in (dim + 2, 23, 37, 61, 2000):
-            yield _quantised_rosenbrock, x0s, maxfev
+            yield _rosenbrock_rows, x0s, maxfev
+
+
+def _recorded(fun, memo, calls):
+    """fun, recording the rows of each call and each value under (start, x bytes)."""
+    def batch(X, starts):
+        calls.append(len(X))
+        values = fun(X, starts)
+        memo.update(zip(((s, x.tobytes()) for s, x in zip(starts.tolist(), X)), values.tolist()))
+        return values
+
+    return batch
+
+
+def _against_scipy(x0s, maxfev, out, memo, calls):
+    """Checks the lockstep's out against scipy from each row of x0s.
+
+    scipy reads its values from memo, so it may evaluate only points the
+    lockstep evaluated.  Returns scipy's results, and checks that the
+    lockstep called its objective once for the initial simplices, once per
+    step and once per step in which some start shrinks, by the evaluations
+    each scipy step made (more than two for a shrink, the last step perhaps
+    cut off).
+    """
+    xs, fun, nfev = out
+    results, steps = [], []
+    for i, x0 in enumerate(x0s):
+        seen, marks = [0], []
+
+        def f(x):
+            seen[0] += 1
+            assert (i, x.tobytes()) in memo, "scipy evaluates a point the lockstep did not"
+            return memo[i, x.tobytes()]
+
+        res = minimize(f, x0, method="Nelder-Mead", callback=lambda xk: marks.append(seen[0]),
+                       options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": maxfev})
+        assert np.array_equal(xs[i], res.x), (maxfev, i)
+        assert fun[i] == res.fun and nfev[i] == res.nfev, (maxfev, i)
+        results.append(res)
+        steps.append(np.diff([len(x0) + 1] + marks))
+    n = max(map(len, steps))
+    shrinks = sum(any(len(made) > j and made[j] > 2 for made in steps) for j in range(n))
+    assert calls[0] == len(x0s) * (len(x0s[0]) + 1) and len(calls) == 1 + n + shrinks, maxfev
+    return results, steps
 
 
 def test_lockstep_nelder_mead_replicates_scipy():
     exhausted = shrunk = 0
     for f, x0s, maxfev in _replica_cases():
-        # the batch objective calls the scalar one row by row, so both sides
-        # see bit-identical values
-        xs, fun, nfev = solver._nelder_mead_lockstep(
-            lambda X, starts: np.array([f(x) for x in X]), np.array(x0s),
-            xatol=1e-4, fatol=1e-8, maxfev=maxfev,
-        )
-        for i, x0 in enumerate(x0s):
-            res = minimize(f, x0, method="Nelder-Mead",
-                           options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": maxfev})
-            assert np.array_equal(xs[i], res.x), (maxfev, i)
-            assert fun[i] == res.fun and nfev[i] == res.nfev, (maxfev, i)
-            dim = len(x0)
-            exhausted += res.nfev >= maxfev
-            # a step costs 1 or 2 evaluations unless it shrinks
-            shrunk += res.nfev < maxfev and res.nfev > dim + 1 + 2 * (res.nit - 1)
+        memo, calls = {}, []
+        out = solver._nelder_mead_lockstep(_recorded(f, memo, calls), np.array(x0s),
+                                           xatol=1e-4, fatol=1e-8, maxfev=maxfev)
+        results, steps = _against_scipy(x0s, maxfev, out, memo, calls)
+        exhausted += sum(res.nfev >= maxfev for res in results)
+        shrunk += sum((made > 2).any() for made in steps)
     assert exhausted >= 10 and shrunk >= 10
+
+
+def test_solve_explore_makes_one_call_per_step(monkeypatch):
+    # a real solve's explore, every zero count in one population, against
+    # scipy from each start on the values of the solve's own calls
+    nelder_mead = solver._nelder_mead_lockstep
+    runs = []
+
+    def recorded(fun, x0s, **kwargs):
+        memo, calls = {}, []
+        out = nelder_mead(_recorded(fun, memo, calls), x0s, **kwargs)
+        runs.append((x0s, kwargs["maxfev"], out, memo, calls))
+        return out
+
+    monkeypatch.setattr(solver, "_nelder_mead_lockstep", recorded)
+    maximize_phik(SolveConfig(k=2, p=0.5, t=0.3, starts=8))
+    (x0s, maxfev, *rest), = runs
+    _, steps = _against_scipy(x0s, maxfev, *rest)
+    assert len(x0s) >= 20 and sum((made > 2).any() for made in steps) >= 1
 
 
 def _explore(fun, x0s, dim):
@@ -798,13 +856,47 @@ def test_merged_polish_matches_each_zero_count_alone(p, pinned):
 
 @pytest.mark.parametrize("k, p, t", [(2, 0.0168261370424421, 0.3981608154465375),
                                      (2, 0.0032542507601116023, 0.8240017986428428)])
-def test_polish_restarts_a_failed_line_search_at_tiny_p(k, p, t):
+def test_polish_restarts_a_failed_line_search_at_tiny_p(monkeypatch, k, p, t):
     # at tiny p a learned B can point the line search nowhere within 10
     # halvings; starting again from B = I reaches the constraint here, where
     # no leader is feasible otherwise
+    lockstep = solver._sqp_lockstep
+    searches = []  # the rows of each call of each line search
+
+    def recorded(fun, x0s, constrained):
+        def counted(X, rows, grad=False):
+            if grad:
+                searches.append([])
+            else:
+                searches[-1].append(len(X))
+            return fun(X, rows, grad)
+
+        return lockstep(counted, x0s, constrained)
+
+    monkeypatch.setattr(solver, "_sqp_lockstep", recorded)
     sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
     assert sol.value >= phi1(p, t).value - 1e-6
+    # each line search is the full step, then one call for every halving of
+    # the rows it fails, up to 30 from B = I
+    assert max(map(len, searches)) == 2
+    assert max(calls[1] for calls in searches if len(calls) == 2) >= solver._LS_CUTS_FROM_I
+
+
+@pytest.mark.parametrize("field", ["value", "norm_residual", "t_residual"])
+def test_nan_solution_fields_raise(field):
+    fields = dict(value=0.5, best=None, l_used=0, norm_residual=0.0, t_residual=0.0,
+                  cluster_count=1, per_l_values={})
+    ExtremalSolution(**fields)
+    with pytest.raises(SolverError):
+        ExtremalSolution(**{**fields, field: math.nan})
+
+
+def test_nan_cross_check_raises(monkeypatch):
+    # a NaN from the FFT cross-check disagrees with every series value
+    monkeypatch.setattr(solver, "_coeff_via_fft", lambda fn, k, series: complex(math.nan, 0.0))
+    with pytest.raises(SolverError, match="disagreement"):
+        maximize_phik(SolveConfig(k=2, p=0.5, t=0.3, starts=4))
 
 
 @pytest.mark.parametrize("t", [0.5, 0.0])
