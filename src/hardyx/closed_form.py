@@ -494,6 +494,5 @@ def appendix_functions(p: float, x: float) -> AppendixValues:
         0.5 * (2.0 - p)
     )
     i = 4.0 * (1.0 - p) / (1.0 + 2.0 * p - p * p) + math.log(p / (2.0 - p))
-    j = 1.0 - 2.0 * math.exp(p * L) + math.exp(2.0 * L)
     k = 2.0 - 2.0 * p + p * p - p ** p * (2.0 - p) ** (2.0 - p)
-    return AppendixValues(G_p=g, H=h, I=i, J_p=j, K=k)
+    return AppendixValues(G_p=g, H=h, I=i, J_p=_Jp_log(p, L), K=k)

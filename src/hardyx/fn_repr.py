@@ -23,6 +23,7 @@ Three concrete representations are used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,14 @@ class EvaluationError(ValueError):
     """Raised when a function cannot be evaluated where it was asked to be."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 @dataclass(frozen=True)
 class StructuredExtremal:
     """Product-form candidate extremal.
@@ -68,9 +77,11 @@ class StructuredExtremal:
         lams = tuple(complex(x) for x in self.lambdas)
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "scale", complex(self.scale))
+        if not all(map(_finite, (self.scale, *lams))):
+            raise ValueError("scale and lambdas must be finite")
         l = self.zero_count
-        if not (0 <= l <= len(lams)):
-            raise ValueError(f"zero_count {l} outside 0..{len(lams)}")
+        if not _is_int(l) or not (0 <= l <= len(lams)):
+            raise ValueError(f"zero_count {l!r} is not an integer in 0..{len(lams)}")
         for j in range(l):
             if abs(lams[j]) >= 1.0:
                 raise ValueError(
@@ -98,7 +109,7 @@ class PolyCoeffs:
         cs = tuple(complex(c) for c in self.coeffs)
         if len(cs) == 0:
             raise ValueError("at least one coefficient required")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in cs):
+        if not all(map(_finite, cs)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
 
@@ -236,8 +247,8 @@ def sample_boundary(f, n: int) -> BoundarySamples:
     Isolated non-finite values are replaced by a numerical two-sided limit
     when one exists; otherwise an EvaluationError is raised.
     """
-    if n < 4 or (n & (n - 1)) != 0:
-        raise ValueError(f"sample count {n} must be a power of two >= 4")
+    if not _is_int(n) or n < 4 or (n & (n - 1)) != 0:
+        raise ValueError(f"sample count {n!r} must be a power of two >= 4")
     vals = _eval_points(f, boundary_grid(n))
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -260,6 +271,6 @@ def taylor_coeff(s: BoundarySamples, n: int) -> complex:
     Exact for polynomials of degree < N; otherwise the result carries the
     usual aliasing of coefficients n + N, n + 2N, ...
     """
-    if not (0 <= n < s.n):
-        raise ValueError(f"coefficient index {n} outside 0..{s.n - 1}")
+    if not _is_int(n) or not (0 <= n < s.n):
+        raise ValueError(f"coefficient index {n!r} is not an integer in 0..{s.n - 1}")
     return complex(np.fft.fft(s.values)[n] / s.n)

@@ -143,6 +143,8 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
     count has grown eightfold from 1024 on without the estimate halving,
     QuadratureError names that floor rather than spending the whole budget.
     """
+    if not (rel_tol > 0):  # a NaN fails
+        raise ValueError(f"rel_tol must be positive (got {rel_tol!r})")
     breaks = sorted({0.0, _TWO_PI} | {float(s) % _TWO_PI for s in seeds})
     if breaks[0] > 0.0:
         breaks = [0.0] + breaks

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fn_repr import PolyCoeffs, StructuredExtremal, _eval_points
+from .fn_repr import PolyCoeffs, StructuredExtremal, _eval_points, _is_int
 from .hardy_norm import QuadConfig, circle_mean, norm_hinf, norm_hp
 
 __all__ = [
@@ -51,8 +51,8 @@ class WienerRatioReport:
 
 
 def _check_k(k: int) -> int:
-    if k < 2:
-        raise ValueError(f"k must be >= 2 (got {k})")
+    if not _is_int(k) or k < 2:
+        raise ValueError(f"k must be an integer >= 2 (got {k!r})")
     return int(k)
 
 
@@ -184,8 +184,8 @@ def inner_defect(f, k: int, N: int = 4096) -> float:
     which forces W_k f = f; a positive defect witnesses W_k f != f.
     """
     _check_k(k)
-    if N < 4:
-        raise ValueError("N must be at least 4")
+    if not _is_int(N) or N < 4:
+        raise ValueError(f"N must be an integer >= 4 (got {N!r})")
     theta = _TWO_PI * np.arange(N) / N
     z = np.exp(1j * theta)
     fv = _eval_points(f, z)

@@ -11,6 +11,7 @@ from hardyx.closed_form import (
     ClosedFormResult,
     F_p,
     RootBracket,
+    _Jp_log,
     alpha1,
     alpha2,
     alpha_p,
@@ -249,6 +250,13 @@ def test_appendix_J_sign_structure():
         at_min = p ** (1 / (2 - p))
         assert appendix_functions(p, at_min).J_p < 0
         assert abs(appendix_functions(p, alpha1(p)).J_p) < 1e-12
+
+
+def test_appendix_J_is_the_root_finders_J():
+    # the alpha1 root-finder and the appendix evaluate one formula
+    for p in (0.3, 0.5, 0.7):
+        for x in (1e-3, 0.2, alpha1(p), 1.0):
+            assert appendix_functions(p, x).J_p == _Jp_log(p, math.log(x))
 
 
 def test_appendix_domain():

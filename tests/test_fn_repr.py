@@ -48,12 +48,25 @@ def test_eval_outside_closed_disc_rejected():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         StructuredExtremal(1.0, 2.0, 2, (0.0,))  # l > k
+    for l in (0.5, True):
+        with pytest.raises(ValueError):
+            StructuredExtremal(1.0, 2.0, l, (0.0, 0.0))
     with pytest.raises(ValueError):
         StructuredExtremal(1.0, 2.0, 1, (1.0,))  # Blaschke lambda on boundary
     with pytest.raises(ValueError):
         StructuredExtremal(1.0, -2.0, 0, (0.0,))
     with pytest.raises(ValueError):
         StructuredExtremal(1.0, 2.0, 0, (1.5,))
+
+
+@pytest.mark.parametrize("scale, lams", [
+    (math.nan, (0.0,)), (complex(1.0, math.inf), (0.5,)), (1.0, (math.nan,)),
+    (1.0, (0.5, complex(0.0, math.nan))),
+])
+def test_non_finite_scale_or_lambdas_rejected(scale, lams):
+    for l in range(len(lams) + 1):
+        with pytest.raises(ValueError, match="finite"):
+            StructuredExtremal(scale, 2.0, l, lams)
 
 
 def test_boundary_tangent_outer_factor_vanishes():
@@ -139,6 +152,8 @@ def test_sample_count_must_be_power_of_two():
     with pytest.raises(ValueError):
         sample_boundary(lambda z: z, 12)
     with pytest.raises(ValueError):
+        sample_boundary(lambda z: z, 8.0)
+    with pytest.raises(ValueError):
         BoundarySamples(np.ones(2))
 
 
@@ -153,8 +168,9 @@ def test_taylor_coeff_index_range():
     s = sample_boundary(lambda z: z, 8)
     with pytest.raises(ValueError):
         taylor_coeff(s, 8)
-    with pytest.raises(ValueError):
-        taylor_coeff(s, -1)
+    for n in (-1, 1.5, 1.0):
+        with pytest.raises(ValueError):
+            taylor_coeff(s, n)
 
 
 def test_poly_coefficient_round_trip():

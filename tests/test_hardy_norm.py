@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hardyx.hardy_norm import (
     norm_hp,
     parseval_norm,
 )
+from hardyx.wiener import sharpness_ratio
 
 BINOMIAL4 = PolyCoeffs((1.0, 4.0, 6.0, 4.0, 1.0))
 
@@ -150,6 +152,16 @@ def test_circle_mean_with_seeded_singularity():
     g = lambda th: abs(th - 1.0) ** -0.5
     exact = (2 * math.sqrt(1.0) + 2 * math.sqrt(2 * math.pi - 1.0)) / (2 * math.pi)
     assert circle_mean(g, rel_tol=1e-9, seeds=(1.0,)) == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan])
+def test_circle_mean_rejects_a_bad_rel_tol_at_once(rel_tol):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rel_tol"):
+        circle_mean(lambda th: np.ones_like(th), rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        sharpness_ratio(0.5, 2, 1e-2, rel_tol)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_quadconfig_validation():

@@ -208,13 +208,19 @@ _point = st.builds(lambda r, th: r * complex(math.cos(th), math.sin(th)),
 _polydisc = st.lists(_point, min_size=1, max_size=4)
 
 
+def _series(p, lams, l):
+    """(g0, a_k, ||g||) of one row of lambdas, from the solver's kernel."""
+    (g0,), (ak,), (nrm,) = solver._series_batch(p, np.array([lams], dtype=complex), l)
+    return complex(g0), complex(ak), float(nrm)
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=st.floats(0.1, 8.0), lams=_polydisc)
 def test_t_hat_stays_within_the_zero_count_bounds(p, lams):
     k = len(lams)
-    g0, _, nrm = solver._series_data(p, lams, k)
+    g0, _, nrm = _series(p, lams, k)
     assert abs(g0) / nrm <= _branch_top(p)[1] * (1 + 1e-12)
-    g0, _, nrm = solver._series_data(p, lams, 0)
+    g0, _, nrm = _series(p, lams, 0)
     assert abs(g0) / nrm >= _lower_t(p, k) * (1 - 1e-12)
 
 
@@ -224,9 +230,9 @@ def test_t_hat_stays_within_the_zero_count_bounds(p, lams):
 def test_zero_count_bounds_are_attained(p, k):
     log_alpha, top = _branch_top(p)
     # the k = 1 extremal at the top of its branch, lifted through z -> z^k
-    g0, _, nrm = solver._series_data(p, solver._root_pattern(math.exp(log_alpha / k), k), k)
+    g0, _, nrm = _series(p, solver._root_pattern(math.exp(log_alpha / k), k), k)
     assert abs(g0) / nrm == pytest.approx(top, rel=1e-12)
-    g0, _, nrm = solver._series_data(p, [1.0 + 0j] * k, 0)
+    g0, _, nrm = _series(p, [1.0 + 0j] * k, 0)
     assert abs(g0) / nrm == pytest.approx(_lower_t(p, k), rel=1e-12)
     with mpmath.workdps(40):
         alpha = mpmath.sqrt(p / (2 - mpmath.mpf(p))) if p < 1 else mpmath.mpf(1)
@@ -248,7 +254,7 @@ def _kernel_interpolant_lams(k, log_r):
 @settings(max_examples=300, deadline=None)
 @given(p=st.floats(1e-3, 8.0), lams=st.lists(_point, min_size=2, max_size=4))
 def test_t_hat_at_one_zero_stays_below_its_ceiling(p, lams):
-    g0, _, nrm = solver._series_data(p, lams, 1)
+    g0, _, nrm = _series(p, lams, 1)
     assert abs(g0) / nrm <= _one_zero_top(len(lams), p)[1] * (1 + 1e-12)
 
 
@@ -261,7 +267,7 @@ def test_one_zero_ceiling_is_attained(p, k):
     lams = _kernel_interpolant_lams(k, log_r)
     assert lams[0] == pytest.approx(math.exp(log_r), rel=1e-12)
     assert all(abs(lam) <= 1 + 1e-12 for lam in lams)
-    g0, _, nrm = solver._series_data(p, lams, 1)
+    g0, _, nrm = _series(p, lams, 1)
     assert abs(g0) / nrm == pytest.approx(top, rel=1e-12)
 
 
@@ -359,14 +365,14 @@ def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("p", [1e-3, 2e-3, 5e-3])
 def test_tiny_p_solves_or_raises_a_typed_error(k, p):
-    # ||g|| = (sum |c_n|^2)^(1/p) can pass the largest double here; it then
-    # reads inf in both series forms, and the point scores J = t_hat = 0
+    # ||g|| = (sum |c_n|^2)^(1/p) can pass the largest double here; the
+    # kernel then reads inf, and the point scores J = t_hat = 0
     lams = [1.0 + 0j] * k
-    g0, ak, nrm = solver._series_data(p, lams, 0)
-    (b_g0,), (b_ak,), (b_nrm,) = solver._series_batch(p, np.array([lams]), 0)
-    assert b_g0 == pytest.approx(g0, rel=1e-13) and b_ak == pytest.approx(ak, rel=1e-13)
+    g0, ak, nrm = _series(p, lams, 0)
+    ref_g0, ref_ak, _ = _mp_series(p, lams, 0)
+    assert g0 == pytest.approx(ref_g0, rel=1e-13) and ak == pytest.approx(ref_ak, rel=1e-13)
     overflows = math.log(math.comb(2 * k, k)) / p > math.log(sys.float_info.max)
-    assert (nrm == math.inf) == (b_nrm == math.inf) == overflows
+    assert (nrm == math.inf) == overflows
     try:
         sol = maximize_phik(SolveConfig(k=k, p=p, t=0.5, starts=4))
     except (SolverError, QuadratureError):
@@ -420,14 +426,6 @@ def test_import_leaves_scipy_unloaded():
 # the population kernel and the lockstep explorer against their references
 # ---------------------------------------------------------------------------
 
-def _scalar_penalty(p, k, l, t, pinned):
-    def penalized(x):
-        J, t_hat = solver._objective(x, p, k, l, pinned)
-        return -J + solver._PENALTY * abs(t_hat - t)
-
-    return penalized
-
-
 def _population(rng, k, l, p, pinned, rows):
     half = len(solver._free_slots(k, l, p, pinned))
     r = rng.uniform(0.0, math.pi / 2, (rows, half))
@@ -444,8 +442,8 @@ def _population(rng, k, l, p, pinned, rows):
 def _majorant(p, lams, l):
     """Coefficients of prod_{j<l} (|lam_j| + z) prod_j (1 - |lam_j| z)^-(e + [j<l]).
 
-    They bound, term by term, every product that the scalar series and the
-    kernel form, so they scale the rounding of both.  a_k itself can vanish
+    They bound, term by term, every product that the kernel forms, so they
+    scale its rounding.  a_k itself can vanish
     by cancellation (at |lam| = 1 a Blaschke factor is the constant lam).
     """
     k = len(lams)
@@ -496,37 +494,46 @@ def _mp_series(p, lams, l):
 
 
 def _assert_batch_rows_match_scalar(p, k, t, pinned, X, ls):
-    # the kernel against the scalar series to 1e-13 and against a 30-digit
-    # evaluation to 1e-12, on the scale of each coefficient's majorant; the
+    # each row of the kernel, alone and in the batch, against a 30-digit
+    # evaluation to 1e-13 on the scale of each coefficient's majorant; the
     # rows with |lam_0| ~ 1e-160 reach subnormals, which round absolutely
     tiny = sys.float_info.min
     lams = solver._lams_from_x_batch(X, k, pinned)
     g0, ak, nrm = solver._series_batch(p, lams, ls)
     batch = solver._penalized_batch(p, k, t, pinned)(X, ls)
-    width = X.shape[1]
+    slots = int(pinned) + np.arange(X.shape[1] // 2)
     for i, (x, l) in enumerate(zip(X, np.broadcast_to(ls, len(X)).tolist())):
         # the row alone gives the same bytes as the row in the batch
         alone = solver._series_batch(p, lams[i:i + 1], l)
         assert all(v[i:i + 1].tobytes() == a.tobytes() for v, a in zip((g0, ak, nrm), alone)), (k, l, i)
         row = [complex(z) for z in lams[i]]
+        ref = [0j] * k
+        for j, r, th in zip(slots.tolist(), x[0::2].tolist(), x[1::2].tolist()):
+            ref[j] = math.sin(r) ** 2 * complex(math.cos(th), math.sin(th))
+        assert np.allclose(row, ref, rtol=0, atol=1e-15), (k, l, i)
         scale = _majorant(p, row, l)
-        for tol, (ref_g0, ref_ak, ref_nrm) in ((1e-13, solver._series_data(p, row, l)),
-                                               (1e-12, _mp_series(p, row, l))):
-            assert abs(g0[i] - ref_g0) <= tol * scale[0] + tiny, (k, l, i)
-            assert abs(ak[i] - ref_ak) <= tol * scale[k] + tiny, (k, l, i)
-            assert abs(nrm[i] - ref_nrm) <= tol * ref_nrm, (k, l, i)
-        # at p = inf the scalar parametrization of l < k frees fewer slots
-        if 2 * len(solver._free_slots(k, l, p, pinned)) == width:
-            ref = solver._lams_from_x(x, k, l, p, pinned)
-            assert np.allclose(row, ref, rtol=0, atol=1e-15), (k, l, i)
-            ref = _scalar_penalty(p, k, l, t, pinned)(x)
-            assert abs(batch[i] - ref) <= 1e-12 * max(1.0, abs(ref)), (k, l, i)
+        ref_g0, ref_ak, ref_nrm = _mp_series(p, row, l)
+        assert abs(g0[i] - ref_g0) <= 1e-13 * scale[0] + tiny, (k, l, i)
+        assert abs(ak[i] - ref_ak) <= 1e-13 * scale[k] + tiny, (k, l, i)
+        assert abs(nrm[i] - ref_nrm) <= 1e-13 * ref_nrm, (k, l, i)
+        # the penalty from the same 30-digit values, away from the |g0| guard
+        if pinned:
+            J, t_hat = abs(ref_ak) / ref_nrm, 0.0
+        elif abs(ref_g0) >= 1e-150:
+            J = (ref_g0.conjugate() * ref_ak).real / (abs(ref_g0) * ref_nrm)
+            t_hat = abs(ref_g0) / ref_nrm
+        else:
+            continue
+        ref = -J + solver._PENALTY * abs(t_hat - t)
+        assert abs(batch[i] - ref) <= 1e-12 * max(1.0, abs(ref)), (k, l, i)
     return g0, batch
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
 @pytest.mark.parametrize("pinned", [False, True])
 def test_series_batch_matches_scalar(p, pinned):
+    # each row of the kernel, evaluated alone and in a population, against
+    # the 30-digit series
     rng = np.random.default_rng(7)
     t = 0.0 if pinned else 0.4
     for k in range(1, 5):
@@ -788,7 +795,7 @@ def test_exact_gradient_matches_central_differences(p, pinned):
     assert checked >= 40
 
 
-def _mp_objective(p, k, l, pinned, x):
+def _mp_J_and_t_hat(p, k, l, pinned, x):
     """(objective, t_hat) at x from _mp_parts, at the working precision."""
     lams = [mpmath.mpc(0)] * k
     for j in range(len(x) // 2):
@@ -817,7 +824,7 @@ def test_exact_gradient_matches_a_30_digit_oracle(p):
                         for i in range(len(point)):
                             order = tuple(int(j == i) for j in range(len(point)))
                             for part, got in ((0, gJ[i]), (1, gt[i])):
-                                ref = mpmath.diff(lambda *v: _mp_objective(p, k, l, pinned, v)[part],
+                                ref = mpmath.diff(lambda *v: _mp_J_and_t_hat(p, k, l, pinned, v)[part],
                                                   point, order)
                                 assert abs(got - float(ref)) <= 1e-12 * max(1.0, abs(got)), (k, l, i, part)
                     checked += 1

@@ -21,12 +21,14 @@ def test_sweep_draws_its_fixed_configurations():
 
 
 def test_compare_names_every_gain_loss_and_move(capsys):
-    where = [{"part": "tiny p", "k": 2, "p": 0.01, "t": t} for t in (0.1, 0.2, 0.3, 0.4)]
+    where = [{"part": "tiny p", "k": 2, "p": 0.01, "t": t} for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
     before = [{**where[0], "value": 1.0}, {**where[1], "error": "SolverError"},
-              {**where[2], "value": 2.0}, {**where[3], "value": 3.0}]
+              {**where[2], "value": 2.0}, {**where[3], "value": 3.0}, {**where[4], "value": 0.1}]
     after = [{**where[0], "value": 1.0 + 1e-10}, {**where[1], "value": 5.0},
-             {**where[2], "error": "SolverError"}, {**where[3], "value": 2.5}]
+             {**where[2], "error": "SolverError"}, {**where[3], "value": 2.5},
+             {**where[4], "value": 0.1}]
     solver_sweep.compare(before, after)
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out[:-1]] == ["gained", "lost", "moved"]
-    assert out[-1] == "tiny p: 3 -> 3 of 4 succeed"
+    # the move of 1e-10 is below the printed bound but not identical to the bit
+    assert out[-1] == "tiny p: 4 -> 4 of 5 succeed, 1 of the 3 on both sides identical to the bit"

@@ -37,6 +37,21 @@ def test_k_must_be_at_least_two():
         wiener_eval(lambda z: z, 1, 0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: wiener_coeffs(BINOMIAL4, 2.5),
+    lambda: wiener_coeffs(BINOMIAL4, 2.0),
+    lambda: wiener_eval(lambda z: z, 2.5, 0.5),
+    lambda: wiener_bound_check(BINOMIAL4, 2.5, 0.5),
+    lambda: sharpness_ratio(0.5, 2.5, 1e-2),
+    lambda: inner_defect(lambda z: z * z, 2.5),
+    lambda: inner_defect(lambda z: z * z, 2, N=4.5),
+], ids=["coeffs", "coeffs-float-2", "eval", "bound-check", "sharpness", "inner-defect-k",
+        "inner-defect-N"])
+def test_k_and_N_must_be_integers(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_wiener_eval_equality_example(k):
     f = lambda z: (1 + z**k) ** 2 - z * (1 - z**k) ** 2

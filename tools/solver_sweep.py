@@ -12,7 +12,8 @@ solve's ``value`` or the type of the error it raised, under ``error``.
 ``--compare`` reads two such outputs, solve by solve, and prints every
 solve that succeeds in one and not the other, every error type that
 changed and every value that moved by more than 1e-9, then how many of
-each part's solves succeed on each side.
+each part's solves succeed on each side, and how many of those that
+succeed on both return the same value to the bit.
 """
 
 from __future__ import annotations
@@ -64,19 +65,22 @@ def compare(before: list[dict], after: list[dict]) -> None:
         where = {key: a[key] for key in ("part", "k", "p", "t")}
         if where != {key: b[key] for key in where}:
             sys.exit(f"solver_sweep: the two outputs list different solves at {where}")
-        ok = counts.setdefault(a["part"], [0, 0, 0])
+        ok = counts.setdefault(a["part"], [0, 0, 0, 0, 0])
         ok[0] += 1
         ok[1] += "value" in a
         ok[2] += "value" in b
         if "value" in a and "value" in b:
+            ok[3] += 1
+            ok[4] += b["value"] == a["value"]  # JSON keeps every double exactly
             if abs(b["value"] - a["value"]) > VALUE_TOL:
                 print(f"moved {where}: {a['value']!r} -> {b['value']!r}")
         elif a.get("error") != b.get("error"):
             gained = "gained" if "value" in b else "lost" if "value" in a else "error"
             print(f"{gained} {where}: {a.get('value', a.get('error'))} -> "
                   f"{b.get('value', b.get('error'))}")
-    for part, (n, ok_a, ok_b) in counts.items():
-        print(f"{part}: {ok_a} -> {ok_b} of {n} succeed")
+    for part, (n, ok_a, ok_b, both, same) in counts.items():
+        print(f"{part}: {ok_a} -> {ok_b} of {n} succeed, {same} of the {both} on both sides "
+              f"identical to the bit")
 
 
 def main(argv=None) -> int:
