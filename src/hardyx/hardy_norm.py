@@ -9,13 +9,15 @@ cusp there, where each doubling gains a fixed factor at best; so if the
 doublings stall an adaptive pass subdivides panels until the error
 concentrated at the cusp is below the requested tolerance.  The same panel
 machinery handles integrands with a sharp near-singular peak, refining
-geometrically into it.  ``QuadConfig.rel_tol`` is the one quadrature
-setting.
+geometrically into it, and a starting grid that meets a pole or a NaN.
+``QuadConfig.rel_tol`` is the one quadrature setting.
 
 A ``PolyCoeffs`` is sampled on each trapezoid grid by one zero-padded
 inverse FFT of its coefficients (twisted by e^{i pi j/n} for the midpoint
 grid, folded mod n past degree n), in place of a Horner pass per grid.
-Other callables, and the panels' nodes, are evaluated directly.
+Other callables, and the panels' nodes, are evaluated directly: the panel
+pass (``circle_mean``) makes one call for all its starting panels and one
+per split, on the 64 nodes of the four quarter panels.
 
 ``norm_hinf`` takes a grid maximum and polishes it with golden-section search
 around the best grid angle; a polynomial is evaluated there one point at a
@@ -32,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fn_repr import PolyCoeffs, _eval_points, _poly_grid
+from .fn_repr import PolyCoeffs, _eval_points, _is_int, _poly_grid
 
 __all__ = [
     "QuadConfig",
@@ -125,48 +127,82 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _FLOOR_START = 1024
 
 
-def _panel_est(g, a: float, b: float) -> float:
+def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> list[float]:
+    """The 16-node Gauss-Legendre estimate of g on each panel [a_i, b_i].
+
+    g is called once, on the nodes of every panel laid out panel by panel.
+    Each panel is summed by its own np.dot over its 16 values, so it gets
+    the double it would get from a call of its own.  A non-finite estimate
+    raises QuadratureError at once, naming the first non-finite node;
+    ``total`` is the running integral before these panels.
+    """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, g(mid + half * _GL_NODES)))
+    theta = mid[:, None] + half[:, None] * _GL_NODES
+    vals = np.reshape(g(theta.ravel()), theta.shape)
+    ests = [h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.tolist(), vals)]
+    if not math.isfinite(sum(ests)):
+        bad = theta[~np.isfinite(vals)]
+        at = float(bad[0] if bad.size else mid[0])
+        raise QuadratureError(
+            f"integrand is not finite at theta = {at!r}", (total / _TWO_PI, math.nan)
+        )
+    return ests
 
 
 def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> float:
     """Mean of g over [0, 2 pi) by error-driven adaptive panel subdivision.
 
+    g receives one flat array of angles per call and must act elementwise:
+    its value at an angle may not depend on the other angles in the call.
+    It is called once for all the starting panels and once per split.
+
     ``seeds`` lists angles where mass or a cusp is expected; initial panel
     boundaries are placed there so refinement can grade into them.  Panels
     are split worst-error-first until the total error estimate falls below
-    rel_tol times the running integral.
+    rel_tol times the running integral.  A panel keeps the estimates of its
+    two halves, which are the whole-panel estimates of its children, so a
+    split evaluates only the four quarter panels.
 
     Past the round-off floor of g, where its evaluation noise outweighs
     rel_tol, splitting stops shrinking the error estimate.  Once the panel
     count has grown eightfold from 1024 on without the estimate halving,
     QuadratureError names that floor rather than spending the whole budget.
+    A non-finite value of g raises QuadratureError at once.
     """
     if not (rel_tol > 0):  # a NaN fails
         raise ValueError(f"rel_tol must be positive (got {rel_tol!r})")
-    breaks = sorted({0.0, _TWO_PI} | {float(s) % _TWO_PI for s in seeds})
+    if not _is_int(max_panels) or max_panels < 1:
+        raise ValueError(f"max_panels must be an integer >= 1 (got {max_panels!r})")
+    seeds = [float(s) for s in seeds]
+    if not all(map(math.isfinite, seeds)):
+        raise ValueError(f"seeds must be finite angles (got {seeds!r})")
+    breaks = sorted({0.0, _TWO_PI} | {s % _TWO_PI for s in seeds})
     if breaks[0] > 0.0:
         breaks = [0.0] + breaks
     if breaks[-1] < _TWO_PI:
         breaks.append(_TWO_PI)
     # start from a moderately fine uniform background refined by the seeds
-    base = []
+    lo, hi = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         m = max(1, int(math.ceil((b - a) / (_TWO_PI / 32))))
         edges = np.linspace(a, b, m + 1)
-        base.extend(zip(edges[:-1], edges[1:]))
+        lo.append(edges[:-1])
+        hi.append(edges[1:])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    mid = 0.5 * (lo + hi)
+    # every starting panel, then its left and its right half, in one call
+    ests = _panel_ests(g, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)), math.nan)
+    n = len(lo)
 
     heap = []
     total = 0.0
     counter = 0
-    for a, b in base:
-        whole = _panel_est(g, a, b)
-        mid = 0.5 * (a + b)
-        halves = _panel_est(g, a, mid) + _panel_est(g, mid, b)
-        err = abs(whole - halves)
+    for a, b, whole, left, right in zip(
+        lo.tolist(), hi.tolist(), ests[:n], ests[n:2 * n], ests[2 * n:]
+    ):
+        halves = left + right
         total += halves
-        heapq.heappush(heap, (-err, counter, a, b, halves))
+        heapq.heappush(heap, (-abs(whole - halves), counter, a, b, halves, left, right))
         counter += 1
 
     # The sum of the errors in heap order decides convergence.  That pass is
@@ -186,7 +222,7 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
             err_total = err_run = err_sync = -sum(map(itemgetter(0), heap))
             if err_total <= target:
                 break
-            estimates = (float(total / _TWO_PI), float((total + err_total) / _TWO_PI))
+            estimates = (total / _TWO_PI, (total + err_total) / _TWO_PI)
             if counter >= next_mark:
                 marks.append(err_total)
                 next_mark *= 2
@@ -195,24 +231,24 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
                         "error estimate stalled at the round-off floor of the integrand", estimates
                     )
             if counter >= max_panels:
-                # the panel edges are numpy floats; report plain ones
                 raise QuadratureError("adaptive panel budget exhausted", estimates)
-        neg_err, _, a, b, halves = heapq.heappop(heap)
+        neg_err, _, a, b, halves, left, right = heapq.heappop(heap)
         err_run += neg_err
         mid = 0.5 * (a + b)
+        # the quarter panels: the halves of the two children
+        edges = np.array((a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b))
+        q0, q1, q2, q3 = _panel_ests(g, edges[:-1], edges[1:], total)
         total -= halves
-        for aa, bb in ((a, mid), (mid, b)):
-            whole = _panel_est(g, aa, bb)
-            m2 = 0.5 * (aa + bb)
-            sub = _panel_est(g, aa, m2) + _panel_est(g, m2, bb)
+        for aa, bb, whole, ql, qr in ((a, mid, left, q0, q1), (mid, b, right, q2, q3)):
+            sub = ql + qr
             total += sub
             err = abs(whole - sub)
             err_run += err
-            heapq.heappush(heap, (-err, counter, aa, bb, sub))
+            heapq.heappush(heap, (-err, counter, aa, bb, sub, ql, qr))
             counter += 1
 
     # deterministic final summation order
-    parts = sorted((a, h) for _, _, a, b, h in heap)
+    parts = sorted((a, h) for _, _, a, _, h, _, _ in heap)
     return math.fsum(h for _, h in parts) / _TWO_PI
 
 
@@ -225,8 +261,9 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
 
     Dyadic refinement doubles the grid, reusing previous samples, until two
     successive norm estimates agree to cfg.rel_tol relatively.  If that
-    stalls, an adaptive panel pass finishes the job, and raises
-    QuadratureError with its last two estimates if it runs out of panels.
+    stalls, or a grid sample is not finite (a pole on the circle), an
+    adaptive panel pass finishes the job, and raises QuadratureError with
+    its last two estimates if it runs out of panels.
     """
     if not (0 < p < math.inf):
         raise ValueError(f"p must lie in (0, inf) (got {p})")
@@ -235,23 +272,33 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     grid = _grid_sampler(f, absf)
 
     n = _BASE_SAMPLES
-    prof = grid(n, False)
+    prof = samples = grid(n, False)
     mean = float(np.mean(prof ** p))
     prev = mean ** (1.0 / p) if mean > 0 else 0.0
     for _ in range(_MAX_REFINEMENTS):
-        mean = 0.5 * (mean + float(np.mean(grid(n, True) ** p)))
+        if not math.isfinite(mean):
+            break
+        samples = grid(n, True)
+        mean = 0.5 * (mean + float(np.mean(samples ** p)))
         n *= 2
         cur = mean ** (1.0 / p) if mean > 0 else 0.0
-        if abs(cur - prev) <= cfg.rel_tol * max(cur, 1e-300):
+        if abs(cur - prev) <= cfg.rel_tol * max(cur, 1e-300) and math.isfinite(mean):
             return cur
         prev = cur
 
-    # refinement stalled: cusp or sharp peak; locate trouble from the
-    # starting grid's profile and hand over to the adaptive panels.
-    coarse_theta = _TWO_PI * np.arange(_BASE_SAMPLES) / _BASE_SAMPLES
-    big = prof.max()
-    seeds = coarse_theta[prof < 1e-6 * max(big, 1e-300)]
-    seeds = list(seeds[:64]) + [float(coarse_theta[int(np.argmax(prof))])]
+    if math.isfinite(mean):
+        # refinement stalled: cusp or sharp peak; locate trouble from the
+        # starting grid's profile and hand over to the adaptive panels.
+        coarse_theta = _TWO_PI * np.arange(_BASE_SAMPLES) / _BASE_SAMPLES
+        big = prof.max()
+        seeds = coarse_theta[prof < 1e-6 * max(big, 1e-300)]
+        seeds = list(seeds[:64]) + [float(coarse_theta[int(np.argmax(prof))])]
+    else:
+        # the last grid met a pole or a NaN, which no trapezoid sum can use;
+        # seed the panels there, where no Gauss-Legendre node lands
+        shift = 0.0 if samples is prof else 0.5
+        bad = np.flatnonzero(~np.isfinite(samples))[:64]
+        seeds = list(_TWO_PI * (bad + shift) / len(samples))
     mean = circle_mean(lambda th: absf(th) ** p, cfg.rel_tol, seeds=seeds)
     return mean ** (1.0 / p) if mean > 0 else 0.0
 

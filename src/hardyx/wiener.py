@@ -150,7 +150,7 @@ def sharpness_ratio(p: float, k: int, eps: float, rel_tol: float = 1e-11) -> flo
     Both means are taken over a half period, where the integrand has its one
     peak at theta = 0, so the cost grows only like log(1/eps).  Against that
     oracle the result is within 5e-12 for every eps from 1 down to 1e-12, in
-    a few hundredths of a second per call.  eps may be any positive, finite,
+    under about 10 ms per call.  eps may be any positive, finite,
     non-subnormal float.
     """
     if not (0 < p < 1):

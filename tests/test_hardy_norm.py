@@ -1,11 +1,14 @@
 import cmath
+import heapq
 import math
+import re
 import time
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
-from hardyx import hardy_norm
+from hardyx import hardy_norm, wiener
 from hardyx.fn_repr import PolyCoeffs, _poly_grid
 from hardyx.hardy_norm import (
     QuadConfig,
@@ -164,6 +167,178 @@ def test_circle_mean_rejects_a_bad_rel_tol_at_once(rel_tol):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("max_panels", 0),
+        ("max_panels", -1),
+        ("max_panels", 2.5),
+        ("max_panels", True),
+        ("max_panels", math.nan),
+        ("seeds", (math.nan,)),
+        ("seeds", (1.0, math.inf)),
+        ("seeds", (-math.inf,)),
+    ],
+)
+def test_circle_mean_rejects_bad_arguments_before_evaluating(name, value):
+    calls = []
+    with pytest.raises(ValueError, match=name):
+        circle_mean(lambda th: calls.append(1) or np.ones_like(th), **{name: value})
+    assert not calls
+
+
+def _named_angle(err: QuadratureError) -> float:
+    return float(re.search(r"not finite at theta = (\S+) ", str(err)).group(1))
+
+
+def test_circle_mean_stops_at_a_non_finite_integrand():
+    start = time.perf_counter()
+    # NaN on part of the starting panels: the first call raises
+    with pytest.raises(QuadratureError, match="not finite") as info:
+        circle_mean(lambda th: np.where(th > 3.0, np.nan, 1.0))
+    assert 3.0 < _named_angle(info.value) < 3.0 + 2 * math.pi / 32
+    assert all(math.isnan(e) for e in info.value.estimates)
+    # NaN within 1e-6 of a seeded cusp: only a split's nodes come that close
+    calls = []
+
+    def g(th):
+        calls.append(1)
+        d = np.abs(th - 1.0)
+        return np.where(d < 1e-6, np.nan, d**-0.5)
+
+    with pytest.raises(QuadratureError, match="not finite") as info:
+        circle_mean(g, seeds=(1.0,))
+    assert abs(_named_angle(info.value) - 1.0) < 1e-6
+    running, last = info.value.estimates
+    assert math.isfinite(running) and math.isnan(last)
+    assert 1 < len(calls) < 200
+    # the 20000-panel budget used to run out first, in about 6 s
+    assert time.perf_counter() - start < 0.5
+
+
+def _six_call_circle_mean(g, rel_tol=1e-9, seeds=(), max_panels=20000, splits=None):
+    """circle_mean as it was before the quarter-panel batching: three calls of
+    g per starting panel and six per split.  A split appends to ``splits``."""
+
+    def est(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * float(np.dot(hardy_norm._GL_WEIGHTS, g(mid + half * hardy_norm._GL_NODES)))
+
+    two_pi = 2.0 * np.pi
+    breaks = sorted({0.0, two_pi} | {float(s) % two_pi for s in seeds})
+    if breaks[0] > 0.0:
+        breaks = [0.0] + breaks
+    if breaks[-1] < two_pi:
+        breaks.append(two_pi)
+    base = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        m = max(1, int(math.ceil((b - a) / (two_pi / 32))))
+        edges = np.linspace(a, b, m + 1)
+        base.extend(zip(edges[:-1], edges[1:]))
+    heap, total, counter = [], 0.0, 0
+    for a, b in base:
+        whole = est(a, b)
+        mid = 0.5 * (a + b)
+        halves = est(a, mid) + est(mid, b)
+        total += halves
+        heapq.heappush(heap, (-abs(whole - halves), counter, a, b, halves))
+        counter += 1
+    err_run = err_sync = math.inf
+    marks, next_mark = [], 1024
+    while heap:
+        target = rel_tol * max(abs(total), 1e-300)
+        if (
+            err_run <= (1.0 + 1e-6) * target
+            or not 0.5 * err_sync < err_run < 2.0 * err_sync
+            or counter >= min(next_mark, max_panels)
+        ):
+            err_total = err_run = err_sync = -sum(map(itemgetter(0), heap))
+            if err_total <= target:
+                break
+            estimates = (float(total / two_pi), float((total + err_total) / two_pi))
+            if counter >= next_mark:
+                marks.append(err_total)
+                next_mark *= 2
+                if len(marks) >= 4 and marks[-1] > 0.5 * marks[-4]:
+                    raise QuadratureError("round-off floor", estimates)
+            if counter >= max_panels:
+                raise QuadratureError("budget exhausted", estimates)
+        neg_err, _, a, b, halves = heapq.heappop(heap)
+        if splits is not None:
+            splits.append((a, b))
+        err_run += neg_err
+        mid = 0.5 * (a + b)
+        total -= halves
+        for aa, bb in ((a, mid), (mid, b)):
+            whole = est(aa, bb)
+            m2 = 0.5 * (aa + bb)
+            sub = est(aa, m2) + est(m2, bb)
+            total += sub
+            err = abs(whole - sub)
+            err_run += err
+            heapq.heappush(heap, (-err, counter, aa, bb, sub))
+            counter += 1
+    parts = sorted((a, h) for _, _, a, b, h in heap)
+    return math.fsum(h for _, h in parts) / two_pi
+
+
+_Z_NEAR_POLE = 1.001 * cmath.exp(1j)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sharpness_ratio(0.5, 2, 1e-12),
+        lambda: sharpness_ratio(0.3, 3, 1e-12),
+        lambda: norm_hp(PolyCoeffs((1, 1)), 0.3),
+        lambda: norm_hp(lambda z: 1 / (z - _Z_NEAR_POLE), 1.0),
+    ],
+    ids=["sharpness-p0.5-k2", "sharpness-p0.3-k3", "cusp-p0.3", "near-pole-p1"],
+)
+def test_circle_mean_matches_six_calls_per_split_to_the_bit(monkeypatch, run):
+    # every circle_mean call these make runs through both loops
+    pairs = []
+
+    def both(*args, **kwargs):
+        new = circle_mean(*args, **kwargs)
+        pairs.append((new, _six_call_circle_mean(*args, **kwargs)))
+        return new
+
+    monkeypatch.setattr(hardy_norm, "circle_mean", both)
+    monkeypatch.setattr(wiener, "circle_mean", both)
+    run()
+    assert pairs
+    for new, old in pairs:
+        assert new == old
+
+
+def test_quadrature_error_estimates_match_six_calls_per_split_to_the_bit():
+    spike = lambda th: 1.0 / np.abs(np.exp(1j * th) - (1 + 1e-7))
+    with pytest.raises(QuadratureError) as new:
+        circle_mean(spike, rel_tol=1e-12, max_panels=64)
+    with pytest.raises(QuadratureError) as old:
+        _six_call_circle_mean(spike, rel_tol=1e-12, max_panels=64)
+    assert new.value.estimates == old.value.estimates
+
+
+def test_circle_mean_calls_g_once_for_the_start_and_once_per_split():
+    peak = lambda th: 1.0 / np.abs(np.exp(1j * th) - 1.0001)
+    sizes = []
+
+    def counted(th):
+        sizes.append(th.shape)
+        return peak(th)
+
+    splits = []
+    value = circle_mean(counted, 1e-10, seeds=(2.0,))
+    assert value == _six_call_circle_mean(peak, 1e-10, seeds=(2.0,), splits=splits)
+    assert len(splits) > 10
+    assert len(sizes) == 1 + len(splits)
+    # 33 starting panels (11 on [0, 2], 22 on [2, 2 pi]), each with its halves
+    assert sizes[0] == (33 * 3 * 16,)
+    assert set(sizes[1:]) == {(64,)}
+
+
 def test_quadconfig_validation():
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
@@ -214,9 +389,12 @@ def test_polynomial_norms_make_no_grid_sized_call(monkeypatch):
     for p in (0.4, 1.0, 3.0):
         norm_hp(f, p)
     norm_hinf(f, return_witness=True)
-    # a stalled cusp: the panels evaluate 16 points at a time
+    assert not sizes
+    # a stalled cusp: only the panel pass evaluates f, once on its starting
+    # panels (48 nodes each: the panel and its halves), then on the 64 nodes
+    # of the quarter panels of each split
     norm_hp(PolyCoeffs((1.0, 1.0)), 0.5)
-    assert sizes and max(sizes) == 16
+    assert len(sizes) > 1 and sizes[0] % 48 == 0 and set(sizes[1:]) == {64}
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
@@ -231,12 +409,16 @@ def test_cusp_norms_match_gamma_formula(j):
             assert norm_hp(PolyCoeffs(tuple(coeffs)), p) == pytest.approx(exact, rel=1e-8)
 
 
-def test_stalled_dyadic_pass_hands_over_after_three_doublings():
+def test_stalled_dyadic_pass_hands_over_after_three_doublings(monkeypatch):
     # 4096 starting points and three doublings of the midpoints: 2^15 in all
-    grid_points = []
+    grid_points, panel_passes = [], []
+    monkeypatch.setattr(
+        hardy_norm, "circle_mean",
+        lambda *a, **kw: panel_passes.append(1) or circle_mean(*a, **kw),
+    )
 
     def cusp(z):
-        if np.size(z) > 16:
+        if not panel_passes:
             grid_points.append(np.size(z))
         return 1 + z
 
@@ -244,6 +426,23 @@ def test_stalled_dyadic_pass_hands_over_after_three_doublings():
         (math.gamma(1.5) / math.gamma(1.25) ** 2) ** 2, rel=1e-8
     )
     assert sum(grid_points) <= 2**15 + 4096
+    assert panel_passes
+
+
+@pytest.mark.parametrize("pole", [0.0, math.pi / 4096], ids=["start", "midpoints"])
+def test_pole_on_a_dyadic_grid_goes_to_the_panels(pole):
+    # (1 - z e^{-i pole})^{-1/2} is NaN at theta = pole, a point of the
+    # starting grid or of the first grid of midpoints, where the dyadic pass
+    # used to agree on a NaN mean and return 0.0.  Its H^{1/2} norm is the
+    # square of the mean of |2 sin(theta/2)|^{-1/4}.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mean = mpmath.quad(lambda t: (2 * mpmath.sin(t / 2)) ** -0.25, [0, mpmath.pi]) / mpmath.pi
+        exact = float(mean**2)
+    assert exact == pytest.approx(1.06516218501, rel=1e-11)
+    w = cmath.exp(1j * pole)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert norm_hp(lambda z: (1 - z / w) ** -0.5, 0.5) == pytest.approx(exact, rel=1e-8)
 
 
 @pytest.mark.parametrize("d", [10.0 ** -e for e in range(2, 9)])
@@ -270,5 +469,5 @@ def test_round_off_floor_raises_early():
 
     with pytest.raises(QuadratureError, match="round-off floor"):
         norm_hp(g, 1.0)
-    # a split takes 6 calls of g: the 20000-panel budget would take 60000
-    assert calls[0] < 30000
+    # a split takes one call of g: the 20000-panel budget would take 10000
+    assert calls[0] < 5000
