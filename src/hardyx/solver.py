@@ -54,8 +54,10 @@ objective, t_hat and their exact gradients for all of its rows in one pass
 of the same kernel; the series are finite in lam and conj(lam), so the
 derivatives are too (_series_batch, _objective_batch).  Its line search is
 at most two passes: the full step, then every halving of the rows that
-step fails, all fixed by then.  The returned solution is re-measured
-through hardy_norm and taylor_coeff as an independent consistency check.
+step fails, all fixed by then.  The value returned is the winner's series
+Re a_k.  One 256-point Cauchy integral of the built function checks it, on
+the circle |z| = r of 1/2, ..., 1/32 where its round-off is least
+(_coeff_inside), and hardy_norm re-measures its norm.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ _CLUSTER_DIST_TOL = 1e-3
 # the polish's convergence tolerance on the change of the objective and on
 # |t_hat - t|, SLSQP's ftol in the polish this replaced
 _POLISH_FTOL = 1e-10
-# the largest gap allowed between the series Re a_k and the FFT cross-check's
+# the largest gap allowed between the series Re a_k and the Cauchy integral's,
+# relative to max(1, |Re a_k|)
 _AGREE_TOL = 1e-8
 
 
@@ -809,34 +812,22 @@ def _count_clusters(cands, best_value: float, k: int) -> int:
 # final assembly
 # ---------------------------------------------------------------------------
 
-def _coeff_via_fft(fn: StructuredExtremal, k: int, series: float) -> complex:
-    """a_k of fn by FFT on doubling boundary grids, until two agree.
+def _coeff_inside(fn: StructuredExtremal, k: int) -> complex:
+    """a_k of fn by a 256-point Cauchy integral on a circle inside the disc.
 
-    The FFT of samples as large as max|f| carries a round-off floor of
-    about eps max|f| on each coefficient, less by a factor that depends
-    on how |f| peaks.  On k = 1, 2 and tiny p two grids agreed whenever
-    the first grid's floor was at most 2.7e-8, and never once it was
-    5.4e-8 or more; so where it exceeds 100 _AGREE_TOL no larger grid is
-    sampled.  Either way the error names the floor beside the series
-    value of Re a_k.
+    On |z| = r the integral's round-off is about eps max|f(r z)| / r^k, and
+    its aliasing error is below max_{|z|=1}|f| r^256; of r = 1/2, ..., 1/32
+    it takes the radius of least round-off (Bornemann, "Accuracy and
+    stability of computing high-order derivatives of analytic functions by
+    Cauchy integrals", Found. Comput. Math. 11, 2011).  r = 1 is left out:
+    there a unimodular outer lambda puts a zero of f on the grid, while
+    inside the disc f is analytic, and by the maximum principle the
+    round-off at r = 1/2 is at most 2^k times that at r = 1.
     """
-    n0 = 4096
-    prev = floor = None
-    for n in (n0 << j for j in range(7)):
-        samples = sample_boundary(fn, n)
-        cur = taylor_coeff(samples, k)
-        if prev is None:
-            floor = np.finfo(float).eps * float(np.abs(samples.values).max())
-            if floor > 100 * _AGREE_TOL:
-                break
-        elif abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise SolverError(
-        f"the FFT cross-check cannot resolve a_{k}: no two grids of {n0} to {n} points "
-        f"agreed, and the round-off floor eps*max|f| on {n0} points is {floor:.3g} against "
-        f"the {_AGREE_TOL:g} agreement bound, with Re a_{k} = {series:.6g} from the series"
-    )
+    grids = [(r, sample_boundary(lambda z, r=r: fn(r * z), 256))
+             for r in (0.5 ** j for j in range(1, 6))]
+    r, samples = min(grids, key=lambda g: float(np.abs(g[1].values).max()) / g[0] ** k)
+    return taylor_coeff(samples, k) / r ** k
 
 def _build_best(cfg: SolveConfig, lams, l_eff: int):
     p, t, k = cfg.p, cfg.t, cfg.k
@@ -890,9 +881,12 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     lams_eff, l_eff = _effective(lams_win, winner)
     best = _build_best(cfg, lams_eff, l_eff)
 
-    value = float(_coeff_via_fft(best, k, J_win).real)
-    if not (abs(value - J_win) <= _AGREE_TOL):  # a NaN fails
-        raise SolverError(f"series/quadrature disagreement: {J_win} vs {value}")
+    # best meets f(0) = t exactly, so its norm is t / t_hat, up to _FEAS_TOL / t
+    # from 1 (9.7e-9 in the sweep); J_win is Re a_k of f / ||f||
+    _, _, (nrm,) = _series_batch(p, np.array([best.lambdas]), l_eff)
+    inside = float(_coeff_inside(best, k).real) / (abs(best.scale) * nrm)
+    if not (abs(inside - J_win) <= _AGREE_TOL * max(1.0, abs(J_win))):  # a NaN fails
+        raise SolverError(f"series/Cauchy integral disagreement: {J_win} vs {inside}")
     if math.isinf(p):
         nrm_meas = norm_hinf(best)
     else:
@@ -904,7 +898,7 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     )
 
     return ExtremalSolution(
-        value=max(value, 0.0), best=best, l_used=l_eff,
+        value=max(float(J_win), 0.0), best=best, l_used=l_eff,
         norm_residual=abs(nrm_meas - 1.0), t_residual=t_meas,
         cluster_count=clusters, per_l_values=per_l,
     )

@@ -8,7 +8,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -381,32 +381,47 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
 
 
 @pytest.mark.parametrize("p", [1e-3, 5e-3, 7e-3, 1e-2, 2e-2])
-def test_fft_cross_check_names_its_round_off_floor(p, monkeypatch):
-    # at k = 1, t = 1/2 the first grid's eps*max|f| is 4.2e6 at p = 1e-3 (no
-    # second grid is sampled), 9.8e-7 at 5e-3 (no two grids up to 2^18 points
-    # agree), 2.6e-8 at 7e-3 (two agree at 2^17) and 1.0e-9 at 1e-2
-    grids = []
-
-    def sample_boundary(fn, n):
-        grids.append(n)
-        return fn_repr.sample_boundary(fn, n)
-
-    monkeypatch.setattr(solver, "sample_boundary", sample_boundary)
-    cfg = SolveConfig(k=1, p=p, t=0.5, starts=4)
-    if p < 7e-3:
-        with pytest.raises(SolverError, match="round-off floor"):
-            maximize_phik(cfg)
-        assert max(grids) == (4096 if p < 5e-3 else 1 << 18)
-    else:
-        assert maximize_phik(cfg).value == pytest.approx(phi1(p, 0.5).value, abs=1e-6)
+def test_k1_tiny_p_returns_phi1(p):
+    # at k = 1, t = 1/2, max|f| on |z| = 1 is large enough here that an FFT
+    # on the unit circle is off by 4.6e-9 at p = 7e-3 and cannot resolve a_1
+    # below; the series value, checked inside the disc, is phi1's to rounding
+    ref = phi1(p, 0.5).value
+    sol = maximize_phik(SolveConfig(k=1, p=p, t=0.5, starts=4))
+    assert abs(sol.value - ref) <= 1e-11 * max(1.0, ref)
 
 
 @pytest.mark.parametrize("k, p, t", [(2, 0.05, 0.5), (2, 0.015, 0.2)])
 def test_fft_cross_check_passes_small_p_at_k2(k, p, t):
-    # |f| peaks at 1e3 and 1.2e8 here, floors 2.4e-13 and 2.7e-8: the
-    # second is above the agreement bound, yet two grids agree at 8192 points
+    # |f| peaks at 1e3 and 1.2e8 on |z| = 1 here; inside the disc the Cauchy
+    # integral of f / ||f|| meets the series value far below the agreement bound
     sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
+    best = sol.best
+    _, _, (nrm,) = solver._series_batch(p, np.array([best.lambdas]), best.zero_count)
+    gap = abs(solver._coeff_inside(best, k).real / (abs(best.scale) * nrm) - sol.value)
+    assert gap <= 1e-11 * max(1.0, abs(sol.value))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), p=st.floats(1e-3, 8.0) | st.just(INF),
+       data=st.data(), phase=st.floats(0.0, 2 * math.pi))
+def test_coeff_inside_matches_the_30_digit_series(k, p, data, phase):
+    # the unit-norm f = scale * g, as every solve builds it: the Cauchy
+    # integral's a_k against Re(scale a_k) from the 30-digit series
+    lams = data.draw(st.lists(_point, min_size=k, max_size=k))
+    l = data.draw(st.integers(0, k))
+    # Blaschke lambdas lie in the open disc
+    lams = [z * (1 - 2 ** -30) if j < l else z for j, z in enumerate(lams)]
+    _, ak, nrm = _mp_series(p, lams, l)
+    # eval_structured forms each outer factor alone, and scale = 1/||g||
+    # must be a normal double; past either, f has no double evaluation
+    r_max = max(abs(z) for z in lams)
+    assume(nrm < 1e300 and (p == INF or 2 / p * math.log1p(r_max / 2) < 700))
+    scale = complex(math.cos(phase), math.sin(phase)) / nrm
+    fn = fn_repr.StructuredExtremal(scale=scale, p=p, zero_count=l, lambdas=tuple(lams))
+    want = (scale * ak).real
+    got = solver._coeff_inside(fn, k).real
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_import_leaves_scipy_unloaded():
@@ -900,8 +915,8 @@ def test_nan_solution_fields_raise(field):
 
 
 def test_nan_cross_check_raises(monkeypatch):
-    # a NaN from the FFT cross-check disagrees with every series value
-    monkeypatch.setattr(solver, "_coeff_via_fft", lambda fn, k, series: complex(math.nan, 0.0))
+    # a NaN from the Cauchy-integral cross-check disagrees with every series value
+    monkeypatch.setattr(solver, "_coeff_inside", lambda fn, k: complex(math.nan, 0.0))
     with pytest.raises(SolverError, match="disagreement"):
         maximize_phik(SolveConfig(k=2, p=0.5, t=0.3, starts=4))
 

@@ -36,3 +36,9 @@ def test_check_fails_on_value_and_zero_count_and_prints_the_rest():
     assert len(fails) == 2
     fails, _ = solver_reference.compare(entry, {"error": "SolverError"})
     assert fails == ["error None -> SolverError"]
+
+
+def test_check_passes_on_every_reference_entry(capsys):
+    # the gate itself: every recorded solve, solved again on this tree
+    entries = json.loads(solver_reference.REFERENCE.read_text())
+    assert solver_reference.check(entries), capsys.readouterr().out

@@ -48,23 +48,24 @@ VALUE_TOL = 1e-9
 # Entries whose figures the parent's own arithmetic does not fix: each note
 # gives the evidence, taken at the commit that wrote the reference, and the
 # solve joins the set if the tests do not make it.  "ulp runs" scale every
-# norm of that commit's batch series (the explore's and the polish
-# stencil's) by 1 + j 2^-52, j in {1, -1, 2, -2, 4}.
+# norm that hardyx.solver._series_batch returns by 1 + j 2^-52, j in
+# {1, -1, 2, -2, 4}.
 NOTED = [
     {"source": "perfbench solve seed 1 round 2: k=2 p<1",
      "config": {"k": 2, "p": 0.25191334389282305, "t": 0.3254741592410315,
                 "l_range": [0, 1, 2], "starts": 32, "seed": 0},
-     "note": "cluster_count reads 2 at seeds 0, 1 and 2 with 32 starts; with 64 starts it "
-             "reads 1 at seed 0 and 2 at seeds 1 and 2, and value moves by 3e-10 between "
-             "these solves: the second cluster is one leader, an l = 0 configuration 0.52 "
-             "from the rest and 1.6e-11 below the best, which the starts find or miss"},
+     "note": "cluster_count reads 1 at seeds 0, 1 and 2 with 32 and 64 starts and in all 5 "
+             "ulp runs, and value moves by 2.2e-12 between these solves; before clusters "
+             "were matched as sets it read 1 or 2 with the starts, the second cluster one "
+             "leader, an l = 0 configuration 1.6e-11 below the best"},
     {"source": "tests/test_solver.py::test_t_zero_hits_the_peak_value",
      "config": {"k": 2, "p": 0.5, "t": 0.0, "l_range": [0, 1, 2], "starts": 64, "seed": 0},
-     "note": "cluster_count is 15 here and 16 in all 5 ulp runs: f(0) = 0 leaves the "
+     "note": "cluster_count is 16 here and in all 5 ulp runs: f(0) = 0 leaves the "
              "maximizers a continuum, so nearly every leader is a cluster of its own"},
     {"source": "tests/test_solver.py::test_polish_matches_scipy_finite_differences[0.0]",
      "config": {"k": 2, "p": 0.5, "t": 0.0, "l_range": [0, 1, 2], "starts": 32, "seed": 0},
-     "note": "cluster_count is 15 here and 16 in all 5 ulp runs, as at starts = 64"},
+     "note": "cluster_count is 16 here and in 4 of the 5 ulp runs, 15 at j = 4, as the "
+             "continuum at starts = 64 explains"},
 ]
 
 
