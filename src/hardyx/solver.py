@@ -898,7 +898,7 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     )
 
     return ExtremalSolution(
-        value=max(float(J_win), 0.0), best=best, l_used=l_eff,
+        value=max(J_win, 0.0), best=best, l_used=l_eff,
         norm_residual=abs(nrm_meas - 1.0), t_residual=t_meas,
         cluster_count=clusters, per_l_values=per_l,
     )

@@ -62,7 +62,7 @@ NOTED = [
      "config": {"k": 2, "p": 0.5, "t": 0.0, "l_range": [0, 1, 2], "starts": 64, "seed": 0},
      "note": "cluster_count is 16 here and in all 5 ulp runs: f(0) = 0 leaves the "
              "maximizers a continuum, so nearly every leader is a cluster of its own"},
-    {"source": "tests/test_solver.py::test_polish_matches_scipy_finite_differences[0.0]",
+    {"source": "tests/test_solver.py::test_polish_ends_at_kkt_points[0.0]",
      "config": {"k": 2, "p": 0.5, "t": 0.0, "l_range": [0, 1, 2], "starts": 32, "seed": 0},
      "note": "cluster_count is 16 here and in 4 of the 5 ulp runs, 15 at j = 4, as the "
              "continuum at starts = 64 explains"},
