@@ -7,10 +7,10 @@ function (parameter beta).  For p >= 1 the switch sits at 2^{-1/p}; for
 0 < p < 1 it sits at the threshold t_p defined implicitly by F_p(alpha_p)=0,
 where both regimes attain the same value and the extremal is non-unique.
 
-All implicit equations are solved by bracketed bisection in log(alpha)
-followed by one Newton polish.  The log coordinate matters: alpha_1(p)
+All implicit equations are solved in log(alpha) by Newton's method kept
+inside a sign-changing bracket.  The log coordinate matters: alpha_1(p)
 behaves like 2^{-1/p}, which is on the order of 1e-150 near the small end
-of the supported p range, where a linear-coordinate bisection would lose
+of the supported p range, where a root-finder in alpha itself would lose
 all relative accuracy.
 """
 
@@ -69,7 +69,7 @@ class ClosedFormResult:
 
 @dataclass(frozen=True)
 class RootBracket:
-    """A sign-changing interval, the precondition every bisection starts from."""
+    """A sign-changing interval, which the bracketed Newton iteration keeps shrinking."""
 
     lo: float
     hi: float
@@ -83,33 +83,38 @@ class RootBracket:
             raise ValueError("bracket endpoints must have opposite signs")
 
 
-def _bisect(f, br: RootBracket, tol: float = 1e-13):
-    """Plain bisection on a verified bracket down to interval width tol."""
+def _root(f, df, br: RootBracket, tol: float = 1e-13) -> float:
+    """Newton's method kept inside a verified bracket (rtsafe, Numerical Recipes §9.4).
+
+    From the midpoint on, each value of f replaces the end of the bracket
+    with its sign.  A Newton step that leaves the open bracket, is not under
+    half the step before last, or has f' zero or not finite becomes a
+    bisection step.  Returns once |f/f'| <= tol, or at a bisection midpoint
+    within tol of both ends or rounding to one of them.
+    """
     lo, hi, f_lo = br.lo, br.hi, br.f_lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+    x = 0.5 * (lo + hi)
+    dx = dx_old = hi - lo
+    while True:
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (f_lo > 0):
+            lo, f_lo = x, fx
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(x, f, df, lo, hi):
-    """One guarded Newton step; falls back to x if it leaves [lo, hi]."""
-    d = df(x)
-    if d == 0 or not math.isfinite(d):
-        return x
-    step = f(x) / d
-    y = x - step
-    if not (lo <= y <= hi) or not math.isfinite(y):
-        return x
-    return y
+            hi = x
+        d = df(x)
+        step = fx / d if d != 0 and math.isfinite(d) else math.nan
+        if abs(step) <= tol:
+            return x - step
+        if lo < x - step < hi and abs(2 * fx) <= abs(dx_old * d):
+            dx_old, dx = dx, step
+            x -= step
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            x = lo + dx
+            if dx <= tol or x == lo or x == hi:
+                return x
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +227,12 @@ def solve_alpha(p: float, t: float) -> float:
             return math.exp(lo_L)
     if g_hi == 0.0:
         return math.exp(hi_L)
-    L = _bisect(g, RootBracket(lo_L, hi_L, g_lo, g_hi))
 
     def dg(Lx):
         a2 = math.exp(2 * Lx)
         return _t_of_log_alpha(p, Lx) * (1.0 - (2.0 / p) * a2 / (1.0 + a2))
 
-    L = _newton_polish(L, g, dg, lo_L, hi_L)
-    return math.exp(L)
+    return math.exp(_root(g, dg, RootBracket(lo_L, hi_L, g_lo, g_hi)))
 
 
 def solve_beta(p: float, t: float) -> float:
@@ -355,14 +358,9 @@ def _alpha1_log(p: float) -> float:
         if lo_L < -1500.0:
             raise RuntimeError(f"failed to bracket the J_p root for p={p}")
         f_lo = _Jp_log(p, lo_L)
-    L = _bisect(lambda Lx: _Jp_log(p, Lx), RootBracket(lo_L, hi_L, f_lo, f_hi))
-    L = _newton_polish(
-        L,
-        lambda Lx: _Jp_log(p, Lx),
-        lambda Lx: -2 * p * math.exp(p * Lx) + 2 * math.exp(2 * Lx),
-        lo_L,
-        hi_L,
-    )
+    L = _root(functools.partial(_Jp_log, p),
+              lambda Lx: -2 * p * math.exp(p * Lx) + 2 * math.exp(2 * Lx),
+              RootBracket(lo_L, hi_L, f_lo, f_hi))
     if abs(_Jp_log(p, L)) > 1e-13:
         raise RuntimeError(f"J_p residual too large at the computed root for p={p}")
     return L
@@ -409,15 +407,8 @@ def alpha_p(p: float) -> float:
             f"F_p sign pattern violated at the bracket for p={p}: "
             f"scaled F(alpha1)={f_lo}, scaled F(alpha2)={f_hi}"
         )
-    L = _bisect(lambda Lx: _Fp_scaled_log(p, Lx), RootBracket(lo_L, hi_L, f_lo, f_hi))
-    for _ in range(2):
-        L = _newton_polish(
-            L,
-            lambda Lx: _Fp_scaled_log(p, Lx),
-            lambda Lx: _dFp_scaled_dlog(p, Lx),
-            lo_L,
-            hi_L,
-        )
+    L = _root(functools.partial(_Fp_scaled_log, p), functools.partial(_dFp_scaled_dlog, p),
+              RootBracket(lo_L, hi_L, f_lo, f_hi))
     if abs(_Fp_scaled_log(p, L) * math.exp(-2 * L)) > 1e-12:
         raise RuntimeError(f"F_p residual too large at the computed root for p={p}")
     return math.exp(L)

@@ -22,6 +22,7 @@ Three concrete representations are used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -189,20 +190,19 @@ def eval_structured(fn: StructuredExtremal, z):
         raise EvaluationError("evaluation point outside the closed unit disc")
 
     out = np.full(zs.shape, fn.scale, dtype=complex)
-    for j in range(fn.zero_count):
-        out *= _blaschke(fn.lambdas[j], zs)
-    if math.isfinite(fn.p):
-        e = 2.0 / fn.p
+    if math.isfinite(fn.p) and fn.scale != 0:
+        # one exp of log(scale) plus the outer factors' logs: at small p a
+        # factor alone can pass the double range where f does not
+        log_f = np.full(zs.shape, cmath.log(fn.scale))
+        zero = np.zeros(zs.shape, dtype=bool)
         for lam in fn.lambdas:
             w = 1.0 - np.conj(lam) * zs
-            zero = w == 0
-            if np.any(zero):
-                # boundary tangency: |w|^(2/p) -> 0
-                w = np.where(zero, 1.0, w)
-                out *= np.exp(e * np.log(w))
-                out[zero] = 0.0
-            else:
-                out *= np.exp(e * np.log(w))
+            zero |= w == 0  # boundary tangency: |w|^(2/p) -> 0
+            log_f += 2.0 / fn.p * np.log(np.where(w == 0, 1.0, w))
+        out = np.exp(log_f)
+        out[zero] = 0.0
+    for j in range(fn.zero_count):
+        out *= _blaschke(fn.lambdas[j], zs)
     return complex(out[0]) if scalar else out
 
 

@@ -152,6 +152,14 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class ExtremalSolution:
+    """The answer of ``maximize_phik``.
+
+    ``value`` is the series Re a_k of g / ||g|| for the winner g, whose
+    t_hat = |g(0)| / ||g|| meets t to the feasibility tolerance.  ``best`` meets
+    f(0) = t exactly, so its Re a_k is value * t / t_hat; ``norm_residual``
+    measures | ||best|| - 1 | = |t / t_hat - 1|, the relative gap of the two.
+    """
+
     value: float
     best: StructuredExtremal
     l_used: int

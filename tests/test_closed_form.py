@@ -1,9 +1,12 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyx import closed_form
 from hardyx.closed_form import (
     BOTH,
     MOEBIUS_OUTER,
@@ -11,7 +14,9 @@ from hardyx.closed_form import (
     ClosedFormResult,
     F_p,
     RootBracket,
+    _branch_top,
     _Jp_log,
+    _root,
     alpha1,
     alpha2,
     alpha_p,
@@ -264,6 +269,103 @@ def test_appendix_domain():
         appendix_functions(1.0, 0.5)
     with pytest.raises(ValueError):
         appendix_functions(0.5, 0.0)
+
+
+def _mp_log_alpha_p(p):
+    """(log alpha_p, rounding floor) from 40-digit Newton steps on F_p in log alpha.
+
+    The floor eps * sum|terms| / |dF/dL| at the root is how far in log alpha
+    any double evaluation of F_p can place its zero; F_p cancels like
+    (1 - p)^4, so near p = 1 the floor passes 2e-13.
+    """
+    with mpmath.workdps(40):
+        q = 2 - mpmath.mpf(p)
+        pm = 2 - q
+
+        def terms(L):
+            a = mpmath.exp(L)
+            return [pm**2 / a**2, 2 * pm * q, q**2 * a**2, -4 * a**-pm, -4 * a**q, 4]
+
+        def dF(L):
+            a = mpmath.exp(L)
+            return -2 * pm**2 / a**2 + 2 * q**2 * a**2 + 4 * pm * a**-pm - 4 * q * a**q
+
+        L = mpmath.mpf(math.log(alpha_p(p)))
+        for _ in range(8):
+            L -= mpmath.fsum(terms(L)) / dF(L)
+        floor = 2.0**-52 * float(mpmath.fsum(abs(x) for x in terms(L)) / abs(dF(L)))
+        return L, floor
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.floats(min_value=1e-3, max_value=0.99))
+def test_alpha_p_and_t_p_match_the_40_digit_root(p):
+    L, floor = _mp_log_alpha_p(p)
+    with mpmath.workdps(40):
+        a = mpmath.exp(L)
+        ref_t = a * (1 + a**2) ** (-1 / mpmath.mpf(p))
+        # d log t / d log alpha carries the root's error into t_p
+        slope = abs(float(1 - 2 * a**2 / (p * (1 + a**2))))
+        err_a = abs(float(alpha_p(p) / a - 1))
+        err_t = abs(float(t_p(p) / ref_t - 1))
+    assert err_a <= 2e-13 + floor
+    assert err_t <= 2e-13 + slope * floor
+
+
+def _count_root_evaluations(monkeypatch):
+    """Patch _root to record, per call, how many times it evaluates f."""
+    counts = []
+
+    def counted(f, df, br, tol=1e-13):
+        counts.append(0)
+
+        def f_counted(x):
+            counts[-1] += 1
+            return f(x)
+
+        return _root(f_counted, df, br, tol)
+
+    monkeypatch.setattr(closed_form, "_root", counted)
+    return counts
+
+
+def test_root_takes_few_evaluations(monkeypatch):
+    # Newton's rate: bisection to width 1e-13 would take about 50
+    counts = _count_root_evaluations(monkeypatch)
+    alpha1_counts, alpha_p_counts, solve_counts = [], [], []
+    for p in np.linspace(0.05, 0.99, 95):
+        p = float(p)
+        alpha_p.__wrapped__(p)  # _alpha1_log's root, then alpha_p's own
+        alpha1_counts.append(counts[-2])
+        alpha_p_counts.append(counts[-1])
+        top = _branch_top(p)[1]
+        for frac in np.geomspace(1e-3, 1.0, 12):
+            solve_alpha(p, float(frac) * top)
+            solve_counts.append(counts[-1])
+    for n in (alpha1_counts, alpha_p_counts, solve_counts):
+        assert max(n) <= 12
+
+
+@pytest.mark.parametrize("df", [lambda x: 0.0, lambda x: math.nan], ids=["zero", "nan"])
+def test_root_bisects_without_a_derivative(df):
+    f = lambda x: x**3 - 2.0  # noqa: E731
+    x = _root(f, df, RootBracket(0.0, 2.0, f(0.0), f(2.0)))
+    assert abs(x - 2.0 ** (1 / 3)) <= 1e-13
+
+
+def test_root_returns_at_a_root_one_ulp_from_the_bracket():
+    # a root between lo and the next double: with tol = 0 only the check that
+    # the midpoint rounds to an end of the bracket ends the loop
+    lo = -671.0
+    f = lambda x: -1.0 if x <= lo else 1.0  # noqa: E731
+    x = _root(f, lambda x: math.nan, RootBracket(lo, 0.0, -1.0, 1.0), tol=0.0)
+    assert x in (lo, math.nextafter(lo, 0.0))
+    # the same case from the branch inversion: log t is about -671, and the
+    # root of t = alpha (1 + alpha^2)^(-1/p) lies within an ulp or two of it
+    p, t = 1.08e-3, 3e-292
+    a = solve_alpha(p, t)
+    assert abs(math.log(a) - math.log(t)) <= 4 * math.ulp(math.log(t))
+    assert a * (1 + a * a) ** (-1 / p) == pytest.approx(t, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

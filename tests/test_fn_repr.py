@@ -77,6 +77,16 @@ def test_boundary_tangent_outer_factor_vanishes():
     assert abs(eval_structured(fn, -1.0)) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_tiny_p_outer_factor_past_the_double_range():
+    # f = 2^-1000 (1 - z)^2000 at p = 1e-3: the factor alone is 1.5^2000,
+    # past the largest double, at z = -1/2, where f is about 1.4e51
+    fn = StructuredExtremal(2.0**-1000, 1e-3, 0, (1.0,))
+    want = math.exp(2000 * math.log(1.5) - 1000 * math.log(2.0))
+    got = eval_structured(fn, -0.5)
+    assert abs(got - want) <= 1e-12 * want
+    assert eval_structured(fn, 1.0) == 0.0
+
+
 def test_p_infinity_skips_outer_factors():
     lam = 0.3 + 0.2j
     fn = StructuredExtremal(2.0, math.inf, 1, (lam,))

@@ -413,10 +413,8 @@ def test_coeff_inside_matches_the_30_digit_series(k, p, data, phase):
     # Blaschke lambdas lie in the open disc
     lams = [z * (1 - 2 ** -30) if j < l else z for j, z in enumerate(lams)]
     _, ak, nrm = _mp_series(p, lams, l)
-    # eval_structured forms each outer factor alone, and scale = 1/||g||
-    # must be a normal double; past either, f has no double evaluation
-    r_max = max(abs(z) for z in lams)
-    assume(nrm < 1e300 and (p == INF or 2 / p * math.log1p(r_max / 2) < 700))
+    # scale = 1/||g|| must be a normal double
+    assume(nrm < 1e300)
     scale = complex(math.cos(phase), math.sin(phase)) / nrm
     fn = fn_repr.StructuredExtremal(scale=scale, p=p, zero_count=l, lambdas=tuple(lams))
     want = (scale * ak).real
