@@ -279,8 +279,8 @@ def _mp_log_alpha_p(p):
     (1 - p)^4, so near p = 1 the floor passes 2e-13.
     """
     with mpmath.workdps(40):
-        q = 2 - mpmath.mpf(p)
-        pm = 2 - q
+        pm = mpmath.mpf(p)
+        q = 2 - pm
 
         def terms(L):
             a = mpmath.exp(L)
