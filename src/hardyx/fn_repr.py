@@ -102,9 +102,15 @@ class StructuredExtremal:
 
 @dataclass(frozen=True)
 class PolyCoeffs:
-    """Taylor polynomial a_0 + a_1 z + ... + a_d z^d."""
+    """Taylor polynomial a_0 + a_1 z + ... + a_d z^d.
+
+    ``_norms`` holds the norms ``hardy_norm`` has measured on this instance,
+    keyed by (p, rel_tol) for ``norm_hp`` and by inf for ``norm_hinf``; it
+    takes no part in equality, hashing or repr.
+    """
 
     coeffs: tuple[complex, ...]
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.coeffs)

@@ -10,7 +10,12 @@ doublings stall an adaptive pass subdivides panels until the error
 concentrated at the cusp is below the requested tolerance.  The same panel
 machinery handles integrands with a sharp near-singular peak, refining
 geometrically into it, and a starting grid that meets a pole or a NaN.
-``QuadConfig.rel_tol`` is the one quadrature setting.
+``QuadConfig.rel_tol`` is the one quadrature setting; the panels take the
+mean of |f|^p to rel_tol * min(1, p), which holds the norm to rel_tol.
+
+A ``PolyCoeffs`` is immutable, so each one keeps the norms measured on it,
+keyed by (p, rel_tol) and by inf for the sup-norm: a bound check of W_k f
+for several k measures ||f|| once.
 
 A ``PolyCoeffs`` is sampled on each trapezoid grid by one zero-padded
 inverse FFT of its coefficients (twisted by e^{i pi j/n} for the midpoint
@@ -256,6 +261,16 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
 # H^p norm, 0 < p < infinity
 # ---------------------------------------------------------------------------
 
+def _memoized(f, key, measure):
+    """measure(), kept on f under key when f is a PolyCoeffs."""
+    if not isinstance(f, PolyCoeffs):
+        return measure()
+    norms = f._norms
+    if key not in norms:
+        norms[key] = measure()
+    return norms[key]
+
+
 def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     """The H^p quasi-norm (mean of |f|^p on the circle)^(1/p), 0 < p < inf.
 
@@ -263,11 +278,18 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     successive norm estimates agree to cfg.rel_tol relatively.  If that
     stalls, or a grid sample is not finite (a pole on the circle), an
     adaptive panel pass finishes the job, and raises QuadratureError with
-    its last two estimates if it runs out of panels.
+    its last two estimates if it runs out of panels.  The panels take the
+    mean of |f|^p to rel_tol * min(1, p), so that its 1/p-th power, the
+    norm, meets rel_tol.  A polynomial's norm is measured once per
+    (p, rel_tol).
     """
     if not (0 < p < math.inf):
         raise ValueError(f"p must lie in (0, inf) (got {p})")
     cfg = cfg or QuadConfig()
+    return _memoized(f, (p, cfg.rel_tol), lambda: _norm_hp(f, p, cfg.rel_tol))
+
+
+def _norm_hp(f, p: float, rel_tol: float) -> float:
     absf = _as_theta_evaluator(f)
     grid = _grid_sampler(f, absf)
 
@@ -282,7 +304,7 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
         mean = 0.5 * (mean + float(np.mean(samples ** p)))
         n *= 2
         cur = mean ** (1.0 / p) if mean > 0 else 0.0
-        if abs(cur - prev) <= cfg.rel_tol * max(cur, 1e-300) and math.isfinite(mean):
+        if abs(cur - prev) <= rel_tol * max(cur, 1e-300) and math.isfinite(mean):
             return cur
         prev = cur
 
@@ -299,7 +321,7 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
         shift = 0.0 if samples is prof else 0.5
         bad = np.flatnonzero(~np.isfinite(samples))[:64]
         seeds = list(_TWO_PI * (bad + shift) / len(samples))
-    mean = circle_mean(lambda th: absf(th) ** p, cfg.rel_tol, seeds=seeds)
+    mean = circle_mean(lambda th: absf(th) ** p, rel_tol * min(1.0, p), seeds=seeds)
     return mean ** (1.0 / p) if mean > 0 else 0.0
 
 
@@ -307,8 +329,15 @@ def norm_hinf(f, return_witness: bool = False):
     """The boundary sup-norm: grid maximum plus golden-section polish.
 
     With return_witness=True the attained angle is returned alongside the
-    norm value.
+    norm value.  A polynomial's pair is measured once.
     """
+    best, best_theta = _memoized(f, math.inf, lambda: _norm_hinf(f))
+    if return_witness:
+        return best, best_theta
+    return best
+
+
+def _norm_hinf(f) -> tuple[float, float]:
     absf = _as_theta_evaluator(f)
     one = _point_sampler(f, absf)
     n = _BASE_SAMPLES
@@ -332,10 +361,7 @@ def norm_hinf(f, return_witness: bool = False):
             d = a + invphi * (b - a)
             fd = one(d)
     best_theta = 0.5 * (a + b)
-    best = max(float(vals[m]), one(best_theta))
-    if return_witness:
-        return best, best_theta % _TWO_PI
-    return best
+    return max(float(vals[m]), one(best_theta)), best_theta % _TWO_PI
 
 
 def parseval_norm(c: PolyCoeffs) -> float:

@@ -397,6 +397,67 @@ def test_polynomial_norms_make_no_grid_sized_call(monkeypatch):
     assert len(sizes) > 1 and sizes[0] % 48 == 0 and set(sizes[1:]) == {64}
 
 
+def _sampled_polys(monkeypatch):
+    """The PolyCoeffs that each later _poly_grid call samples, in order."""
+    sampled = []
+    grid = hardy_norm._poly_grid
+    monkeypatch.setattr(hardy_norm, "_poly_grid", lambda c, *a: sampled.append(c) or grid(c, *a))
+    return sampled
+
+
+def test_norm_memo_is_keyed_by_p_tolerance_and_instance(monkeypatch):
+    sampled = _sampled_polys(monkeypatch)
+    f = _random_poly(np.random.default_rng(8), 9)
+    value = norm_hp(f, 0.7)
+    assert sampled
+    sampled.clear()
+    assert norm_hp(f, 0.7) == value
+    assert norm_hp(f, 0.7, QuadConfig()) == value
+    assert not sampled
+    for again in (lambda: norm_hp(f, 0.7, QuadConfig(rel_tol=1e-7)),
+                  lambda: norm_hp(f, 0.8),
+                  lambda: norm_hp(PolyCoeffs(f.coeffs), 0.7)):
+        again()
+        assert sampled
+        sampled.clear()
+    assert norm_hp(PolyCoeffs(f.coeffs), 0.7) == value
+
+
+def test_norm_memo_leaves_equality_hash_and_repr():
+    f, g = PolyCoeffs((1.0, 2.0j)), PolyCoeffs((1.0, 2.0j))
+    norm_hp(f, 0.5)
+    norm_hinf(f)
+    assert f._norms and not g._norms
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert repr(f) == "PolyCoeffs(coeffs=((1+0j), 2j))"
+    assert len({f, g}) == 1
+
+
+def test_norm_hinf_witness_from_the_memo(monkeypatch):
+    sampled = _sampled_polys(monkeypatch)
+    f = _random_poly(np.random.default_rng(9), 15)
+    pair = norm_hinf(f, return_witness=True)
+    sampled.clear()
+    assert norm_hinf(f, return_witness=True) == pair
+    assert norm_hinf(f) == pair[0]
+    assert not sampled
+    assert norm_hinf(PolyCoeffs(f.coeffs), return_witness=True) == pair
+
+
+def test_panel_pass_meets_the_tolerance_on_the_norm():
+    # The 24th draw of this sweep, a degree-6 polynomial with a zero at
+    # radius 0.99996, stalls the dyadic pass at p = 1/2.  With the mean of
+    # |f|^{1/2} taken to rel_tol its square, the norm, was off by 1.6e-9.
+    # The reference is a 40-digit mpmath quadrature broken at the zeros'
+    # angles and graded into the one near the circle.
+    rng = np.random.default_rng(123)
+    for _ in range(24):
+        deg = int(rng.integers(1, 33))
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+    assert deg == 6
+    assert norm_hp(PolyCoeffs(tuple(c)), 0.5) == pytest.approx(2.7292121669003033, rel=1e-9)
+
+
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_cusp_norms_match_gamma_formula(j):
     # ||(1 + z^m)^j||_p^p = Gamma(1 + jp) / Gamma(1 + jp/2)^2 for every m

@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from hardyx import hardy_norm, wiener
 from hardyx.fn_repr import PolyCoeffs, sample_boundary, taylor_coeff
+from hardyx.hardy_norm import QuadConfig
 from hardyx.wiener import (
     inner_defect,
     sharpness_ratio,
@@ -104,6 +107,41 @@ def test_bound_check_rejects_zero_function():
         wiener_bound_check(PolyCoeffs((0.0, 0.0)), 2, 1.0)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, math.inf])
+def test_bound_check_measures_f_first_and_stops_at_a_zero_norm(monkeypatch, p):
+    measured = []
+    for name in ("norm_hp", "norm_hinf"):
+        norm = getattr(wiener, name)
+        monkeypatch.setattr(
+            wiener, name, lambda g, *a, norm=norm, **kw: measured.append(g) or norm(g, *a, **kw)
+        )
+    zero = lambda z: 0.0 * z  # noqa: E731
+    with pytest.raises(ValueError, match="zero norm"):
+        wiener_bound_check(zero, 3, p)
+    assert measured == [zero]
+
+
+@pytest.mark.parametrize("p", [0.4, 2.0, math.inf])
+def test_second_bound_check_does_not_sample_f_again(monkeypatch, p):
+    # W_k f is a new polynomial for each k; only ||f|| repeats
+    sampled = []
+    grid = hardy_norm._poly_grid
+    monkeypatch.setattr(
+        hardy_norm, "_poly_grid", lambda c, *a: sampled.append(c) or grid(c, *a)
+    )
+    rng = np.random.default_rng(5)
+    f = PolyCoeffs(tuple(rng.standard_normal(12) + 1j * rng.standard_normal(12)))
+    cfg = QuadConfig(rel_tol=1e-7)
+    first = wiener_bound_check(f, 2, p, cfg=cfg)
+    assert any(c is f for c in sampled)
+    sampled.clear()
+    again = wiener_bound_check(f, 3, p, cfg=cfg)
+    assert sampled and not any(c is f for c in sampled)
+    assert wiener_bound_check(f, 2, p, cfg=cfg) == first
+    fresh = PolyCoeffs(f.coeffs)
+    assert wiener_bound_check(fresh, 3, p, cfg=cfg) == again
+
+
 def test_sharpness_frozen_values():
     # fixed by a high-resolution adaptive quadrature oracle run before the
     # implementation was written
@@ -115,6 +153,36 @@ def test_sharpness_frozen_values():
 def test_sharpness_monotone_toward_limit():
     vals = [sharpness_ratio(0.5, 2, e) for e in (1e-2, 1e-3, 1e-4)]
     assert vals[0] < vals[1] < vals[2] < 2.0 ** 0.5
+
+
+def _pole_mean_oracle(eps):
+    """40-digit mean of 1/|e^{it} - a|, a = 1 + eps: (2/(pi(a+1))) K(4a/(a+1)^2)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = 1 + mp.mpf(eps)
+        return 2 / (mp.pi * (a + 1)) * mp.ellipk(4 * a / (a + 1) ** 2)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-5, 1e-9, 1e-12])
+def test_pole_mean_matches_quadrature_and_elliptic_k(eps):
+    got = wiener._pole_mean(eps)
+    # the circle mean sharpness_ratio took before the AGM replaced it
+    quad = wiener._even_mean(lambda th: np.exp(-wiener._log_w(th, eps).real), math.pi, 1e-11)
+    assert got == pytest.approx(quad, rel=1e-15)
+    assert got == pytest.approx(float(_pole_mean_oracle(eps)), rel=1e-15)
+
+
+def test_pole_mean_is_finite_at_the_smallest_normal_eps():
+    # 1 + eps rounds to 1 even at 40 digits, so the oracle here is mpmath's AGM
+    mp = pytest.importorskip("mpmath")
+    eps = sys.float_info.min
+    got = wiener._pole_mean(eps)
+    assert math.isfinite(got)
+    with mp.workdps(40):
+        e = mp.mpf(eps)
+        want = float(1 / ((2 + e) * mp.agm(1, e / (2 + e))))
+    assert got == pytest.approx(want, rel=1e-15)
+    assert math.isfinite(sharpness_ratio(0.5, 2, eps))
 
 
 def _sharpness_oracle(eps):
@@ -129,7 +197,7 @@ def _sharpness_oracle(eps):
     with mp.workdps(40):
         a = 1 + mp.mpf(eps)
         b = a * a
-        den = 2 / (mp.pi * (a + 1)) * mp.ellipk(4 * a / (a + 1) ** 2)
+        den = _pole_mean_oracle(eps)
         g = lambda t: mp.sqrt(abs(mp.expj(t) + b)) / abs(mp.expj(t) - b)
         width = b - 1
         pts = [mp.mpf(0)] + [width * 4**j for j in range(-2, 60) if width * 4**j < mp.pi]
