@@ -104,13 +104,15 @@ class StructuredExtremal:
 class PolyCoeffs:
     """Taylor polynomial a_0 + a_1 z + ... + a_d z^d.
 
-    ``_norms`` holds the norms ``hardy_norm`` has measured on this instance,
-    keyed by (p, rel_tol) for ``norm_hp`` and by inf for ``norm_hinf``; it
-    takes no part in equality, hashing or repr.
+    ``_memo`` holds what has been computed from this instance (see
+    ``_memoized``): the read-only |f| on each trapezoid grid of
+    ``hardy_norm``, the norms measured on those samples, and the
+    ``wiener_coeffs`` W_k f, each with its own memo.  It takes no part in
+    equality, hashing or repr, and dies with the instance.
     """
 
     coeffs: tuple[complex, ...]
-    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.coeffs)
@@ -131,6 +133,21 @@ class PolyCoeffs:
         for c in self.coeffs[-2::-1]:
             out = out * z + c
         return out if out.shape else complex(out)
+
+
+def _memoized(f, key, compute):
+    """compute(), kept in f's memo under key when f is a PolyCoeffs.
+
+    A PolyCoeffs is immutable, so whatever is computed from it stays right
+    for its lifetime.  Keys are tuples whose first item names the kind:
+    ("grid", n, half), ("hp", p, rel_tol), ("hinf",) and ("wiener", k).
+    """
+    if not isinstance(f, PolyCoeffs):
+        return compute()
+    memo = f._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,22 @@ geometrically into it, and a starting grid that meets a pole or a NaN.
 ``QuadConfig.rel_tol`` is the one quadrature setting; the panels take the
 mean of |f|^p to rel_tol * min(1, p), which holds the norm to rel_tol.
 
-A ``PolyCoeffs`` is immutable, so each one keeps the norms measured on it,
-keyed by (p, rel_tol) and by inf for the sup-norm: a bound check of W_k f
-for several k measures ||f|| once.
+The mean is taken of (|f|/M)^p and the norm returned as M mean^(1/p), so
+that p in the hundreds or more neither under- nor overflows.  M is 1
+wherever the starting grid's largest finite sample, raised to p, and a sum
+of 32768 such terms stay in the normal double range; elsewhere it is that
+sample.
 
 A ``PolyCoeffs`` is sampled on each trapezoid grid by one zero-padded
 inverse FFT of its coefficients (twisted by e^{i pi j/n} for the midpoint
 grid, folded mod n past degree n), in place of a Horner pass per grid.
-Other callables, and the panels' nodes, are evaluated directly: the panel
-pass (``circle_mean``) makes one call for all its starting panels and one
-per split, on the 64 nodes of the four quarter panels.
+It is immutable, so it keeps |f| on each grid it meets, read-only, and
+the norms measured from them: a sweep over p and rel_tol samples it once
+per grid, at most 4096 + 4096 + 8192 + 16384 doubles, and the sup-norm
+reads the same starting grid.  Other callables, and the panels' nodes, are
+evaluated directly: the panel pass (``circle_mean``) makes one call for
+all its starting panels and one per split, on the 64 nodes of the four
+quarter panels.
 
 ``norm_hinf`` takes a grid maximum and polishes it with golden-section search
 around the best grid angle; a polynomial is evaluated there one point at a
@@ -33,13 +39,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fn_repr import PolyCoeffs, _eval_points, _is_int, _poly_grid
+from .fn_repr import PolyCoeffs, _eval_points, _is_int, _memoized, _poly_grid
 
 __all__ = [
     "QuadConfig",
@@ -55,6 +62,10 @@ _TWO_PI = 2.0 * np.pi
 # panel pass takes over
 _BASE_SAMPLES = 4096
 _MAX_REFINEMENTS = 3
+# log of the range |f|^p may take unscaled: normal doubles, with room for
+# the sum of the finest grid's samples
+_LOG_POW_MIN = math.log(sys.float_info.min)
+_LOG_POW_MAX = math.log(sys.float_info.max / (_BASE_SAMPLES << _MAX_REFINEMENTS))
 
 
 class QuadratureError(RuntimeError):
@@ -94,11 +105,17 @@ def _as_theta_evaluator(f):
 def _grid_sampler(f, absf):
     """|f| on the grid 2 pi m / n, or with ``half`` on 2 pi (m + 1/2) / n.
 
-    A polynomial takes one inverse FFT per grid; other callables go through
-    absf at the grid angles.
+    A polynomial takes one inverse FFT per grid, on the first call for that
+    grid only: the array is kept, read-only, in its memo.  Other callables
+    go through absf at the grid angles.
     """
     if isinstance(f, PolyCoeffs):
-        return lambda n, half: np.abs(_poly_grid(f, n, half))
+        def sample(n: int, half: bool) -> np.ndarray:
+            vals = np.abs(_poly_grid(f, n, half))
+            vals.setflags(write=False)
+            return vals
+
+        return lambda n, half: _memoized(f, ("grid", n, half), lambda: sample(n, half))
 
     def grid(n: int, half: bool) -> np.ndarray:
         theta = _TWO_PI * np.arange(n) / n
@@ -261,16 +278,6 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
 # H^p norm, 0 < p < infinity
 # ---------------------------------------------------------------------------
 
-def _memoized(f, key, measure):
-    """measure(), kept on f under key when f is a PolyCoeffs."""
-    if not isinstance(f, PolyCoeffs):
-        return measure()
-    norms = f._norms
-    if key not in norms:
-        norms[key] = measure()
-    return norms[key]
-
-
 def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     """The H^p quasi-norm (mean of |f|^p on the circle)^(1/p), 0 < p < inf.
 
@@ -280,13 +287,32 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     adaptive panel pass finishes the job, and raises QuadratureError with
     its last two estimates if it runs out of panels.  The panels take the
     mean of |f|^p to rel_tol * min(1, p), so that its 1/p-th power, the
-    norm, meets rel_tol.  A polynomial's norm is measured once per
-    (p, rel_tol).
+    norm, meets rel_tol.  The mean is taken of (|f|/M)^p, with M from the
+    starting grid, so large p neither under- nor overflows.
+
+    A polynomial is sampled once per grid whatever p and rel_tol, and its
+    norm is measured once per (p, rel_tol).
     """
     if not (0 < p < math.inf):
         raise ValueError(f"p must lie in (0, inf) (got {p})")
     cfg = cfg or QuadConfig()
-    return _memoized(f, (p, cfg.rel_tol), lambda: _norm_hp(f, p, cfg.rel_tol))
+    return _memoized(f, ("hp", p, cfg.rel_tol), lambda: _norm_hp(f, p, cfg.rel_tol))
+
+
+def _pow_scale(prof: np.ndarray, p: float) -> float:
+    """M for the mean of (|f|/M)^p, from the starting grid's samples prof.
+
+    M is 1 while the largest finite sample, raised to p, stays within
+    _LOG_POW_MIN and _LOG_POW_MAX, so that every norm computable unscaled
+    keeps its bits; elsewhere M is that sample.
+    """
+    big = float(prof.max())
+    if not math.isfinite(big):
+        finite = prof[np.isfinite(prof)]
+        big = float(finite.max()) if finite.size else 0.0
+    if big == 0.0 or _LOG_POW_MIN <= p * math.log(big) <= _LOG_POW_MAX:
+        return 1.0
+    return big
 
 
 def _norm_hp(f, p: float, rel_tol: float) -> float:
@@ -295,15 +321,24 @@ def _norm_hp(f, p: float, rel_tol: float) -> float:
 
     n = _BASE_SAMPLES
     prof = samples = grid(n, False)
-    mean = float(np.mean(prof ** p))
-    prev = mean ** (1.0 / p) if mean > 0 else 0.0
+    scale = _pow_scale(prof, p)
+    if scale == 1.0:
+        power = lambda x: x ** p  # noqa: E731
+    else:
+        power = lambda x: (x / scale) ** p  # noqa: E731
+
+    def root(mean: float) -> float:
+        return scale * mean ** (1.0 / p) if mean > 0 else 0.0
+
+    mean = float(np.mean(power(prof)))
+    prev = root(mean)
     for _ in range(_MAX_REFINEMENTS):
         if not math.isfinite(mean):
             break
         samples = grid(n, True)
-        mean = 0.5 * (mean + float(np.mean(samples ** p)))
+        mean = 0.5 * (mean + float(np.mean(power(samples))))
         n *= 2
-        cur = mean ** (1.0 / p) if mean > 0 else 0.0
+        cur = root(mean)
         if abs(cur - prev) <= rel_tol * max(cur, 1e-300) and math.isfinite(mean):
             return cur
         prev = cur
@@ -321,8 +356,7 @@ def _norm_hp(f, p: float, rel_tol: float) -> float:
         shift = 0.0 if samples is prof else 0.5
         bad = np.flatnonzero(~np.isfinite(samples))[:64]
         seeds = list(_TWO_PI * (bad + shift) / len(samples))
-    mean = circle_mean(lambda th: absf(th) ** p, rel_tol * min(1.0, p), seeds=seeds)
-    return mean ** (1.0 / p) if mean > 0 else 0.0
+    return root(circle_mean(lambda th: power(absf(th)), rel_tol * min(1.0, p), seeds=seeds))
 
 
 def norm_hinf(f, return_witness: bool = False):
@@ -331,7 +365,7 @@ def norm_hinf(f, return_witness: bool = False):
     With return_witness=True the attained angle is returned alongside the
     norm value.  A polynomial's pair is measured once.
     """
-    best, best_theta = _memoized(f, math.inf, lambda: _norm_hinf(f))
+    best, best_theta = _memoized(f, ("hinf",), lambda: _norm_hinf(f))
     if return_witness:
         return best, best_theta
     return best

@@ -51,12 +51,12 @@ _WIENER_PS = (0.4, 0.7, 1.0, 2.0, 4.0, math.inf)
 
 
 def _random_polys(rng, count: int, max_degree: int = 32):
-    polys = []
+    # drawn lazily: each polynomial, with the samples it keeps, is freed
+    # before the next is drawn
     for _ in range(count):
         deg = int(rng.integers(1, max_degree + 1))
         c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        polys.append(PolyCoeffs(tuple(c)))
-    return polys
+        yield PolyCoeffs(tuple(c))
 
 
 def _wiener_defect(f: PolyCoeffs, k: int) -> PolyCoeffs:
@@ -84,7 +84,6 @@ def run_wiener(seed: int = 0, n_polys: int = 200) -> list:
     (the bound there is 1 and is attained only on the fixed points).
     """
     rng = np.random.default_rng(seed)
-    polys = _random_polys(rng, n_polys)
     cfg = QuadConfig(rel_tol=1e-7)
 
     worst = -math.inf
@@ -102,7 +101,7 @@ def run_wiener(seed: int = 0, n_polys: int = 200) -> list:
             if dn >= 1e-6 and not near_eq_bad:
                 near_eq_bad = f"{where}, k={k}, p={p}: ||Wf-f||={dn:.3e}"
 
-    for i, f in enumerate(polys):
+    for i, f in enumerate(_random_polys(rng, n_polys)):
         for k in _WIENER_KS:
             for p in _WIENER_PS:
                 rep = wiener_bound_check(f, k, p, cfg=cfg)

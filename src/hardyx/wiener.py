@@ -9,7 +9,10 @@ complete elliptic integral, taken from the arithmetic-geometric mean, and
 only ||W_k f_eps||_p^p is integrated.
 
 ``wiener_bound_check`` measures ||f|| before W_k f, through ``norm_hp`` or
-``norm_hinf``, which keep a polynomial's norms: checks at several k share it.
+``norm_hinf``.  A polynomial keeps its boundary samples and norms, and its
+W_k f per k (``wiener_coeffs``), so a sweep over k and p samples f and each
+W_k f once per grid: checks at several k share ||f||, and checks at several
+p share the samples of f and of W_k f.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fn_repr import PolyCoeffs, StructuredExtremal, _eval_points, _is_int
+from .fn_repr import PolyCoeffs, StructuredExtremal, _eval_points, _is_int, _memoized
 from .hardy_norm import QuadConfig, circle_mean, norm_hinf, norm_hp
 
 __all__ = [
@@ -62,9 +65,16 @@ def _check_k(k: int) -> int:
 
 
 def wiener_coeffs(c: PolyCoeffs, k: int) -> PolyCoeffs:
-    """Zero every coefficient whose index is not a multiple of k."""
+    """Zero every coefficient whose index is not a multiple of k.
+
+    The result is kept in c's memo: the same instance and k give the same
+    PolyCoeffs, with the samples and norms measured on it so far.
+    """
     _check_k(k)
-    return PolyCoeffs(tuple(a if i % k == 0 else 0 for i, a in enumerate(c.coeffs)))
+    return _memoized(
+        c, ("wiener", k),
+        lambda: PolyCoeffs(tuple(a if i % k == 0 else 0 for i, a in enumerate(c.coeffs))),
+    )
 
 
 def wiener_eval(f, k: int, z):

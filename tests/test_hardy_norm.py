@@ -3,6 +3,7 @@ import heapq
 import math
 import re
 import time
+import weakref
 from operator import itemgetter
 
 import numpy as np
@@ -406,6 +407,8 @@ def _sampled_polys(monkeypatch):
 
 
 def test_norm_memo_is_keyed_by_p_tolerance_and_instance(monkeypatch):
+    # one instance is sampled once per grid: another p or rel_tol reads the
+    # kept samples and returns what a fresh, equal instance measures
     sampled = _sampled_polys(monkeypatch)
     f = _random_poly(np.random.default_rng(8), 9)
     value = norm_hp(f, 0.7)
@@ -413,21 +416,49 @@ def test_norm_memo_is_keyed_by_p_tolerance_and_instance(monkeypatch):
     sampled.clear()
     assert norm_hp(f, 0.7) == value
     assert norm_hp(f, 0.7, QuadConfig()) == value
-    assert not sampled
-    for again in (lambda: norm_hp(f, 0.7, QuadConfig(rel_tol=1e-7)),
-                  lambda: norm_hp(f, 0.8),
-                  lambda: norm_hp(PolyCoeffs(f.coeffs), 0.7)):
-        again()
-        assert sampled
+    for p, cfg in ((0.7, QuadConfig(rel_tol=1e-7)), (0.8, None), (3.0, None),
+                   (0.4, QuadConfig(rel_tol=1e-5))):
+        got = norm_hp(f, p, cfg)
+        assert not sampled
+        assert got == norm_hp(PolyCoeffs(f.coeffs), p, cfg)
+        assert sampled and all(c is not f for c in sampled)
         sampled.clear()
+    norm_hinf(f)
+    assert not sampled
     assert norm_hp(PolyCoeffs(f.coeffs), 0.7) == value
+    assert sampled
+
+
+def test_grid_samples_are_kept_once_and_read_only(monkeypatch):
+    sampled = _sampled_polys(monkeypatch)
+    f = _random_poly(np.random.default_rng(10), 12)
+    grid = hardy_norm._grid_sampler(f, None)
+    for n, half in ((4096, False), (4096, True), (8192, True)):
+        vals = grid(n, half)
+        assert grid(n, half) is vals
+        assert np.array_equal(vals, np.abs(_poly_grid(f, n, half)))
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+    assert len(sampled) == 3
+
+
+def test_memo_dies_with_its_polynomial():
+    f = _random_poly(np.random.default_rng(12), 7)
+    for p in (0.5, 2.0):
+        norm_hp(f, p)
+    norm_hinf(f)
+    wiener.wiener_bound_check(f, 3, 0.5)
+    ref = weakref.ref(f)
+    w = weakref.ref(wiener.wiener_coeffs(f, 3))
+    del f
+    assert ref() is None and w() is None
 
 
 def test_norm_memo_leaves_equality_hash_and_repr():
     f, g = PolyCoeffs((1.0, 2.0j)), PolyCoeffs((1.0, 2.0j))
     norm_hp(f, 0.5)
     norm_hinf(f)
-    assert f._norms and not g._norms
+    assert f._memo and not g._memo
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert repr(f) == "PolyCoeffs(coeffs=((1+0j), 2j))"
     assert len({f, g}) == 1
@@ -532,3 +563,28 @@ def test_round_off_floor_raises_early():
         norm_hp(g, 1.0)
     # a split takes one call of g: the 20000-panel budget would take 10000
     assert calls[0] < 5000
+
+
+def test_large_p_neither_underflows_nor_overflows():
+    # 0.5^1100 underflows and 3^1000 overflows: the mean is of (|f|/M)^p
+    assert norm_hp(PolyCoeffs((0.5,)), 1100.0) == 0.5
+    # ||2 + z||_p^p = 9^{p/4} P_{p/2}(5/3), a Legendre function
+    assert norm_hp(PolyCoeffs((2.0, 1.0)), 1000.0) == pytest.approx(2.98915674867569394, rel=1e-9)
+    assert norm_hp(PolyCoeffs((2.0, 1.0)), 2000.0) == pytest.approx(2.99405473163808247, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1100.0, 2000.0, 1e6])
+@pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 3.0, -2.5j, 1e3])
+def test_large_p_norm_of_a_constant(c, p):
+    assert norm_hp(PolyCoeffs((c,)), p) == pytest.approx(abs(c), rel=1e-15)
+
+
+def test_unscaled_range_keeps_the_unscaled_mean():
+    # where |f|^p stays in range the scale is 1, so no bit of a norm moves
+    prof = np.array([0.5, 2.0, 3.0])
+    assert hardy_norm._pow_scale(prof, 600.0) == 1.0
+    assert hardy_norm._pow_scale(prof, 700.0) == 3.0
+    assert hardy_norm._pow_scale(np.array([0.5, 0.25]), 1000.0) == 1.0
+    assert hardy_norm._pow_scale(np.array([0.5, 0.25]), 1100.0) == 0.5
+    assert hardy_norm._pow_scale(np.array([np.inf, np.nan, 4.0]), 600.0) == 4.0
+    assert hardy_norm._pow_scale(np.array([0.0, np.nan]), 2.0) == 1.0

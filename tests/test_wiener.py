@@ -142,6 +142,33 @@ def test_second_bound_check_does_not_sample_f_again(monkeypatch, p):
     assert wiener_bound_check(fresh, 3, p, cfg=cfg) == again
 
 
+def test_bound_check_sweep_samples_each_polynomial_once_per_grid(monkeypatch):
+    # 3 k x 6 p checks: f and each W_k f meet every grid they need once
+    sampled = []
+    grid = hardy_norm._poly_grid
+    monkeypatch.setattr(
+        hardy_norm, "_poly_grid", lambda c, n, half: sampled.append((id(c), n, half)) or grid(c, n, half)
+    )
+    rng = np.random.default_rng(6)
+    f = PolyCoeffs(tuple(rng.standard_normal(20) + 1j * rng.standard_normal(20)))
+    cfg = QuadConfig(rel_tol=1e-7)
+    ks, ps = (2, 3, 5), (0.4, 0.7, 1.0, 2.0, 4.0, math.inf)
+    reports = [wiener_bound_check(f, k, p, cfg=cfg) for k in ks for p in ps]
+    assert len(sampled) == len(set(sampled))
+    assert {i for i, _, _ in sampled} == {id(f)} | {id(wiener_coeffs(f, k)) for k in ks}
+    for (k, p), rep in zip([(k, p) for k in ks for p in ps], reports):
+        fresh = wiener_bound_check(PolyCoeffs(f.coeffs), k, p, cfg=cfg)
+        assert rep.ratio == fresh.ratio
+
+
+def test_wiener_coeffs_is_kept_per_instance_and_k():
+    f = PolyCoeffs((1.0, 2.0, 3.0, 4.0))
+    assert wiener_coeffs(f, 2) is wiener_coeffs(f, 2)
+    assert wiener_coeffs(f, 3) is not wiener_coeffs(f, 2)
+    assert wiener_coeffs(PolyCoeffs(f.coeffs), 2) is not wiener_coeffs(f, 2)
+    assert wiener_coeffs(PolyCoeffs(f.coeffs), 2) == wiener_coeffs(f, 2)
+
+
 def test_sharpness_frozen_values():
     # fixed by a high-resolution adaptive quadrature oracle run before the
     # implementation was written
