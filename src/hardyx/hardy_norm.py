@@ -17,7 +17,10 @@ The mean is taken of (|f|/M)^p and the norm returned as M mean^(1/p), so
 that p in the hundreds or more neither under- nor overflows.  M is 1
 wherever the starting grid's largest finite sample, raised to p, and a sum
 of 32768 such terms stay in the normal double range; elsewhere it is that
-sample.
+sample.  A finer grid or a panel node can meet a higher peak between the
+starting grid's points, higher by a factor (1 + delta)^p; if that takes a
+finite sample's power out of the range, the measurement starts again with M
+that sample.  A polynomial's kept grids make that restart cheap.
 
 A ``PolyCoeffs`` is sampled on each trapezoid grid by one zero-padded
 inverse FFT of its coefficients (twisted by e^{i pi j/n} for the midpoint
@@ -288,7 +291,8 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     its last two estimates if it runs out of panels.  The panels take the
     mean of |f|^p to rel_tol * min(1, p), so that its 1/p-th power, the
     norm, meets rel_tol.  The mean is taken of (|f|/M)^p, with M from the
-    starting grid, so large p neither under- nor overflows.
+    starting grid, or from a higher peak found later, so large p neither
+    under- nor overflows.
 
     A polynomial is sampled once per grid whatever p and rel_tol, and its
     norm is measured once per (p, rel_tol).
@@ -299,6 +303,15 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     return _memoized(f, ("hp", p, cfg.rel_tol), lambda: _norm_hp(f, p, cfg.rel_tol))
 
 
+def _finite_max(x: np.ndarray) -> float:
+    """The largest finite value in x, or 0.0 if there is none."""
+    big = float(x.max())
+    if not math.isfinite(big):
+        finite = x[np.isfinite(x)]
+        big = float(finite.max()) if finite.size else 0.0
+    return big
+
+
 def _pow_scale(prof: np.ndarray, p: float) -> float:
     """M for the mean of (|f|/M)^p, from the starting grid's samples prof.
 
@@ -306,30 +319,55 @@ def _pow_scale(prof: np.ndarray, p: float) -> float:
     _LOG_POW_MIN and _LOG_POW_MAX, so that every norm computable unscaled
     keeps its bits; elsewhere M is that sample.
     """
-    big = float(prof.max())
-    if not math.isfinite(big):
-        finite = prof[np.isfinite(prof)]
-        big = float(finite.max()) if finite.size else 0.0
+    big = _finite_max(prof)
     if big == 0.0 or _LOG_POW_MIN <= p * math.log(big) <= _LOG_POW_MAX:
         return 1.0
     return big
 
 
+class _PowerOverflow(Exception):
+    """A finite sample above M took (|f|/M)^p out of the double range."""
+
+    def __init__(self, peak: float):
+        super().__init__(peak)
+        self.peak = peak
+
+
+def _check_headroom(x: np.ndarray, scale: float, p: float) -> None:
+    """Raise _PowerOverflow if x's largest finite value, over scale, to the
+    power p leaves _LOG_POW_MAX; a non-finite mean is then the scale's."""
+    peak = _finite_max(x)
+    if peak > scale and p * math.log(peak / scale) > _LOG_POW_MAX:
+        raise _PowerOverflow(peak)
+
+
 def _norm_hp(f, p: float, rel_tol: float) -> float:
+    # A later grid or a panel node can find a peak above the starting grid's
+    # by (1 + delta)^p; then the measurement starts again with M that peak.
+    # M grows by e^(_LOG_POW_MAX / p) at least each time, and stays below the
+    # sup of |f|.  A polynomial's kept grids make the dyadic pass cheap.
     absf = _as_theta_evaluator(f)
     grid = _grid_sampler(f, absf)
-
-    n = _BASE_SAMPLES
-    prof = samples = grid(n, False)
+    prof = grid(_BASE_SAMPLES, False)
     scale = _pow_scale(prof, p)
-    if scale == 1.0:
-        power = lambda x: x ** p  # noqa: E731
-    else:
-        power = lambda x: (x / scale) ** p  # noqa: E731
+    while True:
+        try:
+            return _scaled_norm_hp(absf, grid, prof, p, rel_tol, scale)
+        except _PowerOverflow as exc:
+            scale = exc.peak
+
+
+def _scaled_norm_hp(absf, grid, prof, p: float, rel_tol: float, scale: float) -> float:
+    """The dyadic pass, then the panels, on (|f|/scale)^p; prof is the
+    starting grid's |f|."""
+    def power(x):
+        return (x / scale) ** p
 
     def root(mean: float) -> float:
         return scale * mean ** (1.0 / p) if mean > 0 else 0.0
 
+    n = _BASE_SAMPLES
+    samples = prof
     mean = float(np.mean(power(prof)))
     prev = root(mean)
     for _ in range(_MAX_REFINEMENTS):
@@ -351,12 +389,26 @@ def _norm_hp(f, p: float, rel_tol: float) -> float:
         seeds = coarse_theta[prof < 1e-6 * max(big, 1e-300)]
         seeds = list(seeds[:64]) + [float(coarse_theta[int(np.argmax(prof))])]
     else:
+        _check_headroom(samples, scale, p)
         # the last grid met a pole or a NaN, which no trapezoid sum can use;
         # seed the panels there, where no Gauss-Legendre node lands
         shift = 0.0 if samples is prof else 0.5
         bad = np.flatnonzero(~np.isfinite(samples))[:64]
         seeds = list(_TWO_PI * (bad + shift) / len(samples))
-    return root(circle_mean(lambda th: power(absf(th)), rel_tol * min(1.0, p), seeds=seeds))
+
+    # the panels stop at the first non-finite estimate: keep the |f| of the
+    # last call, to tell an overflow from a pole
+    last = [prof]
+
+    def g(theta):
+        last[0] = absf(theta)
+        return power(last[0])
+
+    try:
+        return root(circle_mean(g, rel_tol * min(1.0, p), seeds=seeds))
+    except QuadratureError:
+        _check_headroom(last[0], scale, p)
+        raise
 
 
 def norm_hinf(f, return_witness: bool = False):

@@ -573,6 +573,42 @@ def test_large_p_neither_underflows_nor_overflows():
     assert norm_hp(PolyCoeffs((2.0, 1.0)), 2000.0) == pytest.approx(2.99405473163808247, rel=1e-9)
 
 
+def _two_term(c, k, alpha):
+    # c (1 + e^{i alpha} z^k): |f| peaks at 2|c| where k theta + alpha = 0 mod 2 pi
+    a = [0j] * (k + 1)
+    a[0], a[k] = c, c * cmath.exp(1j * alpha)
+    return PolyCoeffs(tuple(a))
+
+
+def _two_term_norm(c, p):
+    # ||c (1 + e^{i alpha} z^k)||_p^p = |c|^p Gamma(p + 1) / Gamma(p/2 + 1)^2
+    return abs(c) * math.exp((math.lgamma(p + 1) - 2 * math.lgamma(p / 2 + 1)) / p)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power")
+def test_large_p_peak_between_starting_grid_points_rescales(monkeypatch):
+    scales = []
+    scaled = hardy_norm._scaled_norm_hp
+    monkeypatch.setattr(
+        hardy_norm, "_scaled_norm_hp", lambda *a: scales.append(a[-1]) or scaled(*a)
+    )
+    # unscaled at the start: the starting grid's largest sample, 1.001 cos(pi/256),
+    # to the power p is in range, but the first half grid meets 1.001^p = e^749.6
+    f = _two_term(0.5005, 32, math.pi / 128)
+    assert norm_hp(f, 7.5e5) == pytest.approx(_two_term_norm(0.5005, 7.5e5), rel=1e-9)
+    assert scales == [1.0, 0.5005 * 2.0]
+    # scaled at the start, by 2 cos(pi/8192); the half grid meets the peak 2
+    scales.clear()
+    f = _two_term(1.0, 1, math.pi / 4096)
+    assert norm_hp(f, 1e10) == pytest.approx(_two_term_norm(1.0, 1e10), rel=1e-9)
+    assert scales == [2.0 * math.cos(math.pi / 8192), 2.0]
+    # 32 peaks, each as high as 2 cos(pi/256)^-1 over the starting grid's
+    scales.clear()
+    value = norm_hp(_two_term(1.0, 32, math.pi / 128), 1e7)
+    assert 1.9999 < value <= 2.0
+    assert scales[-1] == 2.0
+
+
 @pytest.mark.parametrize("p", [1100.0, 2000.0, 1e6])
 @pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 3.0, -2.5j, 1e3])
 def test_large_p_norm_of_a_constant(c, p):
