@@ -83,17 +83,18 @@ class RootBracket:
             raise ValueError("bracket endpoints must have opposite signs")
 
 
-def _root(f, df, br: RootBracket, tol: float = 1e-13) -> float:
+def _root(f, df, br: RootBracket, tol: float = 1e-13, x0: float | None = None) -> float:
     """Newton's method kept inside a verified bracket (rtsafe, Numerical Recipes §9.4).
 
-    From the midpoint on, each value of f replaces the end of the bracket
-    with its sign.  A Newton step that leaves the open bracket, is not under
-    half the step before last, or has f' zero or not finite becomes a
-    bisection step.  Returns once |f/f'| <= tol, or at a bisection midpoint
-    within tol of both ends or rounding to one of them.
+    From x0, if it lies inside the open bracket, or else from the midpoint
+    on, each value of f replaces the end of the bracket with its sign.  A
+    Newton step that leaves the open bracket, is not under half the step
+    before last, or has f' zero or not finite becomes a bisection step.
+    Returns once |f/f'| <= tol, or at a bisection midpoint within tol of
+    both ends or rounding to one of them.
     """
     lo, hi, f_lo = br.lo, br.hi, br.f_lo
-    x = 0.5 * (lo + hi)
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     dx = dx_old = hi - lo
     while True:
         fx = f(x)
@@ -201,38 +202,39 @@ def solve_alpha(p: float, t: float) -> float:
         return t
 
     hi_L, top = _branch_top(p)
-    if t > top:
-        # boundary rounding noise is snapped, anything worse is a domain error
+    if t >= top:
+        # the top, where h below has a double root for p <= 1, and rounding
+        # noise above it are snapped; anything worse is a domain error
         if t <= top * (1 + 1e-12):
-            return math.exp(hi_L) if p < 1 else 1.0
+            return math.exp(hi_L)
         raise ValueError(f"t={t} exceeds the branch maximum {top}")
 
-    # the map is squeezed between alpha (1+alpha^2)^{-1/p} <= alpha, so the
-    # root sits at log t or above
-    lo_L = math.log(t)
-    g = lambda L: _t_of_log_alpha(p, L) - t  # noqa: E731
-    g_lo, g_hi = g(lo_L), g(hi_L)
-    if g_lo >= 0.0:
-        # exp(log t) can overshoot t by ~eps*|log t| relative, leaving the
-        # analytic lower endpoint a few ulps on the wrong side; step down
-        # until the sign shows.  If the map cannot resolve below t at all
-        # (t near the denormal floor) exp(lo_L) is already the best
-        # representable preimage.
-        widen = 32 * 2.220446049250313e-16 * (1.0 + abs(lo_L))
-        while g_lo > 0.0 and widen <= 1.0:
-            lo_L -= widen
-            widen *= 4.0
-            g_lo = g(lo_L)
-        if g_lo >= 0.0:
-            return math.exp(lo_L)
-    if g_hi == 0.0:
+    # The root L = log alpha of h(L) = L - log1p(e^{2L})/p - log t, nearly
+    # linear where the residual t(L) - t is exponential, is sought as
+    # d = L - log t: alpha = t e^d then keeps full relative accuracy however
+    # small t is, where e^L would carry |log t| ulps.  As t(L) <= e^L the
+    # root has d >= 0, and h is concave and increasing there, so Newton's
+    # step from d = 0 stays at or below the root.
+    log_t = math.log(t)
+
+    def h(d):
+        return d - math.log1p(math.exp(2 * (log_t + d))) / p
+
+    def dh(d):
+        a2 = math.exp(2 * (log_t + d))
+        return 1.0 - (2.0 / p) * a2 / (1.0 + a2)
+
+    h_lo = h(0.0)
+    if h_lo == 0.0:
+        # t^2 underflows, and alpha = t (1 + alpha^2)^{1/p} is t
+        return t
+    hi_d = hi_L - log_t
+    h_hi = h(hi_d)
+    if h_hi <= 0.0:
+        # t lies within rounding of the top of the branch
         return math.exp(hi_L)
-
-    def dg(Lx):
-        a2 = math.exp(2 * Lx)
-        return _t_of_log_alpha(p, Lx) * (1.0 - (2.0 / p) * a2 / (1.0 + a2))
-
-    return math.exp(_root(g, dg, RootBracket(lo_L, hi_L, g_lo, g_hi)))
+    d = _root(h, dh, RootBracket(0.0, hi_d, h_lo, h_hi), x0=-h_lo / dh(0.0))
+    return t * math.exp(d)
 
 
 def solve_beta(p: float, t: float) -> float:

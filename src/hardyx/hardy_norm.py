@@ -6,10 +6,14 @@ times (32768 points in all).  For smooth boundary moduli the trapezoid
 converges spectrally, so two estimates agree within those doublings.  When
 0 < p < 1 and f has boundary zeros the integrand |f|^p only has a Hoelder
 cusp there, where each doubling gains a fixed factor at best; so if the
-doublings stall an adaptive pass subdivides panels until the error
-concentrated at the cusp is below the requested tolerance.  The same panel
-machinery handles integrands with a sharp near-singular peak, refining
-geometrically into it, and a starting grid that meets a pole or a NaN.
+doublings stall an adaptive panel pass (``circle_mean``) takes over.  Its
+starting panels are graded geometrically into seeds: for a polynomial the
+angles of its zeros within 1e-3 of the circle (``numpy.roots``), for other
+callables the starting grid's near-zero points, and the grid's highest
+sample.  A cusp at a zero is then resolved by the first evaluation, and
+panels are split only where the error estimate says so.  The same panel
+machinery handles integrands with a sharp near-singular peak and a
+starting grid that meets a pole or a NaN, seeded there.
 ``QuadConfig.rel_tol`` is the one quadrature setting; the panels take the
 mean of |f|^p to rel_tol * min(1, p), which holds the norm to rel_tol.
 
@@ -34,8 +38,8 @@ all its starting panels and one per split, on the 64 nodes of the four
 quarter panels.
 
 ``norm_hinf`` takes a grid maximum and polishes it with golden-section search
-around the best grid angle; a polynomial is evaluated there one point at a
-time by a scalar Horner.
+around the best grid angle, to a 1e-8 rad bracket; a polynomial is
+evaluated there one point at a time by a scalar Horner.
 """
 
 from __future__ import annotations
@@ -150,13 +154,20 @@ def _point_sampler(f, absf):
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 # panel count from which circle_mean watches its error estimate for a floor
 _FLOOR_START = 1024
+# the starting mesh: 32 uniform panels, graded toward each seed by the ratio
+# 0.15 (Schwab, p- and hp-Finite Element Methods, 1998, section 4.4) for up
+# to 18 levels on either side, at the offsets 2 pi / 32 * 0.15^j from it; an
+# offset below 1e-11 times the seed's angle is dropped, so that no node
+# rounds onto the seed
+_GRADE_OFFSETS = _TWO_PI / 32 * 0.15 ** np.arange(1, 19)
+_GRADE_FLOOR = 1e-11
 
 
 def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> list[float]:
     """The 16-node Gauss-Legendre estimate of g on each panel [a_i, b_i].
 
     g is called once, on the nodes of every panel laid out panel by panel.
-    Each panel is summed by its own np.dot over its 16 values, so it gets
+    Every panel is summed by the same chain of 16 multiply-adds, so it gets
     the double it would get from a call of its own.  A non-finite estimate
     raises QuadratureError at once, naming the first non-finite node;
     ``total`` is the running integral before these panels.
@@ -164,7 +175,10 @@ def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> list[float]:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     theta = mid[:, None] + half[:, None] * _GL_NODES
     vals = np.reshape(g(theta.ravel()), theta.shape)
-    ests = [h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.tolist(), vals)]
+    acc = _GL_WEIGHTS[0] * vals[:, 0]
+    for j in range(1, len(_GL_WEIGHTS)):
+        acc = acc + _GL_WEIGHTS[j] * vals[:, j]
+    ests = (half * acc).tolist()
     if not math.isfinite(sum(ests)):
         bad = theta[~np.isfinite(vals)]
         at = float(bad[0] if bad.size else mid[0])
@@ -174,6 +188,25 @@ def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> list[float]:
     return ests
 
 
+def _start_panels(seeds: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The starting panels' ends: the 32 uniform panels of [0, 2 pi], cut at
+    each seed and graded toward it from both sides."""
+    s = np.asarray(seeds, dtype=float)[:, None] % _TWO_PI
+    # a seed at 0 is approached from 2 pi on its left
+    left = np.where(s == 0.0, _TWO_PI, s)
+    d = _GRADE_OFFSETS
+    breaks = np.concatenate((
+        _TWO_PI * np.arange(33) / 32,
+        s.ravel(),
+        (s + d)[d >= _GRADE_FLOOR * s] % _TWO_PI,
+        (left - d)[d >= _GRADE_FLOOR * left] % _TWO_PI,
+    ))
+    # sorted without repeats (np.unique would import numpy.ma, 2 MB)
+    breaks = np.sort(breaks)
+    breaks = breaks[np.append(True, breaks[1:] > breaks[:-1])]
+    return breaks[:-1], breaks[1:]
+
+
 def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> float:
     """Mean of g over [0, 2 pi) by error-driven adaptive panel subdivision.
 
@@ -181,10 +214,14 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
     its value at an angle may not depend on the other angles in the call.
     It is called once for all the starting panels and once per split.
 
-    ``seeds`` lists angles where mass or a cusp is expected; initial panel
-    boundaries are placed there so refinement can grade into them.  Panels
-    are split worst-error-first until the total error estimate falls below
-    rel_tol times the running integral.  A panel keeps the estimates of its
+    ``seeds`` lists angles where mass, a cusp or a near-singular peak is
+    expected.  The starting panels are graded geometrically toward each
+    seed from both sides, by the ratio 0.15 over up to 18 levels: down to
+    3e-16 next to a seed at 0, and to no less than 1e-11 times the seed's
+    angle elsewhere, so that no node rounds onto it.  The first call then
+    already resolves an |theta - seed|^beta cusp or a peak there.  Panels
+    are then split worst-error-first until the total error estimate falls
+    below rel_tol times the running integral.  A panel keeps the estimates of its
     two halves, which are the whole-panel estimates of its children, so a
     split evaluates only the four quarter panels.
 
@@ -201,19 +238,7 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
     seeds = [float(s) for s in seeds]
     if not all(map(math.isfinite, seeds)):
         raise ValueError(f"seeds must be finite angles (got {seeds!r})")
-    breaks = sorted({0.0, _TWO_PI} | {s % _TWO_PI for s in seeds})
-    if breaks[0] > 0.0:
-        breaks = [0.0] + breaks
-    if breaks[-1] < _TWO_PI:
-        breaks.append(_TWO_PI)
-    # start from a moderately fine uniform background refined by the seeds
-    lo, hi = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        m = max(1, int(math.ceil((b - a) / (_TWO_PI / 32))))
-        edges = np.linspace(a, b, m + 1)
-        lo.append(edges[:-1])
-        hi.append(edges[1:])
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    lo, hi = _start_panels(seeds)
     mid = 0.5 * (lo + hi)
     # every starting panel, then its left and its right half, in one call
     ests = _panel_ests(g, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)), math.nan)
@@ -352,12 +377,42 @@ def _norm_hp(f, p: float, rel_tol: float) -> float:
     scale = _pow_scale(prof, p)
     while True:
         try:
-            return _scaled_norm_hp(absf, grid, prof, p, rel_tol, scale)
+            return _scaled_norm_hp(f, absf, grid, prof, p, rel_tol, scale)
         except _PowerOverflow as exc:
             scale = exc.peak
 
 
-def _scaled_norm_hp(absf, grid, prof, p: float, rel_tol: float, scale: float) -> float:
+def _zero_angles(f: PolyCoeffs) -> list[float]:
+    """The angles of f's zeros within 1e-3 of the circle, one per zero.
+
+    numpy.roots splits a j-fold zero into j roots about eps^(1/j) apart, so
+    roots whose angles lie within 1e-4 rad of the next are taken as one
+    zero, at the angle of their mean.
+    """
+    r = np.roots(f.coeffs[::-1])
+    r = r[np.abs(np.abs(r) - 1.0) <= 1e-3]
+    if not r.size:
+        return []
+    ang = np.angle(r) % _TWO_PI
+    order = np.argsort(ang)
+    r, ang = r[order], ang[order]
+    groups = np.split(r, np.flatnonzero(np.diff(ang) > 1e-4) + 1)
+    if len(groups) > 1 and ang[0] + _TWO_PI - ang[-1] <= 1e-4:
+        # one zero on both sides of the angle 0
+        groups[0] = np.concatenate((groups.pop(), groups[0]))
+    return [float(np.angle(z.mean()) % _TWO_PI) for z in groups]
+
+
+def _grid_seeds(mask: np.ndarray, shift: float) -> list[float]:
+    """The middle point of each run of adjacent grid points where mask
+    holds, at most 64; the grid has len(mask) points, moved by ``shift``
+    steps."""
+    idx = np.flatnonzero(mask)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else []
+    return [_TWO_PI * (run[len(run) // 2] + shift) / len(mask) for run in runs[:64]]
+
+
+def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float) -> float:
     """The dyadic pass, then the panels, on (|f|/scale)^p; prof is the
     starting grid's |f|."""
     def power(x):
@@ -382,19 +437,18 @@ def _scaled_norm_hp(absf, grid, prof, p: float, rel_tol: float, scale: float) ->
         prev = cur
 
     if math.isfinite(mean):
-        # refinement stalled: cusp or sharp peak; locate trouble from the
-        # starting grid's profile and hand over to the adaptive panels.
-        coarse_theta = _TWO_PI * np.arange(_BASE_SAMPLES) / _BASE_SAMPLES
-        big = prof.max()
-        seeds = coarse_theta[prof < 1e-6 * max(big, 1e-300)]
-        seeds = list(seeds[:64]) + [float(coarse_theta[int(np.argmax(prof))])]
+        # refinement stalled: cusp or sharp peak; seed the panels at the
+        # zeros near the circle and at the starting grid's highest sample
+        if isinstance(f, PolyCoeffs):
+            seeds = _zero_angles(f)
+        else:
+            seeds = _grid_seeds(prof < 1e-6 * max(prof.max(), 1e-300), 0.0)
+        seeds.append(_TWO_PI * int(np.argmax(prof)) / _BASE_SAMPLES)
     else:
         _check_headroom(samples, scale, p)
         # the last grid met a pole or a NaN, which no trapezoid sum can use;
         # seed the panels there, where no Gauss-Legendre node lands
-        shift = 0.0 if samples is prof else 0.5
-        bad = np.flatnonzero(~np.isfinite(samples))[:64]
-        seeds = list(_TWO_PI * (bad + shift) / len(samples))
+        seeds = _grid_seeds(~np.isfinite(samples), 0.0 if samples is prof else 0.5)
 
     # the panels stop at the first non-finite estimate: keep the |f| of the
     # last call, to tell an overflow from a pole
@@ -432,12 +486,14 @@ def _norm_hinf(f) -> tuple[float, float]:
     h = _TWO_PI / n
     theta_m = _TWO_PI * m / n
 
-    # golden-section maximization on [theta_m - h, theta_m + h]
+    # golden-section maximization on [theta_m - h, theta_m + h], to a 1e-8
+    # bracket: |f| is flat to second order at its maximum, so closer than
+    # that the two compared values differ by rounding only
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = theta_m - h, theta_m + h
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = one(c), one(d)
-    while b - a > 1e-13:
+    while b - a > 1e-8:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -145,11 +145,12 @@ def _even_mean(h, half_period: float, rel_tol: float) -> float:
     """Circle mean of an even h with period 2 * half_period, from [0, half_period].
 
     ``circle_mean`` integrates h stretched onto [0, 2 pi), so a peak of h at
-    0 lands on the panel edge 0, where double-precision nodes keep their
-    full relative accuracy however far the panels are refined.
+    0 lands on the seeded panel edge 0, where the starting panels are graded
+    down to 3e-16 and double-precision nodes keep their full relative
+    accuracy however far the panels are refined.
     """
     scale = half_period / _TWO_PI
-    return circle_mean(lambda s: h(scale * s), rel_tol)
+    return circle_mean(lambda s: h(scale * s), rel_tol, seeds=(0.0,))
 
 
 def _pole_mean(eps: float) -> float:
@@ -177,10 +178,12 @@ def sharpness_ratio(p: float, k: int, eps: float, rel_tol: float = 1e-11) -> flo
     The denominator, the mean of |f_eps|^p = 1/|e^{i theta} - (1+eps)|, is
     a complete elliptic integral and comes from the AGM (``_pole_mean``).
     The one circle mean, of the numerator, is taken over a half period,
-    where the integrand has its one peak at theta = 0, so the cost grows
-    only like log(1/eps).  Against that oracle the result is within 5e-12
-    for every eps from 1 down to 1e-12, in under about 10 ms per call.  eps
-    may be any positive, finite, non-subnormal float.
+    where the integrand has its one peak at theta = 0, a seed of the panels,
+    which are graded into it so that one integrand call resolves the peak.
+    Against that oracle the result is within 7e-16 for every eps from 1
+    down to 1e-12, in about 1 ms per call at p = 1/2, k = 2 and 2.5 ms at
+    p = 0.1, k = 5 on a 2-vCPU x86-64 machine, whatever eps.  eps may be
+    any positive, finite, non-subnormal float.
     """
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")

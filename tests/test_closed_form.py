@@ -317,14 +317,14 @@ def test_root_takes_few_evaluations(monkeypatch):
     # holds, per _root call, how many times it evaluated f
     counts = []
 
-    def counted(f, df, br, tol=1e-13):
+    def counted(f, df, br, tol=1e-13, x0=None):
         counts.append(0)
 
         def f_counted(x):
             counts[-1] += 1
             return f(x)
 
-        return _root(f_counted, df, br, tol)
+        return _root(f_counted, df, br, tol, x0)
 
     monkeypatch.setattr(closed_form, "_root", counted)
     for p in np.linspace(0.05, 0.99, 95):

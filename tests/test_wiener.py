@@ -235,7 +235,7 @@ def _sharpness_oracle(eps):
 @pytest.mark.parametrize("eps", [1e-5, 1e-8, 1e-10, 1e-12])
 def test_sharpness_matches_mpmath_oracle(eps):
     want = _sharpness_oracle(eps)
-    assert sharpness_ratio(0.5, 2, eps) == pytest.approx(want, abs=1e-9)
+    assert sharpness_ratio(0.5, 2, eps) == pytest.approx(want, abs=1e-13)
 
 
 def test_sharpness_near_pole_other_exponent():
