@@ -489,16 +489,21 @@ def test_panel_pass_meets_the_tolerance_on_the_norm():
     assert norm_hp(PolyCoeffs(tuple(c)), 0.5) == pytest.approx(2.7292121669003033, rel=1e-9)
 
 
+def _cusp_poly(j: int, m: int) -> PolyCoeffs:
+    """(1 + z^m)^j, whose norms have the Gamma formula below."""
+    coeffs = [0.0] * (j * m + 1)
+    for i in range(j + 1):
+        coeffs[i * m] = float(math.comb(j, i))
+    return PolyCoeffs(tuple(coeffs))
+
+
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_cusp_norms_match_gamma_formula(j):
     # ||(1 + z^m)^j||_p^p = Gamma(1 + jp) / Gamma(1 + jp/2)^2 for every m
     for p in (0.3, 0.4, 0.5, 0.6):
         exact = (math.gamma(1 + j * p) / math.gamma(1 + j * p / 2) ** 2) ** (1 / p)
         for m in (1, 2, 3, 4):
-            coeffs = [0.0] * (j * m + 1)
-            for i in range(j + 1):
-                coeffs[i * m] = float(math.comb(j, i))
-            assert norm_hp(PolyCoeffs(tuple(coeffs)), p) == pytest.approx(exact, rel=1e-8)
+            assert norm_hp(_cusp_poly(j, m), p) == pytest.approx(exact, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -530,11 +535,8 @@ def test_stalled_cusp_norms_meet_rel_tol(monkeypatch, j, ps):
     for p in ps:
         exact = (math.gamma(1 + j * p) / math.gamma(1 + j * p / 2) ** 2) ** (1 / p)
         for m in (1, 2, 3, 4):
-            coeffs = [0.0] * (j * m + 1)
-            for i in range(j + 1):
-                coeffs[i * m] = float(math.comb(j, i))
             calls.clear()
-            assert norm_hp(PolyCoeffs(tuple(coeffs)), p) == pytest.approx(exact, rel=1e-9)
+            assert norm_hp(_cusp_poly(j, m), p) == pytest.approx(exact, rel=1e-9)
             assert len(calls) == 1 and calls[0] <= 2
 
 
