@@ -107,8 +107,9 @@ class PolyCoeffs:
     ``_memo`` holds what has been computed from this instance (see
     ``_memoized``): the read-only |f| on each trapezoid grid of
     ``hardy_norm``, the norms measured on those samples, and the
-    ``wiener_coeffs`` W_k f, each with its own memo.  It takes no part in
-    equality, hashing or repr, and dies with the instance.
+    ``wiener_coeffs`` W_k f and, for f(z) = g(z^m), the g that
+    ``hardy_norm`` samples in its place, each with its own memo.  It takes
+    no part in equality, hashing or repr, and dies with the instance.
     """
 
     coeffs: tuple[complex, ...]
@@ -140,7 +141,8 @@ def _memoized(f, key, compute):
 
     A PolyCoeffs is immutable, so whatever is computed from it stays right
     for its lifetime.  Keys are tuples whose first item names the kind:
-    ("grid", n, half), ("hp", p, rel_tol), ("hinf",) and ("wiener", k).
+    ("grid", n, half), ("hp", p, rel_tol), ("hinf",), ("wiener", k) and
+    ("power",).
     """
     if not isinstance(f, PolyCoeffs):
         return compute()

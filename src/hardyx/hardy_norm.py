@@ -5,15 +5,21 @@ periodic trapezoidal rule, starting from 4096 points and doubling up to 3
 times (32768 points in all).  For smooth boundary moduli the trapezoid
 converges spectrally, so two estimates agree within those doublings.  When
 0 < p < 1 and f has boundary zeros the integrand |f|^p only has a Hoelder
-cusp there, where each doubling gains a fixed factor at best; so if the
-doublings stall an adaptive panel pass (``circle_mean``) takes over.  Its
-starting panels are graded geometrically into seeds: for a polynomial the
-angles of its zeros within 1e-3 of the circle (``numpy.roots``), for other
-callables the starting grid's near-zero points, and the grid's highest
-sample.  A cusp at a zero is then resolved by the first evaluation, and
-panels are split only where the error estimate says so.  The same panel
-machinery handles integrands with a sharp near-singular peak and a
-starting grid that meets a pole or a NaN, seeded there.
+cusp there, where each doubling gains a fixed factor at best.  So once two
+estimates disagree, the pass reads its rate from the successive
+differences of the sums on the starting grid's 1/4 and 1/2 subgrids
+(strided views of its samples), the starting grid and each doubling.  If
+the last ratio is below 1 and at least half the one before, an algebraic
+rate, and at that ratio the doublings left cannot reach rel_tol, an
+adaptive panel pass (``circle_mean``) takes over at once; so it does
+after the last doubling.  The panels start graded geometrically into
+seeds: for a polynomial the angles of its zeros within 1e-3 of the circle
+(``numpy.roots``), for other callables the starting grid's near-zero
+points, and the grid's highest sample.  A cusp at a zero is then
+resolved by the first evaluation, and panels are split only where the
+error estimate says so.  The same panel machinery handles integrands with
+a sharp near-singular peak and a starting grid that meets a pole or a
+NaN, seeded there.
 ``QuadConfig.rel_tol`` is the one quadrature setting; the panels take the
 mean of |f|^p to rel_tol * min(1, p), which holds the norm to rel_tol.
 
@@ -26,11 +32,20 @@ starting grid's points, higher by a factor (1 + delta)^p; if that takes a
 finite sample's power out of the range, the measurement starts again with M
 that sample.  A polynomial's kept grids make that restart cheap.
 
+A ``PolyCoeffs`` whose nonzero coefficients all sit at multiples of some
+m > 1 (m their indices' gcd), such as every W_k f, is f(z) = g(z^m) with
+g(w) = sum_j a_{mj} w^j.  As theta -> m theta keeps the circle's measure,
+||f||_p = ||g||_p for every 0 < p <= inf, and g is measured instead:
+from 4096/m points rounded up to a power of two, but no fewer than 128.
+Up to m = 32 that is the sample set of f's 4096-point grid when m is a
+power of two and a finer one otherwise.  Its zeros and the panels' nodes are g's, and the sup-norm's
+witness angle is g's over m.
+
 A ``PolyCoeffs`` is sampled on each trapezoid grid by one zero-padded
 inverse FFT of its coefficients (twisted by e^{i pi j/n} for the midpoint
 grid, folded mod n past degree n), in place of a Horner pass per grid.
-It is immutable, so it keeps |f| on each grid it meets, read-only, and
-the norms measured from them: a sweep over p and rel_tol samples it once
+It is immutable, so it keeps g and |g| on each grid g meets, read-only, and
+the norms measured from them: a sweep over p and rel_tol samples g once
 per grid, at most 4096 + 4096 + 8192 + 16384 doubles, and the sup-norm
 reads the same starting grid.  Other callables, and the panels' nodes, are
 evaluated directly: the panel pass (``circle_mean``) makes one call for
@@ -69,6 +84,8 @@ _TWO_PI = 2.0 * np.pi
 # panel pass takes over
 _BASE_SAMPLES = 4096
 _MAX_REFINEMENTS = 3
+# the fewest starting points of a polynomial measured through g(z^m)
+_MIN_SAMPLES = 128
 # log of the range |f|^p may take unscaled: normal doubles, with room for
 # the sum of the finest grid's samples
 _LOG_POW_MIN = math.log(sys.float_info.min)
@@ -319,13 +336,41 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     starting grid, or from a higher peak found later, so large p neither
     under- nor overflows.
 
-    A polynomial is sampled once per grid whatever p and rel_tol, and its
-    norm is measured once per (p, rel_tol).
+    A polynomial f(z) = g(z^m) is measured through g (see the module
+    docstring); either way it is sampled once per grid whatever p and
+    rel_tol, and its norm is measured once per (p, rel_tol).
     """
     if not (0 < p < math.inf):
         raise ValueError(f"p must lie in (0, inf) (got {p})")
     cfg = cfg or QuadConfig()
-    return _memoized(f, ("hp", p, cfg.rel_tol), lambda: _norm_hp(f, p, cfg.rel_tol))
+
+    def measure():
+        g, _, n = _measured(f)
+        return _norm_hp(g, n, p, cfg.rel_tol)
+
+    return _memoized(f, ("hp", p, cfg.rel_tol), measure)
+
+
+def _measured(f) -> tuple[object, int, int]:
+    """(g, m, n): what is sampled for f, with f(z) = g(z^m), and its
+    starting grid size.
+
+    For a PolyCoeffs whose nonzero coefficients sit at multiples of some
+    m > 1, m their indices' gcd, g is sum_j a_{mj} w^j, kept in f's memo:
+    theta -> m theta keeps the circle's measure, so ||f||_p = ||g||_p for
+    every p.  g starts from 4096/m points rounded up to a power of two, but
+    from no fewer than 128.  Any other f is its own g, from 4096 points.
+    """
+    if not isinstance(f, PolyCoeffs):
+        return f, 1, _BASE_SAMPLES
+
+    def reduce():
+        m = math.gcd(*(i for i, a in enumerate(f.coeffs) if a))
+        # None rather than f itself, which f's memo would keep alive
+        return (PolyCoeffs(f.coeffs[::m]), m) if m > 1 else None
+
+    g, m = _memoized(f, ("power",), reduce) or (f, 1)
+    return g, m, max(_MIN_SAMPLES, _BASE_SAMPLES >> (m.bit_length() - 1))
 
 
 def _finite_max(x: np.ndarray) -> float:
@@ -366,14 +411,14 @@ def _check_headroom(x: np.ndarray, scale: float, p: float) -> None:
         raise _PowerOverflow(peak)
 
 
-def _norm_hp(f, p: float, rel_tol: float) -> float:
+def _norm_hp(f, n: int, p: float, rel_tol: float) -> float:
     # A later grid or a panel node can find a peak above the starting grid's
     # by (1 + delta)^p; then the measurement starts again with M that peak.
     # M grows by e^(_LOG_POW_MAX / p) at least each time, and stays below the
     # sup of |f|.  A polynomial's kept grids make the dyadic pass cheap.
     absf = _as_theta_evaluator(f)
     grid = _grid_sampler(f, absf)
-    prof = grid(_BASE_SAMPLES, False)
+    prof = grid(n, False)
     scale = _pow_scale(prof, p)
     while True:
         try:
@@ -412,6 +457,22 @@ def _grid_seeds(mask: np.ndarray, shift: float) -> list[float]:
     return [_TWO_PI * (run[len(run) // 2] + shift) / len(mask) for run in runs[:64]]
 
 
+def _stalls(diffs: list[float], left: int, tol: float) -> bool:
+    """Whether the dyadic pass, whose successive differences are diffs,
+    falls at an algebraic rate that the doublings left cannot take under tol.
+
+    The last ratio r of successive differences must be below 1 and at least
+    half the one before: a geometric rate squares its ratio at each doubling
+    (Trefethen & Weideman, SIAM Review 2014), while a |theta|^beta cusp
+    keeps it near 2^-(1 + beta).  At that r the last difference falls to
+    diffs[-1] r^left after the doublings left.
+    """
+    d0, d1, d2 = diffs[-3:]
+    r = d2 / d1 if d1 else math.inf
+    r_prev = d1 / d0 if d0 else math.inf
+    return 0.5 * r_prev <= r < 1.0 and d2 * r**left > tol
+
+
 def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float) -> float:
     """The dyadic pass, then the panels, on (|f|/scale)^p; prof is the
     starting grid's |f|."""
@@ -421,11 +482,13 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
     def root(mean: float) -> float:
         return scale * mean ** (1.0 / p) if mean > 0 else 0.0
 
-    n = _BASE_SAMPLES
+    n = len(prof)
     samples = prof
-    mean = float(np.mean(power(prof)))
+    powers = power(prof)
+    mean = float(np.mean(powers))
     prev = root(mean)
-    for _ in range(_MAX_REFINEMENTS):
+    diffs = []
+    for left in range(_MAX_REFINEMENTS - 1, -1, -1):
         if not math.isfinite(mean):
             break
         samples = grid(n, True)
@@ -434,6 +497,13 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
         cur = root(mean)
         if abs(cur - prev) <= rel_tol * max(cur, 1e-300) and math.isfinite(mean):
             return cur
+        if not diffs:
+            # the starting grid's 1/4 and 1/2 subgrids, from its powers
+            quarter, half = (root(float(np.mean(powers[::step]))) for step in (4, 2))
+            diffs = [abs(half - quarter), abs(prev - half)]
+        diffs.append(abs(cur - prev))
+        if _stalls(diffs, left, rel_tol * cur):
+            break
         prev = cur
 
     if math.isfinite(mean):
@@ -443,7 +513,7 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
             seeds = _zero_angles(f)
         else:
             seeds = _grid_seeds(prof < 1e-6 * max(prof.max(), 1e-300), 0.0)
-        seeds.append(_TWO_PI * int(np.argmax(prof)) / _BASE_SAMPLES)
+        seeds.append(_TWO_PI * int(np.argmax(prof)) / len(prof))
     else:
         _check_headroom(samples, scale, p)
         # the last grid met a pole or a NaN, which no trapezoid sum can use;
@@ -469,18 +539,24 @@ def norm_hinf(f, return_witness: bool = False):
     """The boundary sup-norm: grid maximum plus golden-section polish.
 
     With return_witness=True the attained angle is returned alongside the
-    norm value.  A polynomial's pair is measured once.
+    norm value.  A polynomial's pair is measured once; for f(z) = g(z^m)
+    it is g's sup and g's angle over m, one of the m angles where |f|
+    attains it.
     """
-    best, best_theta = _memoized(f, ("hinf",), lambda: _norm_hinf(f))
+    def measure():
+        g, m, n = _measured(f)
+        best, theta = _norm_hinf(g, n)
+        return best, theta / m
+
+    best, best_theta = _memoized(f, ("hinf",), measure)
     if return_witness:
         return best, best_theta
     return best
 
 
-def _norm_hinf(f) -> tuple[float, float]:
+def _norm_hinf(f, n: int) -> tuple[float, float]:
     absf = _as_theta_evaluator(f)
     one = _point_sampler(f, absf)
-    n = _BASE_SAMPLES
     vals = _grid_sampler(f, absf)(n, False)
     m = int(np.argmax(vals))
     h = _TWO_PI / n

@@ -560,6 +560,83 @@ def test_stalled_dyadic_pass_hands_over_after_three_doublings(monkeypatch):
     assert panel_passes
 
 
+def _trapezoid_norm(f, p, n):
+    """The n-point trapezoid sum of |f|^p, to the power 1/p."""
+    vals = np.abs(np.fft.ifft(np.asarray(f.coeffs), n, norm="forward"))
+    return float(np.mean(vals**p)) ** (1 / p)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_polynomial_in_z_m_is_measured_through_g(monkeypatch, m):
+    # f(z) = g(z^m) has the norms of g, and only g's grids are sampled
+    sampled = _sampled_polys(monkeypatch)
+    g = _random_poly(np.random.default_rng(40 + m), 9)
+    coeffs = [0j] * (9 * m + 1)
+    coeffs[::m] = g.coeffs
+    f = PolyCoeffs(tuple(coeffs))
+    for p in (0.3, 0.7, 1.0, 3.0):
+        assert norm_hp(f, p) == pytest.approx(_trapezoid_norm(f, p, 2**20), rel=1e-9)
+    sup, theta = norm_hinf(f, return_witness=True)
+    # the polish climbs above the 2^20-point grid's maximum, by its h^2 gap
+    grid_max = float(np.abs(_poly_grid(f, 2**20)).max())
+    assert grid_max <= sup <= grid_max * (1 + 1e-9)
+    assert abs(f(np.exp(1j * theta))) == pytest.approx(sup, rel=1e-14)
+    assert sampled and all(c is not f and c.coeffs == g.coeffs for c in sampled)
+
+
+def test_norm_of_a_high_power_needs_no_roots_of_its_degree():
+    # 1 + z^5000 is measured as 1 + w from 128 points: numpy.roots of the
+    # 5000 x 5000 companion matrix took minutes
+    f = PolyCoeffs((1.0,) + (0.0,) * 4999 + (1.0,))
+    for p in (0.5, 1.5):
+        exact = (math.gamma(1 + p) / math.gamma(1 + p / 2) ** 2) ** (1 / p)
+        assert norm_hp(f, p) == pytest.approx(exact, rel=1e-14)
+    assert norm_hinf(f) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_slow_dyadic_rate_goes_to_the_panels_before_a_false_agreement():
+    # perfbench quadrature, seed 1, round 27, third polynomial (degree 23):
+    # the differences 7.2e-5, 4.8e-5 fall at ratio 0.66 after 0.25, and the
+    # next one, 3.8e-7, met rel_tol by chance before rising to 2.3e-6; the
+    # norm accepted there was 4.5e-7 off
+    rng = np.random.default_rng([1, 27])
+    for _ in range(3):
+        deg = int(rng.integers(1, 33))
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+    assert deg == 23
+    f = PolyCoeffs(tuple(c))
+    value = norm_hp(f, 0.4, QuadConfig(rel_tol=1e-7))
+    assert value == pytest.approx(_trapezoid_norm(f, 0.4, 2**21), rel=1e-7)
+
+
+@pytest.mark.parametrize("j,p", [(1, 0.4), (2, 0.45)])
+def test_stalled_cusp_goes_to_the_panels_after_one_doubling(monkeypatch, j, p):
+    # the differences fall at the cusp's fixed ratio 2^-(1 + jp): read from
+    # the starting grid's subgrids and the first doubling, it cannot reach
+    # rel_tol in the two doublings left
+    sampled = []
+    grid = hardy_norm._poly_grid
+    monkeypatch.setattr(
+        hardy_norm, "_poly_grid", lambda c, n, half: sampled.append((n, half)) or grid(c, n, half)
+    )
+    exact = (math.gamma(1 + j * p) / math.gamma(1 + j * p / 2) ** 2) ** (1 / p)
+    assert norm_hp(_cusp_poly(j, 1), p) == pytest.approx(exact, rel=1e-9)
+    assert sampled == [(4096, False), (4096, True)]
+
+
+def test_stall_rule_tells_an_algebraic_rate_from_a_geometric_one():
+    stalls = hardy_norm._stalls
+    # a cusp's fixed ratio 2^-1.4, far from the tolerance
+    assert stalls([1e-4, 0.38e-4, 0.144e-4], 2, 1e-9)
+    # reachable in the doublings left at that ratio
+    assert not stalls([1e-8, 0.38e-8, 0.144e-8], 2, 1e-9)
+    # a geometric rate squares its ratio
+    assert not stalls([1e-2, 1e-3, 1e-5], 2, 1e-12)
+    # growing differences, and a difference that vanished before
+    assert not stalls([1e-4, 2e-4, 3e-4], 2, 1e-9)
+    assert not stalls([0.0, 1e-4, 0.5e-4], 2, 1e-9)
+
+
 @pytest.mark.parametrize("pole", [0.0, math.pi / 4096], ids=["start", "midpoints"])
 def test_pole_on_a_dyadic_grid_goes_to_the_panels(pole):
     # (1 - z e^{-i pole})^{-1/2} is NaN at theta = pole, a point of the
@@ -646,6 +723,16 @@ def test_large_p_peak_between_starting_grid_points_rescales(monkeypatch):
     value = norm_hp(_two_term(1.0, 32, math.pi / 128), 1e7)
     assert 1.9999 < value <= 2.0
     assert scales[-1] == 2.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power")
+def test_equal_peaks_of_a_polynomial_in_z_m_are_all_resolved():
+    # 32 peaks narrower than the finest grid's spacing at p = 1e7: g(w) =
+    # 1 + e^{i pi/128} w has one, which the panels seed; measured on f,
+    # one of the 32 was resolved, log(32)/p = 3.5e-7 low
+    value = norm_hp(_two_term(1.0, 32, math.pi / 128), 1e7)
+    assert value == pytest.approx(1.9999983430328434, abs=1e-13)
+    assert value == pytest.approx(_two_term_norm(1.0, 1e7), abs=1e-13)
 
 
 @pytest.mark.parametrize("p", [1100.0, 2000.0, 1e6])

@@ -143,7 +143,8 @@ def test_second_bound_check_does_not_sample_f_again(monkeypatch, p):
 
 
 def test_bound_check_sweep_samples_each_polynomial_once_per_grid(monkeypatch):
-    # 3 k x 6 p checks: f and each W_k f meet every grid they need once
+    # 3 k x 6 p checks: f and each W_k f meet every grid they need once;
+    # W_k f(z) = g(z^k) is measured through the g kept in its memo
     sampled = []
     grid = hardy_norm._poly_grid
     monkeypatch.setattr(
@@ -155,7 +156,9 @@ def test_bound_check_sweep_samples_each_polynomial_once_per_grid(monkeypatch):
     ks, ps = (2, 3, 5), (0.4, 0.7, 1.0, 2.0, 4.0, math.inf)
     reports = [wiener_bound_check(f, k, p, cfg=cfg) for k in ks for p in ps]
     assert len(sampled) == len(set(sampled))
-    assert {i for i, _, _ in sampled} == {id(f)} | {id(wiener_coeffs(f, k)) for k in ks}
+    gs = [hardy_norm._measured(wiener_coeffs(f, k))[0] for k in ks]
+    assert [g.coeffs for g in gs] == [wiener_coeffs(f, k).coeffs[::k] for k in ks]
+    assert {i for i, _, _ in sampled} == {id(f)} | {id(g) for g in gs}
     for (k, p), rep in zip([(k, p) for k in ks for p in ps], reports):
         fresh = wiener_bound_check(PolyCoeffs(f.coeffs), k, p, cfg=cfg)
         assert rep.ratio == fresh.ratio
