@@ -150,9 +150,7 @@ def cmd_solve(args) -> int:
     sol = maximize_phik(cfg)
     elapsed = time.perf_counter() - t0
 
-    per_l = {
-        str(l): (v if v is not None else None) for l, v in sorted(sol.per_l_values.items())
-    }
+    per_l = {str(l): v for l, v in sorted(sol.per_l_values.items())}
     record = OutputRecord(
         command="solve",
         inputs={

@@ -346,20 +346,17 @@ def _alpha1_log(p: float) -> float:
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
     # J_p decreases to its minimum at a = p^{1/(2-p)} and is negative there,
-    # so the interior root lies left of the minimum; widen downward to a
-    # positive value
+    # so the interior root lies left of the minimum
     hi_L = math.log(p) / (2.0 - p)
     f_hi = _Jp_log(p, hi_L)
     if f_hi >= 0:
         raise RuntimeError(f"no sign change at the J_p minimum for p={p}")
     # at L = -log(2)/p - 1 the middle term is e^{-p} < 1, so J_p > 0 there
+    # and further left; only rounding at p below about 1e-16 reads 0
     lo_L = min(hi_L - 2.0, -math.log(2.0) / p - 1.0)
     f_lo = _Jp_log(p, lo_L)
-    while f_lo <= 0:
-        lo_L -= 4.0
-        if lo_L < -1500.0:
-            raise RuntimeError(f"failed to bracket the J_p root for p={p}")
-        f_lo = _Jp_log(p, lo_L)
+    if f_lo <= 0:
+        raise RuntimeError(f"failed to bracket the J_p root for p={p}")
     L = _root(functools.partial(_Jp_log, p),
               lambda Lx: -2 * p * math.exp(p * Lx) + 2 * math.exp(2 * Lx),
               RootBracket(lo_L, hi_L, f_lo, f_hi))

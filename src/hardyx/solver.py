@@ -881,7 +881,7 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
         raise SolverError(f"no feasible structure for k={k}, p={p}, t={t}")
 
     top = max(J for J, _, _ in pool)
-    winner = min((lr for J, _, lr in pool if J >= top - _TIE_TOL), default=None)
+    winner = min(lr for J, _, lr in pool if J >= top - _TIE_TOL)
     J_win, lams_win = max(
         ((J, lams) for J, lams, lr in pool if lr == winner), key=lambda e: e[0]
     )

@@ -1,0 +1,95 @@
+import importlib.util
+import json
+import math
+import pathlib
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "solver_check.py"
+_spec = importlib.util.spec_from_file_location("solver_check", _PATH)
+solver_check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(solver_check)
+
+
+def _entries(*sources):
+    entries = json.loads(solver_check.REFERENCE.read_text())
+    return [next(e for e in entries if e["sources"][0] == s) for s in sources]
+
+
+def _record(part, t, **result):
+    config = {"k": 2, "p": 0.01, "t": t, "l_range": [0, 1, 2], "starts": 4, "seed": 0}
+    return {"sources": [part], "config": config, **result}
+
+
+def _solved(part, t, value, l_used=0):
+    return _record(part, t, value=value, l_used=l_used, cluster_count=1,
+                   per_l_values={"0": value, "1": None, "2": None})
+
+
+def test_check_passes_on_two_reference_solves(capsys):
+    # one solve at p = inf and one at p < 1 with a zero count that cannot meet t
+    entries = _entries("tests/test_solver.py::test_k1_matches_closed_form[inf-0.5]",
+                       "tests/test_solver.py::test_k1_matches_closed_form[0.5-0.81]")
+    assert entries[1]["per_l_values"]["1"] is None
+    assert solver_check.report((e, solver_check.solve(e["config"])) for e in entries)
+    assert capsys.readouterr().out.splitlines()[-1].endswith("pass")
+
+
+def test_check_fails_on_value_and_zero_count_and_prints_the_rest():
+    entry, = _entries("tests/test_solver.py::test_k1_matches_closed_form[2.0-0.6]")
+    got = dict(entry, per_l_values=dict(entry["per_l_values"]))
+    got["value"] += 0.5 * solver_check.VALUE_TOL
+    got["cluster_count"] += 1
+    got["per_l_values"]["0"] = 0.1
+    fails, diffs = solver_check.compare(entry, got)
+    assert fails == [] and len(diffs) == 2
+    got["value"] += solver_check.VALUE_TOL
+    got["l_used"] = 0
+    fails, _ = solver_check.compare(entry, got)
+    assert len(fails) == 2
+    fails, _ = solver_check.compare(entry, {"error": "SolverError"})
+    assert fails == ["lost 0.8 -> SolverError"]
+
+
+def test_check_passes_on_every_reference_entry(capsys):
+    # the gate itself: every recorded solve, solved again on this tree
+    entries = json.loads(solver_check.REFERENCE.read_text())
+    assert solver_check.report((e, solver_check.solve(e["config"])) for e in entries), \
+        capsys.readouterr().out
+
+
+def test_sweep_draws_its_fixed_configurations():
+    drawn = solver_check.sweep_configs()
+    assert drawn == solver_check.sweep_configs()
+    tiny = [c for part, c in drawn if part == "tiny p"]
+    domain = [c for part, c in drawn if part == "domain"]
+    assert len(tiny) == 80 and len(domain) == 150
+    assert all(1e-3 <= c["p"] <= 0.03 for c in tiny)
+    assert sum(c["p"] == math.inf for c in domain) == 15
+    assert all(1e-3 <= c["p"] <= 8 for c in domain if c["p"] != math.inf)
+    assert all(c["k"] in (1, 2, 3) and 0 <= c["t"] <= 1 and c["starts"] == 4
+               and c["l_range"] == list(range(c["k"] + 1)) for _, c in drawn)
+
+
+def test_compare_names_every_gain_loss_and_move(capsys):
+    ts = (0.1, 0.2, 0.3, 0.4, 0.5)
+    before = [_solved("tiny p", ts[0], 1.0), _record("tiny p", ts[1], error="SolverError"),
+              _solved("tiny p", ts[2], 2.0), _solved("tiny p", ts[3], 3.0),
+              _solved("tiny p", ts[4], 0.1)]
+    after = [_solved("tiny p", ts[0], 1.0 + 1e-10), _solved("tiny p", ts[1], 5.0),
+             _record("tiny p", ts[2], error="SolverError"), _solved("tiny p", ts[3], 2.5),
+             _solved("tiny p", ts[4], 0.1)]
+    assert not solver_check.report(zip(before, after))
+    out = capsys.readouterr().out.splitlines()
+    fails = [line.split(": ", 1)[1] for line in out if line.startswith("FAIL")]
+    assert [line.split()[0] for line in fails] == ["gained", "lost", "moved"]
+    # the move of 1e-10 is below the printed bound but not identical to the bit
+    assert out[-2] == "tiny p: 4 -> 4 of 5 succeed, 1 of the 3 on both sides identical to the bit"
+    assert out[-1].endswith("FAIL")
+
+
+def test_compare_fails_on_a_changed_zero_count(capsys):
+    # the same value from another zero count is a different extremal
+    before, after = _solved("domain", 0.5, 1.0, l_used=0), _solved("domain", 0.5, 1.0, l_used=1)
+    assert not solver_check.report([(before, after)])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL k=2 p=0.01 t=0.5 ") and out[0].endswith(": l_used 0 -> 1")
+    assert out[-2] == "domain: 1 -> 1 of 1 succeed, 1 of the 1 on both sides identical to the bit"

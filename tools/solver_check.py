@@ -1,30 +1,47 @@
-"""Record the solver's answers on a fixed set of solves; check a tree against them.
+"""Solve fixed sets of solver configurations and compare two runs of a set.
 
-    python3 tools/solver_reference.py --write   # rewrite tests/data/solver_reference.json
-    python3 tools/solver_reference.py --check   # solve every entry again and compare
+    python3 tools/solver_check.py --write    # rewrite tests/data/solver_reference.json
+    python3 tools/solver_check.py --check    # solve the reference's entries again and compare
+    python3 tools/solver_check.py --sweep > sweep.jsonl
+    python3 tools/solver_check.py --compare before.jsonl after.jsonl
 
-The set is every ``maximize_phik`` configuration that tests/test_solver.py
-and criteria 7-9 of tests/test_acceptance.py solve, collected by running
-those tests with ``hardyx.solver.maximize_phik`` wrapped; the 13
-configurations of the first timed round of perfbench's ``solve`` workload
-at seeds 1 and 2, read through perfbench/workloads.py; and the solves of
-NOTED below.  Each entry keeps the configuration and, from one unwrapped
-solve, ``value``, ``per_l_values``, ``l_used`` and ``cluster_count``, or
-the type of the error the solve raised.
+Every set keeps one record per solve: ``sources``, where the configuration
+comes from; ``config``; then, from one ``maximize_phik`` call, ``value``,
+``l_used``, ``cluster_count`` and ``per_l_values``, or the type of the
+error the call raised, under ``error``.
 
-``--check`` passes when every ``value`` is within 1e-9 of the reference,
-every ``l_used`` is equal and every error is the same.  It prints, without
-failing on them, each ``cluster_count`` difference and each
-``per_l_values`` difference (a zero count that turned feasible or
-infeasible, or moved by more than 1e-9), with the entry's note where the
-reference has one.  A change that moves digits lists every printed
-difference with its explanation.
+The reference is every configuration that tests/test_solver.py and
+criteria 7-9 of tests/test_acceptance.py solve, collected by running those
+tests with ``hardyx.solver.maximize_phik`` wrapped; the 13 configurations
+of the first timed round of perfbench's ``solve`` workload at seeds 1 and
+2, read through perfbench/workloads.py; and the solves of NOTED below.
+
+The sweep draws from ``numpy.random.default_rng(SEED)``: 80 solves with p
+log-uniform in [1e-3, 0.03] (source "tiny p"), then 150 with p
+log-uniform in [1e-3, 8] and every tenth at p = inf (source "domain").
+Each has k uniform in {1, 2, 3}, t uniform in [0, 1], the default
+``l_range``, starts = 4 and seed 0.  ``--sweep`` prints one record a line.
+
+``--check`` compares each reference entry with a fresh solve of its
+configuration, ``--compare`` two outputs of ``--sweep`` record by record.
+Both fail when a solve is gained or lost, an error type changes, a
+``value`` moves by more than 1e-9 or an ``l_used`` changes.  They print
+each failure and, without failing on them, each ``cluster_count``
+difference and each ``per_l_values`` difference (a zero count that turned
+feasible or infeasible, or moved by more than 1e-9), with the entry's note
+where it has one.  Then, per part (the file, perfbench round or sweep part
+of a record's first source), how many solves succeed on each side and how
+many of those that succeed on both return the same value to the bit.  A
+change that moves digits lists every printed difference with its
+explanation.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
+import math
 import pathlib
 import sys
 
@@ -43,6 +60,9 @@ TESTS = [
     "tests/test_acceptance.py::test_criterion_09_exploration_k2_small_p",
 ]
 PERFBENCH_SEEDS = (1, 2)
+SEED = 2020
+PARTS = (("tiny p", 80, 0.03, None), ("domain", 150, 8.0, 10))
+STARTS = 4
 VALUE_TOL = 1e-9
 
 # Entries whose figures the parent's own arithmetic does not fix: each note
@@ -101,7 +121,7 @@ def _test_configs() -> list[tuple[str, dict]]:
     finally:
         solver.maximize_phik = original
     if code != 0:
-        sys.exit(f"solver_reference: the tests failed (exit {code}); nothing written")
+        sys.exit(f"solver_check: the tests failed (exit {code}); nothing written")
     return seen
 
 
@@ -116,11 +136,26 @@ def _perfbench_configs() -> list[tuple[str, dict]]:
     return out
 
 
+def sweep_configs() -> list[tuple[str, dict]]:
+    """(part, config) of every solve of the sweep, in the order drawn."""
+    rng = np.random.default_rng(SEED)
+    out = []
+    for part, n, p_max, inf_every in PARTS:
+        for i in range(n):
+            k = int(rng.integers(1, 4))
+            p = float(math.exp(rng.uniform(math.log(1e-3), math.log(p_max))))
+            t = float(rng.uniform(0.0, 1.0))
+            if inf_every and i % inf_every == inf_every - 1:
+                p = math.inf
+            out.append((part, _config(hardyx.SolveConfig(k=k, p=p, t=t, starts=STARTS))))
+    return out
+
+
 def solve(config: dict) -> dict:
-    """The figures the reference keeps for one configuration."""
+    """The figures a record keeps for one configuration."""
     try:
-        sol = hardyx.maximize_phik(hardyx.SolveConfig(**{**config, "l_range": tuple(config["l_range"])}))
-    except (hardyx.SolverError, hardyx.QuadratureError, ValueError) as e:
+        sol = hardyx.maximize_phik(hardyx.SolveConfig(**config))
+    except Exception as e:  # a failure is a result to record, typed or not
         return {"error": type(e).__name__}
     return {"value": sol.value, "l_used": sol.l_used, "cluster_count": sol.cluster_count,
             "per_l_values": {str(l): v for l, v in sol.per_l_values.items()}}
@@ -155,15 +190,17 @@ def write(path: pathlib.Path) -> int:
 
 
 def compare(entry: dict, got: dict) -> tuple[list[str], list[str]]:
-    """(failures, differences) of one solve against its reference entry."""
-    fails, diffs = [], []
+    """(failures, differences) of a solve against the record it repeats."""
     if "error" in entry or "error" in got:
-        if entry.get("error") != got.get("error"):
-            fails.append(f"error {entry.get('error')} -> {got.get('error')}")
-        return fails, diffs
+        if entry.get("error") == got.get("error"):
+            return [], []
+        change = "gained" if "value" in got else "lost" if "value" in entry else "error"
+        return [f"{change} {entry.get('error', entry.get('value'))} -> "
+                f"{got.get('error', got.get('value'))}"], []
+    fails, diffs = [], []
     gap = abs(got["value"] - entry["value"])
     if gap > VALUE_TOL:
-        fails.append(f"value {entry['value']!r} -> {got['value']!r} (gap {gap:.3g})")
+        fails.append(f"moved {entry['value']!r} -> {got['value']!r} (gap {gap:.3g})")
     if got["l_used"] != entry["l_used"]:
         fails.append(f"l_used {entry['l_used']} -> {got['l_used']}")
     if got["cluster_count"] != entry["cluster_count"]:
@@ -175,27 +212,33 @@ def compare(entry: dict, got: dict) -> tuple[list[str], list[str]]:
     return fails, diffs
 
 
-def check(entries: list[dict]) -> bool:
-    """Solve every entry again, print what moved; True when no entry fails."""
-    ok, worst = True, 0.0
-    for entry in entries:
-        got = solve(entry["config"])
+def report(pairs) -> bool:
+    """Print what moved in each (record, repeat) pair, then the counts; True when none fails."""
+    ok, worst, parts = True, 0.0, {}
+    for entry, got in pairs:
         fails, diffs = compare(entry, got)
-        if "value" in got and "value" in entry:
+        count = parts.setdefault(entry["sources"][0].split(":")[0], collections.Counter())
+        count["solves"] += 1
+        count["before"] += "value" in entry
+        count["after"] += "value" in got
+        if "value" in entry and "value" in got:
+            count["both"] += 1
+            count["same"] += got["value"] == entry["value"]  # JSON keeps every double exactly
             worst = max(worst, abs(got["value"] - entry["value"]))
         if fails or diffs:
-            cfg = entry["config"]
-            where = (f"k={cfg['k']} p={cfg['p']!r} t={cfg['t']!r} l_range={cfg['l_range']} "
-                     f"starts={cfg['starts']} seed={cfg['seed']}")
-            for line in fails:
-                print(f"FAIL {where}: {line}")
-            for line in diffs:
-                print(f"DIFF {where}: {line}")
+            where = " ".join(f"{key}={v!r}" for key, v in entry["config"].items())
+            for kind, lines in (("FAIL", fails), ("DIFF", diffs)):
+                for line in lines:
+                    print(f"{kind} {where}: {line}")
             if "note" in entry:
                 print(f"     note: {entry['note']}")
             print(f"     from {entry['sources'][0]}")
         ok = ok and not fails
-    print(f"{len(entries)} entries, largest value gap {worst:.3g}: {'pass' if ok else 'FAIL'}")
+    for part, c in parts.items():
+        print(f"{part}: {c['before']} -> {c['after']} of {c['solves']} succeed, {c['same']} of "
+              f"the {c['both']} on both sides identical to the bit")
+    print(f"{sum(c['solves'] for c in parts.values())} entries, largest value gap {worst:.3g}: "
+          f"{'pass' if ok else 'FAIL'}")
     return ok
 
 
@@ -204,11 +247,27 @@ def main(argv=None) -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help="record the reference from this tree")
     mode.add_argument("--check", action="store_true", help="compare this tree with the reference")
+    mode.add_argument("--sweep", action="store_true", help="solve the sweep, one record a line")
+    mode.add_argument("--compare", nargs=2, type=pathlib.Path, metavar=("BEFORE", "AFTER"),
+                      help="compare two outputs of --sweep")
     ap.add_argument("--reference", type=pathlib.Path, default=REFERENCE)
     args = ap.parse_args(argv)
     if args.write:
         return write(args.reference)
-    return 0 if check(json.loads(args.reference.read_text())) else 1
+    if args.sweep:
+        for part, config in sweep_configs():
+            print(json.dumps({"sources": [part], "config": config, **solve(config)}), flush=True)
+        return 0
+    if args.check:
+        entries = json.loads(args.reference.read_text())
+        pairs = ((entry, solve(entry["config"])) for entry in entries)
+    else:
+        before, after = ([json.loads(line) for line in path.read_text().splitlines()]
+                         for path in args.compare)
+        if [e["config"] for e in before] != [e["config"] for e in after]:
+            sys.exit("solver_check: the two outputs list different solves")
+        pairs = zip(before, after)
+    return 0 if report(pairs) else 1
 
 
 if __name__ == "__main__":
