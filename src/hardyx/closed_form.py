@@ -8,10 +8,10 @@ function (parameter beta).  For p >= 1 the switch sits at 2^{-1/p}; for
 where both regimes attain the same value and the extremal is non-unique.
 
 All implicit equations are solved in log(alpha) by Newton's method kept
-inside a sign-changing bracket.  The log coordinate matters: alpha_1(p)
-behaves like 2^{-1/p}, which is on the order of 1e-150 near the small end
-of the supported p range, where a root-finder in alpha itself would lose
-all relative accuracy.
+inside a sign-changing bracket.  The log coordinate matters: alpha_p is
+about e^{-349} at p = 1e-300, the small end of the supported p range, and
+alpha_1(p) behaves like 2^{-1/p}; a root-finder in alpha itself would lose
+all relative accuracy there.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ BOTH = "BOTH"
 
 # threshold for treating t as sitting exactly on a regime boundary
 _BOUNDARY_SNAP = 1e-13
+# smallest p at which t_p, alpha_p and phi1 answer (see _log_alpha_p)
+_P_MIN = 1e-300
+# below this 1 - p, alpha_p is solved on the u-form of F_p (_Fp_near_one)
+_NEAR_ONE = 0.35
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,11 @@ def solve_beta(p: float, t: float) -> float:
         raise ValueError(f"p must lie in (0, inf) (got {p})")
     if not (0 < t <= 1):
         raise ValueError(f"t must lie in (0, 1] (got {t})")
-    b2 = t ** (-p) - 1.0
+    try:
+        b2 = t ** (-p) - 1.0
+    except OverflowError:
+        # t^{-p} past the double range puts beta far above 1
+        raise ValueError(f"t={t} lies below the outer branch (t^-p overflows)") from None
     beta = math.sqrt(max(b2, 0.0))
     if beta > 1.0:
         if beta <= 1.0 + 1e-12:
@@ -267,7 +275,14 @@ def _case2_value(p: float, beta: float) -> float:
 
 
 def phi1(p: float, t: float) -> ClosedFormResult:
-    """The sharp first-coefficient bound at fixed f(0) = t, with regime tag."""
+    """The sharp first-coefficient bound at fixed f(0) = t, with regime tag.
+
+    Domain: p >= _P_MIN = 1e-300 (or inf) and 0 <= t <= 1.  Smaller p raise
+    ValueError: t_p, which places the regime switch for p < 1, is certified
+    down to that floor and no further.  Above t_p, solve_beta's
+    t^{-p} - 1 cancels as p -> 0, so the outer regime's relative error
+    grows like 1e-16 / (p log(1/t)).
+    """
     if p <= 0:
         raise ValueError(f"p must be positive (got {p})")
     if not (0 <= t <= 1):
@@ -299,42 +314,24 @@ def phi1(p: float, t: float) -> ClosedFormResult:
 # the 0 < p < 1 implicit machinery
 # ---------------------------------------------------------------------------
 
-def _Fp_scaled_log(p: float, L: float) -> float:
-    # e^{2L} F_p(e^L); every exponent is a positive multiple of L <= 0, so
-    # the value stays bounded no matter how far left the bracket reaches
-    return (
-        p * p
-        + 2 * p * (2 - p) * math.exp(2 * L)
-        + (2 - p) ** 2 * math.exp(4 * L)
-        - 4 * (math.exp((2 - p) * L) + math.exp((4 - p) * L) - math.exp(2 * L))
-    )
-
-
-def _dFp_scaled_dlog(p: float, L: float) -> float:
-    return (
-        4 * p * (2 - p) * math.exp(2 * L)
-        + 4 * (2 - p) ** 2 * math.exp(4 * L)
-        - 4 * ((2 - p) * math.exp((2 - p) * L)
-               + (4 - p) * math.exp((4 - p) * L)
-               - 2 * math.exp(2 * L))
-    )
-
-
 def F_p(p: float, alpha: float) -> float:
     """p^2 a^{-2} + 2p(2-p) + (2-p)^2 a^2 - 4(a^{-p} + a^{2-p} - 1).
 
-    For alpha so small that a^{-2} leaves the double range the sign is still
-    well defined (the a^{-2} term dominates); +-inf is returned accordingly.
+    Evaluated as (p/a + (2-p) a)^2 - 4 expm1(log1p(a^2) - p log a), the
+    same sum regrouped so that only the two squares' difference cancels.
+    For alpha so small that p/alpha leaves the double range the value is
+    +inf, which is its sign there.
     """
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must lie in (0, 1] (got {alpha})")
-    L = math.log(alpha)
-    scaled = _Fp_scaled_log(p, L)
-    if 2 * L < -708.0:
-        return math.copysign(math.inf, scaled) if scaled != 0.0 else 0.0
-    return scaled * math.exp(-2 * L)
+    x = math.log1p(alpha * alpha) - p * math.log(alpha)
+    if x > 709.0:
+        # alpha < e^{-709}: the square, about (p/alpha)^2, overflows first
+        return math.inf
+    a = p / alpha + (2 - p) * alpha
+    return a * a - 4 * math.expm1(x)
 
 
 def _Jp_log(p: float, L: float) -> float:
@@ -386,37 +383,115 @@ def alpha2(p: float) -> float:
     return math.sqrt(p / (2.0 - p))
 
 
-@functools.lru_cache(maxsize=256)
-def alpha_p(p: float) -> float:
-    """The unique zero of F_p between alpha1 and alpha2, to |F_p| < 1e-12.
+def _Fp_scaled(p: float, lp: float, L: float) -> tuple[float, float]:
+    """a^2 F_p(a) / p^2 at L = log a (lp = log p), and its derivative in L.
 
-    Memoised per p: ``phi1`` and ``t_p`` ask for it on every call.  A p that
-    raises is not remembered and raises again.
+    The exact regrouping a^2 F_p = (p + (2-p) a^2)^2 - 4 a^2 expm1(log1p(a^2)
+    - p L), over p^2: with w = a^2/p every term is O(1) down to p = _P_MIN,
+    and only the two terms' difference cancels.  As p -> 1 they both tend to
+    4 while F_p is O((1-p)^4), which is where _Fp_near_one takes over.
+    """
+    w = math.exp(2 * L - lp)
+    em = math.expm1(math.log1p(p * w) - p * L)
+    a = 1 + (2 - p) * w
+    return (a * a - 4 * w * em / p,
+            4 * w * ((2 - p) * a - 2 * em / p - (em + 1) * (2 * w / (1 + p * w) - 1)))
+
+
+def _Fp_near_one(d: float, L: float) -> tuple[float, float]:
+    """F_p(a) / u^4 at p = 1 - d and u = -L = -log a, and its derivative in L.
+
+    With c = cosh u and s = sinh u, exactly
+    F_p / 4 = (c-1)^2 + d^2 (s^2 - u^2 c) - 2c [E(du) + d (s - u)],
+    E(x) = e^{-x} - 1 + x - x^2/2, and c - 1 = 2 sinh^2(u/2).  E and s - u
+    come from their Taylor series (to within 2^-56 for u <= 0.55, x <= 0.2),
+    and s^2 - u^2 c = (s - u)(s + u) - u^2 (c - 1) loses about 2 bits, so
+    every term keeps its relative accuracy as u ~ 4d/3 -> 0 and the terms
+    are all O(d^4): F_p / u^4 is O(1) at the root.
+    """
+    u = -L
+    w = u * u
+    sh = math.sinh(0.5 * u)
+    cm = 2 * sh * sh
+    c = 1 + cm
+    sm = u * w * (1 / 6 + w * (1 / 120 + w * (1 / 5040 + w * (1 / 362880 + w * (
+        1 / 39916800 + w * (1 / 6227020800 + w / 1307674368000))))))
+    s = u + sm
+    x = d * u
+    e3 = x * x * x * (-1 / 6 + x * (1 / 24 + x * (-1 / 120 + x * (1 / 720 + x * (
+        -1 / 5040 + x * (1 / 40320 + x * (-1 / 362880 + x * (1 / 3628800 + x * (
+        -1 / 39916800 + x * (1 / 479001600 - x / 6227020800))))))))))
+    g = e3 + d * sm
+    h = cm * cm + d * d * (sm * (s + u) - w * cm) - 2 * c * g
+    dh = 2 * cm * s + d * d * (2 * c * sm - w * s) - 2 * s * g - 2 * c * d * (cm - e3 - 0.5 * x * x)
+    u4 = w * w
+    return 4 * h / u4, 4 * (4 * h / u - dh) / u4
+
+
+@functools.lru_cache(maxsize=256)
+def _log_alpha_p(p: float) -> float:
+    """log alpha_p, memoised per p.
+
+    F_p decreases on (0, alpha2), its only stationary point, so its zero
+    alpha_p is bracketed by [1.5 log alpha2, log alpha2]: log alpha_p /
+    log alpha2 rises from 1 as p -> 0 to at most 1.342 (near p = 0.2) and
+    tends to 4/3 as p -> 1, where u_p ~ 4(1-p)/3 and u2 = atanh(1-p).  So
+    the Newton iteration starts at (4/3) log alpha2.  A p that raises is
+    not remembered and raises again.
     """
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
-    lo_L = _alpha1_log(p)
-    hi_L = math.log(alpha2(p))
-    # work on e^{2L} F_p, which has the same zero set but stays in range
-    # arbitrarily far left
-    f_lo = _Fp_scaled_log(p, lo_L)
-    f_hi = _Fp_scaled_log(p, hi_L)
+    if p < _P_MIN:
+        raise ValueError(f"p = {p} lies below {_P_MIN}, the smallest p the closed forms "
+                         f"support: a^2/p and p log a would leave the normal doubles")
+    d = 1.0 - p
+    if d < _NEAR_ONE:
+        fdf = functools.partial(_Fp_near_one, d)
+        hi = -math.atanh(d)
+    else:
+        lp = math.log(p)
+        fdf = functools.partial(_Fp_scaled, p, lp)
+        hi = 0.5 * (lp - math.log(2.0 - p))
+    last = [math.nan, math.nan]  # _root asks for f' where it has just asked for f
+
+    def f(L):
+        v, last[1] = fdf(L)
+        last[0] = L
+        return v
+
+    def df(L):
+        return last[1] if L == last[0] else fdf(L)[1]
+
+    lo = 1.5 * hi
+    f_lo, f_hi = f(lo), f(hi)
     if not (f_lo > 0 and f_hi < 0):
-        raise RuntimeError(
-            f"F_p sign pattern violated at the bracket for p={p}: "
-            f"scaled F(alpha1)={f_lo}, scaled F(alpha2)={f_hi}"
-        )
-    L = _root(functools.partial(_Fp_scaled_log, p), functools.partial(_dFp_scaled_dlog, p),
-              RootBracket(lo_L, hi_L, f_lo, f_hi))
-    if abs(_Fp_scaled_log(p, L) * math.exp(-2 * L)) > 1e-12:
+        raise RuntimeError(f"F_p sign pattern violated at the bracket for p={p}: "
+                           f"{f_lo} at log a = {lo}, {f_hi} at log alpha2 = {hi}")
+    L = _root(f, df, RootBracket(lo, hi, f_lo, f_hi), x0=4.0 / 3.0 * hi)
+    if abs(f(L)) > 1e-12:
         raise RuntimeError(f"F_p residual too large at the computed root for p={p}")
-    return math.exp(L)
+    return L
 
 
+def alpha_p(p: float) -> float:
+    """The unique zero of F_p between alpha1 and alpha2, to about an ulp of log alpha.
+
+    Domain: _P_MIN = 1e-300 <= p < 1; smaller p raise ValueError.
+    """
+    return math.exp(_log_alpha_p(p))
+
+
+# memoised apart from log alpha_p: one memo of (log alpha_p, t_p) pairs
+# raised the curves benchmark's peak memory by 0.6 MB, two of floats do not
+@functools.lru_cache(maxsize=256)
 def t_p(p: float) -> float:
-    """The regime-switch point alpha_p (1 + alpha_p^2)^{-1/p} for p < 1."""
-    ap = alpha_p(p)
-    return _t_of_log_alpha(p, math.log(ap))
+    """The regime-switch point alpha_p (1 + alpha_p^2)^{-1/p} for p < 1.
+
+    Domain: _P_MIN = 1e-300 <= p < 1; smaller p raise ValueError.  The
+    relative error is about an ulp of log t_p: within 1e-14 for p >= 1e-17.
+    Memoised per p, since phi1 asks for it on every call.
+    """
+    return _t_of_log_alpha(p, _log_alpha_p(p))
 
 
 def _tp_band_log(p: float) -> tuple[float, float]:

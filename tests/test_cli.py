@@ -48,6 +48,15 @@ def test_phi1_sup_norm_records_inf_as_string(capsys):
     assert rec.results["value"] == pytest.approx(0.75, abs=1e-14)
 
 
+def test_phi1_just_below_p_1(capsys):
+    # alpha_p merges with alpha_1 and alpha_2 at 1; its u-form still solves
+    rc, out, _ = run(capsys, "phi1", "--p", "0.9999", "--t", "0.3", "--json")
+    assert rc == EXIT_OK
+    rec = OutputRecord.from_json(out)
+    assert rec.results["regime"] == "MOEBIUS_OUTER"
+    assert rec.results["value"] == pytest.approx(1.0, abs=1e-4)  # its value at p = 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -271,45 +271,51 @@ def test_appendix_domain():
         appendix_functions(0.5, 0.0)
 
 
-def _mp_log_alpha_p(p):
-    """(log alpha_p, rounding floor) from 40-digit Newton steps on F_p in log alpha.
+def _mp_switch(p):
+    """(log alpha_p, t_p) in mpmath from the plain F_p, by bisection then Newton.
 
-    The floor eps * sum|terms| / |dF/dL| at the root is how far in log alpha
-    any double evaluation of F_p can place its zero; F_p cancels like
-    (1 - p)^4, so near p = 1 the floor passes 2e-13.
+    F_p cancels like (1 - p)^4 as p -> 1, and a^{-p} - 1 like p log(1/a) as
+    p -> 0, so the working precision grows with log10(1/(1 - p)) and with
+    log10(1/p).  F_p decreases on (0, alpha2), and [1.5, 1] log alpha2
+    brackets its zero.
     """
-    with mpmath.workdps(40):
+    dps = 45 + int(5 * max(0.0, -math.log10(1.0 - p))) + int(max(0.0, -math.log10(p)))
+    with mpmath.workdps(dps):
         pm = mpmath.mpf(p)
         q = 2 - pm
 
-        def terms(L):
-            a = mpmath.exp(L)
-            return [pm**2 / a**2, 2 * pm * q, q**2 * a**2, -4 * a**-pm, -4 * a**q, 4]
+        def F(L):
+            e = mpmath.exp
+            return (pm**2 + 2 * pm * q * e(2 * L) + q * q * e(4 * L)
+                    - 4 * (e(q * L) + e((4 - pm) * L) - e(2 * L))) / pm**2
 
         def dF(L):
-            a = mpmath.exp(L)
-            return -2 * pm**2 / a**2 + 2 * q**2 * a**2 + 4 * pm * a**-pm - 4 * q * a**q
+            e = mpmath.exp
+            return (4 * pm * q * e(2 * L) + 4 * q * q * e(4 * L)
+                    - 4 * (q * e(q * L) + (4 - pm) * e((4 - pm) * L) - 2 * e(2 * L))) / pm**2
 
-        L = mpmath.mpf(math.log(alpha_p(p)))
-        for _ in range(8):
-            L -= mpmath.fsum(terms(L)) / dF(L)
-        floor = 2.0**-52 * float(mpmath.fsum(abs(x) for x in terms(L)) / abs(dF(L)))
-        return L, floor
+        hi = mpmath.log(pm / q) / 2
+        lo = 1.5 * hi
+        assert F(lo) > 0 > F(hi)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if F(mid) > 0 else (lo, mid)
+        L = (lo + hi) / 2
+        for _ in range(20):
+            step = F(L) / dF(L)
+            L -= step
+            if abs(step) <= mpmath.mpf(10) ** -30 * abs(L):
+                return L, mpmath.exp(L - mpmath.log1p(mpmath.exp(2 * L)) / pm)
+    raise AssertionError(f"no mpmath root at p={p}")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(p=st.floats(min_value=1e-3, max_value=0.99))
 def test_alpha_p_and_t_p_match_the_40_digit_root(p):
-    L, floor = _mp_log_alpha_p(p)
-    with mpmath.workdps(40):
-        a = mpmath.exp(L)
-        ref_t = a * (1 + a**2) ** (-1 / mpmath.mpf(p))
-        # d log t / d log alpha carries the root's error into t_p
-        slope = abs(float(1 - 2 * a**2 / (p * (1 + a**2))))
-        err_a = abs(float(alpha_p(p) / a - 1))
-        err_t = abs(float(t_p(p) / ref_t - 1))
-    assert err_a <= 2e-13 + floor
-    assert err_t <= 2e-13 + slope * floor
+    # _mp_switch works at 45 digits, and more towards both ends of p
+    L, t = _mp_switch(p)
+    assert abs(float(alpha_p(p) / mpmath.exp(L)) - 1) <= 5e-14
+    assert abs(float(t_p(p) / t) - 1) <= 1e-14
 
 
 def test_root_takes_few_evaluations(monkeypatch):
@@ -326,16 +332,102 @@ def test_root_takes_few_evaluations(monkeypatch):
 
         return _root(f_counted, df, br, tol, x0)
 
+    def no_alpha1(p):
+        raise AssertionError("alpha_p needs no alpha_1")
+
     monkeypatch.setattr(closed_form, "_root", counted)
+    monkeypatch.setattr(closed_form, "_alpha1_log", no_alpha1)
     for p in np.linspace(0.05, 0.99, 95):
         p = float(p)
-        alpha_p.__wrapped__(p)  # _alpha1_log's root, then alpha_p's own
+        before = len(counts)
+        closed_form._log_alpha_p.__wrapped__(p)
+        # one root search per alpha_p, from (4/3) log alpha2: 3 or 4 values
+        assert len(counts) == before + 1
+        assert counts[-1] <= 5
         top = _branch_top(p)[1]
         for frac in np.geomspace(1e-3, 1.0, 12):
             solve_alpha(p, float(frac) * top)
     # the top of the branch itself is snapped without a root search
-    assert len(counts) >= 95 * (2 + 11)
+    assert len(counts) >= 95 * (1 + 11)
     assert max(counts) <= 12
+
+
+@pytest.mark.parametrize("delta", np.geomspace(1e-12, 1e-1, 23).tolist())
+def test_t_p_and_alpha_p_near_one_match_mpmath(delta):
+    # the u-form of F_p keeps its relative accuracy as alpha_p -> 1
+    p = 1.0 - delta
+    L, t = _mp_switch(p)
+    assert abs(t_p(p) - float(t)) <= 1e-14
+    assert abs(float(alpha_p(p) / mpmath.exp(L)) - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("p", np.geomspace(1e-17, 1e-3, 15).tolist()
+                         + [1e-25, 1e-50, 1e-100, 1e-150, 1e-200, 1e-250, 1e-300])
+def test_t_p_at_small_p_matches_mpmath(p):
+    # t = e^{log t} carries an ulp of log t into its relative error; below
+    # p = 1e-17 that passes 1e-14, and at p = 1e-300 log t_p is -349
+    t = _mp_switch(p)[1]
+    tol = 1e-14 if p >= 1e-17 else 4 * 2.0**-52 * abs(float(mpmath.log(t)))
+    assert abs(float(t_p(p) / t) - 1) <= tol
+
+
+def test_below_the_floor_is_a_value_error():
+    for p in (math.nextafter(closed_form._P_MIN, 0.0), 1e-310, 5e-324):
+        for call in (t_p, alpha_p, lambda p: phi1(p, 0.5)):
+            with pytest.raises(ValueError, match="1e-300"):
+                call(p)
+    assert 0 < t_p(closed_form._P_MIN) < 1
+
+
+def test_t_p_continuous_across_the_near_one_cutoff(monkeypatch):
+    # both forms of F_p, each used on either side of the cutoff, agree there
+    cut = 1.0 - closed_form._NEAR_ONE
+    assert abs(t_p(math.nextafter(cut, 0.0)) - t_p(math.nextafter(cut, 1.0))) <= 1e-15
+    ps = [cut + k * 1e-3 for k in range(-3, 4)]
+    by_form = []
+    for near_one in (0.0, 1.0):
+        monkeypatch.setattr(closed_form, "_NEAR_ONE", near_one)
+        by_form.append([closed_form._log_alpha_p.__wrapped__(p) for p in ps])
+    for p, L_exp, L_u in zip(ps, *by_form):
+        assert abs(L_exp / L_u - 1) <= 1e-13
+        t_exp, t_u = (closed_form._t_of_log_alpha(p, L) for L in (L_exp, L_u))
+        assert abs(t_exp / t_u - 1) <= 5e-15
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_phi1_tends_to_its_value_at_p_1(delta):
+    # |d phi1 / dp| at p = 1 is at most about 0.372 (near t = 0.705)
+    for t in np.linspace(0.0, 1.0, 101):
+        gap = phi1(1.0 - delta, float(t)).value - phi1(1.0, float(t)).value
+        assert abs(gap) <= 0.5 * delta + 1e-15
+
+
+_P_ANYWHERE = st.one_of(
+    st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+    st.floats(min_value=0.5, max_value=16.0).map(lambda e: 1.0 - 10.0**-e),
+    st.sampled_from([INF, 1.0, 1.0 - 2.0**-53, 1e-300, 5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=_P_ANYWHERE, t=st.floats(min_value=0.0, max_value=1.0),
+       alpha=st.floats(min_value=5e-324, max_value=1.0))
+def test_closed_forms_give_a_finite_value_or_a_value_error(p, t, alpha):
+    calls = {
+        "phi1": lambda: phi1(p, t).value,
+        "t_p": lambda: t_p(p),
+        "alpha_p": lambda: alpha_p(p),
+        "F_p": lambda: F_p(p, alpha),
+        "solve_alpha": lambda: solve_alpha(p, t),
+        "solve_beta": lambda: solve_beta(p, t),
+    }
+    for name, call in calls.items():
+        try:
+            value = call()
+        except ValueError:
+            continue
+        # F_p is +inf, its sign, where p/alpha leaves the double range
+        assert math.isfinite(value) or (name == "F_p" and value == INF and p / alpha > 1e154), name
 
 
 @pytest.mark.parametrize("df", [lambda x: 0.0, lambda x: math.nan], ids=["zero", "nan"])
