@@ -87,28 +87,27 @@ class RootBracket:
             raise ValueError("bracket endpoints must have opposite signs")
 
 
-def _root(f, df, br: RootBracket, tol: float = 1e-13, x0: float | None = None) -> float:
+def _root(fdf, br: RootBracket, tol: float = 1e-13, x0: float | None = None) -> float:
     """Newton's method kept inside a verified bracket (rtsafe, Numerical Recipes §9.4).
 
-    From x0, if it lies inside the open bracket, or else from the midpoint
-    on, each value of f replaces the end of the bracket with its sign.  A
-    Newton step that leaves the open bracket, is not under half the step
-    before last, or has f' zero or not finite becomes a bisection step.
-    Returns once |f/f'| <= tol, or at a bisection midpoint within tol of
-    both ends or rounding to one of them.
+    fdf(x) returns (f(x), f'(x)).  From x0, if it lies inside the open
+    bracket, or else from the midpoint on, each value of f replaces the end
+    of the bracket with its sign.  A Newton step that leaves the open
+    bracket, is not under half the step before last, or has f' zero or not
+    finite becomes a bisection step.  Returns once |f/f'| <= tol, or at a
+    bisection midpoint within tol of both ends or rounding to one of them.
     """
     lo, hi, f_lo = br.lo, br.hi, br.f_lo
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     dx = dx_old = hi - lo
     while True:
-        fx = f(x)
+        fx, d = fdf(x)
         if fx == 0.0:
             return x
         if (fx > 0) == (f_lo > 0):
             lo, f_lo = x, fx
         else:
             hi = x
-        d = df(x)
         step = fx / d if d != 0 and math.isfinite(d) else math.nan
         if abs(step) <= tol:
             return x - step
@@ -221,23 +220,20 @@ def solve_alpha(p: float, t: float) -> float:
     # step from d = 0 stays at or below the root.
     log_t = math.log(t)
 
-    def h(d):
-        return d - math.log1p(math.exp(2 * (log_t + d))) / p
-
-    def dh(d):
+    def hdh(d):
         a2 = math.exp(2 * (log_t + d))
-        return 1.0 - (2.0 / p) * a2 / (1.0 + a2)
+        return d - math.log1p(a2) / p, 1.0 - (2.0 / p) * a2 / (1.0 + a2)
 
-    h_lo = h(0.0)
+    h_lo, dh_lo = hdh(0.0)
     if h_lo == 0.0:
         # t^2 underflows, and alpha = t (1 + alpha^2)^{1/p} is t
         return t
     hi_d = hi_L - log_t
-    h_hi = h(hi_d)
+    h_hi = hdh(hi_d)[0]
     if h_hi <= 0.0:
         # t lies within rounding of the top of the branch
         return math.exp(hi_L)
-    d = _root(h, dh, RootBracket(0.0, hi_d, h_lo, h_hi), x0=-h_lo / dh(0.0))
+    d = _root(hdh, RootBracket(0.0, hi_d, h_lo, h_hi), x0=-h_lo / dh_lo)
     return t * math.exp(d)
 
 
@@ -334,46 +330,40 @@ def F_p(p: float, alpha: float) -> float:
     return a * a - 4 * math.expm1(x)
 
 
-def _Jp_log(p: float, L: float) -> float:
-    return 1.0 - 2.0 * math.exp(p * L) + math.exp(2 * L)
+def _Jp_log(p: float, L: float) -> tuple[float, float]:
+    """J_p(a) = 1 - 2 a^p + a^2 at L = log a, and its derivative 2(a^2 - p a^p) in L.
 
-
-def _alpha1_log(p: float) -> float:
-    """log of the root in (0, 1) of 1 - 2 a^p + a^2 = 0."""
-    if not (0 < p < 1):
-        raise ValueError(f"p must lie in (0, 1) (got {p})")
-    # J_p decreases to its minimum at a = p^{1/(2-p)} and is negative there,
-    # so the interior root lies left of the minimum
-    hi_L = math.log(p) / (2.0 - p)
-    f_hi = _Jp_log(p, hi_L)
-    if f_hi >= 0:
-        raise RuntimeError(f"no sign change at the J_p minimum for p={p}")
-    # at L = -log(2)/p - 1 the middle term is e^{-p} < 1, so J_p > 0 there
-    # and further left; only rounding at p below about 1e-16 reads 0
-    lo_L = min(hi_L - 2.0, -math.log(2.0) / p - 1.0)
-    f_lo = _Jp_log(p, lo_L)
-    if f_lo <= 0:
-        raise RuntimeError(f"failed to bracket the J_p root for p={p}")
-    L = _root(functools.partial(_Jp_log, p),
-              lambda Lx: -2 * p * math.exp(p * Lx) + 2 * math.exp(2 * Lx),
-              RootBracket(lo_L, hi_L, f_lo, f_hi))
-    if abs(_Jp_log(p, L)) > 1e-13:
-        raise RuntimeError(f"J_p residual too large at the computed root for p={p}")
-    return L
+    Both regrouped through expm1 so that as p -> 1 only O((1-p)^2) terms
+    cancel, and as p -> 0 neither power loses accuracy.
+    """
+    em = math.expm1(L)
+    ap = math.exp(p * L)
+    eq = math.expm1((1 - p) * L)
+    return em * em + 2 * ap * eq, 2 * ((em + 1) * em + ap * eq + (1 - p) * ap)
 
 
 def alpha1(p: float) -> float:
-    """The root in (0, 1) of 1 - 2 a^p + a^2 = 0; behaves like 2^{-1/p}.
+    """The root in (0, 1) of J_p(a) = 1 - 2 a^p + a^2 = 0; behaves like 2^{-1/p}.
 
     Domain: 1/1022 <= p < 1, where the root is at least the smallest normal
-    double 2^-1022 and keeps full relative precision.  Smaller p raise
-    ValueError: the root would be subnormal or underflow to 0.  t_p and phi1
-    work with log alpha and do not need it.
+    double 2^-1022 and keeps full relative precision.  Other p raise
+    ValueError: below 1/1022 the root would be subnormal or underflow to 0.
+    t_p and phi1 work with log alpha and do not need it.
     """
-    if 0 < p < 1.0 / 1022.0:
-        raise ValueError(f"alpha1 needs p >= 1/1022 (got {p}): "
-                         f"alpha_1 ~ 2^(-1/p) leaves the normal double range")
-    return math.exp(_alpha1_log(p))  # ValueError outside (0, 1)
+    if not (1.0 / 1022.0 <= p < 1):
+        raise ValueError(f"alpha1 needs 1/1022 <= p < 1 (got {p}): "
+                         f"alpha_1 ~ 2^(-1/p) leaves the normal double range below")
+    fdf = functools.partial(_Jp_log, p)
+    # J_p decreases to its minimum at a = p^{1/(2-p)} and is negative there,
+    # so the interior root lies left of the minimum; at L = -log(2)/p - 1
+    # the middle term is e^{-p} < 1, so J_p > 0 there and further left
+    hi = math.log(p) / (2.0 - p)
+    lo = min(hi - 2.0, -math.log(2.0) / p - 1.0)
+    # as p -> 1 the root nears a double one at L = 0: the tolerance follows it
+    L = _root(fdf, RootBracket(lo, hi, fdf(lo)[0], fdf(hi)[0]), tol=1e-13 * min(1.0, -hi))
+    if abs(fdf(L)[0]) > 1e-13:
+        raise RuntimeError(f"J_p residual too large at the computed root for p={p}")
+    return math.exp(L)
 
 
 def alpha2(p: float) -> float:
@@ -452,23 +442,13 @@ def _log_alpha_p(p: float) -> float:
         lp = math.log(p)
         fdf = functools.partial(_Fp_scaled, p, lp)
         hi = 0.5 * (lp - math.log(2.0 - p))
-    last = [math.nan, math.nan]  # _root asks for f' where it has just asked for f
-
-    def f(L):
-        v, last[1] = fdf(L)
-        last[0] = L
-        return v
-
-    def df(L):
-        return last[1] if L == last[0] else fdf(L)[1]
-
     lo = 1.5 * hi
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = fdf(lo)[0], fdf(hi)[0]
     if not (f_lo > 0 and f_hi < 0):
         raise RuntimeError(f"F_p sign pattern violated at the bracket for p={p}: "
                            f"{f_lo} at log a = {lo}, {f_hi} at log alpha2 = {hi}")
-    L = _root(f, df, RootBracket(lo, hi, f_lo, f_hi), x0=4.0 / 3.0 * hi)
-    if abs(f(L)) > 1e-12:
+    L = _root(fdf, RootBracket(lo, hi, f_lo, f_hi), x0=4.0 / 3.0 * hi)
+    if abs(fdf(L)[0]) > 1e-12:
         raise RuntimeError(f"F_p residual too large at the computed root for p={p}")
     return L
 
@@ -560,4 +540,4 @@ def appendix_functions(p: float, x: float) -> AppendixValues:
     )
     i = 4.0 * (1.0 - p) / (1.0 + 2.0 * p - p * p) + math.log(p / (2.0 - p))
     k = 2.0 - 2.0 * p + p * p - p ** p * (2.0 - p) ** (2.0 - p)
-    return AppendixValues(G_p=g, H=h, I=i, J_p=_Jp_log(p, L), K=k)
+    return AppendixValues(G_p=g, H=h, I=i, J_p=_Jp_log(p, L)[0], K=k)
