@@ -315,6 +315,9 @@ def F_p(p: float, alpha: float) -> float:
 
     Evaluated as (p/a + (2-p) a)^2 - 4 expm1(log1p(a^2) - p log a), the
     same sum regrouped so that only the two squares' difference cancels.
+    Near a = 1 that difference is F_p = O(u^3), u = -log a, out of O(1)
+    terms, so where the series of _Fp_near_one hold (u <= 0.55 and
+    (1-p) u <= 0.2) it is u^4 times that scaled u-form, and F_p(p, 1) = 0.
     For alpha so small that p/alpha leaves the double range the value is
     +inf, which is its sign there.
     """
@@ -322,7 +325,10 @@ def F_p(p: float, alpha: float) -> float:
         raise ValueError(f"p must lie in (0, 1) (got {p})")
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must lie in (0, 1] (got {alpha})")
-    x = math.log1p(alpha * alpha) - p * math.log(alpha)
+    L = math.log(alpha)
+    if -L <= 0.55 and -(1 - p) * L <= 0.2:
+        return L ** 4 * _Fp_near_one(1 - p, L)[0] if L else 0.0
+    x = math.log1p(alpha * alpha) - p * L
     if x > 709.0:
         # alpha < e^{-709}: the square, about (p/alpha)^2, overflows first
         return math.inf
@@ -370,7 +376,8 @@ def alpha2(p: float) -> float:
     """sqrt(p / (2-p)), the stationary point of F_p."""
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
-    return math.sqrt(p / (2.0 - p))
+    # two roots, so that a subnormal p keeps its digits
+    return math.sqrt(p) / math.sqrt(2.0 - p)
 
 
 def _Fp_scaled(p: float, lp: float, L: float) -> tuple[float, float]:
@@ -485,23 +492,35 @@ def _tp_band_log(p: float) -> tuple[float, float]:
 
 
 def beta_of_alpha(p: float, alpha: float) -> float:
-    """The outer-branch parameter reaching the same t as alpha."""
+    """The outer-branch parameter reaching the same t as alpha: beta^2 = a^{-p} (1 + a^2) - 1.
+
+    Domain: 0 < p < inf and 0 < alpha <= 1 where beta^2 stays in the double
+    range, as it does for every alpha at p <= 0.95; elsewhere ValueError.
+    """
+    if not (0 < p < math.inf):
+        raise ValueError(f"p must lie in (0, inf) (got {p})")
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must lie in (0, 1] (got {alpha})")
-    L = math.log(alpha)
-    b2 = math.exp(math.log1p(alpha * alpha) - p * L) - 1.0
-    return math.sqrt(max(b2, 0.0))
+    try:
+        b2 = math.expm1(math.log1p(alpha * alpha) - p * math.log(alpha))
+    except OverflowError:
+        raise ValueError(f"beta^2 leaves the double range at p={p}, alpha={alpha}") from None
+    return math.sqrt(b2)
 
 
 def t_star(p: float) -> float:
-    """(1 - p/2)^{1/p}, where t -> phi1(p, t) peaks for 0 < p < 1."""
-    if not (0 < p < 2):
-        raise ValueError(f"p must lie in (0, 2) (got {p})")
+    """(1 - p/2)^{1/p}, where t -> phi1(p, t) peaks for 0 < p < 1.
+
+    Domain: _P_MIN = 1e-300 <= p < 2, the floor of t_p and phi1; smaller p
+    raise ValueError (at subnormal p, -p/2 rounds, and at 5e-324 to 0).
+    """
+    if not (_P_MIN <= p < 2):
+        raise ValueError(f"p must lie in [{_P_MIN}, 2) (got {p})")
     return math.exp(math.log1p(-0.5 * p) / p)
 
 
 def psi1(p: float) -> float:
-    """(1 - p/2)^{1/p} * 2 / sqrt(p(2-p)), the peak value of phi1(p, .)."""
+    """(1 - p/2)^{1/p} * 2 / sqrt(p(2-p)), the peak value of phi1(p, .), on t_star's domain."""
     return t_star(p) * 2.0 / math.sqrt(p * (2.0 - p))
 
 
@@ -523,14 +542,21 @@ def appendix_functions(p: float, x: float) -> AppendixValues:
 
     G_p and J_p are functions of x = alpha; H, I, K depend on p alone.
     G_p is the scaled derivative a^{1+p} F_p'(a) / (2(2-p)) in closed form.
+    Domain: 0 < p < 1 and 0 < x <= 1 where p x^{p-2}, a factor of G_p's
+    first term, stays in the double range; elsewhere ValueError.
     """
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
     if not (0 < x <= 1):
         raise ValueError(f"x must lie in (0, 1] (got {x})")
     L = math.log(x)
+    lp = math.log(p)
+    try:
+        g1 = p / (2.0 - p) * math.exp(lp + (p - 2.0) * L)
+    except OverflowError:
+        raise ValueError(f"G_p leaves the double range at p={p}, x={x}") from None
     g = (
-        -p * p / (2.0 - p) * math.exp((p - 2.0) * L)
+        -g1
         + (2.0 - p) * math.exp((2.0 + p) * L)
         + 2.0 * p / (2.0 - p)
         - 2.0 * math.exp(2.0 * L)
@@ -538,6 +564,6 @@ def appendix_functions(p: float, x: float) -> AppendixValues:
     h = 2.0 - (1.0 + 2.0 * p - p * p) * p ** (0.5 * p) * (2.0 - p) ** (
         0.5 * (2.0 - p)
     )
-    i = 4.0 * (1.0 - p) / (1.0 + 2.0 * p - p * p) + math.log(p / (2.0 - p))
+    i = 4.0 * (1.0 - p) / (1.0 + 2.0 * p - p * p) + lp - math.log(2.0 - p)
     k = 2.0 - 2.0 * p + p * p - p ** p * (2.0 - p) ** (2.0 - p)
     return AppendixValues(G_p=g, H=h, I=i, J_p=_Jp_log(p, L)[0], K=k)

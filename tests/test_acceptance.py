@@ -10,6 +10,7 @@ sqrt(2), and no correct implementation could meet the bar there; a
 """
 
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -168,6 +169,10 @@ def test_criterion_10_figure_reproduction(tmp_path):
         assert main(["figure2", "--out", str(path)]) == 0
     assert f1a.read_bytes() == f1b.read_bytes()
     assert f2a.read_bytes() == f2b.read_bytes()
+    # the committed CSVs are what the CLI writes
+    committed = pathlib.Path(__file__).resolve().parents[1] / "demos" / "output"
+    assert f1a.read_bytes() == (committed / "figure1.csv").read_bytes()
+    assert f2a.read_bytes() == (committed / "figure2.csv").read_bytes()
 
     header, rows = _read_rows(f1a)
     assert header == "p,t,phi1"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -154,6 +155,35 @@ def test_alpha1_tiny_p():
     assert 0 < t_p(1e-4) < 1
 
 
+def _mp_alpha1(p):
+    """alpha_1 at 60 digits: the root u > 0 of 2 sinh^2(u/2) = expm1((1-p) u), a = e^{-u}.
+
+    J_p(e^{-u}) = 2 e^{-u} (2 sinh^2(u/2) - expm1((1-p) u)); the root lies
+    right of J_p's minimum at u = -log(p)/(2-p), and J_p > 0 at
+    u = log(2)/p + 1.
+    """
+    with mpmath.workdps(60):
+        pm = mpmath.mpf(p)
+        g = lambda u: 2 * mpmath.sinh(u / 2) ** 2 - mpmath.expm1((1 - pm) * u)  # noqa: E731
+        lo = -mpmath.log(pm) / (2 - pm)
+        hi = max(lo + 2, mpmath.log(2) / pm + 1)
+        assert g(lo) < 0 < g(hi)
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+        return mpmath.exp(-(lo + hi) / 2)
+
+
+@pytest.mark.parametrize("p", [1 / 1022, 0.002, 0.01, 0.1, 0.5, 0.9, 0.99]
+                         + [1.0 - 10.0 ** (-e / 2) for e in range(6, 32)] + [1.0 - 2.0**-53])
+def test_alpha1_matches_the_60_digit_root(p):
+    # 1 - 1e-16 rounds to the last p, 1 - 2^-53
+    # an ulp of log alpha_1, about 700 at p = 1/1022, bounds what e^L can do
+    a = alpha1(p)
+    err = abs(float(a / _mp_alpha1(p)) - 1)
+    assert err <= min(1e-13, 2.0**-52 * max(2.0, -math.log(a)))
+
+
 def test_alpha2_value_and_stationarity():
     p = 0.5
     a2 = alpha2(p)
@@ -184,6 +214,19 @@ def test_F_p_boundary_values():
         F_p(1.5, 0.5)
     with pytest.raises(ValueError):
         F_p(0.5, 0.0)
+
+
+@pytest.mark.parametrize("delta", np.geomspace(1e-12, 0.3, 10).tolist())
+def test_F_p_near_alpha_1_matches_mpmath(delta):
+    # F_p is O((1-p)^4) near alpha_p and O(u^3) near alpha = 1, out of O(1)
+    # terms: the plain sum at 120 digits still has 60 to spare at 1 - p = 1e-12
+    p = 1.0 - delta
+    for a in (0.6, 0.7, alpha2(p), 0.9, 0.95, 0.999, 1 - 1e-6):
+        with mpmath.workdps(120):
+            pm, am = mpmath.mpf(p), mpmath.mpf(a)
+            ref = (pm**2 / am**2 + 2 * pm * (2 - pm) + (2 - pm) ** 2 * am**2
+                   - 4 * (am**-pm + am ** (2 - pm) - 1))
+        assert abs(F_p(p, a) / float(ref) - 1) <= 1e-14
 
 
 def test_t_p_frozen_and_band():
@@ -420,14 +463,35 @@ def test_closed_forms_give_a_finite_value_or_a_value_error(p, t, alpha):
         "F_p": lambda: F_p(p, alpha),
         "solve_alpha": lambda: solve_alpha(p, t),
         "solve_beta": lambda: solve_beta(p, t),
+        "alpha1": lambda: alpha1(p),
+        "alpha2": lambda: alpha2(p),
+        "beta_of_alpha": lambda: beta_of_alpha(p, alpha),
+        "t_star": lambda: t_star(p),
+        "psi1": lambda: psi1(p),
+        "appendix_functions": lambda: dataclasses.astuple(appendix_functions(p, alpha)),
     }
     for name, call in calls.items():
         try:
             value = call()
         except ValueError:
             continue
+        finite = all(map(math.isfinite, value if isinstance(value, tuple) else (value,)))
         # F_p is +inf, its sign, where p/alpha leaves the double range
-        assert math.isfinite(value) or (name == "F_p" and value == INF and p / alpha > 1e154), name
+        assert finite or (name == "F_p" and value == INF and p / alpha > 1e154), name
+
+
+def test_overflow_and_p_outside_the_domain_are_value_errors():
+    # each raised OverflowError, or returned inf or nan, before the domains
+    # were stated
+    for call in (lambda: appendix_functions(0.3, 1e-200),
+                 lambda: beta_of_alpha(2.0, 1e-200),
+                 lambda: beta_of_alpha(1 - 1e-9, 5e-324),
+                 lambda: beta_of_alpha(INF, 0.5),
+                 lambda: beta_of_alpha(INF, 1.0),
+                 lambda: t_star(5e-324)):
+        with pytest.raises(ValueError):
+            call()
+    assert beta_of_alpha(0.95, 5e-324) > 1e150
 
 
 @pytest.mark.parametrize("df", [lambda x: 0.0, lambda x: math.nan], ids=["zero", "nan"])
