@@ -481,8 +481,8 @@ def test_closed_forms_give_a_finite_value_or_a_value_error(p, t, alpha):
 
 
 def test_overflow_and_p_outside_the_domain_are_value_errors():
-    # each raised OverflowError, or returned inf or nan, before the domains
-    # were stated
+    # a result past the double range, or a p outside the stated domain, is a
+    # ValueError, not an OverflowError, inf or nan
     for call in (lambda: appendix_functions(0.3, 1e-200),
                  lambda: beta_of_alpha(2.0, 1e-200),
                  lambda: beta_of_alpha(1 - 1e-9, 5e-324),
