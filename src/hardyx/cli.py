@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .closed_form import _tp_band_log, phi1, t_p
 from .solver import SolveConfig, maximize_phik
@@ -22,46 +21,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """Machine-readable result envelope for --json output."""
-
-    command: str
-    inputs: dict
-    results: dict
-    diagnostics: dict
-    schema_version: int = field(default=1)
-
-    def __post_init__(self):
-        if self.schema_version != 1:
-            raise ValueError("schema_version must be 1")
-        for part in (self.inputs, self.results, self.diagnostics):
-            _require_finite(part)
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "diagnostics": self.diagnostics,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "OutputRecord":
-        raw = json.loads(text)
-        return OutputRecord(
-            command=raw["command"],
-            inputs=raw["inputs"],
-            results=raw["results"],
-            diagnostics=raw["diagnostics"],
-            schema_version=raw["schema_version"],
-        )
 
 
 def _require_finite(obj):
@@ -100,11 +59,20 @@ def _parse_t(text: str, p: float, allow_tp: bool) -> float:
     return t
 
 
-def _emit(args, record: OutputRecord, human_lines) -> int:
+def _emit(args, command: str, inputs: dict, results: dict, diagnostics: dict, lines) -> int:
+    """Print the --json record, or the human lines; every number must be finite."""
+    record = {
+        "schema_version": 1,
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "diagnostics": diagnostics,
+    }
+    _require_finite(record)
     if args.json:
-        print(record.to_json())
+        print(json.dumps(record, indent=2, sort_keys=True))
     else:
-        for line in human_lines:
+        for line in lines:
             print(line)
     return EXIT_OK
 
@@ -125,18 +93,15 @@ def cmd_phi1(args) -> int:
         results["alpha"] = res.alpha
     if res.beta is not None:
         results["beta"] = res.beta
-    record = OutputRecord(
-        command="phi1",
-        inputs={"p": "inf" if math.isinf(p) else p, "t": t},
-        results=results,
-        diagnostics={"elapsed_s": elapsed},
-    )
     lines = [f"phi1 = {_fmt(res.value)}", f"regime = {res.regime}"]
     if res.alpha is not None:
         lines.append(f"alpha = {_fmt(res.alpha)}")
     if res.beta is not None:
         lines.append(f"beta = {_fmt(res.beta)}")
-    return _emit(args, record, lines)
+    return _emit(
+        args, "phi1", {"p": "inf" if math.isinf(p) else p, "t": t}, results,
+        {"elapsed_s": elapsed}, lines,
+    )
 
 
 def cmd_solve(args) -> int:
@@ -151,30 +116,27 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - t0
 
     per_l = {str(l): v for l, v in sorted(sol.per_l_values.items())}
-    record = OutputRecord(
-        command="solve",
-        inputs={
-            "k": args.k,
-            "p": "inf" if math.isinf(p) else p,
-            "t": t,
-            "l_range": list(cfg.l_range),
-            "starts": args.starts,
-            "seed": args.seed,
-        },
-        results={
-            "value": sol.value,
-            "l_used": sol.l_used,
-            "cluster_count": sol.cluster_count,
-            "per_l": per_l,
-            "scale": [sol.best.scale.real, sol.best.scale.imag],
-            "lambdas": [[z.real, z.imag] for z in sol.best.lambdas],
-        },
-        diagnostics={
-            "norm_residual": sol.norm_residual,
-            "t_residual": sol.t_residual,
-            "elapsed_s": elapsed,
-        },
-    )
+    inputs = {
+        "k": args.k,
+        "p": "inf" if math.isinf(p) else p,
+        "t": t,
+        "l_range": list(cfg.l_range),
+        "starts": args.starts,
+        "seed": args.seed,
+    }
+    results = {
+        "value": sol.value,
+        "l_used": sol.l_used,
+        "cluster_count": sol.cluster_count,
+        "per_l": per_l,
+        "scale": [sol.best.scale.real, sol.best.scale.imag],
+        "lambdas": [[z.real, z.imag] for z in sol.best.lambdas],
+    }
+    diagnostics = {
+        "norm_residual": sol.norm_residual,
+        "t_residual": sol.t_residual,
+        "elapsed_s": elapsed,
+    }
     lines = [
         f"value = {_fmt(sol.value)}",
         f"l_used = {sol.l_used}",
@@ -188,7 +150,7 @@ def cmd_solve(args) -> int:
     lines.append("lambdas:")
     for z in sol.best.lambdas:
         lines.append(f"  {_fmt(z.real)} {'+' if z.imag >= 0 else '-'} {_fmt(abs(z.imag))}i")
-    return _emit(args, record, lines)
+    return _emit(args, "solve", inputs, results, diagnostics, lines)
 
 
 _FIG1_PS = (0.5, 1.0, 2.0, math.inf)
@@ -259,17 +221,14 @@ def cmd_wiener(args) -> int:
     # p > 1 would otherwise raise ZeroDivisionError here
     limit = args.k ** (1.0 - p)
 
-    record = OutputRecord(
-        command="wiener",
-        inputs={"p": p, "k": args.k, "eps_list": eps_list},
-        results={"eps": eps_list, "ratio": ratios, "limit": limit},
-        diagnostics={"elapsed_s": elapsed},
-    )
     lines = [f"{'eps':>12}  {'ratio':>20}"]
     for eps, r in zip(eps_list, ratios):
         lines.append(f"{eps:>12.3e}  {_fmt(r):>20}")
     lines.append(f"limit k^(1-p) = {_fmt(limit)}")
-    return _emit(args, record, lines)
+    return _emit(
+        args, "wiener", {"p": p, "k": args.k, "eps_list": eps_list},
+        {"eps": eps_list, "ratio": ratios, "limit": limit}, {"elapsed_s": elapsed}, lines,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fn_repr import PolyCoeffs, _eval_points, _is_int, _memoized, _poly_grid
+from .fn_repr import PolyCoeffs, _eval_points, _memoized, _poly_grid
 
 __all__ = [
     "QuadConfig",
@@ -178,6 +178,8 @@ _FLOOR_START = 1024
 # rounds onto the seed
 _GRADE_OFFSETS = _TWO_PI / 32 * 0.15 ** np.arange(1, 19)
 _GRADE_FLOOR = 1e-11
+# the panel budget of one circle_mean call
+_MAX_PANELS = 20000
 
 
 def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> list[float]:
@@ -224,7 +226,7 @@ def _start_panels(seeds: list[float]) -> tuple[np.ndarray, np.ndarray]:
     return breaks[:-1], breaks[1:]
 
 
-def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> float:
+def circle_mean(g, rel_tol: float = 1e-9, seeds=()) -> float:
     """Mean of g over [0, 2 pi) by error-driven adaptive panel subdivision.
 
     g receives one flat array of angles per call and must act elementwise:
@@ -245,13 +247,12 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
     Past the round-off floor of g, where its evaluation noise outweighs
     rel_tol, splitting stops shrinking the error estimate.  Once the panel
     count has grown eightfold from 1024 on without the estimate halving,
-    QuadratureError names that floor rather than spending the whole budget.
-    A non-finite value of g raises QuadratureError at once.
+    QuadratureError names that floor rather than spending the whole budget
+    of 20000 panels, whose exhaustion raises it too.  A non-finite value of
+    g raises QuadratureError at once.
     """
     if not (rel_tol > 0):  # a NaN fails
         raise ValueError(f"rel_tol must be positive (got {rel_tol!r})")
-    if not _is_int(max_panels) or max_panels < 1:
-        raise ValueError(f"max_panels must be an integer >= 1 (got {max_panels!r})")
     seeds = [float(s) for s in seeds]
     if not all(map(math.isfinite, seeds)):
         raise ValueError(f"seeds must be finite angles (got {seeds!r})")
@@ -284,7 +285,7 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
         if (
             err_run <= (1.0 + 1e-6) * target
             or not 0.5 * err_sync < err_run < 2.0 * err_sync
-            or counter >= min(next_mark, max_panels)
+            or counter >= min(next_mark, _MAX_PANELS)
         ):
             err_total = err_run = err_sync = -sum(map(itemgetter(0), heap))
             if err_total <= target:
@@ -297,7 +298,7 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=(), max_panels: int = 20000) -> 
                     raise QuadratureError(
                         "error estimate stalled at the round-off floor of the integrand", estimates
                     )
-            if counter >= max_panels:
+            if counter >= _MAX_PANELS:
                 raise QuadratureError("adaptive panel budget exhausted", estimates)
         neg_err, _, a, b, halves, left, right = heapq.heappop(heap)
         err_run += neg_err

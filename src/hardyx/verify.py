@@ -48,13 +48,15 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 _WIENER_KS = (2, 3, 5)
 _WIENER_PS = (0.4, 0.7, 1.0, 2.0, 4.0, math.inf)
+# the largest degree of the suite's polynomials
+_MAX_DEGREE = 32
 
 
-def _random_polys(rng, count: int, max_degree: int = 32):
+def _random_polys(rng, count: int):
     # drawn lazily: each polynomial, with the samples it keeps, is freed
     # before the next is drawn
     for _ in range(count):
-        deg = int(rng.integers(1, max_degree + 1))
+        deg = int(rng.integers(1, _MAX_DEGREE + 1))
         c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         yield PolyCoeffs(tuple(c))
 
@@ -64,11 +66,11 @@ def _wiener_defect(f: PolyCoeffs, k: int) -> PolyCoeffs:
     return PolyCoeffs(tuple(w - np.asarray(f.coeffs)))
 
 
-def _periodic_polys(rng, k: int, count: int, max_degree: int = 32):
+def _periodic_polys(rng, k: int, count: int):
     # coefficients supported on multiples of k, so W_k f = f exactly
     polys = []
     for _ in range(count):
-        top = max_degree // k
+        top = _MAX_DEGREE // k
         deg = int(rng.integers(1, top + 1))
         c = np.zeros(deg * k + 1, dtype=complex)
         c[::k] = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
@@ -76,14 +78,14 @@ def _periodic_polys(rng, k: int, count: int, max_degree: int = 32):
     return polys
 
 
-def run_wiener(seed: int = 0, n_polys: int = 200) -> list:
-    """Averaging-operator bound on random polynomials.
+def run_wiener() -> list:
+    """Averaging-operator bound on 200 random polynomials.
 
     ratio <= bound * (1 + 1e-6) for every (f, k, p); in the 1 < p < infinity
     range a ratio within 1e-9 of the bound must come with ||W_k f - f|| small
     (the bound there is 1 and is attained only on the fixed points).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     cfg = QuadConfig(rel_tol=1e-7)
 
     worst = -math.inf
@@ -101,7 +103,7 @@ def run_wiener(seed: int = 0, n_polys: int = 200) -> list:
             if dn >= 1e-6 and not near_eq_bad:
                 near_eq_bad = f"{where}, k={k}, p={p}: ||Wf-f||={dn:.3e}"
 
-    for i, f in enumerate(_random_polys(rng, n_polys)):
+    for i, f in enumerate(_random_polys(rng, 200)):
         for k in _WIENER_KS:
             for p in _WIENER_PS:
                 rep = wiener_bound_check(f, k, p, cfg=cfg)
@@ -151,15 +153,15 @@ def run_wiener(seed: int = 0, n_polys: int = 200) -> list:
 # appendix suite
 # ---------------------------------------------------------------------------
 
-def run_appendix(n_grid: int = 1000) -> list:
-    """Sign pattern of the auxiliary functions on a p-grid inside (0,1).
+def run_appendix() -> list:
+    """Sign pattern of the auxiliary functions on a 1000-point p-grid inside (0,1).
 
     Checks, for every grid point: H(p) > 0, K(p) < 0, F_p(alpha_2) < 0,
     F_p(alpha_1) > 0, |F_p(alpha_p)| < 1e-12, alpha_1 < alpha_p < alpha_2,
     and the band 2^{-1/p} < t_p < 2^{-1/p} sqrt(p) (2-p)^{1/p-1/2}.
     The band is compared in log space so tiny p cannot underflow.
     """
-    grid = [(i + 1) / (n_grid + 1) for i in range(n_grid)]
+    grid = [(i + 1) / 1001 for i in range(1000)]
 
     min_h = math.inf
     max_k = -math.inf
@@ -205,7 +207,7 @@ def _phi1_grid(p: float, ts):
     return [phi1(p, t).value for t in ts]
 
 
-def run_theorems(seed: int = 0) -> list:
+def run_theorems() -> list:
     results = []
 
     # explicit p = 2 and p = infinity formulas
@@ -267,7 +269,7 @@ def run_theorems(seed: int = 0) -> list:
     probe_bad = ""
     worst_gap = 0.0
     for (k, p, t) in ((1, 2.0, 0.6), (1, 0.5, 0.3), (2, math.inf, 0.5)):
-        sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=24, seed=seed))
+        sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=24))
         ref = phi1(p, t).value
         gap = abs(sol.value - ref)
         worst_gap = max(worst_gap, gap)
@@ -289,10 +291,7 @@ _SUITES = {
 def run_suite(name: str) -> list:
     """Run one suite by name, or all of them in a fixed order."""
     if name == "all":
-        out = []
-        for key in ("wiener", "appendix", "theorems"):
-            out.extend(_SUITES[key]())
-        return out
+        return [check for run in _SUITES.values() for check in run()]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected wiener, appendix, theorems or all")
     return _SUITES[name]()

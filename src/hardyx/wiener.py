@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fn_repr import PolyCoeffs, StructuredExtremal, _eval_points, _is_int, _memoized
+from .fn_repr import PolyCoeffs, _eval_points, _is_int, _memoized, boundary_grid
 from .hardy_norm import QuadConfig, circle_mean, norm_hinf, norm_hp
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# the relative tolerance of sharpness_ratio's one circle mean
+_SHARPNESS_REL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class WienerRatioReport:
     p: float
     ratio: float
     bound: float
-    f_descriptor: str
 
     @property
     def passed(self) -> bool:
@@ -92,14 +93,6 @@ def wiener_eval(f, k: int, z):
     return complex(acc[0]) if scalar else acc
 
 
-def _describe(f) -> str:
-    if isinstance(f, PolyCoeffs):
-        return f"poly degree {f.degree}"
-    if isinstance(f, StructuredExtremal):
-        return f"structured extremal k={f.k} l={f.zero_count}"
-    return getattr(f, "__name__", None) or type(f).__name__
-
-
 def wiener_bound_check(f, k: int, p: float, cfg: QuadConfig | None = None) -> WienerRatioReport:
     """Compare ||W_k f|| with the H^p bound max(k^{1/p-1}, 1) ||f||."""
     _check_k(k)
@@ -120,7 +113,7 @@ def wiener_bound_check(f, k: int, p: float, cfg: QuadConfig | None = None) -> Wi
         ratio, bound = (nw / nf) ** p, float(k) ** (1.0 - p)
     else:
         ratio, bound = nw / nf, 1.0
-    return WienerRatioReport(k=k, p=p, ratio=ratio, bound=bound, f_descriptor=_describe(f))
+    return WienerRatioReport(k=k, p=p, ratio=ratio, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,7 @@ def _pole_mean(eps: float) -> float:
     return 1.0 / ((2.0 + eps) * a)
 
 
-def sharpness_ratio(p: float, k: int, eps: float, rel_tol: float = 1e-11) -> float:
+def sharpness_ratio(p: float, k: int, eps: float) -> float:
     """||W_k f_eps||^p / ||f_eps||^p; tends to k^{1-p} from below as eps -> 0.
 
     The convergence is logarithmic in 1/eps.  At p = 1/2, k = 2 a 40-digit
@@ -185,7 +178,8 @@ def sharpness_ratio(p: float, k: int, eps: float, rel_tol: float = 1e-11) -> flo
     a complete elliptic integral and comes from the AGM (``_pole_mean``).
     The one circle mean, of the numerator, is taken over a half period,
     where the integrand has its one peak at theta = 0, a seed of the panels,
-    which are graded into it so that one integrand call resolves the peak.
+    which are graded into it so that one integrand call resolves the peak;
+    the mean is taken to a relative tolerance of 1e-11.
     Against that oracle the result is within 7e-16 for every eps from 1
     down to 1e-12, in about 1 ms per call at p = 1/2, k = 2 and 2.5 ms at
     p = 0.1, k = 5 on a 2-vCPU x86-64 machine, whatever eps.  eps may be
@@ -208,20 +202,17 @@ def sharpness_ratio(p: float, k: int, eps: float, rel_tol: float = 1e-11) -> flo
         acc = sum(np.exp((logs[0] - lw) / p) for lw in logs)
         return np.abs(acc / k) ** p * np.exp(-logs[0].real)
 
-    return _even_mean(num, math.pi / k, rel_tol) / _pole_mean(eps)
+    return _even_mean(num, math.pi / k, _SHARPNESS_REL_TOL) / _pole_mean(eps)
 
 
-def inner_defect(f, k: int, N: int = 4096) -> float:
-    """max over an N-grid of |1 - |W_k f||, for f of unit boundary modulus.
+def inner_defect(f, k: int) -> float:
+    """max over a 4096-point grid of |1 - |W_k f||, for f of unit boundary modulus.
 
     A vanishing defect certifies that the averaged function is inner again,
     which forces W_k f = f; a positive defect witnesses W_k f != f.
     """
     _check_k(k)
-    if not _is_int(N) or N < 4:
-        raise ValueError(f"N must be an integer >= 4 (got {N!r})")
-    theta = _TWO_PI * np.arange(N) / N
-    z = np.exp(1j * theta)
+    z = boundary_grid(4096)
     fv = _eval_points(f, z)
     if np.max(np.abs(np.abs(fv) - 1.0)) > 1e-8:
         raise ValueError("f does not have unit modulus on the boundary grid")

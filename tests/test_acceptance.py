@@ -26,7 +26,7 @@ from hardyx.solver import (
     sandwich_check,
     t0_scan,
 )
-from hardyx.verify import run_appendix, run_wiener
+from hardyx.verify import CheckResult, run_appendix, run_wiener
 from hardyx.wiener import sharpness_ratio, wiener_bound_check
 
 INF = math.inf
@@ -61,6 +61,9 @@ def test_criterion_03_wiener_bound_suite():
     start = time.perf_counter()
     results = run_wiener()  # 200 random polynomials, k in {2,3,5}, six p values
     assert results
+    assert all(isinstance(r, CheckResult) for r in results)
+    # the fixed-point families keep the equality branch of the bound honest
+    assert any(r.name.startswith("wiener/fixed-points") for r in results)
     failed = [r for r in results if not r.passed]
     assert not failed, failed
     assert time.perf_counter() - start < 60.0
@@ -102,8 +105,11 @@ def test_criterion_05_equality_examples():
 
 def test_criterion_06_appendix_suite():
     start = time.perf_counter()
-    results = run_appendix(n_grid=1000)
+    results = run_appendix()  # 1000 p in (0, 1)
     assert results
+    names = {r.name for r in results}
+    assert "appendix/H-positive" in names
+    assert "appendix/tp-band" in names
     failed = [r for r in results if not r.passed]
     assert not failed, failed
     assert time.perf_counter() - start < 10.0

@@ -47,9 +47,7 @@ def test_k_must_be_at_least_two():
     lambda: wiener_bound_check(BINOMIAL4, 2.5, 0.5),
     lambda: sharpness_ratio(0.5, 2.5, 1e-2),
     lambda: inner_defect(lambda z: z * z, 2.5),
-    lambda: inner_defect(lambda z: z * z, 2, N=4.5),
-], ids=["coeffs", "coeffs-float-2", "eval", "bound-check", "sharpness", "inner-defect-k",
-        "inner-defect-N"])
+], ids=["coeffs", "coeffs-float-2", "eval", "bound-check", "sharpness", "inner-defect-k"])
 def test_k_and_N_must_be_integers(call):
     with pytest.raises(ValueError, match="integer"):
         call()
