@@ -340,10 +340,18 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     A polynomial f(z) = g(z^m) is measured through g (see the module
     docstring); either way it is sampled once per grid whatever p and
     rel_tol, and its norm is measured once per (p, rel_tol).
+
+    The mean of |f|^p is rounded at about 2^-52 relative, which its
+    1/p-th power turns into about 2^-52 / p in the norm.  So p must be at
+    least 2^-52 / min(rel_tol, 1), 2.2e-7 at the default rel_tol 1e-9;
+    smaller p raise ValueError.  Against mpmath, a few norms with and
+    without zeros on the circle stay within rel_tol from that floor up.
     """
     if not (0 < p < math.inf):
         raise ValueError(f"p must lie in (0, inf) (got {p})")
     cfg = cfg or QuadConfig()
+    if p * min(cfg.rel_tol, 1.0) < sys.float_info.epsilon:
+        raise ValueError(f"p = {p!r} is below 2^-52 / rel_tol, where rounding alone misses rel_tol")
 
     def measure():
         g, _, n = _measured(f)
@@ -496,7 +504,7 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
         mean = 0.5 * (mean + float(np.mean(power(samples))))
         n *= 2
         cur = root(mean)
-        if abs(cur - prev) <= rel_tol * max(cur, 1e-300) and math.isfinite(mean):
+        if 0 < cur and abs(cur - prev) <= rel_tol * max(cur, 1e-300) and math.isfinite(mean):
             return cur
         if not diffs:
             # the starting grid's 1/4 and 1/2 subgrids, from its powers
@@ -584,7 +592,15 @@ def _norm_hinf(f, n: int) -> tuple[float, float]:
 
 
 def parseval_norm(c: PolyCoeffs) -> float:
-    """The exact H^2 norm of a polynomial: sqrt(sum |a_n|^2)."""
+    """The exact H^2 norm of a polynomial: sqrt(sum |a_n|^2).
+
+    ``math.hypot`` of the real and imaginary parts scales them, so the norm
+    neither underflows nor overflows on the way; a norm past the largest
+    double raises ValueError.
+    """
     if not isinstance(c, PolyCoeffs):
         c = PolyCoeffs(tuple(c))
-    return math.sqrt(math.fsum(abs(a) ** 2 for a in c.coeffs))
+    norm = math.hypot(*(x for a in c.coeffs for x in (a.real, a.imag)))
+    if norm == math.inf:
+        raise ValueError("the H^2 norm exceeds the largest double")
+    return norm

@@ -229,6 +229,28 @@ def test_F_p_near_alpha_1_matches_mpmath(delta):
         assert abs(F_p(p, a) / float(ref) - 1) <= 1e-14
 
 
+@pytest.mark.parametrize("p", [0.5, 1e-3, 1e-6, 1e-9, 1e-12])
+def test_F_p_relative_error_grows_like_1_over_p_down_to_its_floor(p):
+    # F_p = O(p) as p -> 0 out of O(1) terms; the 120-digit plain sum has
+    # digits to spare at p = 1e-12
+    for a in np.geomspace(1e-6, 1 - 1e-9, 50).tolist():
+        with mpmath.workdps(120):
+            pm, am = mpmath.mpf(p), mpmath.mpf(a)
+            ref = float(pm**2 / am**2 + 2 * pm * (2 - pm) + (2 - pm) ** 2 * am**2
+                        - 4 * (am**-pm + am ** (2 - pm) - 1))
+        got = F_p(p, a)
+        assert got * ref > 0
+        assert abs(got / ref - 1) <= 4e-14 / p
+
+
+def test_F_p_below_its_floor_is_a_value_error():
+    # from p = 1e-14 on the sign can go wrong: F_p(1e-100, 0.9) was
+    # +1.08e-19 against -2.81e-103
+    for p in (math.nextafter(1e-12, 0.0), 1e-14, 1e-100, 1e-300):
+        with pytest.raises(ValueError, match="1e-12"):
+            F_p(p, 0.9)
+
+
 def test_t_p_frozen_and_band():
     p = 0.5
     tp = t_p(p)

@@ -6,8 +6,11 @@ import time
 import weakref
 from operator import itemgetter
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyx import hardy_norm, wiener
 from hardyx.fn_repr import PolyCoeffs, _poly_grid
@@ -19,7 +22,7 @@ from hardyx.hardy_norm import (
     norm_hp,
     parseval_norm,
 )
-from hardyx.wiener import sharpness_ratio
+from hardyx.wiener import sharpness_ratio, wiener_bound_check
 
 BINOMIAL4 = PolyCoeffs((1.0, 4.0, 6.0, 4.0, 1.0))
 
@@ -44,6 +47,81 @@ def test_parseval_norm_examples():
     assert parseval_norm(PolyCoeffs((0.6, 0.8))) == pytest.approx(1.0, abs=1e-15)
     assert parseval_norm(PolyCoeffs((1.0,))) == pytest.approx(1.0)
     assert parseval_norm(BINOMIAL4) == pytest.approx(math.sqrt(70.0), abs=1e-13)
+
+
+def test_parseval_norm_at_both_ends_of_the_double_range():
+    assert parseval_norm(PolyCoeffs((3e-170, 4e-170))) == 5e-170
+    assert parseval_norm(PolyCoeffs((1e200, 1e200))) == math.sqrt(2.0) * 1e200
+    assert parseval_norm(PolyCoeffs((1e-320, 0.0))) == 1e-320
+    # |a_0| alone overflows here, the norm does not
+    assert parseval_norm(PolyCoeffs((1.2e308 + 0.5e308j,))) == pytest.approx(1.3e308, rel=1e-15)
+    for big in ((1.5e308, 1.5e308), (1.5e308 + 1.5e308j,)):
+        with pytest.raises(ValueError, match="largest double"):
+            parseval_norm(PolyCoeffs(big))
+
+
+def _shift_norm(a, p, scale=1):
+    """||scale (a + z)||_p for a > 1, from mean |a + z|^p = a^p 2F1(-p/2, -p/2; 1; 1/a^2)."""
+    p, a = mpmath.mpf(p), mpmath.mpf(a)
+    return scale * (a**p * mpmath.hyp2f1(-p / 2, -p / 2, 1, 1 / a**2)) ** (1 / p)
+
+
+def _cusp_norm(p):
+    """||1 + z||_p, from mean |1 + z|^p = Gamma(p + 1) / Gamma(p/2 + 1)^2."""
+    p = mpmath.mpf(p)
+    return (mpmath.gamma(p + 1) / mpmath.gamma(p / 2 + 1) ** 2) ** (1 / p)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-5, 1e-7, 1e-9, 1e-11])
+def test_norm_hp_meets_rel_tol_from_its_p_floor_up(rel_tol):
+    # the mean of |f|^p is rounded at 2^-52 and the norm at about 2^-52 / p.
+    # 1 + z has a grid point on its zero, where |f|^p = 0 takes 1/4096 off
+    # the mean: below p = 1.6e-7 the first two estimates both underflowed to
+    # 0 and agreed on a norm of 0.
+    floor = 2.0**-52 / rel_tol
+    cases = [
+        ((2.0, 1.0), lambda p: _shift_norm(2, p)),
+        ((1.1, 1.0), lambda p: _shift_norm(1.1, p)),
+        ((2e-200, 1e-200), lambda p: _shift_norm(2, p, mpmath.mpf("1e-200"))),
+        ((3e250, 1e250), lambda p: _shift_norm(3, p, mpmath.mpf("1e250"))),
+        ((1.0, 1.0), _cusp_norm),
+    ]
+    cfg = QuadConfig(rel_tol=rel_tol)
+    with mpmath.workdps(60):
+        for coeffs, exact in cases:
+            with pytest.raises(ValueError, match="below 2"):
+                norm_hp(PolyCoeffs(coeffs), 0.999 * floor, cfg)
+            for p in (1.001 * floor, 3 * floor, 30 * floor):
+                got = norm_hp(PolyCoeffs(coeffs), p, cfg)
+                assert abs(got / exact(p) - 1) <= rel_tol, (coeffs, p)
+
+
+_SCALES = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    parts=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=2, max_size=12),
+    scale=_SCALES,
+    p=st.one_of(_SCALES, st.sampled_from([math.inf, 2.0**-52 / 1e-9, 1.0, 2.0])),
+    k=st.integers(min_value=2, max_value=3),
+)
+def test_quadrature_gives_a_finite_value_or_a_typed_error(parts, scale, p, k):
+    # coefficients from 1e-300 to 1e300 in modulus, p from 1e-300 to 1e300
+    f = PolyCoeffs(tuple(scale * complex(a, b) for a, b in zip(parts[::2], parts[1::2])))
+    calls = {
+        "parseval_norm": lambda: (parseval_norm(f),),
+        "norm_hinf": lambda: norm_hinf(f, return_witness=True),
+        "wiener_bound_check": lambda: (wiener_bound_check(f, k, p).ratio,),
+    }
+    if p < math.inf:
+        calls["norm_hp"] = lambda: (norm_hp(f, p),)
+    for name, call in calls.items():
+        try:
+            values = call()
+        except (ValueError, QuadratureError):
+            continue
+        assert all(map(math.isfinite, values)), name
 
 
 def test_norm_hp_rejects_bad_exponent():
