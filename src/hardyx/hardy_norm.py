@@ -504,6 +504,8 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
         mean = 0.5 * (mean + float(np.mean(power(samples))))
         n *= 2
         cur = root(mean)
+        # two estimates of 0 do not agree: at small p a zero of f on a grid
+        # point takes 1/n off the mean, and both roots can underflow
         if 0 < cur and abs(cur - prev) <= rel_tol * max(cur, 1e-300) and math.isfinite(mean):
             return cur
         if not diffs:
