@@ -49,8 +49,9 @@ the norms measured from them: a sweep over p and rel_tol samples g once
 per grid, at most 4096 + 4096 + 8192 + 16384 doubles, and the sup-norm
 reads the same starting grid.  Other callables, and the panels' nodes, are
 evaluated directly: the panel pass (``circle_mean``) makes one call for
-all its starting panels and one per split, on the 64 nodes of the four
-quarter panels.
+all its starting panels and one per round, which splits the fewest worst
+panels that leave the rest within half its error target, on the 64
+nodes of each split panel's four quarter panels.
 
 ``norm_hinf`` takes a grid maximum and polishes it with golden-section search
 around the best grid angle, to a 1e-8 rad bracket; a polynomial is
@@ -59,11 +60,9 @@ evaluated there one point at a time by a scalar Horner.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -182,14 +181,14 @@ _GRADE_FLOOR = 1e-11
 _MAX_PANELS = 20000
 
 
-def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> list[float]:
+def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> np.ndarray:
     """The 16-node Gauss-Legendre estimate of g on each panel [a_i, b_i].
 
     g is called once, on the nodes of every panel laid out panel by panel.
     Every panel is summed by the same chain of 16 multiply-adds, so it gets
-    the double it would get from a call of its own.  A non-finite estimate
-    raises QuadratureError at once, naming the first non-finite node;
-    ``total`` is the running integral before these panels.
+    the double it would get from a call of its own.  A non-finite estimate,
+    or sum of estimates, raises QuadratureError at once, naming the first
+    non-finite node; ``total`` is the integral before these panels.
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     theta = mid[:, None] + half[:, None] * _GL_NODES
@@ -197,8 +196,9 @@ def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> list[float]:
     acc = _GL_WEIGHTS[0] * vals[:, 0]
     for j in range(1, len(_GL_WEIGHTS)):
         acc = acc + _GL_WEIGHTS[j] * vals[:, j]
-    ests = (half * acc).tolist()
-    if not math.isfinite(sum(ests)):
+    ests = half * acc
+    # a Python sum, which overflows to inf without a warning
+    if not math.isfinite(sum(ests.tolist())):
         bad = theta[~np.isfinite(vals)]
         at = float(bad[0] if bad.size else mid[0])
         raise QuadratureError(
@@ -231,25 +231,32 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=()) -> float:
 
     g receives one flat array of angles per call and must act elementwise:
     its value at an angle may not depend on the other angles in the call.
-    It is called once for all the starting panels and once per split.
+    It is called once for all the starting panels and once per round.
 
     ``seeds`` lists angles where mass, a cusp or a near-singular peak is
     expected.  The starting panels are graded geometrically toward each
     seed from both sides, by the ratio 0.15 over up to 18 levels: down to
     3e-16 next to a seed at 0, and to no less than 1e-11 times the seed's
     angle elsewhere, so that no node rounds onto it.  The first call then
-    already resolves an |theta - seed|^beta cusp or a peak there.  Panels
-    are then split worst-error-first until the total error estimate falls
-    below rel_tol times the running integral.  A panel keeps the estimates of its
-    two halves, which are the whole-panel estimates of its children, so a
-    split evaluates only the four quarter panels.
+    already resolves an |theta - seed|^beta cusp or a peak there.
+
+    A panel's value is the sum of its two halves' estimates, and its error
+    their gap to the whole panel's.  Each round sums all values and all
+    errors exactly (``math.fsum``), and stops once the error is at most
+    rel_tol times the integral.  Otherwise it splits the fewest worst
+    panels whose removal leaves the others' error at most half that
+    target.  A child takes its parent's half as its whole-panel estimate,
+    so one call of g on the 64 nodes of each split panel's four quarter
+    panels finishes the round.
 
     Past the round-off floor of g, where its evaluation noise outweighs
-    rel_tol, splitting stops shrinking the error estimate.  Once the panel
-    count has grown eightfold from 1024 on without the estimate halving,
-    QuadratureError names that floor rather than spending the whole budget
-    of 20000 panels, whose exhaustion raises it too.  A non-finite value of
-    g raises QuadratureError at once.
+    rel_tol, splitting stops shrinking the error estimate.  The estimate is
+    recorded at 1024 panels (or the start, if it has more) and at each
+    doubling of the count since, and no round splits past the next record
+    or the budget of 20000 panels.  Once the estimate has not halved across
+    eightfold growth, QuadratureError names that floor rather than spending
+    the whole budget, whose exhaustion raises it too.  A non-finite value
+    of g raises QuadratureError at once.
     """
     if not (rel_tol > 0):  # a NaN fails
         raise ValueError(f"rel_tol must be positive (got {rel_tol!r})")
@@ -260,64 +267,42 @@ def circle_mean(g, rel_tol: float = 1e-9, seeds=()) -> float:
     mid = 0.5 * (lo + hi)
     # every starting panel, then its left and its right half, in one call
     ests = _panel_ests(g, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)), math.nan)
-    n = len(lo)
-
-    heap = []
-    total = 0.0
-    counter = 0
-    for a, b, whole, left, right in zip(
-        lo.tolist(), hi.tolist(), ests[:n], ests[n:2 * n], ests[2 * n:]
-    ):
-        halves = left + right
-        total += halves
-        heapq.heappush(heap, (-abs(whole - halves), counter, a, b, halves, left, right))
-        counter += 1
-
-    # The sum of the errors in heap order decides convergence.  That pass is
-    # O(panels), so a running sum stands in for it while it stays within a
-    # factor 2 of the last exact sum and above the target: its rounding, far
-    # below 1e-6 relative, cannot then hide a step that would converge.
-    err_run = err_sync = math.inf
-    # the error estimate at panel counts 1024, 2048, 4096, ...
+    # one column per panel: its ends, then its estimate and its halves'
+    panels = np.stack((lo, hi, *np.split(ests, 3)))
     marks, next_mark = [], _FLOOR_START
-    while heap:
+    while True:
+        lo, hi, whole, left, right = panels
+        halves = left + right
+        err = np.abs(whole - halves)
+        total, err_total = math.fsum(halves), math.fsum(err)
         target = rel_tol * max(abs(total), 1e-300)
-        if (
-            err_run <= (1.0 + 1e-6) * target
-            or not 0.5 * err_sync < err_run < 2.0 * err_sync
-            or counter >= min(next_mark, _MAX_PANELS)
-        ):
-            err_total = err_run = err_sync = -sum(map(itemgetter(0), heap))
-            if err_total <= target:
-                break
-            estimates = (total / _TWO_PI, (total + err_total) / _TWO_PI)
-            if counter >= next_mark:
-                marks.append(err_total)
-                next_mark *= 2
-                if len(marks) >= 4 and marks[-1] > 0.5 * marks[-4]:
-                    raise QuadratureError(
-                        "error estimate stalled at the round-off floor of the integrand", estimates
-                    )
-            if counter >= _MAX_PANELS:
-                raise QuadratureError("adaptive panel budget exhausted", estimates)
-        neg_err, _, a, b, halves, left, right = heapq.heappop(heap)
-        err_run += neg_err
+        if err_total <= target:
+            return total / _TWO_PI
+        estimates = (total / _TWO_PI, (total + err_total) / _TWO_PI)
+        count = len(lo)
+        if count >= next_mark:
+            marks.append(err_total)
+            next_mark = 2 * count
+            if len(marks) >= 4 and marks[-1] > 0.5 * marks[-4]:
+                raise QuadratureError(
+                    "error estimate stalled at the round-off floor of the integrand", estimates
+                )
+        if count >= _MAX_PANELS:
+            raise QuadratureError("adaptive panel budget exhausted", estimates)
+        # rest[i] is the error left once the i worst panels are split
+        order = np.argsort(-err, kind="stable")
+        rest = np.cumsum(err[order][::-1])[::-1]
+        room = min(next_mark, _MAX_PANELS) - count
+        split = order[:min(np.count_nonzero(rest > 0.5 * target), room)]
+        a, b = lo[split], hi[split]
         mid = 0.5 * (a + b)
         # the quarter panels: the halves of the two children
-        edges = np.array((a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b))
-        q0, q1, q2, q3 = _panel_ests(g, edges[:-1], edges[1:], total)
-        total -= halves
-        for aa, bb, whole, ql, qr in ((a, mid, left, q0, q1), (mid, b, right, q2, q3)):
-            sub = ql + qr
-            total += sub
-            err = abs(whole - sub)
-            err_run += err
-            heapq.heappush(heap, (-err, counter, aa, bb, sub, ql, qr))
-            counter += 1
-
-    # deterministic final summation order
-    parts = sorted((a, h) for _, _, a, _, h, _, _ in heap)
-    return math.fsum(h for _, h in parts) / _TWO_PI
+        edges = (a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b)
+        q0, q1, q2, q3 = np.split(
+            _panel_ests(g, np.concatenate(edges[:-1]), np.concatenate(edges[1:]), total), 4
+        )
+        children = np.block([[a, mid], [mid, b], [left[split], right[split]], [q0, q2], [q1, q3]])
+        panels = np.hstack((np.delete(panels, split, axis=1), children))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 import cmath
-import heapq
 import math
 import re
 import time
 import weakref
-from operator import itemgetter
 
 import mpmath
 import numpy as np
@@ -22,7 +20,7 @@ from hardyx.hardy_norm import (
     norm_hp,
     parseval_norm,
 )
-from hardyx.wiener import sharpness_ratio, wiener_bound_check
+from hardyx.wiener import wiener_bound_check
 
 BINOMIAL4 = PolyCoeffs((1.0, 4.0, 6.0, 4.0, 1.0))
 
@@ -291,127 +289,29 @@ def test_circle_mean_stops_at_a_non_finite_integrand():
     assert time.perf_counter() - start < 0.5
 
 
-def _six_call_circle_mean(g, rel_tol=1e-9, seeds=(), splits=None):
-    """circle_mean as it was before the quarter-panel batching: three calls of
-    g per starting panel and six per split, from the same graded starting
-    panels, with the same panel budget.  A split appends to ``splits``."""
-
-    def est(a, b):
-        # one panel's weighted sum, by circle_mean's chain of additions
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = g(mid + half * hardy_norm._GL_NODES)
-        acc = hardy_norm._GL_WEIGHTS[0] * vals[0]
-        for w, v in zip(hardy_norm._GL_WEIGHTS[1:], vals[1:]):
-            acc = acc + w * v
-        return float(half * acc)
-
-    two_pi = 2.0 * np.pi
-    max_panels = hardy_norm._MAX_PANELS
-    heap, total, counter = [], 0.0, 0
-    for a, b in zip(*hardy_norm._start_panels([float(s) for s in seeds])):
-        whole = est(a, b)
-        mid = 0.5 * (a + b)
-        halves = est(a, mid) + est(mid, b)
-        total += halves
-        heapq.heappush(heap, (-abs(whole - halves), counter, a, b, halves))
-        counter += 1
-    err_run = err_sync = math.inf
-    marks, next_mark = [], 1024
-    while heap:
-        target = rel_tol * max(abs(total), 1e-300)
-        if (
-            err_run <= (1.0 + 1e-6) * target
-            or not 0.5 * err_sync < err_run < 2.0 * err_sync
-            or counter >= min(next_mark, max_panels)
-        ):
-            err_total = err_run = err_sync = -sum(map(itemgetter(0), heap))
-            if err_total <= target:
-                break
-            estimates = (float(total / two_pi), float((total + err_total) / two_pi))
-            if counter >= next_mark:
-                marks.append(err_total)
-                next_mark *= 2
-                if len(marks) >= 4 and marks[-1] > 0.5 * marks[-4]:
-                    raise QuadratureError("round-off floor", estimates)
-            if counter >= max_panels:
-                raise QuadratureError("budget exhausted", estimates)
-        neg_err, _, a, b, halves = heapq.heappop(heap)
-        if splits is not None:
-            splits.append((a, b))
-        err_run += neg_err
-        mid = 0.5 * (a + b)
-        total -= halves
-        for aa, bb in ((a, mid), (mid, b)):
-            whole = est(aa, bb)
-            m2 = 0.5 * (aa + bb)
-            sub = est(aa, m2) + est(m2, bb)
-            total += sub
-            err = abs(whole - sub)
-            err_run += err
-            heapq.heappush(heap, (-err, counter, aa, bb, sub))
-            counter += 1
-    parts = sorted((a, h) for _, _, a, b, h in heap)
-    return math.fsum(h for _, h in parts) / two_pi
-
-
-_Z_NEAR_POLE = 1.001 * cmath.exp(1j)
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda: sharpness_ratio(0.5, 2, 1e-12),
-        lambda: sharpness_ratio(0.3, 3, 1e-12),
-        lambda: norm_hp(PolyCoeffs((1, 1)), 0.3),
-        lambda: norm_hp(lambda z: 1 / (z - _Z_NEAR_POLE), 1.0),
-    ],
-    ids=["sharpness-p0.5-k2", "sharpness-p0.3-k3", "cusp-p0.3", "near-pole-p1"],
-)
-def test_circle_mean_matches_six_calls_per_split_to_the_bit(monkeypatch, run):
-    # every circle_mean call these make runs through both loops
-    pairs = []
-
-    def both(*args, **kwargs):
-        new = circle_mean(*args, **kwargs)
-        pairs.append((new, _six_call_circle_mean(*args, **kwargs)))
-        return new
-
-    monkeypatch.setattr(hardy_norm, "circle_mean", both)
-    monkeypatch.setattr(wiener, "circle_mean", both)
-    run()
-    assert pairs
-    for new, old in pairs:
-        assert new == old
-
-
-def test_quadrature_error_estimates_match_six_calls_per_split_to_the_bit(monkeypatch):
-    monkeypatch.setattr(hardy_norm, "_MAX_PANELS", 64)
-    spike = lambda th: 1.0 / np.abs(np.exp(1j * th) - (1 + 1e-7))
-    with pytest.raises(QuadratureError) as new:
-        circle_mean(spike, rel_tol=1e-12)
-    with pytest.raises(QuadratureError) as old:
-        _six_call_circle_mean(spike, rel_tol=1e-12)
-    assert new.value.estimates == old.value.estimates
-
-
-def test_circle_mean_calls_g_once_for_the_start_and_once_per_split():
+def test_circle_mean_calls_g_once_for_the_start_and_once_per_round():
     peak = lambda th: 1.0 / np.abs(np.exp(1j * th) - 1.0001)
-    sizes = []
+    calls = []
 
     def counted(th):
-        sizes.append(th.shape)
+        calls.append(th)
         return peak(th)
 
-    splits = []
     value = circle_mean(counted, 1e-10, seeds=(2.0,))
-    assert value == _six_call_circle_mean(peak, 1e-10, seeds=(2.0,), splits=splits)
-    assert len(splits) > 10
-    assert len(sizes) == 1 + len(splits)
+    # the mean of 1 / |e^{i theta} - (1 + eps)|, from the AGM
+    assert value == pytest.approx(wiener._pole_mean(1e-4), rel=1e-10)
+    assert len(calls) > 2
     # 57 starting panels, each with its halves: the 32 uniform ones, cut at
     # the seed 2 and at 12 graded offsets on each side of it (the 13th,
     # 3.8e-12, lies below 1e-11 * 2)
-    assert sizes[0] == (57 * 3 * 16,)
-    assert set(sizes[1:]) == {(64,)}
+    assert calls[0].shape == (57 * 3 * 16,)
+    for th in calls[1:]:
+        # 64 nodes per split panel: the 16 of each of its quarters, laid
+        # out quarter by quarter, each quarter's nodes centred on it
+        centres = np.reshape(th, (4, -1, 16)).mean(axis=2)
+        steps = np.diff(centres, axis=0)
+        assert np.all(steps > 0)
+        assert np.allclose(steps, steps[0], rtol=1e-6, atol=0)
 
 
 def test_quadconfig_validation():
@@ -751,8 +651,9 @@ def test_round_off_floor_raises_early():
 
     with pytest.raises(QuadratureError, match="round-off floor"):
         norm_hp(g, 1.0)
-    # a split takes one call of g: the 20000-panel budget would take 10000
-    assert calls[0] < 5000
+    # the dyadic grids, then one call of g per round of splits: the floor
+    # shows after three doublings of the panel count past 1024
+    assert calls[0] < 100
 
 
 def test_large_p_neither_underflows_nor_overflows():
