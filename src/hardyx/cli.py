@@ -23,18 +23,6 @@ EXIT_DOMAIN = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _require_finite(obj):
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("output records must contain finite numbers only")
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _require_finite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _require_finite(v)
-
-
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
@@ -68,9 +56,10 @@ def _emit(args, command: str, inputs: dict, results: dict, diagnostics: dict, li
         "results": results,
         "diagnostics": diagnostics,
     }
-    _require_finite(record)
+    # a NaN or an infinity raises ValueError here, with or without --json
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(text)
     else:
         for line in lines:
             print(line)

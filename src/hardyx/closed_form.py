@@ -126,9 +126,8 @@ def _root(fdf, br: RootBracket, tol: float = 1e-13, x0: float | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def _t_of_log_alpha(p: float, L: float) -> float:
-    # alpha (1+alpha^2)^{-1/p} evaluated from L = log(alpha), overflow-free
-    if math.isinf(p):
-        return math.exp(L)
+    # alpha (1+alpha^2)^{-1/p} evaluated from L = log(alpha), overflow-free;
+    # finite p only (t_p and _branch_top at p < 1 call it)
     return math.exp(L - math.log1p(math.exp(2 * L)) / p)
 
 
@@ -264,8 +263,7 @@ def _case1_value(p: float, alpha: float) -> float:
 
 
 def _case2_value(p: float, beta: float) -> float:
-    if math.isinf(p):
-        return 0.0
+    # finite p only: phi1 returns its p = inf value 0 itself
     b2 = beta * beta
     return math.exp(-math.log1p(b2) / p) * 2.0 * beta / p
 

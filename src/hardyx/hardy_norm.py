@@ -410,13 +410,16 @@ def _norm_hp(f, n: int, p: float, rel_tol: float) -> float:
     # by (1 + delta)^p; then the measurement starts again with M that peak.
     # M grows by e^(_LOG_POW_MAX / p) at least each time, and stays below the
     # sup of |f|.  A polynomial's kept grids make the dyadic pass cheap.
+    # Such a peak's power overflows before _check_headroom sees it, so numpy's
+    # overflow warning is silenced here, once per measured norm.
     absf = _as_theta_evaluator(f)
     grid = _grid_sampler(f, absf)
     prof = grid(n, False)
     scale = _pow_scale(prof, p)
     while True:
         try:
-            return _scaled_norm_hp(f, absf, grid, prof, p, rel_tol, scale)
+            with np.errstate(over="ignore"):
+                return _scaled_norm_hp(f, absf, grid, prof, p, rel_tol, scale)
         except _PowerOverflow as exc:
             scale = exc.peak
 

@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
+from hardyx import cli
 from hardyx.cli import (
     EXIT_DOMAIN,
     EXIT_NO_CONVERGENCE,
@@ -70,6 +73,20 @@ def test_phi1_just_below_p_1(capsys):
 def test_domain_errors_exit_2(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == EXIT_DOMAIN
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_non_finite_result_exits_2(capsys, monkeypatch, bad, as_json):
+    # the record is dumped on every call, and a NaN or an inf ends it
+    true_phi1 = cli.phi1
+    monkeypatch.setattr(
+        cli, "phi1", lambda p, t: dataclasses.replace(true_phi1(p, t), value=bad)
+    )
+    rc, out, err = run(capsys, "phi1", "--p", "2", "--t", "0.6", *(["--json"] if as_json else []))
+    assert rc == EXIT_DOMAIN
+    assert out == ""
     assert "error:" in err
 
 
