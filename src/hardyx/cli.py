@@ -14,7 +14,7 @@ import time
 
 from .closed_form import _tp_band_log, phi1, t_p
 from .solver import SolveConfig, maximize_phik
-from .verify import run_suite
+from .verify import _SUITES, run_suite
 from .wiener import sharpness_ratio
 
 EXIT_OK = 0
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run invariant suites")
     p_ver.add_argument(
         "--suite",
-        choices=("wiener", "appendix", "theorems", "all"),
+        choices=(*_SUITES, "all"),
         default="all",
     )
     p_ver.set_defaults(func=cmd_verify)

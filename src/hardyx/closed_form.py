@@ -256,8 +256,7 @@ def solve_beta(p: float, t: float) -> float:
 
 
 def _case1_value(p: float, alpha: float) -> float:
-    if math.isinf(p):
-        return 1.0 - alpha * alpha
+    # at p = inf this is 1 - alpha^2 to the bit
     a2 = alpha * alpha
     return math.exp(-math.log1p(a2) / p) * (1.0 + (2.0 / p - 1.0) * a2)
 
@@ -284,23 +283,21 @@ def phi1(p: float, t: float) -> ClosedFormResult:
 
     if p >= 1:
         switch = 1.0 if math.isinf(p) else 2.0 ** (-1.0 / p)
-        if t < switch - _BOUNDARY_SNAP:
-            alpha = solve_alpha(p, t)
-            return ClosedFormResult(_case1_value(p, alpha), MOEBIUS_OUTER, alpha=alpha)
-        if math.isinf(p):
-            return ClosedFormResult(0.0, OUTER, beta=0.0)
-        beta = solve_beta(p, max(t, switch))
-        return ClosedFormResult(_case2_value(p, beta), OUTER, beta=beta)
-
-    tp = t_p(p)
-    if abs(t - tp) <= _BOUNDARY_SNAP * max(1.0, tp):
-        ap = alpha_p(p)
-        beta = beta_of_alpha(p, ap)
-        return ClosedFormResult(_case1_value(p, ap), BOTH, alpha=ap, beta=beta)
-    if t < tp:
+        below = t < switch - _BOUNDARY_SNAP
+    else:
+        # past the snap the side is plain t < t_p: t < t_p - snap rounds apart
+        # from the snap test and would tag some t just below it OUTER
+        switch = t_p(p)
+        if abs(t - switch) <= _BOUNDARY_SNAP * max(1.0, switch):
+            ap = alpha_p(p)
+            return ClosedFormResult(_case1_value(p, ap), BOTH, alpha=ap, beta=beta_of_alpha(p, ap))
+        below = t < switch
+    if below:
         alpha = solve_alpha(p, t)
         return ClosedFormResult(_case1_value(p, alpha), MOEBIUS_OUTER, alpha=alpha)
-    beta = solve_beta(p, t)
+    if math.isinf(p):
+        return ClosedFormResult(0.0, OUTER, beta=0.0)
+    beta = solve_beta(p, max(t, switch))
     return ClosedFormResult(_case2_value(p, beta), OUTER, beta=beta)
 
 

@@ -114,42 +114,29 @@ class QuadConfig:
             raise ValueError("rel_tol must be positive")
 
 
-def _as_theta_evaluator(f):
-    """Adapt the accepted function representations to a vectorized theta -> |f| map."""
+def _samplers(f):
+    """(absf, grid, one): |f| at an array of angles, on the grid 2 pi m / n
+    (with ``half`` on 2 pi (m + 1/2) / n), and at one angle.
+
+    A polynomial takes one inverse FFT per grid, on the first call for that
+    grid only: the array is kept, read-only, in its memo; at one angle it
+    takes a scalar Horner.  Other callables go through absf.
+    """
     if not callable(f):
         raise TypeError(f"cannot evaluate object of type {type(f).__name__}")
 
     def absf(theta: np.ndarray) -> np.ndarray:
         return np.abs(_eval_points(f, np.exp(1j * theta)))
 
-    return absf
-
-
-def _grid_sampler(f, absf):
-    """|f| on the grid 2 pi m / n, or with ``half`` on 2 pi (m + 1/2) / n.
-
-    A polynomial takes one inverse FFT per grid, on the first call for that
-    grid only: the array is kept, read-only, in its memo.  Other callables
-    go through absf at the grid angles.
-    """
     if isinstance(f, PolyCoeffs):
         def sample(n: int, half: bool) -> np.ndarray:
             vals = np.abs(_poly_grid(f, n, half))
             vals.setflags(write=False)
             return vals
 
-        return lambda n, half: _memoized(f, ("grid", n, half), lambda: sample(n, half))
+        def grid(n: int, half: bool) -> np.ndarray:
+            return _memoized(f, ("grid", n, half), lambda: sample(n, half))
 
-    def grid(n: int, half: bool) -> np.ndarray:
-        theta = _TWO_PI * np.arange(n) / n
-        return absf(theta + _TWO_PI / (2 * n) if half else theta)
-
-    return grid
-
-
-def _point_sampler(f, absf):
-    """|f| at one angle: a scalar Horner for a polynomial, absf otherwise."""
-    if isinstance(f, PolyCoeffs):
         top, *rest = f.coeffs[::-1]
 
         def one(theta: float) -> float:
@@ -159,8 +146,13 @@ def _point_sampler(f, absf):
                 acc = acc * z + c
             return abs(acc)
 
-        return one
-    return lambda theta: float(absf(np.array([theta]))[0])
+        return absf, grid, one
+
+    def grid(n: int, half: bool) -> np.ndarray:
+        theta = _TWO_PI * np.arange(n) / n
+        return absf(theta + _TWO_PI / (2 * n) if half else theta)
+
+    return absf, grid, lambda theta: float(absf(np.array([theta]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +404,7 @@ def _norm_hp(f, n: int, p: float, rel_tol: float) -> float:
     # sup of |f|.  A polynomial's kept grids make the dyadic pass cheap.
     # Such a peak's power overflows before _check_headroom sees it, so numpy's
     # overflow warning is silenced here, once per measured norm.
-    absf = _as_theta_evaluator(f)
-    grid = _grid_sampler(f, absf)
+    absf, grid, _ = _samplers(f)
     prof = grid(n, False)
     scale = _pow_scale(prof, p)
     while True:
@@ -554,9 +545,8 @@ def norm_hinf(f, return_witness: bool = False):
 
 
 def _norm_hinf(f, n: int) -> tuple[float, float]:
-    absf = _as_theta_evaluator(f)
-    one = _point_sampler(f, absf)
-    vals = _grid_sampler(f, absf)(n, False)
+    _, grid, one = _samplers(f)
+    vals = grid(n, False)
     m = int(np.argmax(vals))
     h = _TWO_PI / n
     theta_m = _TWO_PI * m / n

@@ -97,6 +97,10 @@ _POLISH_FTOL = 1e-10
 # the largest gap allowed between the series Re a_k and the Cauchy integral's,
 # relative to max(1, |Re a_k|)
 _AGREE_TOL = 1e-8
+# t0_scan's grid t = j / _T0_GRID, and the largest gap to phi1 it takes as
+# collapsed
+_T0_GRID = 256
+_T0_TOL = 1e-6
 
 
 # no solve calls this: it is kept because perfbench/tracing.py patches it
@@ -912,8 +916,7 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     )
 
 
-def sandwich_check(k: int, p: float, t: float, seed: int = 0,
-                   starts: int = 64) -> SandwichReport:
+def sandwich_check(k: int, p: float, t: float, starts: int = 64) -> SandwichReport:
     """Solver value against the closed-form band [phi1, k^{1/p-1} phi1].
 
     The report also carries the solve's winning zero count l_used (ties
@@ -923,7 +926,7 @@ def sandwich_check(k: int, p: float, t: float, seed: int = 0,
         raise ValueError(f"p must lie in (0, 1) (got {p})")
     lower = phi1(p, t).value
     upper = k ** (1.0 / p - 1.0) * lower
-    sol = maximize_phik(SolveConfig(k=k, p=p, t=t, seed=seed, starts=starts))
+    sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=starts))
     if not (lower - 1e-6 <= sol.value <= upper + 1e-6):
         raise SolverError(
             f"solved value {sol.value} escapes the band [{lower}, {upper}] "
@@ -932,34 +935,30 @@ def sandwich_check(k: int, p: float, t: float, seed: int = 0,
     return SandwichReport(lower=lower, upper=upper, solved=sol.value, l_used=sol.l_used)
 
 
-def t0_scan(k: int, p: float, seed: int = 0, starts: int = 64,
-            grid: int = 256, tol: float = 1e-6) -> float:
-    """Smallest grid t above which the k = 2 value collapses onto phi1."""
+def t0_scan(k: int, p: float, starts: int = 64) -> float:
+    """Smallest t on the grid j / 256 above which the k = 2 value collapses
+    onto phi1: where the solved value is within 1e-6 of it, at five probes
+    above too."""
     if k != 2:
         raise ValueError("the threshold scan is defined for k = 2 only")
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
-    # a fractional grid never closes the bisection, and grid = 0 divides by 0
-    if not _is_int(grid) or grid < 1:
-        raise ValueError(f"grid must be an integer >= 1 (got {grid!r})")
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive (got {tol!r})")
 
     def gap(t: float) -> float:
-        sol = maximize_phik(SolveConfig(k=k, p=p, t=t, seed=seed, starts=starts))
+        sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=starts))
         return abs(sol.value - phi1(p, t).value)
 
-    lo, hi = 0, grid  # gap(1) = 0 by the shared constant extremal
+    lo, hi = 0, _T0_GRID  # gap(1) = 0 by the shared constant extremal
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if gap(mid / grid) < tol:
+        if gap(mid / _T0_GRID) < _T0_TOL:
             hi = mid
         else:
             lo = mid
-    t0 = hi / grid
+    t0 = hi / _T0_GRID
     for j in range(1, 6):
         probe = t0 + j * (1.0 - t0) / 6.0
-        if gap(probe) >= tol:
+        if gap(probe) >= _T0_TOL:
             raise SolverError(
                 f"threshold inconsistency: gap at t={probe} above tolerance"
             )

@@ -293,5 +293,5 @@ def run_suite(name: str) -> list:
     if name == "all":
         return [check for run in _SUITES.values() for check in run()]
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected wiener, appendix, theorems or all")
+        raise ValueError(f"unknown suite {name!r}; expected {', '.join(_SUITES)} or all")
     return _SUITES[name]()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fn_repr import PolyCoeffs, _eval_points, _is_int, _memoized, boundary_grid
-from .hardy_norm import QuadConfig, circle_mean, norm_hinf, norm_hp
+from .hardy_norm import _TWO_PI, QuadConfig, circle_mean, norm_hinf, norm_hp
 
 __all__ = [
     "WienerRatioReport",
@@ -36,7 +36,6 @@ __all__ = [
     "inner_defect",
 ]
 
-_TWO_PI = 2.0 * math.pi
 # the relative tolerance of sharpness_ratio's one circle mean
 _SHARPNESS_REL_TOL = 1e-11
 

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from hardyx import cli
+from hardyx import cli, verify
 from hardyx.cli import (
     EXIT_DOMAIN,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     main,
 )
 
@@ -155,6 +156,19 @@ def test_verify_suite_exit_code(capsys):
     assert rc == EXIT_OK
     assert "PASS" in out
     assert "checks passed" in out
+
+
+def test_failing_check_prints_fail_and_exits_1(capsys, monkeypatch):
+    broken = [verify.CheckResult("appendix/broken", False, "forced failure"),
+              verify.CheckResult("appendix/fine", True, "ok")]
+    monkeypatch.setitem(verify._SUITES, "appendix", lambda: broken)
+    rc, out, _ = run(capsys, "verify", "--suite", "appendix")
+    assert rc == EXIT_VERIFY_FAILED == 1
+    assert out.splitlines() == [
+        "FAIL  appendix/broken  forced failure",
+        "PASS  appendix/fine    ok",
+        "1/2 checks passed",
+    ]
 
 
 def test_unknown_suite_rejected(capsys):

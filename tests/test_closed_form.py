@@ -74,6 +74,14 @@ def test_solve_beta_examples():
         solve_beta(1.0, 0.4)  # would need beta > 1
 
 
+def test_solve_beta_snaps_rounding_at_the_switch_to_one():
+    # at p = 2 beta reaches 1 at t = 2^-1/2; a double below it rounds beta
+    # just above 1, while 1e-6 below it lies off the outer branch
+    assert solve_beta(2.0, math.nextafter(2**-0.5, 0)) == 1.0
+    with pytest.raises(ValueError, match="below the outer branch"):
+        solve_beta(2.0, 2**-0.5 - 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # phi1
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Domain sweeps of the solver, the panel pass and the sharpness family.
+"""Domain sweeps of the solver, the panel pass, the sharpness family and the
+suites.
 
 Every call gives a finite value or a typed error: ValueError for input
 outside the documented domain, QuadratureError or SolverError for a run
@@ -9,11 +10,13 @@ RuntimeWarning (an error under this suite's settings) fails.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hardyx import solver, verify
 from hardyx.hardy_norm import QuadratureError, circle_mean
-from hardyx.solver import SolveConfig, SolverError, maximize_phik, sandwich_check
+from hardyx.solver import SolveConfig, SolverError, maximize_phik, sandwich_check, t0_scan
 from hardyx.wiener import sharpness_ratio
 
 INF = math.inf
@@ -94,3 +97,42 @@ def test_circle_mean_gives_a_finite_value_or_a_typed_error(shape, at, power, see
         return scale * (d / (d + s))
 
     _finite_or_typed(lambda: (circle_mean(g, 1e-9, seeds=(at,) if seeded else ()),))
+
+
+_T0_VALID = {"k": st.just(2), "p": st.floats(min_value=0.05, max_value=0.95),
+             "starts": st.integers(min_value=1, max_value=64)}
+_T0_INVALID = {
+    "k": st.one_of(st.sampled_from([2.0, 2.5, True, None]),
+                   st.integers(min_value=-3, max_value=10).filter(lambda k: k != 2)),
+    "p": st.one_of(st.sampled_from([0.0, 1.0, -0.5, INF, math.nan]),
+                   st.floats(min_value=1.0), st.floats(max_value=0.0)),
+    "starts": st.one_of(st.sampled_from([2.5, 4.0, True, None, "4"]),
+                        st.integers(max_value=0)),
+}
+
+
+@st.composite
+def _t0_args(draw):
+    """k, p and starts for t0_scan with at least one outside its domain."""
+    bad = draw(st.sets(st.sampled_from(sorted(_T0_VALID)), min_size=1))
+    return {name: draw((_T0_INVALID if name in bad else _T0_VALID)[name]) for name in _T0_VALID}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(args=_t0_args())
+def test_t0_scan_rejects_input_outside_its_domain_before_solving(args):
+    def no_solve(cfg):
+        raise AssertionError("t0_scan solved before checking its input")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "maximize_phik", no_solve)
+        with pytest.raises(ValueError):
+            t0_scan(**args)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.one_of(st.text(), st.sampled_from(["All", "WIENER", " wiener", "theorems\n", ""])))
+def test_run_suite_rejects_names_outside_its_suites(name):
+    assume(name not in verify._SUITES and name != "all")
+    with pytest.raises(ValueError, match="unknown suite"):
+        verify.run_suite(name)

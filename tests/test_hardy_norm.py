@@ -345,7 +345,7 @@ def test_point_sampler_matches_numpy_horner():
     rng = np.random.default_rng(11)
     for deg in (0, 1, 5, 32, 64):
         f = _random_poly(rng, deg)
-        one = hardy_norm._point_sampler(f, hardy_norm._as_theta_evaluator(f))
+        _, _, one = hardy_norm._samplers(f)
         scale = sum(abs(a) for a in f.coeffs)
         for theta in rng.uniform(-10.0, 10.0, 20):
             value = one(float(theta))
@@ -406,7 +406,7 @@ def test_norm_memo_is_keyed_by_p_tolerance_and_instance(monkeypatch):
 def test_grid_samples_are_kept_once_and_read_only(monkeypatch):
     sampled = _sampled_polys(monkeypatch)
     f = _random_poly(np.random.default_rng(10), 12)
-    grid = hardy_norm._grid_sampler(f, None)
+    _, grid, _ = hardy_norm._samplers(f)
     for n, half in ((4096, False), (4096, True), (8192, True)):
         vals = grid(n, half)
         assert grid(n, half) is vals
@@ -478,6 +478,20 @@ def test_cusp_norms_match_gamma_formula(j):
         exact = (math.gamma(1 + j * p) / math.gamma(1 + j * p / 2) ** 2) ** (1 / p)
         for m in (1, 2, 3, 4):
             assert norm_hp(_cusp_poly(j, m), p) == pytest.approx(exact, rel=1e-8)
+
+
+def test_double_zero_split_across_angle_zero_is_one_seed():
+    # numpy.roots splits the double zero of (1 - z)^2 to the angles
+    # +-1.49e-8, on both sides of 0: they are merged across it
+    f = PolyCoeffs((1.0, -2.0, 1.0))
+    split = np.angle(np.roots(f.coeffs[::-1]))
+    assert split.min() < 0 < split.max()
+    (seed,) = hardy_norm._zero_angles(f)
+    assert min(seed, 2 * math.pi - seed) <= 1e-12
+    # |1 - e^{i theta}| is |1 + e^{i theta}| turned by pi: the Gamma formula
+    p = 0.2
+    exact = (math.gamma(1 + 2 * p) / math.gamma(1 + p) ** 2) ** (1 / p)
+    assert abs(norm_hp(f, p) - exact) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,20 @@ def test_bound_check_strict_below_for_small_p():
     assert rep.ratio ** (1 / 0.5) < 2.0
 
 
+@pytest.mark.parametrize("p", [0.4, 2.0, math.inf])
+def test_bound_check_of_a_callable_matches_its_polynomial(p):
+    # a callable is averaged by wiener_eval and sampled on f's own grids, a
+    # PolyCoeffs through wiener_coeffs and g(z^k); both measure one ratio
+    rng = np.random.default_rng(5)
+    f = PolyCoeffs(tuple(rng.standard_normal(12) + 1j * rng.standard_normal(12)))
+    rel_tol = QuadConfig().rel_tol
+    for k in (2, 3):
+        want = wiener_bound_check(f, k, p)
+        got = wiener_bound_check(lambda z: f(z), k, p)
+        assert (got.k, got.p, got.bound) == (want.k, want.p, want.bound)
+        assert got.ratio == pytest.approx(want.ratio, rel=rel_tol)
+
+
 def test_bound_check_rejects_zero_function():
     with pytest.raises(ValueError):
         wiener_bound_check(PolyCoeffs((0.0, 0.0)), 2, 1.0)
