@@ -27,24 +27,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _parse_p(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    p = float(text)
-    if not p > 0:
-        raise ValueError(f"p must be positive (got {text})")
-    return p
-
-
+# --p and --t go through float (which reads "inf"); range checks are left
+# to phi1, SolveConfig, t_p and sharpness_ratio, whose ValueError exits 2
 def _parse_t(text: str, p: float, allow_tp: bool) -> float:
     if allow_tp and text.strip().lower() == "tp":
         if not (0 < p < 1):
             raise ValueError("the tp keyword needs 0 < p < 1")
         return t_p(p)
-    t = float(text)
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1] (got {text})")
-    return t
+    return float(text)
 
 
 def _emit(args, command: str, inputs: dict, results: dict, diagnostics: dict, lines) -> int:
@@ -71,7 +61,7 @@ def _emit(args, command: str, inputs: dict, results: dict, diagnostics: dict, li
 # ---------------------------------------------------------------------------
 
 def cmd_phi1(args) -> int:
-    p = _parse_p(args.p)
+    p = float(args.p)
     t = _parse_t(args.t, p, allow_tp=True)
     t0 = time.perf_counter()
     res = phi1(p, t)
@@ -94,7 +84,7 @@ def cmd_phi1(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    p = _parse_p(args.p)
+    p = float(args.p)
     t = _parse_t(args.t, p, allow_tp=False)
     l_range = tuple(args.l) if args.l else None
     cfg = SolveConfig(
@@ -199,7 +189,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wiener(args) -> int:
-    p = _parse_p(args.p)
+    p = float(args.p)
     eps_list = list(args.eps_list)
     ratios = []
     t0 = time.perf_counter()

@@ -173,11 +173,25 @@ _GRADE_FLOOR = 1e-11
 _MAX_PANELS = 20000
 
 
+def _chain_sum(terms):
+    """terms[0] + terms[1] + ..., added one at a time in that order.
+
+    Each term holds one entry per row: a panel, a start, a candidate.  A
+    numpy reduction may associate a row's terms differently in a batch than
+    alone; this chain gives each row the double it would get alone.
+    """
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
 def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> np.ndarray:
     """The 16-node Gauss-Legendre estimate of g on each panel [a_i, b_i].
 
-    g is called once, on the nodes of every panel laid out panel by panel.
-    Every panel is summed by the same chain of 16 multiply-adds, so it gets
+    g is called once, on the nodes of every panel laid out panel by panel,
+    and each panel's weighted values are summed by _chain_sum, so it gets
     the double it would get from a call of its own.  A non-finite estimate,
     or sum of estimates, raises QuadratureError at once, naming the first
     non-finite node; ``total`` is the integral before these panels.
@@ -185,10 +199,7 @@ def _panel_ests(g, a: np.ndarray, b: np.ndarray, total: float) -> np.ndarray:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     theta = mid[:, None] + half[:, None] * _GL_NODES
     vals = np.reshape(g(theta.ravel()), theta.shape)
-    acc = _GL_WEIGHTS[0] * vals[:, 0]
-    for j in range(1, len(_GL_WEIGHTS)):
-        acc = acc + _GL_WEIGHTS[j] * vals[:, j]
-    ests = half * acc
+    ests = half * _chain_sum((_GL_WEIGHTS * vals).T)
     # a Python sum, which overflows to inf without a warning
     if not math.isfinite(sum(ests.tolist())):
         bad = theta[~np.isfinite(vals)]

@@ -69,7 +69,7 @@ import numpy as np
 
 from .closed_form import _branch_top, _one_zero_top, phi1, solve_alpha, solve_beta
 from .fn_repr import StructuredExtremal, _is_int, sample_boundary, taylor_coeff
-from .hardy_norm import norm_hinf, norm_hp
+from .hardy_norm import _chain_sum, norm_hinf, norm_hp
 
 __all__ = [
     "SolverError",
@@ -219,9 +219,8 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     sum_n conj(c_n) d c_n/d w_j.
 
     Every operation is elementwise over the rows, and each sum over slots
-    or degrees is a chain of additions in a fixed order (a numpy reduction
-    may associate one row differently from many), so a row's result does
-    not depend on the other rows or their counts.  It agrees with a 30-digit
+    or degrees is a _chain_sum, so a row's result does not depend on the
+    other rows or their counts.  It agrees with a 30-digit
     evaluation of the truncated product to 1e-13 of the majorant series,
     the product with every term replaced by its modulus.
     """
@@ -239,21 +238,12 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     weight = zeros - e
     power, P = w, []
     for _ in range(k):
-        terms = weight * power
-        total = terms[0]
-        for j in range(1, k):
-            total = total + terms[j]
-        P.append(total)
+        P.append(_chain_sum(weight * power))
         power = power * w
     E = [1.0]
     for d in range(1, k + 1):
-        total = P[d - 1]
-        for m in range(1, d):
-            total = total + P[m - 1] * E[d - m]
-        E.append(total / d)
-    ak = num[k]
-    for i in range(k):
-        ak = ak + num[i] * E[k - i]
+        E.append(_chain_sum([P[d - 1], *(P[m - 1] * E[d - m] for m in range(1, d))]) / d)
+    ak = _chain_sum([num[k], *(num[i] * E[k - i] for i in range(k))])
     if grad:
         # slot j's numerator without its factor (0 where j carries no zero),
         # and the coefficients of d E/d w_j, each of shape (k, n) per degree
@@ -264,11 +254,8 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
         F = [0.0]
         for d in range(1, k + 1):
             F.append(weight * E[d - 1] + w * F[d - 1])
-        dak_dlam, dak_dw = quot[k], num[0] * F[k]
-        for i in range(k):
-            dak_dlam = dak_dlam + quot[i] * E[k - i]
-        for i in range(1, k):
-            dak_dw = dak_dw + num[i] * F[k - i]
+        dak_dlam = _chain_sum([quot[k], *(quot[i] * E[k - i] for i in range(k))])
+        dak_dw = _chain_sum(num[i] * F[k - i] for i in range(k))
         derivs = [quot[0], dak_dlam, dak_dw, np.zeros((k, n), dtype=complex)]
     if not e:
         return (num[0], ak, np.ones(n)) + ((derivs,) if grad else ())
@@ -276,20 +263,16 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     c[0] = 1.0
     for j in range(k):
         c[1:j + 2] -= w[j] * c[:j + 1]
-    sq = c.real * c.real + c.imag * c.imag
-    total = sq[0]
-    for d in range(1, k + 1):
-        total = total + sq[d]
+    total = _chain_sum(c.real * c.real + c.imag * c.imag)
     with np.errstate(over="ignore"):
         nrm = np.exp(np.log(total) / p)
     if not grad:
         return num[0], ak, nrm
     # d c_d/d w_j = -q_{d-1}, with q = c/(1 - w_j z)
-    q = np.ones((k, n), dtype=complex)
-    dS = c[1].conj() * q
+    q = [np.ones((k, n), dtype=complex)]
     for d in range(2, k + 1):
-        q = c[d - 1] + w * q
-        dS = dS + c[d].conj() * q
+        q.append(c[d - 1] + w * q[-1])
+    dS = _chain_sum(c[d].conj() * q[d - 1] for d in range(1, k + 1))
     derivs[3] = -dS / (p * total)
     return num[0], ak, nrm, derivs
 
@@ -407,12 +390,8 @@ _LS_ETA, _LS_CUTS, _LS_CUTS_FROM_I = 1e-4, 10, 30
 _EPS = np.finfo(float).eps
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a chain of additions over the last axis: a numpy reduction may
-    # associate one row differently from many
-    total = a[..., 0] * b[..., 0]
-    for j in range(1, a.shape[-1]):
-        total = total + a[..., j] * b[..., j]
-    return total
+    """sum_j a[..., j] b[..., j], by _chain_sum: each row's as if alone."""
+    return _chain_sum(np.moveaxis(a * b, -1, 0))
 
 def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     """min f subject to c = 0 from every row of x0s at once; returns x, f, c, converged.
@@ -562,9 +541,9 @@ def _lams_from_x_batch(X: np.ndarray, k: int, pinned: bool) -> np.ndarray:
     lams[:, lo:lo + r.shape[1]] = np.sin(r) ** 2 * np.exp(1j * th)
     return lams
 
-def _x_from_lams(lams, k: int, l: int, p: float, pinned: bool) -> np.ndarray:
+def _x_from_lams(lams, k: int, l: int, p: float) -> np.ndarray:
     xs = []
-    for j in _free_slots(k, l, p, pinned):
+    for j in _free_slots(k, l, p, False):
         m = min(abs(lams[j]), 1.0)
         xs.extend([math.asin(math.sqrt(m)), np.angle(lams[j])])
     return np.array(xs)
@@ -633,11 +612,10 @@ def _root_pattern(radius: float, k: int):
         for m in range(k)
     ]
 
-def _warm_starts(p: float, k: int, l: int, t: float, pinned: bool):
-    """Closed-form k = 1 extremals lifted through z -> z^k."""
+def _warm_starts(p: float, k: int, l: int, t: float):
+    """Closed-form k = 1 extremals lifted through z -> z^k; none at t = 0,
+    where solve_alpha gives the root 0 and solve_beta raises."""
     outs = []
-    if pinned:
-        return outs
     # alpha: all k lambdas carry zeros; beta: the zero-free outer extremal
     for solve, lifts in ((solve_alpha, l == k), (solve_beta, l == 0 and not math.isinf(p))):
         if not lifts:
@@ -647,7 +625,7 @@ def _warm_starts(p: float, k: int, l: int, t: float, pinned: bool):
         except ValueError:
             continue
         if 0 < root < 1:
-            outs.append(_x_from_lams(_root_pattern(root ** (1.0 / k), k), k, l, p, pinned))
+            outs.append(_x_from_lams(_root_pattern(root ** (1.0 / k), k), k, l, p))
     return outs
 
 def _unreachable(cfg: SolveConfig, l: int) -> bool:
@@ -672,7 +650,7 @@ def _unreachable(cfg: SolveConfig, l: int) -> bool:
 def _starts(cfg: SolveConfig, l: int, dim: int) -> list:
     """The warm starts and cfg.starts random ones, from zero count l's own stream."""
     rng = np.random.default_rng([cfg.seed, cfg.k, l, 1])
-    x0s = _warm_starts(cfg.p, cfg.k, l, cfg.t, cfg.t == 0.0)
+    x0s = _warm_starts(cfg.p, cfg.k, l, cfg.t)
     n_random = max(cfg.starts - len(x0s), 1)
     for _ in range(n_random):
         r = rng.uniform(0.0, math.pi / 2.0, size=dim // 2)
@@ -684,8 +662,9 @@ def _polish(cfg: SolveConfig, x0s: np.ndarray, counts: np.ndarray) -> list:
     """The lockstep SQP from leaders x0s, row i of zero count counts[i].
 
     Returns per row (J, lams) where it ends feasible, else None.  Pinned,
-    f(0) = 0 holds by construction and only J is polished; a row that
-    stops unconverged keeps its leader.
+    f(0) = 0 holds by construction and only J is polished: the SQP runs
+    unconstrained and takes only steps that lower -J, up to the merit's
+    rounding slack, so every row keeps where it stops, converged or not.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
     pinned = t == 0.0
@@ -698,10 +677,7 @@ def _polish(cfg: SolveConfig, x0s: np.ndarray, counts: np.ndarray) -> list:
             return -J, t_hat - t, -dJ, dt
         return -out[0], out[1] - t
 
-    x, f, c, conv = _sqp_lockstep(fun, x0s, constrained=not pinned)
-    if pinned and not conv.all():
-        x[~conv] = x0s[~conv]
-        f[~conv], c[~conv] = fun(x0s[~conv], np.nonzero(~conv)[0])
+    x, f, c, _ = _sqp_lockstep(fun, x0s, constrained=not pinned)
     lams = _lams_from_x_batch(x, k, pinned)
     return [(-fv, [complex(z) for z in row]) if abs(cv) <= _FEAS_TOL else None
             for fv, cv, row in zip(f.tolist(), c.tolist(), lams)]
@@ -842,16 +818,17 @@ def _coeff_inside(fn: StructuredExtremal, k: int) -> complex:
     return taylor_coeff(samples, k) / r ** k
 
 def _build_best(cfg: SolveConfig, lams, l_eff: int):
-    p, t, k = cfg.p, cfg.t, cfg.k
+    """(the extremal of lams at f(0) = t, the series ||g|| of its product g)."""
+    p, t = cfg.p, cfg.t
     lams = [z / abs(z) if abs(z) > 1.0 else z for z in lams]
+    _, (ak,), (nrm,) = _series_batch(p, np.array([lams]), l_eff)
     if t > 0:
         # g0 is the product of the zero lambdas
         scale = t / math.prod(lams[:l_eff], start=1.0 + 0j)
     else:
-        _, (ak,), (nrm,) = _series_batch(p, np.array([lams]), l_eff)
         scale = np.conj(ak) / (abs(ak) * nrm) if abs(ak) > 0 else 1.0 / nrm
-    return StructuredExtremal(scale=complex(scale), p=p, zero_count=l_eff,
-                              lambdas=tuple(lams))
+    best = StructuredExtremal(scale=complex(scale), p=p, zero_count=l_eff, lambdas=tuple(lams))
+    return best, nrm
 
 def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     """Best Re a_k over the structured family at f(0) = t, ||f|| <= 1."""
@@ -891,11 +868,9 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     )
 
     lams_eff, l_eff = _effective(lams_win, winner)
-    best = _build_best(cfg, lams_eff, l_eff)
-
     # best meets f(0) = t exactly, so its norm is t / t_hat, up to _FEAS_TOL / t
     # from 1 (9.7e-9 in the sweep); J_win is Re a_k of f / ||f||
-    _, _, (nrm,) = _series_batch(p, np.array([best.lambdas]), l_eff)
+    best, nrm = _build_best(cfg, lams_eff, l_eff)
     inside = float(_coeff_inside(best, k).real) / (abs(best.scale) * nrm)
     if not (abs(inside - J_win) <= _AGREE_TOL * max(1.0, abs(J_win))):  # a NaN fails
         raise SolverError(f"series/Cauchy integral disagreement: {J_win} vs {inside}")

@@ -290,8 +290,9 @@ _SUITES = {
 
 def run_suite(name: str) -> list:
     """Run one suite by name, or all of them in a fixed order."""
+    # a name that is not a string is unknown too, and may not be hashable
+    if not (isinstance(name, str) and (name == "all" or name in _SUITES)):
+        raise ValueError(f"unknown suite {name!r}; expected {', '.join(_SUITES)} or all")
     if name == "all":
         return [check for run in _SUITES.values() for check in run()]
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected {', '.join(_SUITES)} or all")
     return _SUITES[name]()

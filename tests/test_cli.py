@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hardyx
 from hardyx import cli, verify
 from hardyx.cli import (
     EXIT_DOMAIN,
@@ -40,6 +45,16 @@ def test_phi1_json_round_trip(capsys):
     assert rec["command"] == "phi1"
     assert rec["results"]["regime"] == "BOTH"
     assert rec["results"]["alpha"] == pytest.approx(0.4795096879389884, abs=1e-10)
+
+
+def test_module_entry_point_runs_as_a_fresh_process():
+    # python -m hardyx goes through __main__.py, which main() alone skips
+    src = str(pathlib.Path(hardyx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "hardyx", "phi1", "--p", "2", "--t", "0.6", "--json"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert json.loads(out.stdout)["results"]["value"] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_phi1_sup_norm_records_inf_as_string(capsys):

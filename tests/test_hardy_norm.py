@@ -45,6 +45,8 @@ def test_parseval_norm_examples():
     assert parseval_norm(PolyCoeffs((0.6, 0.8))) == pytest.approx(1.0, abs=1e-15)
     assert parseval_norm(PolyCoeffs((1.0,))) == pytest.approx(1.0)
     assert parseval_norm(BINOMIAL4) == pytest.approx(math.sqrt(70.0), abs=1e-13)
+    # a plain sequence of coefficients is read as its PolyCoeffs
+    assert parseval_norm((0.6, 0.8j, 1e-3)) == parseval_norm(PolyCoeffs((0.6, 0.8j, 1e-3)))
 
 
 def test_parseval_norm_at_both_ends_of_the_double_range():
@@ -127,6 +129,10 @@ def test_norm_hp_rejects_bad_exponent():
         norm_hp(lambda z: 1.0, 0.0)
     with pytest.raises(ValueError):
         norm_hp(lambda z: 1.0, -1.0)
+    # wiener_bound_check's own check: -inf would otherwise reach norm_hinf
+    for p in (0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            wiener_bound_check(BINOMIAL4, 2, p)
 
 
 def test_hinf_examples():

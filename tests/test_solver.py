@@ -589,7 +589,7 @@ def _replica_cases():
     for k, p, t, l in ((2, 0.5, 0.5, 1), (2, 0.5, 0.0, 1), (3, 0.5, 0.5, 2), (2, math.inf, 0.5, 2)):
         pinned = t == 0.0
         dim = 2 * len(solver._free_slots(k, l, p, pinned))
-        x0s = solver._warm_starts(p, k, l, t, pinned)
+        x0s = solver._warm_starts(p, k, l, t)
         x0s += [np.column_stack([rng.uniform(0, math.pi / 2, dim // 2),
                                  rng.uniform(0, 2 * math.pi, dim // 2)]).ravel() for _ in range(10)]
         penalized = solver._penalized_batch(p, k, t, pinned)
@@ -915,6 +915,26 @@ def test_nan_cross_check_raises(monkeypatch):
     monkeypatch.setattr(solver, "_coeff_inside", lambda fn, k: complex(math.nan, 0.0))
     with pytest.raises(SolverError, match="disagreement"):
         maximize_phik(SolveConfig(k=2, p=0.5, t=0.3, starts=4))
+
+
+def test_pinned_polish_keeps_where_the_sqp_stops(monkeypatch):
+    # at t = 0 the SQP runs unconstrained and takes only steps that lower
+    # -J, so each row keeps the J of its end, converged or not; here some
+    # rows stop unconverged
+    lockstep, polish = solver._sqp_lockstep, solver._polish
+    ends, found = [], []
+
+    def recorded(fun, x0s, constrained):
+        out = lockstep(fun, x0s, constrained)
+        ends.append(tuple(v.copy() for v in out))
+        return out
+
+    monkeypatch.setattr(solver, "_sqp_lockstep", recorded)
+    monkeypatch.setattr(solver, "_polish", lambda *args: found.append(polish(*args)) or found[-1])
+    maximize_phik(SolveConfig(k=3, p=0.001010840125498493, t=0.0, starts=4))
+    ((_, f, _, conv),), (rows,) = ends, found
+    assert not conv.all()
+    assert [J for J, _ in rows] == [-fv for fv in f.tolist()]
 
 
 @pytest.mark.parametrize("t", [0.5, 0.0])

@@ -61,10 +61,14 @@ def test_sweep_draws_its_fixed_configurations():
     assert drawn == solver_check.sweep_configs()
     tiny = [c for part, c in drawn if part == "tiny p"]
     domain = [c for part, c in drawn if part == "domain"]
-    assert len(tiny) == 80 and len(domain) == 150
+    pinned = [c for part, c in drawn if part == "pinned"]
+    assert [part for part, _ in drawn] == ["tiny p"] * 80 + ["domain"] * 150 + ["pinned"] * 40
     assert all(1e-3 <= c["p"] <= 0.03 for c in tiny)
-    assert sum(c["p"] == math.inf for c in domain) == 15
-    assert all(1e-3 <= c["p"] <= 8 for c in domain if c["p"] != math.inf)
+    for wide in (domain, pinned):
+        assert sum(c["p"] == math.inf for c in wide) == len(wide) // 10
+        assert all(1e-3 <= c["p"] <= 8 for c in wide if c["p"] != math.inf)
+    assert all(c["t"] == 0.0 for c in pinned)
+    assert len({c["k"] for c in pinned}) == 3
     assert all(c["k"] in (1, 2, 3) and 0 <= c["t"] <= 1 and c["starts"] == 4
                and c["l_range"] == list(range(c["k"] + 1)) for _, c in drawn)
 
