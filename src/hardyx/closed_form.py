@@ -132,11 +132,11 @@ def _t_of_log_alpha(p: float, L: float) -> float:
 
 
 def _branch_top(p: float) -> tuple[float, float]:
-    """(log alpha, t) at the top of the increasing branch of t(alpha), finite p.
+    """(log alpha, t) at the top of the increasing branch of t(alpha), 0 < p <= inf.
 
     The branch ends at alpha = 1 for p >= 1 and at alpha2(p) for 0 < p < 1,
     where t = alpha (1+alpha^2)^{-1/p} turns around; its t is the largest
-    value the map reaches on [0, 1].
+    value the map reaches on [0, 1], 2^{-1/p} for p >= 1 and 1 at p = inf.
     """
     if p >= 1:
         return 0.0, 2.0 ** (-1.0 / p)
@@ -146,7 +146,7 @@ def _branch_top(p: float) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=256)
 def _one_zero_top(k: int, p: float) -> tuple[float, float]:
-    """(log r*, U) for U = sup_{0<r<=1} r (S_{k-1}(r) / S_k(r))^{1/p}, finite p.
+    """(log r*, U) for U = sup_{0<r<=1} r (S_{k-1}(r) / S_k(r))^{1/p}, 0 < p <= inf.
 
     S_n(r) = sum_{j<=n} r^{2j}.  U bounds |g(0)|/||g|| at zero count 1 of
     the degree-k search (solver module docstring).  With x = r^2 = e^u, the
@@ -155,7 +155,7 @@ def _one_zero_top(k: int, p: float) -> tuple[float, float]:
     under the weights x^j on 0..n.  D' = V_k - V_{k-1} for the variances
     V_n under the same weights; for x <= 1 the top point k adds spread, so
     h is strictly concave.  D(1) = 1/2, so for p >= 1 the sup is at r = 1,
-    where U = (k/(k+1))^{1/p}.  For p < 1 the root of h' lies where
+    where U = (k/(k+1))^{1/p}, 1 at p = inf.  For p < 1 the root of h' lies where
     x^k / 2 <= D = p/2 <= k x^k, and bisection on the sign of h' finds it.
     There -h'' <= k^2 x^k / p <= k, so at the midpoint of the final bracket,
     of width du <= 1e-12, h falls short of its maximum by at most k du^2,
@@ -189,19 +189,17 @@ def _one_zero_top(k: int, p: float) -> tuple[float, float]:
 def solve_alpha(p: float, t: float) -> float:
     """Invert t = alpha (1+alpha^2)^{-1/p} on the relevant increasing branch.
 
-    For p >= 1 that branch is alpha in [0, 1) onto [0, 2^{-1/p}); for
-    0 < p < 1 it is [0, alpha2(p)], beyond which the map turns around.
+    For p >= 1 that branch is alpha in [0, 1] onto [0, 2^{-1/p}]; for
+    0 < p < 1 it is [0, alpha2(p)], beyond which the map turns around.  At
+    p = inf the map is alpha itself, onto [0, 1]: the Newton function below
+    is exactly 0 at its start, so alpha = t.
     """
-    if p <= 0:
+    if not (p > 0):
         raise ValueError(f"p must be positive (got {p})")
-    if t < 0:
+    if not (t >= 0):
         raise ValueError(f"t must be non-negative (got {t})")
     if t == 0:
         return 0.0
-    if math.isinf(p):
-        if t >= 1:
-            raise ValueError(f"t={t} outside [0, 1) for the p=inf branch")
-        return t
 
     hi_L, top = _branch_top(p)
     if t >= top:
@@ -237,9 +235,13 @@ def solve_alpha(p: float, t: float) -> float:
 
 
 def solve_beta(p: float, t: float) -> float:
-    """beta = sqrt(t^{-p} - 1), valid while it lands in [0, 1]."""
-    if not (0 < p < math.inf):
-        raise ValueError(f"p must lie in (0, inf) (got {p})")
+    """beta = sqrt(t^{-p} - 1), valid while it lands in [0, 1].
+
+    At p = inf, t^{-p} is 1 at t = 1 and inf below it, so only t = 1 has a
+    beta, 0.
+    """
+    if not (p > 0):
+        raise ValueError(f"p must be positive (got {p})")
     if not (0 < t <= 1):
         raise ValueError(f"t must lie in (0, 1] (got {t})")
     try:
@@ -262,7 +264,7 @@ def _case1_value(p: float, alpha: float) -> float:
 
 
 def _case2_value(p: float, beta: float) -> float:
-    # finite p only: phi1 returns its p = inf value 0 itself
+    # at p = inf only beta = 0 reaches it (solve_beta), where it is 0
     b2 = beta * beta
     return math.exp(-math.log1p(b2) / p) * 2.0 * beta / p
 
@@ -276,13 +278,13 @@ def phi1(p: float, t: float) -> ClosedFormResult:
     t^{-p} - 1 cancels as p -> 0, so the outer regime's relative error
     grows like 1e-16 / (p log(1/t)).
     """
-    if p <= 0:
+    if not (p > 0):
         raise ValueError(f"p must be positive (got {p})")
     if not (0 <= t <= 1):
         raise ValueError(f"t must lie in [0, 1] (got {t})")
 
     if p >= 1:
-        switch = 1.0 if math.isinf(p) else 2.0 ** (-1.0 / p)
+        switch = 2.0 ** (-1.0 / p)
         below = t < switch - _BOUNDARY_SNAP
     else:
         # past the snap the side is plain t < t_p: t < t_p - snap rounds apart
@@ -295,8 +297,6 @@ def phi1(p: float, t: float) -> ClosedFormResult:
     if below:
         alpha = solve_alpha(p, t)
         return ClosedFormResult(_case1_value(p, alpha), MOEBIUS_OUTER, alpha=alpha)
-    if math.isinf(p):
-        return ClosedFormResult(0.0, OUTER, beta=0.0)
     beta = solve_beta(p, max(t, switch))
     return ClosedFormResult(_case2_value(p, beta), OUTER, beta=beta)
 

@@ -30,9 +30,10 @@ reproducing kernels, 1950) gives min ||q||_2^2 = S_k(r)/S_{k-1}(r), with
 S_n(r) = sum_{j<=n} r^{2j}.  So t_hat <= U_1(k, p), the sup over r in (0, 1]
 of r (S_{k-1}(r)/S_k(r))^{1/p} (closed_form._one_zero_top), which is
 (k/(k+1))^{1/p} for p >= 1; lam_j = 1/conj(root_j) over the roots of the
-minimal interpolant at the maximizing r attains it.  A zero count whose
-range excludes t is skipped before any search.  At p = infinity ||g|| = 1
-and none of these bounds applies.
+minimal interpolant at the maximizing r attains it.  At p = infinity,
+where ||g|| = 1, these read t_hat <= 1 at l = k and l = 1, and t_hat >= 1
+at l = 0, where g = 1.  A zero count whose range excludes t is skipped
+before any search.
 
 Simplex descent on an exact penalty explores every zero count of a solve
 at once: one Nelder-Mead advances the starts of all counts with the same
@@ -234,7 +235,7 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
         times = lam[j] * num
         times[1:] -= num[:-1]
         num = np.where(zeros[j], times, num)
-    e = 0.0 if math.isinf(p) else 2.0 / p
+    e = 2.0 / p
     weight = zeros - e
     power, P = w, []
     for _ in range(k):
@@ -617,7 +618,7 @@ def _warm_starts(p: float, k: int, l: int, t: float):
     where solve_alpha gives the root 0 and solve_beta raises."""
     outs = []
     # alpha: all k lambdas carry zeros; beta: the zero-free outer extremal
-    for solve, lifts in ((solve_alpha, l == k), (solve_beta, l == 0 and not math.isinf(p))):
+    for solve, lifts in ((solve_alpha, l == k), (solve_beta, l == 0)):
         if not lifts:
             continue
         try:
@@ -631,16 +632,15 @@ def _warm_starts(p: float, k: int, l: int, t: float):
 def _unreachable(cfg: SolveConfig, l: int) -> bool:
     """Whether the exact range of t_hat at zero count l excludes t.
 
-    f(0) = 0 needs a zero.  For finite p, l = k reaches at most the k = 1
-    branch maximum T(p), l = 1 at most U_1(k, p), and l = 0 at least
-    C(2k, k)^{-1/p} (module docstring).  The margin of 2 _FEAS_TOL keeps
-    every point the polish could accept.
+    f(0) = 0 needs a zero, said apart from the l = 0 floor below, which
+    underflows to 0 at tiny p.  l = k reaches at most the k = 1 branch
+    maximum T(p), l = 1 at most U_1(k, p), and l = 0 at least
+    C(2k, k)^{-1/p} (module docstring), each 1 at p = inf.  The margin of
+    2 _FEAS_TOL keeps every point the polish could accept.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
     if t == 0.0 and l == 0:
         return True
-    if math.isinf(p):
-        return False
     if l == k and t > _branch_top(p)[1] + 2 * _FEAS_TOL:
         return True
     if l == 1 and t > _one_zero_top(k, p)[1] + 2 * _FEAS_TOL:
@@ -686,6 +686,8 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
     """Multistart for every zero count of cfg; returns l -> feasible (J, lams).
 
     A zero count whose range of t_hat excludes t gets [] before any search.
+    With no free coordinate, or at t = 1, where |f(0)| <= ||f|| admits only
+    f = 1, a count evaluates its one point lam = 0, feasible at l = 0 alone.
     The others explore in one lockstep population per free dimension, and
     their leaders polish in one lockstep SQP: for finite p that is every
     count, at p = inf (dimension 2l) each count alone.  Each count keeps
@@ -699,10 +701,11 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
         if _unreachable(cfg, l):
             continue
         dim = 2 * len(_free_slots(k, l, p, pinned))
-        if dim == 0:
-            (J,), (t_hat,) = _objective_batch(p, k, pinned, np.empty((1, 0)), l)
+        if dim == 0 or t == 1.0:
+            x = np.zeros((1, dim))
+            (J,), (t_hat,) = _objective_batch(p, k, pinned, x, l)
             if abs(t_hat - t) <= _FEAS_TOL:
-                lams = _lams_from_x_batch(np.empty((1, 0)), k, pinned)[0]
+                lams = _lams_from_x_batch(x, k, pinned)[0]
                 feasible[l] = [(float(J), [complex(z) for z in lams])]
             continue
         groups.setdefault(dim, []).append((l, _starts(cfg, l, dim)))
@@ -834,19 +837,6 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     """Best Re a_k over the structured family at f(0) = t, ||f|| <= 1."""
     k, p, t = cfg.k, cfg.p, cfg.t
     per_l: dict = {}
-
-    if t == 1.0:
-        # the only admissible function is the constant 1
-        if 0 not in cfg.l_range:
-            raise SolverError("t = 1 admits only the zero-free constant extremal")
-        for l in cfg.l_range:
-            per_l[l] = 0.0 if l == 0 else None
-        best = StructuredExtremal(scale=1.0, p=p, zero_count=0,
-                                  lambdas=(0.0,) * k)
-        return ExtremalSolution(
-            value=0.0, best=best, l_used=0, norm_residual=0.0, t_residual=0.0,
-            cluster_count=1, per_l_values=per_l,
-        )
 
     searched = _solve_zero_counts(cfg)
     pool = []  # (J, lams, l_raw)

@@ -125,7 +125,7 @@ def test_solver_error_exits_3(capsys):
     # t = 1 admits only the zero-free constant, which --l 1 excludes
     rc, _, err = run(capsys, "solve", "--k", "1", "--p", "2", "--t", "1", "--l", "1")
     assert rc == EXIT_NO_CONVERGENCE
-    assert "zero-free constant" in err
+    assert "no feasible structure" in err
 
 
 def test_wiener_table_values(capsys):

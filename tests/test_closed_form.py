@@ -74,6 +74,24 @@ def test_solve_beta_examples():
         solve_beta(1.0, 0.4)  # would need beta > 1
 
 
+# t from the smallest subnormal to the last double below 1
+_T_GRID_INF = [5e-324, 1e-310, 2.2250738585072014e-308, *(10.0 ** -e for e in range(300, 0, -20)),
+               0.25, 0.5, 0.75, 0.9, 1 - 1e-9, 1 - 1e-13, 1 - 2.0**-53]
+
+
+def test_solve_alpha_and_beta_at_p_inf():
+    # at p = inf t(alpha) is alpha itself, and the outer branch is t = 1 alone
+    for t in _T_GRID_INF:
+        assert solve_alpha(INF, t) == t, t
+        with pytest.raises(ValueError, match="below the outer branch"):
+            solve_beta(INF, t)
+    assert solve_alpha(INF, 0.0) == 0.0
+    assert solve_alpha(INF, 1.0) == 1.0
+    assert solve_beta(INF, 1.0) == 0.0
+    with pytest.raises(ValueError, match="exceeds the branch maximum"):
+        solve_alpha(INF, 1 + 1e-9)
+
+
 def test_solve_beta_snaps_rounding_at_the_switch_to_one():
     # at p = 2 beta reaches 1 at t = 2^-1/2; a double below it rounds beta
     # just above 1, while 1e-6 below it lies off the outer branch
@@ -132,6 +150,13 @@ def test_phi1_domain():
         phi1(0.0, 0.5)
     with pytest.raises(ValueError):
         phi1(2.0, 1.5)
+    # a NaN fails every range test, and the message names the argument
+    nan = math.nan
+    for call, name in ((lambda: phi1(nan, 0.5), "p"), (lambda: phi1(0.5, nan), "t"),
+                       (lambda: solve_alpha(nan, 0.3), "p"), (lambda: solve_alpha(0.5, nan), "t"),
+                       (lambda: solve_beta(nan, 0.5), "p"), (lambda: solve_beta(0.5, nan), "t")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,29 @@ def test_k1_matches_closed_form(p, t):
     assert sol.t_residual < 1e-9
 
 
-def test_t_one_is_the_constant_function():
-    sol = maximize_phik(SolveConfig(k=3, p=0.7, t=1.0))
+@pytest.mark.parametrize("p", [0.5, 2.0, INF])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_t_one_is_the_constant_function(monkeypatch, k, p):
+    # |f(0)| <= ||f|| leaves f = 1, lam = 0 at l = 0, and the solve checks
+    # it as it checks any winner
+    inside = solver._coeff_inside
+    checked = []
+
+    def counted(fn, k):
+        checked.append(fn)
+        return inside(fn, k)
+
+    monkeypatch.setattr(solver, "_coeff_inside", counted)
+    sol = maximize_phik(SolveConfig(k=k, p=p, t=1.0))
     assert sol.value == 0.0
     assert sol.l_used == 0
+    assert sol.cluster_count == 1
+    assert sol.per_l_values == {0: 0.0, **{l: None for l in range(1, k + 1)}}
+    assert sol.norm_residual == 0.0 and sol.t_residual == 0.0
+    assert checked == [sol.best]
     assert complex(sol.best(0.3)) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(SolverError):
-        maximize_phik(SolveConfig(k=2, p=2.0, t=1.0, l_range=(1, 2)))
+    with pytest.raises(SolverError, match="no feasible structure"):
+        maximize_phik(SolveConfig(k=k, p=p, t=1.0, l_range=range(1, k + 1)))
 
 
 def test_t_zero_hits_the_peak_value():
@@ -308,6 +324,42 @@ def test_one_zero_ceiling_at_k1_is_the_branch_top(p):
         assert math.isfinite(log_r) and 0 < top < 1
 
 
+def _check_skipped(monkeypatch, p, l, outside, inside):
+    # every point of the explore, the polish and the one-point counts goes
+    # through the objective
+    objective = solver._objective_batch
+    seen = set()
+
+    def recorded(p, k, pinned, X, counts, grad=False):
+        seen.update(np.unique(counts).tolist())
+        return objective(p, k, pinned, X, counts, grad)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a zero count that cannot reach t")
+
+    for name in ("_nelder_mead_lockstep", "_polish", "_objective_batch"):
+        monkeypatch.setattr(solver, name, no_search)
+    for t in outside:
+        with pytest.raises(SolverError):
+            maximize_phik(SolveConfig(k=2, p=p, t=t, l_range=(l,)))
+
+    # just inside the bound the count is evaluated and meets the constraint
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "_objective_batch", recorded)
+    sol = maximize_phik(SolveConfig(k=2, p=p, t=inside, l_range=(l,), starts=16))
+    assert seen == {l}
+    assert sol.per_l_values[l] is not None
+    assert sol.t_residual < 1e-9
+
+    # with every zero count searched beside it, no row of the skipped count
+    # reaches the objective; just past the margin only l is out of reach,
+    # except that at p = 1/2 t > U_1 also passes T(1/2) and leaves l = 0 alone
+    seen.clear()
+    sol = maximize_phik(SolveConfig(k=2, p=p, t=outside[-1], starts=16))
+    assert seen == ({0} if l == 1 else {0, 1, 2} - {l})
+    assert sol.per_l_values[l] is None
+
+
 # T(1/2) = 0.3248 caps l = 2, U_1(2, 1/2) = 0.5197 caps l = 1, and
 # C(4, 2)^-2 = 0.0278 floors l = 0; the outside values include one just past
 # the 2 _FEAS_TOL margin
@@ -317,47 +369,13 @@ def test_one_zero_ceiling_at_k1_is_the_branch_top(p):
     (1, (0.6, _one_zero_top(2, 0.5)[1] + 3e-9), _one_zero_top(2, 0.5)[1] - 1e-7),
 ])
 def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
-    nelder_mead = solver._nelder_mead_lockstep
+    _check_skipped(monkeypatch, 0.5, l, outside, inside)
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("searched a zero count that cannot reach t")
 
-    monkeypatch.setattr(solver, "_nelder_mead_lockstep", no_search)
-    monkeypatch.setattr(solver, "_polish", no_search)
-    for t in outside:
-        with pytest.raises(SolverError):
-            maximize_phik(SolveConfig(k=2, p=0.5, t=t, l_range=(l,)))
-
-    # just inside the bound the search runs and meets the constraint
-    monkeypatch.undo()
-    searched = []
-
-    def counted(*args, **kwargs):
-        searched.append(args)
-        return nelder_mead(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_nelder_mead_lockstep", counted)
-    sol = maximize_phik(SolveConfig(k=2, p=0.5, t=inside, l_range=(l,), starts=16))
-    assert searched
-    assert sol.per_l_values[l] is not None
-    assert sol.t_residual < 1e-9
-
-    # with every zero count searched beside it, no row of the skipped count
-    # reaches the kernel of the explore or of the polish
-    monkeypatch.undo()
-    kernel = solver._series_batch
-    seen = set()
-
-    def recorded(p, lams, counts, grad=False):
-        seen.update(np.unique(counts).tolist())
-        return kernel(p, lams, counts, grad)
-
-    # just past the margin only l is out of reach, except that t > U_1 also
-    # passes T(1/2) and leaves l = 0 alone
-    monkeypatch.setattr(solver, "_series_batch", recorded)
-    sol = maximize_phik(SolveConfig(k=2, p=0.5, t=outside[-1], starts=16))
-    assert seen == ({0} if l == 1 else {0, 1, 2} - {l})
-    assert sol.per_l_values[l] is None
+def test_unreachable_zero_counts_are_skipped_at_p_inf(monkeypatch):
+    # at p = inf g = 1 at l = 0, so its floor t_hat >= 1 is exact: l = 0 is
+    # skipped below the margin and evaluated at t = 1
+    _check_skipped(monkeypatch, INF, 0, (0.5, 1 - 3 * solver._FEAS_TOL), 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])

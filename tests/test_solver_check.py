@@ -62,13 +62,16 @@ def test_sweep_draws_its_fixed_configurations():
     tiny = [c for part, c in drawn if part == "tiny p"]
     domain = [c for part, c in drawn if part == "domain"]
     pinned = [c for part, c in drawn if part == "pinned"]
-    assert [part for part, _ in drawn] == ["tiny p"] * 80 + ["domain"] * 150 + ["pinned"] * 40
+    constant = [c for part, c in drawn if part == "constant"]
+    assert [part for part, _ in drawn] == (["tiny p"] * 80 + ["domain"] * 150 + ["pinned"] * 40
+                                           + ["constant"] * 20)
     assert all(1e-3 <= c["p"] <= 0.03 for c in tiny)
-    for wide in (domain, pinned):
-        assert sum(c["p"] == math.inf for c in wide) == len(wide) // 10
+    for wide, every in ((domain, 10), (pinned, 10), (constant, 5)):
+        assert sum(c["p"] == math.inf for c in wide) == len(wide) // every
         assert all(1e-3 <= c["p"] <= 8 for c in wide if c["p"] != math.inf)
     assert all(c["t"] == 0.0 for c in pinned)
-    assert len({c["k"] for c in pinned}) == 3
+    assert all(c["t"] == 1.0 for c in constant)
+    assert len({c["k"] for c in pinned}) == len({c["k"] for c in constant}) == 3
     assert all(c["k"] in (1, 2, 3) and 0 <= c["t"] <= 1 and c["starts"] == 4
                and c["l_range"] == list(range(c["k"] + 1)) for _, c in drawn)
 

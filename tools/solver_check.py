@@ -20,11 +20,13 @@ The sweep draws from ``numpy.random.default_rng(SEED)``: 80 solves with p
 log-uniform in [1e-3, 0.03] (source "tiny p"), then 150 with p
 log-uniform in [1e-3, 8] and every tenth at p = inf (source "domain"),
 then 40 more like "domain" but at t = 0 (source "pinned"), where f(0) = 0
-fixes lam_0 = 0 and the polish runs unconstrained.  Each has k uniform in
-{1, 2, 3}, t uniform in [0, 1] outside "pinned", the default ``l_range``,
+fixes lam_0 = 0 and the polish runs unconstrained, then 20 at t = 1 with
+every fifth at p = inf (source "constant"), where f = 1 is the only
+admissible function.  Each has k uniform in {1, 2, 3}, t uniform in
+[0, 1] outside "pinned" and "constant", the default ``l_range``,
 starts = 4 and seed 0.  The parts draw in that order, each k, p and t in
-turn ("pinned" draws no t), so adding a part after the others leaves
-their solves as they were.  ``--sweep`` prints one record a line.
+turn (a part at a fixed t draws no t), so adding a part after the others
+leaves their solves as they were.  ``--sweep`` prints one record a line.
 
 ``--check`` compares each reference entry with a fresh solve of its
 configuration, ``--compare`` two outputs of ``--sweep`` record by record.
@@ -65,9 +67,9 @@ TESTS = [
 ]
 PERFBENCH_SEEDS = (1, 2)
 SEED = 2020
-# (source, solves, largest p, every how many p = inf, t = 0)
-PARTS = (("tiny p", 80, 0.03, None, False), ("domain", 150, 8.0, 10, False),
-         ("pinned", 40, 8.0, 10, True))
+# (source, solves, largest p, every how many p = inf, the fixed t or None)
+PARTS = (("tiny p", 80, 0.03, None, None), ("domain", 150, 8.0, 10, None),
+         ("pinned", 40, 8.0, 10, 0.0), ("constant", 20, 8.0, 5, 1.0))
 STARTS = 4
 VALUE_TOL = 1e-9
 
@@ -146,11 +148,11 @@ def sweep_configs() -> list[tuple[str, dict]]:
     """(part, config) of every solve of the sweep, in the order drawn."""
     rng = np.random.default_rng(SEED)
     out = []
-    for part, n, p_max, inf_every, pinned in PARTS:
+    for part, n, p_max, inf_every, fixed_t in PARTS:
         for i in range(n):
             k = int(rng.integers(1, 4))
             p = float(math.exp(rng.uniform(math.log(1e-3), math.log(p_max))))
-            t = 0.0 if pinned else float(rng.uniform(0.0, 1.0))
+            t = float(rng.uniform(0.0, 1.0)) if fixed_t is None else fixed_t
             if inf_every and i % inf_every == inf_every - 1:
                 p = math.inf
             out.append((part, _config(hardyx.SolveConfig(k=k, p=p, t=t, starts=STARTS))))
