@@ -155,7 +155,7 @@ def _one_zero_top(k: int, p: float) -> tuple[float, float]:
     under the weights x^j on 0..n.  D' = V_k - V_{k-1} for the variances
     V_n under the same weights; for x <= 1 the top point k adds spread, so
     h is strictly concave.  D(1) = 1/2, so for p >= 1 the sup is at r = 1,
-    where U = (k/(k+1))^{1/p}, 1 at p = inf.  For p < 1 the root of h' lies where
+    where U = (k/(k+1))^{1/p}.  For p < 1 the root of h' lies where
     x^k / 2 <= D = p/2 <= k x^k, and bisection on the sign of h' finds it.
     There -h'' <= k^2 x^k / p <= k, so at the midpoint of the final bracket,
     of width du <= 1e-12, h falls short of its maximum by at most k du^2,

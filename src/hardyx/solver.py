@@ -632,9 +632,9 @@ def _warm_starts(p: float, k: int, l: int, t: float):
 def _unreachable(cfg: SolveConfig, l: int) -> bool:
     """Whether the exact range of t_hat at zero count l excludes t.
 
-    f(0) = 0 needs a zero, said apart from the l = 0 floor below, which
-    underflows to 0 at tiny p.  l = k reaches at most the k = 1 branch
-    maximum T(p), l = 1 at most U_1(k, p), and l = 0 at least
+    f(0) = 0 needs a zero; that is tested by name, since the l = 0 floor
+    below underflows to 0 at tiny p.  l = k reaches at most the k = 1
+    branch maximum T(p), l = 1 at most U_1(k, p), and l = 0 at least
     C(2k, k)^{-1/p} (module docstring), each 1 at p = inf.  The margin of
     2 _FEAS_TOL keeps every point the polish could accept.
     """
