@@ -68,7 +68,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _branch_top, _one_zero_top, phi1, solve_alpha, solve_beta
+from .closed_form import (
+    RootBracket,
+    _branch_top,
+    _one_zero_top,
+    _root,
+    phi1,
+    solve_alpha,
+    solve_beta,
+)
 from .fn_repr import StructuredExtremal, _is_int, sample_boundary, taylor_coeff
 from .hardy_norm import _chain_sum, norm_hinf, norm_hp
 
@@ -647,6 +655,44 @@ def _unreachable(cfg: SolveConfig, l: int) -> bool:
         return True
     return l == 0 and t < math.exp(-math.log(math.comb(2 * k, k)) / p) - 2 * _FEAS_TOL
 
+def _one_point(cfg: SolveConfig, l: int, x: np.ndarray) -> list:
+    """[(J, lams)] of the one point x at zero count l where it meets t, else []."""
+    pinned = cfg.t == 0.0
+    X = x[None]
+    (J,), (t_hat,) = _objective_batch(cfg.p, cfg.k, pinned, X, l)
+    if not abs(t_hat - cfg.t) <= _FEAS_TOL:
+        return []
+    return [(float(J), [complex(z) for z in _lams_from_x_batch(X, cfg.k, pinned)[0]])]
+
+def _in_family_point(cfg: SolveConfig) -> list:
+    """l = 0's point with every lam_j = -a and t_hat = t, as [(J, lams)], or [].
+
+    There g = (1 + a z)^{2k/p} and ||g||^p = sum_n C(k, n)^2 a^{2n}, so
+    t_hat = t where h(a) = p log t + log sum_n C(k, n)^2 a^{2n} vanishes.
+    h increases from h(0) = p log t < 0, and h(1) >= 0 exactly where t
+    reaches l = 0's floor C(2k, k)^{-1/p}; below it there is no root.  The
+    point's value is t C(2k/p, k) a^k, and at k = 1 it is the outer
+    extremal.  For finite p and 0 < t < 1.
+    """
+    p, t, k = cfg.p, cfg.t, cfg.k
+    sq = [float(math.comb(k, n) ** 2) for n in range(k + 1)]
+    h_lo = p * math.log(t)
+
+    def hdh(a):
+        # sum_n sq_n b^n and its derivative in b = a^2, by Horner
+        b, s, ds = a * a, 0.0, 0.0
+        for c in reversed(sq):
+            ds = ds * b + s
+            s = s * b + c
+        return h_lo + math.log(s), 2.0 * a * ds / s
+
+    h_hi = hdh(1.0)[0]
+    # h(0) rounds to 0 only where p is subnormal
+    if h_hi < 0.0 or not h_lo < 0.0:
+        return []
+    a = 1.0 if h_hi == 0.0 else _root(hdh, RootBracket(0.0, 1.0, h_lo, h_hi))
+    return _one_point(cfg, 0, _x_from_lams([-a] * k, k, 0, p))
+
 def _starts(cfg: SolveConfig, l: int, dim: int) -> list:
     """The warm starts and cfg.starts random ones, from zero count l's own stream."""
     rng = np.random.default_rng([cfg.seed, cfg.k, l, 1])
@@ -696,18 +742,17 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
     p, t, k = cfg.p, cfg.t, cfg.k
     pinned = t == 0.0
     feasible = {l: [] for l in cfg.l_range}
+    family = []  # l = 0's in-family point, which joins after its search
     groups: dict = {}  # dim -> [(l, starts)]
     for l in cfg.l_range:
         if _unreachable(cfg, l):
             continue
         dim = 2 * len(_free_slots(k, l, p, pinned))
         if dim == 0 or t == 1.0:
-            x = np.zeros((1, dim))
-            (J,), (t_hat,) = _objective_batch(p, k, pinned, x, l)
-            if abs(t_hat - t) <= _FEAS_TOL:
-                lams = _lams_from_x_batch(x, k, pinned)[0]
-                feasible[l] = [(float(J), [complex(z) for z in lams])]
+            feasible[l] = _one_point(cfg, l, np.zeros(dim))
             continue
+        if l == 0:
+            family = _in_family_point(cfg)
         groups.setdefault(dim, []).append((l, _starts(cfg, l, dim)))
 
     penalized = _penalized_batch(p, k, t, pinned)
@@ -732,6 +777,8 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
         for l, found in zip(owners, _polish(cfg, np.array(leaders), np.array(owners))):
             if found is not None:
                 feasible[l].append(found)
+    if family:
+        feasible[0] += family
     return feasible
 
 

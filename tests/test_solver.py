@@ -15,6 +15,7 @@ from scipy.optimize import minimize
 import hardyx
 from hardyx import fn_repr, solver
 from hardyx.closed_form import (
+    OUTER,
     _branch_top,
     _one_zero_top,
     alpha_p,
@@ -24,7 +25,6 @@ from hardyx.closed_form import (
     solve_alpha,
     t_p,
 )
-from hardyx.hardy_norm import QuadratureError
 from hardyx.solver import (
     ExtremalSolution,
     SolveConfig,
@@ -378,6 +378,53 @@ def test_unreachable_zero_counts_are_skipped_at_p_inf(monkeypatch):
     _check_skipped(monkeypatch, INF, 0, (0.5, 1 - 3 * solver._FEAS_TOL), 1.0)
 
 
+def _mp_in_family(k, p, t):
+    # the root a of t^p sum_n C(k, n)^2 a^(2n) = 1 in (0, 1] at 40 digits,
+    # and the value t C(2k/p, k) a^k of the point lam_j = -a
+    with mpmath.workdps(40):
+        p, t = mpmath.mpf(p), mpmath.mpf(t)
+        h = lambda a: p * mpmath.log(t) + mpmath.log(  # noqa: E731
+            sum(math.comb(k, n) ** 2 * a ** (2 * n) for n in range(k + 1)))
+        a = mpmath.findroot(h, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
+        return a, t * mpmath.binomial(2 * k / p, k) * a ** k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [1e-3, 0.02, 0.5, 3.0])
+@pytest.mark.parametrize("t", [1e-4, 0.5, 0.9])
+def test_in_family_point_matches_a_40_digit_oracle(k, p, t):
+    cfg = SolveConfig(k=k, p=p, t=t)
+    if t < _lower_t(p, k):
+        # below l = 0's floor no a in (0, 1] meets t
+        assert solver._in_family_point(cfg) == []
+        return
+    (J, lams), = solver._in_family_point(cfg)
+    a, value = _mp_in_family(k, p, t)
+    assert all(lam == pytest.approx(-float(a), rel=1e-12) for lam in lams)
+    # at k = 3, p = 3, C(2, 3) = 0 and the value is rounding alone
+    assert J == pytest.approx(float(value), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0])
+@pytest.mark.parametrize("t", [0.85, 0.95, 0.999])
+def test_in_family_point_at_k1_is_the_outer_extremal(p, t):
+    # (1 + a z)^(2/p) is the k = 1 extremal above the switch (t_p(1/2) =
+    # 0.81 and 2^(-1/3) = 0.79), a = beta
+    ref = phi1(p, t)
+    assert ref.regime == OUTER
+    (J, lams), = solver._in_family_point(SolveConfig(k=1, p=p, t=t))
+    assert J == pytest.approx(ref.value, rel=1e-12)
+    assert lams[0] == pytest.approx(-ref.beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, t", [(2, 1 - 1e-9), (3, 1 - 1e-12), (3, 1 - 1e-9), (3, 1 - 1e-6)])
+def test_tiny_p_near_t_one_solves_at_the_in_family_point(k, t):
+    # the explore finds no feasible leader here; the in-family point is one
+    sol = maximize_phik(SolveConfig(k=k, p=1e-3, t=t, starts=4))
+    assert sol.l_used == 0
+    assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("p", [1e-3, 2e-3, 5e-3])
 def test_tiny_p_solves_or_raises_a_typed_error(k, p):
@@ -389,11 +436,13 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
     assert g0 == pytest.approx(ref_g0, rel=1e-13) and ak == pytest.approx(ref_ak, rel=1e-13)
     overflows = math.log(math.comb(2 * k, k)) / p > math.log(sys.float_info.max)
     assert (nrm == math.inf) == overflows
-    try:
-        sol = maximize_phik(SolveConfig(k=k, p=p, t=0.5, starts=4))
-    except (SolverError, QuadratureError):
-        return
+    # t = 1/2 lies above l = 0's floor, so the in-family point is a candidate
+    # and the solve returns at least its value
+    cfg = SolveConfig(k=k, p=p, t=0.5, starts=4)
+    sol = maximize_phik(cfg)
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
+    (J, _), = solver._in_family_point(cfg)
+    assert sol.value >= J
 
 
 @pytest.mark.parametrize("p", [1e-3, 5e-3, 7e-3, 1e-2, 2e-2])

@@ -89,8 +89,31 @@ def test_compare_names_every_gain_loss_and_move(capsys):
     fails = [line.split(": ", 1)[1] for line in out if line.startswith("FAIL")]
     assert [line.split()[0] for line in fails] == ["gained", "lost", "moved"]
     # the move of 1e-10 is below the printed bound but not identical to the bit
-    assert out[-2] == "tiny p: 4 -> 4 of 5 succeed, 1 of the 3 on both sides identical to the bit"
+    assert out[-2] == ("tiny p: 4 -> 4 of 5 succeed, 1 of the 3 on both sides identical to the "
+                       "bit, 0 rose and 1 fell by more than 1e-09, largest relative fall 0.167")
     assert out[-1].endswith("FAIL")
+
+
+def test_compare_gives_each_part_its_rises_and_falls(capsys):
+    # per part: rises and falls beyond VALUE_TOL, and the largest fall over the
+    # value before; a gained solve and a move within VALUE_TOL are neither
+    tol = solver_check.VALUE_TOL
+    pairs = [(_solved("tiny p", 0.1, 2.0), _solved("tiny p", 0.1, 1.5)),
+             (_solved("tiny p", 0.2, 10.0), _solved("tiny p", 0.2, 9.0)),
+             (_solved("tiny p", 0.3, 1.0), _solved("tiny p", 0.3, 1.0 + 2 * tol)),
+             (_solved("tiny p", 0.4, 1.0), _solved("tiny p", 0.4, 1.0 - 0.5 * tol)),
+             (_record("tiny p", 0.5, error="SolverError"), _solved("tiny p", 0.5, 3.0)),
+             (_solved("domain", 0.1, 4.0), _solved("domain", 0.1, 5.0)),
+             (_solved("pinned", 0.1, 0.0), _solved("pinned", 0.1, 0.0))]
+    assert not solver_check.report(pairs)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:-1] == [
+        "tiny p: 4 -> 5 of 5 succeed, 0 of the 4 on both sides identical to the bit, "
+        "1 rose and 2 fell by more than 1e-09, largest relative fall 0.25",
+        "domain: 1 -> 1 of 1 succeed, 0 of the 1 on both sides identical to the bit, "
+        "1 rose and 0 fell by more than 1e-09, largest relative fall 0",
+        "pinned: 1 -> 1 of 1 succeed, 1 of the 1 on both sides identical to the bit, "
+        "0 rose and 0 fell by more than 1e-09, largest relative fall 0"]
 
 
 def test_compare_fails_on_a_changed_zero_count(capsys):
@@ -99,4 +122,5 @@ def test_compare_fails_on_a_changed_zero_count(capsys):
     assert not solver_check.report([(before, after)])
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("FAIL k=2 p=0.01 t=0.5 ") and out[0].endswith(": l_used 0 -> 1")
-    assert out[-2] == "domain: 1 -> 1 of 1 succeed, 1 of the 1 on both sides identical to the bit"
+    assert out[-2] == ("domain: 1 -> 1 of 1 succeed, 1 of the 1 on both sides identical to the "
+                       "bit, 0 rose and 0 fell by more than 1e-09, largest relative fall 0")

@@ -36,10 +36,11 @@ each failure and, without failing on them, each ``cluster_count``
 difference and each ``per_l_values`` difference (a zero count that turned
 feasible or infeasible, or moved by more than 1e-9), with the entry's note
 where it has one.  Then, per part (the file, perfbench round or sweep part
-of a record's first source), how many solves succeed on each side and how
-many of those that succeed on both return the same value to the bit.  A
-change that moves digits lists every printed difference with its
-explanation.
+of a record's first source), how many solves succeed on each side; of
+those that succeed on both, how many return the same value to the bit,
+how many values rose and how many fell by more than 1e-9, and the largest
+fall relative to the value before.  A change that moves digits lists every
+printed difference with its explanation.
 """
 
 from __future__ import annotations
@@ -233,6 +234,11 @@ def report(pairs) -> bool:
             count["both"] += 1
             count["same"] += got["value"] == entry["value"]  # JSON keeps every double exactly
             worst = max(worst, abs(got["value"] - entry["value"]))
+            count["rose"] += got["value"] - entry["value"] > VALUE_TOL
+            if entry["value"] - got["value"] > VALUE_TOL:
+                # a value is >= 0, so one that falls was positive
+                count["fell"] += 1
+                count["largest fall"] = max(count["largest fall"], 1 - got["value"] / entry["value"])
         if fails or diffs:
             where = " ".join(f"{key}={v!r}" for key, v in entry["config"].items())
             for kind, lines in (("FAIL", fails), ("DIFF", diffs)):
@@ -244,7 +250,9 @@ def report(pairs) -> bool:
         ok = ok and not fails
     for part, c in parts.items():
         print(f"{part}: {c['before']} -> {c['after']} of {c['solves']} succeed, {c['same']} of "
-              f"the {c['both']} on both sides identical to the bit")
+              f"the {c['both']} on both sides identical to the bit, {c['rose']} rose and "
+              f"{c['fell']} fell by more than {VALUE_TOL:g}, largest relative fall "
+              f"{c['largest fall']:.3g}")
     print(f"{sum(c['solves'] for c in parts.values())} entries, largest value gap {worst:.3g}: "
           f"{'pass' if ok else 'FAIL'}")
     return ok
