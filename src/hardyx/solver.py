@@ -98,7 +98,6 @@ _UNIT_SNAP = 1e-6
 _PENALTY = 10.0
 _FEAS_TOL = 1e-9
 _TIE_TOL = 1e-9
-_CLUSTER_VALUE_TOL = 1e-6
 _CLUSTER_DIST_TOL = 1e-3
 # the polish's convergence tolerance on the change of the objective and on
 # |t_hat - t|, SLSQP's ftol in the polish this replaced
@@ -834,9 +833,11 @@ def _same_configuration(a_lams, a_l, b_lams, b_l, k: int) -> bool:
     return False
 
 def _count_clusters(cands, best_value: float, k: int) -> int:
+    """The distinct configurations among the candidates within _TIE_TOL of
+    the top, the tolerance that picks the winner (at least 1)."""
     reps = []
     for J, lams, l_eff in cands:
-        if J < best_value - _CLUSTER_VALUE_TOL:
+        if J < best_value - _TIE_TOL:
             continue
         for r_lams, r_l in reps:
             if _same_configuration(lams, l_eff, r_lams, r_l, k):

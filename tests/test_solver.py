@@ -104,6 +104,16 @@ def test_unique_orbit_for_smooth_p():
     assert got[1] == pytest.approx(1j * root, abs=1e-4)
 
 
+@pytest.mark.parametrize("p", [1.25, INF])
+def test_unique_extremal_at_t_zero_is_one_cluster(p):
+    # at t = 0 and 1 < p the extremal z^3 is unique (for p < inf H^p is
+    # uniformly convex); leaders the polish leaves a few 1e-9 below the top,
+    # near lam = 0, are not ties and count as no cluster of their own
+    sol = maximize_phik(SolveConfig(k=3, p=p, t=0.0, starts=4))
+    assert sol.cluster_count == 1
+    assert sol.value == pytest.approx(1.0, abs=1e-8)
+
+
 def test_p_one_degenerate_plateau():
     # at p = 1 below the switch the bound is identically 1 and many
     # structures attain it
