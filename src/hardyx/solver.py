@@ -33,7 +33,11 @@ of r (S_{k-1}(r)/S_k(r))^{1/p} (closed_form._one_zero_top), which is
 minimal interpolant at the maximizing r attains it.  At p = infinity,
 where ||g|| = 1, these read t_hat <= 1 at l = k and l = 1, and t_hat >= 1
 at l = 0, where g = 1.  A zero count whose range excludes t is skipped
-before any search.
+before any search.  Above l = 0's floor, for finite p and 0 < t < 1, the
+family's own point lam_j = -a, g = (1 + a z)^{2k/p}, meets t at the root a
+in (0, 1] of t^p sum_n C(k, n)^2 a^{2n} = 1; it joins l = 0's candidates
+as the polish's ends do, without a search (_in_family_point), so l = 0
+has a feasible point wherever t is at or above its floor.
 
 Simplex descent on an exact penalty explores every zero count of a solve
 at once: one Nelder-Mead advances the starts of all counts with the same
@@ -44,18 +48,23 @@ solver's only evaluation of the series: it agrees with a 30-digit
 evaluation to 1e-13 of the terms' size, and no row's result depends on
 the other rows.  So one pass per step holds the
 reflection and all three second trials of every start, and each start
-takes the values scipy would evaluate, to the bit.  Each start has 50
+takes the values scipy would evaluate, to the bit.  Each start has 20
 penalty evaluations per free coordinate (_EXPLORE_FEV_PER_DIM), enough to
 pick its basin: near the feasible set the penalty has a kink along
 t_hat = t, which a simplex follows only slowly, and the polish does that
-constrained descent on exact gradients.  One sequential quadratic
-programming polish then enforces the constraint on the leaders of every
-count of the population in lockstep, each iteration evaluating the
-objective, t_hat and their exact gradients for all of its rows in one pass
-of the same kernel; the series are finite in lam and conj(lam), so the
-derivatives are too (_series_batch, _objective_batch).  Its line search is
-at most two passes: the full step, then every halving of the rows that
-step fails, all fixed by then.  The value returned is the winner's series
+constrained descent on exact gradients.  At tiny p (below about 0.03)
+with few starts the basin each start picks varies with the budget, and
+the in-family point keeps l = 0 from ending with no feasible point.  One
+sequential quadratic programming polish then enforces the constraint on
+the leaders of every count of the population in lockstep, each iteration
+evaluating the objective, t_hat and their exact gradients for all of its
+rows in one pass of the same kernel; the series are finite in lam and
+conj(lam), so the derivatives are too (_series_batch, _objective_batch).
+Its line search is at most two passes: the full step, then every halving
+of the rows that step fails, all fixed by then.  The winner is the
+smallest zero count with a candidate within _TIE_TOL of the top, and
+cluster_count counts the distinct configurations among the candidates
+within the same _TIE_TOL.  The value returned is the winner's series
 Re a_k.  One 256-point Cauchy integral of the built function checks it, on
 the circle |z| = r of 1/2, ..., 1/32 where its round-off is least
 (_coeff_inside), and hardy_norm re-measures its norm.
@@ -296,7 +305,7 @@ _NM_TRIAL_A, _NM_TRIAL_C = np.array([2, 3, 1.5, 0.5]), np.array([-1, -2, -0.5, 0
 _NM_SIGMA, _NM_NONZDELT, _NM_ZDELT = 0.5, 0.05, 0.00025
 # the explore's evaluations per start and free coordinate: enough to pick a
 # start's basin, which the polish finishes (module docstring)
-_EXPLORE_FEV_PER_DIM = 50
+_EXPLORE_FEV_PER_DIM = 20
 
 def _nm_sort(sim, fsim):
     # np.argsort's default kind, as in scipy: it is not stable on every
