@@ -86,7 +86,7 @@ from .closed_form import (
     solve_alpha,
     solve_beta,
 )
-from .fn_repr import StructuredExtremal, _is_int, sample_boundary, taylor_coeff
+from .fn_repr import EvaluationError, StructuredExtremal, _is_int, sample_boundary, taylor_coeff
 from .hardy_norm import _chain_sum, norm_hinf, norm_hp
 
 __all__ = [
@@ -918,7 +918,11 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     # best meets f(0) = t exactly, so its norm is t / t_hat, up to _FEAS_TOL / t
     # from 1 (9.7e-9 in the sweep); J_win is Re a_k of f / ||f||
     best, nrm = _build_best(cfg, lams_eff, l_eff)
-    inside = float(_coeff_inside(best, k).real) / (abs(best.scale) * nrm)
+    try:
+        inside = float(_coeff_inside(best, k).real) / (abs(best.scale) * nrm)
+    except EvaluationError as e:
+        # f passes the largest double inside the disc (p below about 1e-6)
+        raise SolverError(f"the Cauchy integral cannot check the value: {e}") from None
     if not (abs(inside - J_win) <= _AGREE_TOL * max(1.0, abs(J_win))):  # a NaN fails
         raise SolverError(f"series/Cauchy integral disagreement: {J_win} vs {inside}")
     if math.isinf(p):

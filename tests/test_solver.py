@@ -455,6 +455,17 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
     assert sol.value >= J
 
 
+@pytest.mark.parametrize("p", [1e-6, 1e-8])
+def test_p_where_f_overflows_inside_the_disc_raises_a_solver_error(p):
+    # the in-family point meets t, but (1 + a z)^(4/p) passes the largest
+    # double on the check's circles, so the value cannot be checked;
+    # eval_structured still warns where f overflows
+    cfg = SolveConfig(k=2, p=p, t=0.5, starts=4)
+    assert solver._in_family_point(cfg)
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match="Cauchy integral"):
+        maximize_phik(cfg)
+
+
 @pytest.mark.parametrize("p", [1e-3, 5e-3, 7e-3, 1e-2, 2e-2])
 def test_k1_tiny_p_returns_phi1(p):
     # at k = 1, t = 1/2, max|f| on |z| = 1 is large enough here that an FFT
