@@ -429,7 +429,8 @@ def test_in_family_point_at_k1_is_the_outer_extremal(p, t):
 
 @pytest.mark.parametrize("k, t", [(2, 1 - 1e-9), (3, 1 - 1e-12), (3, 1 - 1e-9), (3, 1 - 1e-6)])
 def test_tiny_p_near_t_one_solves_at_the_in_family_point(k, t):
-    # the explore finds no feasible leader here; the in-family point is one
+    # at a budget of 50 the explore found no feasible leader here; the
+    # in-family point is one
     sol = maximize_phik(SolveConfig(k=k, p=1e-3, t=t, starts=4))
     assert sol.l_used == 0
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
