@@ -84,7 +84,7 @@ NOTED = [
      "config": {"k": 2, "p": 0.25191334389282305, "t": 0.3254741592410315,
                 "l_range": [0, 1, 2], "starts": 32, "seed": 0},
      "note": "cluster_count reads 1 at seeds 0, 1 and 2 with 32 and 64 starts and in all 5 "
-             "ulp runs, and value moves by 2.2e-12 between these solves; before clusters "
+             "ulp runs, and value moves by 4.7e-13 between these solves; before clusters "
              "were matched as sets it read 1 or 2 with the starts, the second cluster one "
              "leader, an l = 0 configuration 1.6e-11 below the best"},
     {"source": "tests/test_solver.py::test_t_zero_hits_the_peak_value",
@@ -93,8 +93,8 @@ NOTED = [
              "maximizers a continuum, so nearly every leader is a cluster of its own"},
     {"source": "tests/test_solver.py::test_polish_ends_at_kkt_points[0.0]",
      "config": {"k": 2, "p": 0.5, "t": 0.0, "l_range": [0, 1, 2], "starts": 32, "seed": 0},
-     "note": "cluster_count is 16 here and in 4 of the 5 ulp runs, 15 at j = 4, as the "
-             "continuum at starts = 64 explains"},
+     "note": "cluster_count is 15 here, 16 at seeds 1 and 2, and 16, 16, 15, 15, 15 in the "
+             "ulp runs at j = 1, -1, 2, -2, 4, as the continuum at starts = 64 explains"},
 ]
 
 
