@@ -11,10 +11,10 @@ loop exact and quadrature-free:
 * the Taylor coefficients of the unscaled product through degree k follow
   from truncated series multiplication, with no aliasing.
 
-The scale C is eliminated: normalizing ||f|| = 1 and f(0) = t pins
-C = t / g(0) on the feasible set, leaving the smooth objective
+The scale C is eliminated: ||f|| = 1 and f(0) > 0 pin
+C = conj(g0) / (|g0| ||g||), leaving the smooth objective
 Re(conj(g0) a_k) / (|g0| ||g||) under the scalar constraint
-t_hat = |g0| / ||g|| = t.
+t_hat = |g0| / ||g|| = t, met to _FEAS_TOL.
 
 The same identities bound the values t_hat takes at a given zero count.
 With c the coefficients of prod_j (1 - conj(lam_j) z), ||g||^p = sum |c_n|^2
@@ -86,7 +86,14 @@ from .closed_form import (
     solve_alpha,
     solve_beta,
 )
-from .fn_repr import EvaluationError, StructuredExtremal, _is_int, sample_boundary, taylor_coeff
+from .fn_repr import (
+    _UNIT_TOL,
+    EvaluationError,
+    StructuredExtremal,
+    _is_int,
+    sample_boundary,
+    taylor_coeff,
+)
 from .hardy_norm import _chain_sum, norm_hinf, norm_hp
 
 __all__ = [
@@ -98,11 +105,6 @@ __all__ = [
     "sandwich_check",
     "t0_scan",
 ]
-
-# Blaschke parameters closer to the unit circle than this are treated as
-# degenerate (the factor is then a unimodular constant) when classifying a
-# solution's effective zero count.
-_UNIT_SNAP = 1e-6
 
 _PENALTY = 10.0
 _FEAS_TOL = 1e-9
@@ -175,10 +177,11 @@ class SolveConfig:
 class ExtremalSolution:
     """The answer of ``maximize_phik``.
 
-    ``value`` is the series Re a_k of g / ||g|| for the winner g, whose
-    t_hat = |g(0)| / ||g|| meets t to the feasibility tolerance.  ``best`` meets
-    f(0) = t exactly, so its Re a_k is value * t / t_hat; ``norm_residual``
-    measures | ||best|| - 1 | = |t / t_hat - 1|, the relative gap of the two.
+    ``best`` is g / ||g|| for the winner g, turned by a constant phase so
+    that best(0) = t_hat = |g(0)| / ||g|| (at t = 0, so that a_k >= 0).  Its
+    series norm is 1, t_hat meets t to the feasibility tolerance, and
+    ``value`` is the series Re a_k of ``best``.  ``norm_residual`` is
+    | ||best|| - 1 | by quadrature, ``t_residual`` is |best(0) - t|.
     """
 
     value: float
@@ -795,14 +798,15 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def _effective(lams, l: int):
-    """Push boundary-degenerate Blaschke parameters into the outer-only tail.
+    """Push Blaschke parameters on the unit circle into the outer-only tail.
 
-    A factor with |lam| = 1 is the constant lam; dropping it from the zero
-    prefix while keeping its outer factor changes f by a constant phase
-    only, which the rescaling by C absorbs.
+    A factor with |lam| within fn_repr._UNIT_TOL of 1 is the constant lam,
+    as eval_structured evaluates it; dropping it from the zero prefix while
+    keeping its outer factor changes f by a constant phase only, which
+    _build_best's phase absorbs.
     """
-    interior = [lam for lam in lams[:l] if abs(lam) < 1.0 - _UNIT_SNAP]
-    moved = [lam for lam in lams[:l] if abs(lam) >= 1.0 - _UNIT_SNAP]
+    interior = [lam for lam in lams[:l] if abs(lam) < 1.0 - _UNIT_TOL]
+    moved = [lam for lam in lams[:l] if abs(lam) >= 1.0 - _UNIT_TOL]
     return interior + moved + list(lams[l:]), len(interior)
 
 def _pairs_off(a, b) -> bool:
@@ -877,18 +881,14 @@ def _coeff_inside(fn: StructuredExtremal, k: int) -> complex:
     r, samples = min(grids, key=lambda g: float(np.abs(g[1].values).max()) / g[0] ** k)
     return taylor_coeff(samples, k) / r ** k
 
-def _build_best(cfg: SolveConfig, lams, l_eff: int):
-    """(the extremal of lams at f(0) = t, the series ||g|| of its product g)."""
-    p, t = cfg.p, cfg.t
+def _build_best(cfg: SolveConfig, lams, l_eff: int) -> StructuredExtremal:
+    """g / ||g|| for the product g of lams, turned so that g(0) > 0 (a_k >= 0 at t = 0)."""
+    p = cfg.p
     lams = [z / abs(z) if abs(z) > 1.0 else z for z in lams]
-    _, (ak,), (nrm,) = _series_batch(p, np.array([lams]), l_eff)
-    if t > 0:
-        # g0 is the product of the zero lambdas
-        scale = t / math.prod(lams[:l_eff], start=1.0 + 0j)
-    else:
-        scale = np.conj(ak) / (abs(ak) * nrm) if abs(ak) > 0 else 1.0 / nrm
-    best = StructuredExtremal(scale=complex(scale), p=p, zero_count=l_eff, lambdas=tuple(lams))
-    return best, nrm
+    (g0,), (ak,), (nrm,) = _series_batch(p, np.array([lams]), l_eff)
+    lead = g0 if cfg.t > 0 else ak
+    phase = np.conj(lead) / abs(lead) if abs(lead) > 0 else 1.0
+    return StructuredExtremal(scale=complex(phase / nrm), p=p, zero_count=l_eff, lambdas=tuple(lams))
 
 def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     """Best Re a_k over the structured family at f(0) = t, ||f|| <= 1."""
@@ -914,12 +914,9 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
         ((J, lams) for J, lams, lr in pool if lr == winner), key=lambda e: e[0]
     )
 
-    lams_eff, l_eff = _effective(lams_win, winner)
-    # best meets f(0) = t exactly, so its norm is t / t_hat, up to _FEAS_TOL / t
-    # from 1 (9.7e-9 in the sweep); J_win is Re a_k of f / ||f||
-    best, nrm = _build_best(cfg, lams_eff, l_eff)
+    best = _build_best(cfg, *_effective(lams_win, winner))
     try:
-        inside = float(_coeff_inside(best, k).real) / (abs(best.scale) * nrm)
+        inside = float(_coeff_inside(best, k).real)
     except EvaluationError as e:
         # f passes the largest double inside the disc (p below about 1e-6)
         raise SolverError(f"the Cauchy integral cannot check the value: {e}") from None
@@ -936,7 +933,7 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     )
 
     return ExtremalSolution(
-        value=max(J_win, 0.0), best=best, l_used=l_eff,
+        value=max(J_win, 0.0), best=best, l_used=best.zero_count,
         norm_residual=abs(nrm_meas - 1.0), t_residual=t_meas,
         cluster_count=clusters, per_l_values=per_l,
     )

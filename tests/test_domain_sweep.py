@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardyx import solver, verify
+from hardyx.closed_form import phi1
 from hardyx.hardy_norm import QuadratureError, circle_mean
 from hardyx.solver import SolveConfig, SolverError, maximize_phik, sandwich_check, t0_scan
 from hardyx.wiener import sharpness_ratio
@@ -49,6 +50,20 @@ def test_maximize_phik_gives_a_finite_value_or_a_typed_error(k, p, t):
         return (sol.value, sol.norm_residual, sol.t_residual)
 
     _finite_or_typed(solve)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-16, 1e-8, 1e-4, 1e-2])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, INF])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_small_t_solves_with_a_unit_norm(k, p, t):
+    # best is g / ||g||, so its norm is 1 at every t, and best(0) = t_hat
+    # meets t to the absolute feasibility tolerance; the lift of phi1's
+    # extremal attains the maximum at k = 1 and at p >= 1
+    sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
+    assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
+    if k == 1 or p >= 1:
+        ref = phi1(p, t).value
+        assert abs(sol.value - ref) <= 1e-9 * ref
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

@@ -388,6 +388,16 @@ def test_unreachable_zero_counts_are_skipped_at_p_inf(monkeypatch):
     _check_skipped(monkeypatch, INF, 0, (0.5, 1 - 3 * solver._FEAS_TOL), 1.0)
 
 
+@pytest.mark.parametrize("k, t", [(2, 1 - 1e-6), (2, 1 - 1e-7), (3, 1 - 1e-6)])
+def test_p_inf_keeps_a_zero_near_the_circle(k, t):
+    # the winner's zero lies within 1e-6 of the circle; it stays a Blaschke
+    # zero unless eval_structured would take its factor for a constant, so
+    # the built function is the one the series value belongs to
+    sol = maximize_phik(SolveConfig(k=k, p=INF, t=t, starts=4))
+    assert abs(sol.value - (1 - t * t)) <= 1e-9
+    assert sol.l_used >= 1
+
+
 def _mp_in_family(k, p, t):
     # the root a of t^p sum_n C(k, n)^2 a^(2n) = 1 in (0, 1] at 40 digits,
     # and the value t C(2k/p, k) a^k of the point lam_j = -a
@@ -480,12 +490,14 @@ def test_k1_tiny_p_returns_phi1(p):
 @pytest.mark.parametrize("k, p, t", [(2, 0.05, 0.5), (2, 0.015, 0.2)])
 def test_fft_cross_check_passes_small_p_at_k2(k, p, t):
     # |f| peaks at 1e3 and 1.2e8 on |z| = 1 here; inside the disc the Cauchy
-    # integral of f / ||f|| meets the series value far below the agreement bound
+    # integral of best = g / ||g|| meets the series value far below the
+    # agreement bound
     sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
     best = sol.best
     _, _, (nrm,) = solver._series_batch(p, np.array([best.lambdas]), best.zero_count)
-    gap = abs(solver._coeff_inside(best, k).real / (abs(best.scale) * nrm) - sol.value)
+    assert abs(abs(best.scale) * nrm - 1.0) <= 1e-15
+    gap = abs(solver._coeff_inside(best, k).real - sol.value)
     assert gap <= 1e-11 * max(1.0, abs(sol.value))
 
 
