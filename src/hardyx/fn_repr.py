@@ -206,7 +206,8 @@ def eval_structured(fn: StructuredExtremal, z):
 
     Fractional powers use the principal branch.  If an outer-only lambda is
     unimodular, the factor has a boundary zero at z = lam; the value 0 is
-    returned there for finite p (the exponent 2/p is positive).
+    returned there for finite p (the exponent 2/p is positive).  Where
+    |f| passes the largest double, EvaluationError is raised.
     """
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
@@ -224,8 +225,11 @@ def eval_structured(fn: StructuredExtremal, z):
             w = 1.0 - np.conj(lam) * zs
             zero |= w == 0  # boundary tangency: |w|^(2/p) -> 0
             log_f += 2.0 / fn.p * np.log(np.where(w == 0, 1.0, w))
-        out = np.exp(log_f)
+        with np.errstate(over="ignore"):
+            out = np.exp(log_f)
         out[zero] = 0.0
+        if not np.isfinite(out).all():
+            raise EvaluationError("f passes the largest double at an evaluation point")
     for j in range(fn.zero_count):
         out *= _blaschke(fn.lambdas[j], zs)
     return complex(out[0]) if scalar else out

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ def test_origin_value_of_moebius_outer_candidate():
     fn = StructuredExtremal(c, p, 1, (-alpha,))
     t = alpha * (1 + alpha**2) ** (-1 / p)
     assert eval_structured(fn, 0.0) == pytest.approx(t, abs=1e-14)
+
+
+def test_overflow_on_the_circle_raises_an_evaluation_error():
+    # |f| = |1 + z/2|^2000 reaches 1.5^2000 near z = 1, past the largest
+    # double: a typed error, and no overflow warning on the way
+    fn = StructuredExtremal(1.0, 1e-3, 0, (-0.5,))
+    z = boundary_grid(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError):
+            eval_structured(fn, z)
+        with pytest.raises(EvaluationError):
+            wiener_eval(fn, 2, z)
 
 
 def test_double_zero_at_origin_is_z_squared():

@@ -469,11 +469,10 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
 @pytest.mark.parametrize("p", [1e-6, 1e-8])
 def test_p_where_f_overflows_inside_the_disc_raises_a_solver_error(p):
     # the in-family point meets t, but (1 + a z)^(4/p) passes the largest
-    # double on the check's circles, so the value cannot be checked;
-    # eval_structured still warns where f overflows
+    # double on the check's circles, so the value cannot be checked
     cfg = SolveConfig(k=2, p=p, t=0.5, starts=4)
     assert solver._in_family_point(cfg)
-    with np.errstate(over="ignore"), pytest.raises(SolverError, match="Cauchy integral"):
+    with pytest.raises(SolverError, match="Cauchy integral"):
         maximize_phik(cfg)
 
 
