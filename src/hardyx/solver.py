@@ -86,14 +86,8 @@ from .closed_form import (
     solve_alpha,
     solve_beta,
 )
-from .fn_repr import (
-    _UNIT_TOL,
-    EvaluationError,
-    StructuredExtremal,
-    _is_int,
-    sample_boundary,
-    taylor_coeff,
-)
+from .fn_repr import (_UNIT_TOL, EvaluationError, StructuredExtremal, _is_int,
+                      sample_boundary, taylor_coeff)
 from .hardy_norm import _chain_sum, norm_hinf, norm_hp
 
 __all__ = [
@@ -178,9 +172,9 @@ class ExtremalSolution:
     """The answer of ``maximize_phik``.
 
     ``best`` is g / ||g|| for the winner g, turned by a constant phase so
-    that best(0) = t_hat = |g(0)| / ||g|| (at t = 0, so that a_k >= 0).  Its
-    series norm is 1, t_hat meets t to the feasibility tolerance, and
-    ``value`` is the series Re a_k of ``best``.  ``norm_residual`` is
+    that best(0) = t_hat = |g(0)| / ||g|| > 0, or at t = 0 so that its
+    a_k >= 0.  Its series norm is 1, t_hat meets t to the feasibility
+    tolerance, and ``value`` is the series Re a_k of ``best``.  ``norm_residual`` is
     | ||best|| - 1 | by quadrature, ``t_residual`` is |best(0) - t|.
     """
 
@@ -882,7 +876,8 @@ def _coeff_inside(fn: StructuredExtremal, k: int) -> complex:
     return taylor_coeff(samples, k) / r ** k
 
 def _build_best(cfg: SolveConfig, lams, l_eff: int) -> StructuredExtremal:
-    """g / ||g|| for the product g of lams, turned so that g(0) > 0 (a_k >= 0 at t = 0)."""
+    """g / ||g|| for the product g of lams, turned so that its value at 0,
+    or at t = 0 its a_k, is >= 0."""
     p = cfg.p
     lams = [z / abs(z) if abs(z) > 1.0 else z for z in lams]
     (g0,), (ak,), (nrm,) = _series_batch(p, np.array([lams]), l_eff)
