@@ -174,8 +174,9 @@ class ExtremalSolution:
     ``best`` is g / ||g|| for the winner g, turned by a constant phase so
     that best(0) = t_hat = |g(0)| / ||g|| > 0, or at t = 0 so that its
     a_k >= 0.  Its series norm is 1, t_hat meets t to the feasibility
-    tolerance, and ``value`` is the series Re a_k of ``best``.  ``norm_residual`` is
-    | ||best|| - 1 | by quadrature, ``t_residual`` is |best(0) - t|.
+    tolerance, and ``value`` is the series Re a_k of ``best``.
+    ``norm_residual`` is | ||best|| - 1 | by quadrature, and ``t_residual``
+    is |best(0) - t|.
     """
 
     value: float
