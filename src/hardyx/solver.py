@@ -13,8 +13,12 @@ loop exact and quadrature-free:
 
 The scale C is eliminated: ||f|| = 1 and f(0) > 0 pin
 C = conj(g0) / (|g0| ||g||), leaving the smooth objective
-Re(conj(g0) a_k) / (|g0| ||g||) under the scalar constraint
-t_hat = |g0| / ||g|| = t, met to _FEAS_TOL.
+J = Re(conj(g0) a_k) / (|g0| ||g||) under the scalar constraint
+t_hat = |g0| / ||g|| = t, met to _FEAS_TOL.  Every stage of the search
+reads that problem as one objective, f = -J and c = t_hat - t
+(_objective_batch): the explore descends f + _PENALTY |c|, the polish
+minimizes f subject to c = 0, and one test, |c| <= _FEAS_TOL
+(_candidates), admits the polish's ends and the closed-form points alike.
 
 The same identities bound the values t_hat takes at a given zero count.
 With c the coefficients of prod_j (1 - conj(lam_j) z), ||g||^p = sum |c_n|^2
@@ -191,8 +195,8 @@ class ExtremalSolution:
         # a NaN fails each test
         if not (self.norm_residual < 1e-7):
             raise SolverError(f"norm residual {self.norm_residual} is not below 1e-7")
-        if not (self.t_residual < 1e-9):
-            raise SolverError(f"t residual {self.t_residual} is not below 1e-9")
+        if not (self.t_residual < _FEAS_TOL):
+            raise SolverError(f"t residual {self.t_residual} is not below {_FEAS_TOL}")
         if not (self.value >= 0):
             raise SolverError(f"extremal value {self.value} is not >= 0")
 
@@ -563,16 +567,19 @@ def _x_from_lams(lams, k: int, l: int, p: float) -> np.ndarray:
         xs.extend([math.asin(math.sqrt(m)), np.angle(lams[j])])
     return np.array(xs)
 
-def _objective_batch(p: float, k: int, pinned: bool, X: np.ndarray, l, grad: bool = False):
-    """(objective, t_hat) for every row of X, from _series_batch (module docstring).
+def _objective_batch(p: float, k: int, t: float, X: np.ndarray, l, grad: bool = False):
+    """(f, c) = (-J, t_hat - t) for every row of X (module docstring); at
+    t = 0, which pins lam_0 = 0, J = |a_k| / ||g|| and t_hat = 0.
 
     l is the zero count of every row, or one count per row.  With grad,
     their gradients in x follow, each of shape X.shape, through
     lam_j = sin(r_j)^2 e^{i th_j}: d lam/d r = sin(2r) e^{i th} and
     d lam/d th = i lam, and a function of lam and w = conj(lam) moves by
-    (d/d lam) dlam + (d/d w) conj(dlam).  Where the objective reads 0 by
-    the |g0| guard or an overflowed norm, so do both gradients.
+    (d/d lam) dlam + (d/d w) conj(dlam).  Where J reads 0 by the |g0|
+    guard or an overflowed norm, so does t_hat (c = -t), and both
+    gradients vanish.
     """
+    pinned = t == 0.0
     lams = _lams_from_x_batch(X, k, pinned)
     out = _series_batch(p, lams, l, grad)
     g0, ak, nrm = out[:3]
@@ -586,7 +593,7 @@ def _objective_batch(p: float, k: int, pinned: bool, X: np.ndarray, l, grad: boo
         J = np.divide((g0.conj() * ak).real, a0 * nrm, out=np.zeros(n), where=live)
         t_hat = np.divide(a0, nrm, out=np.zeros(n), where=live)
     if not grad:
-        return J, t_hat
+        return -J, t_hat - t
     slot = int(pinned) + np.arange(X.shape[1]) // 2  # the lambda each column moves
     dg0, dak_dlam, dak_dw, dlog_dw = (d.T[:, slot] for d in out[3])
     dlam = np.empty(X.shape, dtype=complex)
@@ -598,25 +605,21 @@ def _objective_batch(p: float, k: int, pinned: bool, X: np.ndarray, l, grad: boo
     if pinned:
         dJ = np.divide((ak.conj()[:, None] * dak).real, (size * nrm)[:, None], out=zero.copy(),
                        where=(size > 0)[:, None] & np.isfinite(nrm)[:, None])
-        return J, t_hat, dJ - J[:, None] * dlog_nrm, zero
+        return -J, t_hat - t, -(dJ - J[:, None] * dlog_nrm), zero
     # h = dg0/g0: log|g0| moves by Re h, and the phase conj(g0)/|g0| by -i Im h
     ok = (live & np.isfinite(nrm))[:, None]
     h = np.divide(dg0 * dlam, g0[:, None], out=np.zeros(X.shape, dtype=complex), where=ok)
     phase = np.divide(g0.conj(), a0, out=np.zeros(n, dtype=complex), where=live)[:, None]
     dJ = np.divide((phase * (dak - 1j * h.imag * ak[:, None])).real, nrm[:, None], out=zero.copy(),
                    where=ok) - J[:, None] * dlog_nrm
-    return J, t_hat, np.where(ok, dJ, 0.0), np.where(ok, t_hat[:, None] * (h.real - dlog_nrm), 0.0)
+    return (-J, t_hat - t, -np.where(ok, dJ, 0.0),
+            np.where(ok, t_hat[:, None] * (h.real - dlog_nrm), 0.0))
 
-def _penalized_batch(p: float, k: int, t: float, pinned: bool):
-    """Returns (X, l) -> -objective + _PENALTY |t_hat - t| for every row of X.
-
-    l is the zero count of every row, or one count per row.
-    """
-    def penalized(X, l):
-        J, t_hat = _objective_batch(p, k, pinned, X, l)
-        return -J + _PENALTY * np.abs(t_hat - t)
-
-    return penalized
+def _penalized(p: float, k: int, t: float, X: np.ndarray, l) -> np.ndarray:
+    """The explore's exact penalty f + _PENALTY |c| for every row of X, l as
+    in _objective_batch."""
+    f, c = _objective_batch(p, k, t, X, l)
+    return f + _PENALTY * np.abs(c)
 
 def _root_pattern(radius: float, k: int):
     # lam_j on the k-th roots of a negative real number: the product
@@ -661,14 +664,21 @@ def _unreachable(cfg: SolveConfig, l: int) -> bool:
         return True
     return l == 0 and t < math.exp(-math.log(math.comb(2 * k, k)) / p) - 2 * _FEAS_TOL
 
+def _candidates(cfg: SolveConfig, X: np.ndarray, f: np.ndarray, c: np.ndarray) -> list:
+    """Per row of X, (J, lams) where it meets t, |c| <= _FEAS_TOL, else None.
+
+    The one feasibility test of a solve: the polish's ends and the one
+    points of _one_point pass through it alike.
+    """
+    lams = _lams_from_x_batch(X, cfg.k, cfg.t == 0.0)
+    return [(-fv, [complex(z) for z in row]) if abs(cv) <= _FEAS_TOL else None
+            for fv, cv, row in zip(f.tolist(), c.tolist(), lams)]
+
 def _one_point(cfg: SolveConfig, l: int, x: np.ndarray) -> list:
     """[(J, lams)] of the one point x at zero count l where it meets t, else []."""
-    pinned = cfg.t == 0.0
     X = x[None]
-    (J,), (t_hat,) = _objective_batch(cfg.p, cfg.k, pinned, X, l)
-    if not abs(t_hat - cfg.t) <= _FEAS_TOL:
-        return []
-    return [(float(J), [complex(z) for z in _lams_from_x_batch(X, cfg.k, pinned)[0]])]
+    return [found for found in _candidates(cfg, X, *_objective_batch(cfg.p, cfg.k, cfg.t, X, l))
+            if found is not None]
 
 def _in_family_point(cfg: SolveConfig) -> list:
     """l = 0's point with every lam_j = -a and t_hat = t, as [(J, lams)], or [].
@@ -713,26 +723,16 @@ def _starts(cfg: SolveConfig, l: int, dim: int) -> list:
 def _polish(cfg: SolveConfig, x0s: np.ndarray, counts: np.ndarray) -> list:
     """The lockstep SQP from leaders x0s, row i of zero count counts[i].
 
-    Returns per row (J, lams) where it ends feasible, else None.  Pinned,
-    f(0) = 0 holds by construction and only J is polished: the SQP runs
-    unconstrained and takes only steps that lower -J, up to the merit's
-    rounding slack, so every row keeps where it stops, converged or not.
+    Returns per row (J, lams) where it ends feasible, else None
+    (_candidates).  Pinned, f(0) = 0 holds by construction and only J is
+    polished: the SQP runs unconstrained and takes only steps that lower
+    -J, up to the merit's rounding slack, so every row keeps where it
+    stops, converged or not.
     """
-    p, t, k = cfg.p, cfg.t, cfg.k
-    pinned = t == 0.0
-
-    def fun(X, rows, grad=False):
-        # f = -objective and c = t_hat - t
-        out = _objective_batch(p, k, pinned, X, counts[rows], grad)
-        if grad:
-            J, t_hat, dJ, dt = out
-            return -J, t_hat - t, -dJ, dt
-        return -out[0], out[1] - t
-
-    x, f, c, _ = _sqp_lockstep(fun, x0s, constrained=not pinned)
-    lams = _lams_from_x_batch(x, k, pinned)
-    return [(-fv, [complex(z) for z in row]) if abs(cv) <= _FEAS_TOL else None
-            for fv, cv, row in zip(f.tolist(), c.tolist(), lams)]
+    x, f, c, _ = _sqp_lockstep(
+        lambda X, rows, grad=False: _objective_batch(cfg.p, cfg.k, cfg.t, X, counts[rows], grad),
+        x0s, constrained=cfg.t > 0)
+    return _candidates(cfg, x, f, c)
 
 def _solve_zero_counts(cfg: SolveConfig) -> dict:
     """Multistart for every zero count of cfg; returns l -> feasible (J, lams).
@@ -761,11 +761,10 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
             family = _in_family_point(cfg)
         groups.setdefault(dim, []).append((l, _starts(cfg, l, dim)))
 
-    penalized = _penalized_batch(p, k, t, pinned)
     for dim, members in groups.items():
         counts = np.concatenate([np.full(len(x0s), l) for l, x0s in members])
         ends, fends, _ = _nelder_mead_lockstep(
-            lambda X, starts: penalized(X, counts[starts]),
+            lambda X, starts: _penalized(p, k, t, X, counts[starts]),
             np.array([x0 for _, x0s in members for x0 in x0s]),
             xatol=1e-4, fatol=1e-8, maxfev=_EXPLORE_FEV_PER_DIM * dim,
         )
@@ -889,26 +888,13 @@ def _build_best(cfg: SolveConfig, lams, l_eff: int) -> StructuredExtremal:
 def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     """Best Re a_k over the structured family at f(0) = t, ||f|| <= 1."""
     k, p, t = cfg.k, cfg.p, cfg.t
-    per_l: dict = {}
-
     searched = _solve_zero_counts(cfg)
-    pool = []  # (J, lams, l_raw)
-    for l in cfg.l_range:
-        feas = searched[l]
-        if not feas:
-            per_l[l] = None
-            continue
-        per_l[l] = max(J for J, _ in feas)
-        pool.extend((J, lams, l) for J, lams in feas)
-
-    if not pool:
+    per_l = {l: max((J for J, _ in feas), default=None) for l, feas in searched.items()}
+    top = max((J for J in per_l.values() if J is not None), default=None)
+    if top is None:
         raise SolverError(f"no feasible structure for k={k}, p={p}, t={t}")
-
-    top = max(J for J, _, _ in pool)
-    winner = min(lr for J, _, lr in pool if J >= top - _TIE_TOL)
-    J_win, lams_win = max(
-        ((J, lams) for J, lams, lr in pool if lr == winner), key=lambda e: e[0]
-    )
+    winner = min(l for l, J in per_l.items() if J is not None and J >= top - _TIE_TOL)
+    J_win, lams_win = max(searched[winner], key=lambda e: e[0])
 
     best = _build_best(cfg, *_effective(lams_win, winner))
     try:
@@ -925,7 +911,7 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     t_meas = abs(complex(best(0.0)) - t)
 
     clusters = _count_clusters(
-        [(J, *_effective(lams, lr)) for J, lams, lr in pool], top, k
+        [(J, *_effective(lams, l)) for l, feas in searched.items() for J, lams in feas], top, k
     )
 
     return ExtremalSolution(

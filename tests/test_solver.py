@@ -340,9 +340,9 @@ def _check_skipped(monkeypatch, p, l, outside, inside):
     objective = solver._objective_batch
     seen = set()
 
-    def recorded(p, k, pinned, X, counts, grad=False):
+    def recorded(p, k, t, X, counts, grad=False):
         seen.update(np.unique(counts).tolist())
-        return objective(p, k, pinned, X, counts, grad)
+        return objective(p, k, t, X, counts, grad)
 
     def no_search(*args, **kwargs):
         raise AssertionError("searched a zero count that cannot reach t")
@@ -611,7 +611,7 @@ def _assert_batch_rows_match_scalar(p, k, t, pinned, X, ls):
     tiny = sys.float_info.min
     lams = solver._lams_from_x_batch(X, k, pinned)
     g0, ak, nrm = solver._series_batch(p, lams, ls)
-    batch = solver._penalized_batch(p, k, t, pinned)(X, ls)
+    batch = solver._penalized(p, k, t, X, ls)
     slots = int(pinned) + np.arange(X.shape[1] // 2)
     for i, (x, l) in enumerate(zip(X, np.broadcast_to(ls, len(X)).tolist())):
         # the row alone gives the same bytes as the row in the batch
@@ -692,10 +692,10 @@ def _replica_cases():
         x0s = solver._warm_starts(p, k, l, t)
         x0s += [np.column_stack([rng.uniform(0, math.pi / 2, dim // 2),
                                  rng.uniform(0, 2 * math.pi, dim // 2)]).ravel() for _ in range(10)]
-        penalized = solver._penalized_batch(p, k, t, pinned)
+        penalized = lambda X, starts, k=k, p=p, t=t, l=l: solver._penalized(p, k, t, X, l)  # noqa: E731
         # the explore's budget, and the 140 dim it had before the exact polish
         for per_dim in (solver._EXPLORE_FEV_PER_DIM, 140):
-            yield (lambda X, starts, l=l, penalized=penalized: penalized(X, l)), x0s, per_dim * dim
+            yield penalized, x0s, per_dim * dim
     # small budgets cut starts off in every phase of a step, shrinks included
     for dim in (2, 3, 5):
         x0s = [rng.uniform(-2, 2, dim) for _ in range(6)] + [np.zeros(dim)]
@@ -791,7 +791,6 @@ def test_merged_explore_matches_each_zero_count_alone(p, pinned):
     merged = 0
     for k in range(1, 4):
         cfg = SolveConfig(k=k, p=p, t=t, starts=6)
-        penalized = solver._penalized_batch(p, k, t, pinned)
         groups = {}
         for l in range(1 if pinned else 0, k + 1):
             dim = 2 * len(solver._free_slots(k, l, p, pinned))
@@ -799,11 +798,12 @@ def test_merged_explore_matches_each_zero_count_alone(p, pinned):
                 groups.setdefault(dim, []).append((l, np.array(solver._starts(cfg, l, dim))))
         for dim, members in groups.items():
             counts = np.concatenate([np.full(len(x0s), l) for l, x0s in members])
-            xs, fun, nfev = _explore(lambda X, starts: penalized(X, counts[starts]),
+            xs, fun, nfev = _explore(lambda X, starts: solver._penalized(p, k, t, X, counts[starts]),
                                      np.concatenate([x0s for _, x0s in members]), dim)
             at = 0
             for l, x0s in members:
-                ref_x, ref_fun, ref_nfev = _explore(lambda X, starts: penalized(X, l), x0s, dim)
+                ref_x, ref_fun, ref_nfev = _explore(lambda X, starts: solver._penalized(p, k, t, X, l),
+                                                    x0s, dim)
                 part = slice(at, at + len(x0s))
                 assert xs[part].tobytes() == ref_x.tobytes(), (k, l)
                 assert np.array_equal(fun[part], ref_fun) and np.array_equal(nfev[part], ref_nfev), (k, l)
@@ -836,7 +836,6 @@ def test_solve_explores_its_zero_counts_in_one_population(monkeypatch):
     maximize_phik(cfg)
     monkeypatch.undo()
     (x0s, (xs, fun, nfev), merged_calls), = runs
-    penalized = solver._penalized_batch(cfg.p, cfg.k, cfg.t, False)
     dim = 2 * cfg.k
     alone_calls = at = 0
     for l in cfg.l_range:
@@ -847,7 +846,7 @@ def test_solve_explores_its_zero_counts_in_one_population(monkeypatch):
 
         def alone(X, starts):
             calls[0] += 1
-            return penalized(X, l)
+            return solver._penalized(cfg.p, cfg.k, cfg.t, X, l)
 
         ref_x, ref_fun, ref_nfev = _explore(alone, block, dim)
         assert xs[part].tobytes() == ref_x.tobytes(), l
@@ -880,8 +879,10 @@ def test_explore_budget_leaves_the_answer(monkeypatch, k, p, t):
 def test_exact_gradient_matches_central_differences(p, pinned):
     # _population's rows take |lam| = 1 (rows 0 and 1) and lam_0 = 0 or
     # |lam_0| ~ 1e-160 (rows 2 and 3), where with l >= 1 the |g0| guard
-    # zeroes the objective, t_hat and both gradients
+    # zeroes the objective J, t_hat and both gradients, so f = -J = 0 and
+    # c = t_hat - t = -t
     rng = np.random.default_rng(5)
+    t = 0.0 if pinned else 0.4
     h = 1e-6
     checked = 0
     for k in range(1, 5):
@@ -889,18 +890,19 @@ def test_exact_gradient_matches_central_differences(p, pinned):
             if not solver._free_slots(k, l, p, pinned):
                 continue
             X = _population(rng, k, l, p, pinned, rows=8)
-            J, t_hat, dJ, dt = solver._objective_batch(p, k, pinned, X, l, grad=True)
+            f, c, df, dc = solver._objective_batch(p, k, t, X, l, grad=True)
             smooth = np.ones(len(X), dtype=bool)
             if l and not pinned:
                 smooth[2:4] = False
-                assert not (J[2:4].any() or t_hat[2:4].any() or dJ[2:4].any() or dt[2:4].any())
+                assert not (f[2:4].any() or df[2:4].any() or dc[2:4].any())
+                assert (c[2:4] == -t).all()
             if pinned:
-                assert not dt.any()
+                assert not (c.any() or dc.any())
             for i in range(X.shape[1]):
                 shift = h * (np.arange(X.shape[1]) == i)
-                Jp, tp = solver._objective_batch(p, k, pinned, X[smooth] + shift, l)
-                Jm, tm = solver._objective_batch(p, k, pinned, X[smooth] - shift, l)
-                for ref, got in (((Jp - Jm) / (2 * h), dJ[smooth, i]), ((tp - tm) / (2 * h), dt[smooth, i])):
+                fp, cp = solver._objective_batch(p, k, t, X[smooth] + shift, l)
+                fm, cm = solver._objective_batch(p, k, t, X[smooth] - shift, l)
+                for ref, got in (((fp - fm) / (2 * h), df[smooth, i]), ((cp - cm) / (2 * h), dc[smooth, i])):
                     assert np.abs(ref - got).max() <= 1e-7 * max(1.0, np.abs(got).max()), (k, l, i)
             checked += smooth.sum()
     assert checked >= 40
@@ -928,8 +930,9 @@ def test_exact_gradient_matches_a_30_digit_oracle(p):
                     continue
                 # two rows away from _population's special ones
                 X = _population(rng, k, l, p, pinned, rows=6)[4:]
-                _, _, dJ, dt = solver._objective_batch(p, k, pinned, X, l, grad=True)
-                for x, gJ, gt in zip(X, dJ, dt):
+                # f = -J and c = t_hat - t, so df = -dJ and dc = dt_hat
+                _, _, df, dc = solver._objective_batch(p, k, 0.0 if pinned else 0.4, X, l, grad=True)
+                for x, gJ, gt in zip(X, -df, dc):
                     with mpmath.workdps(30):
                         point = [mpmath.mpf(v) for v in x.tolist()]
                         for i in range(len(point)):
