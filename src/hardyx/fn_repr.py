@@ -212,7 +212,7 @@ def eval_structured(fn: StructuredExtremal, z):
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
-    if np.any(np.abs(zs) > 1.0 + 1e-9):
+    if not np.all(np.abs(zs) <= 1.0 + 1e-9):  # a NaN point fails too
         raise EvaluationError("evaluation point outside the closed unit disc")
 
     out = np.full(zs.shape, fn.scale, dtype=complex)
@@ -274,23 +274,26 @@ def sample_boundary(f, n: int) -> BoundarySamples:
     """Sample an evaluator on the uniform boundary grid of size n.
 
     Isolated non-finite values are replaced by a numerical two-sided limit
-    when one exists; otherwise an EvaluationError is raised.
+    when one exists; otherwise an EvaluationError is raised.  A value that
+    overflows, such as a polynomial's past the largest double, is such a
+    value, so its floating-point warning is not raised.
     """
     if not _is_int(n) or n < 4 or (n & (n - 1)) != 0:
         raise ValueError(f"sample count {n!r} must be a power of two >= 4")
-    vals = _eval_points(f, boundary_grid(n))
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        h = (2 * np.pi / n) * 1e-6
-        thetas = 2 * np.pi * np.arange(n) / n
-        vals = vals.copy()
-        for m in np.nonzero(bad)[0]:
-            lim = _pointwise_limit(f, thetas[m], h)
-            if lim is None:
-                raise EvaluationError(
-                    f"no finite limit at boundary angle {thetas[m]:.6f}"
-                )
-            vals[m] = lim
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = _eval_points(f, boundary_grid(n))
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            h = (2 * np.pi / n) * 1e-6
+            thetas = 2 * np.pi * np.arange(n) / n
+            vals = vals.copy()
+            for m in np.nonzero(bad)[0]:
+                lim = _pointwise_limit(f, thetas[m], h)
+                if lim is None:
+                    raise EvaluationError(
+                        f"no finite limit at boundary angle {thetas[m]:.6f}"
+                    )
+                vals[m] = lim
     return BoundarySamples(vals)
 
 
@@ -298,8 +301,14 @@ def taylor_coeff(s: BoundarySamples, n: int) -> complex:
     """Discrete Cauchy integral: (1/N) sum_m values[m] exp(-2 pi i m n / N).
 
     Exact for polynomials of degree < N; otherwise the result carries the
-    usual aliasing of coefficients n + N, n + 2N, ...
+    usual aliasing of coefficients n + N, n + 2N, ...  Where the transform
+    is not finite, from a value that is not or from a sum past the largest
+    double, EvaluationError is raised.
     """
     if not _is_int(n) or not (0 <= n < s.n):
         raise ValueError(f"coefficient index {n!r} is not an integer in 0..{s.n - 1}")
-    return complex(np.fft.fft(s.values)[n] / s.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = complex(np.fft.fft(s.values)[n] / s.n)
+    if not _finite(a):
+        raise EvaluationError(f"coefficient {n} is not finite")
+    return a

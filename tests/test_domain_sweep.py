@@ -1,5 +1,6 @@
-"""Domain sweeps of the solver, the panel pass, the sharpness family and the
-suites.
+"""Domain sweeps of the solver, the panel pass, the sharpness family, the
+suites, the product form, boundary sampling, Taylor coefficients and the
+averaging operator.
 
 Every call gives a finite value or a typed error: ValueError for input
 outside the documented domain, QuadratureError or SolverError for a run
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 from hardyx import solver, verify
 from hardyx.closed_form import phi1
+from hardyx.fn_repr import (BoundarySamples, PolyCoeffs, StructuredExtremal, eval_structured, sample_boundary,
+                            taylor_coeff)
 from hardyx.hardy_norm import QuadratureError, circle_mean
 from hardyx.solver import SolveConfig, SolverError, maximize_phik, sandwich_check, t0_scan
-from hardyx.wiener import sharpness_ratio
+from hardyx.wiener import inner_defect, sharpness_ratio, wiener_coeffs
 
 INF = math.inf
 _TYPED = (ValueError, QuadratureError, SolverError)
@@ -112,6 +115,135 @@ def test_circle_mean_gives_a_finite_value_or_a_typed_error(shape, at, power, see
         return scale * (d / (d + s))
 
     _finite_or_typed(lambda: (circle_mean(g, 1e-9, seeds=(at,) if seeded else ()),))
+
+
+# ---------------------------------------------------------------------------
+# the product form, boundary sampling, Taylor coefficients and the averaging
+# operator
+# ---------------------------------------------------------------------------
+
+# values that are not finite, as a function's value, a point, a coefficient
+# or a lambda
+_ODD = st.sampled_from([math.nan, INF, -INF, complex(INF, math.nan), complex(0.0, -INF)])
+# sample counts and coefficient indices, mostly on the power-of-two grid
+_SIZE = st.one_of(
+    st.integers(min_value=2, max_value=12).map(lambda e: 2**e),
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from([-8, -1, 1, 2, 3, 12, 4.0, 8.5, True, None, "8", math.nan, INF, -INF]),
+)
+_K = st.one_of(st.integers(min_value=2, max_value=6),
+               st.sampled_from([-1, 0, 1, 2.0, 2.5, True, None, "2", math.nan, INF, -INF]))
+_SCALE = st.floats(min_value=-300.0, max_value=308.0).map(lambda e: 10.0**e)
+_UNIT = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+def _values(v) -> tuple:
+    v = np.atleast_1d(v)
+    return (*v.real.tolist(), *v.imag.tolist())
+
+
+@st.composite
+def _spoilt(draw, min_size: int, max_size: int) -> list:
+    """Complex numbers in the closed disc, one of them made 1, and one not
+    finite, in one draw of four each."""
+    values = draw(st.lists(_UNIT, min_size=min_size, max_size=max_size))
+    for spoil in (st.just(1.0), _ODD):
+        if draw(st.sampled_from([False, False, False, True])):
+            values[draw(st.integers(min_value=0, max_value=len(values) - 1))] = draw(spoil)
+    return values
+
+
+@st.composite
+def _structured(draw, inner=False):
+    """A StructuredExtremal, built when the sweep calls it; with inner, a
+    Blaschke product: p = inf and a zero at every lambda."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    lams = draw(_spoilt(k, k))
+    if inner:
+        p, l, scale = INF, k, 1.0
+    else:
+        p = draw(st.sampled_from([1e-3, 0.5, 2.0, INF]))
+        l = draw(st.integers(min_value=0, max_value=k))
+        scale = draw(_SCALE)
+    return lambda: StructuredExtremal(scale, p, l, lams)
+
+
+@st.composite
+def _functions(draw, unimodular=False):
+    """A function on the closed disc, built when the sweep calls it, so that
+    a constructor's ValueError counts as a typed error.
+
+    A polynomial, from a scale across the double range, or a product form
+    (_structured).  Either may be poked at z = 1, a point of every
+    grid: there it gives a value that is not finite, or it is evaluated at
+    such a point, at z = 1 alone or on an arc around it.  With unimodular,
+    the product form is a Blaschke product and the polynomial a unimodular
+    monomial, so that only a poke or a lambda on the circle breaks the unit
+    modulus.
+    """
+    if draw(st.booleans()):
+        if unimodular:
+            top = draw(_UNIT.filter(abs))
+            coeffs, scale = [0.0] * draw(st.integers(min_value=0, max_value=4)) + [top / abs(top)], 1.0
+        else:
+            coeffs, scale = draw(_spoilt(1, 6)), draw(_SCALE)
+        base = lambda: PolyCoeffs(tuple(scale * c for c in coeffs))  # noqa: E731
+    else:
+        base = draw(_structured(inner=unimodular))
+    if not draw(st.booleans()):
+        return base
+    odd, width, at_point = draw(_ODD), draw(st.sampled_from([1e-12, 0.1])), draw(st.booleans())
+
+    def poked():
+        f = base()
+        if at_point:
+            return lambda z: f(np.where(np.abs(z - 1.0) < width, odd, z))
+        return lambda z: np.where(np.abs(z - 1.0) < width, odd, f(z))
+
+    return poked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(build=_structured(), z=st.lists(_UNIT, min_size=1, max_size=4),
+       odd=st.sampled_from([math.nan, complex(0.0, math.nan), INF, complex(INF, math.nan), 1.0 + 1e-6]),
+       spoilt=st.booleans())
+def test_eval_structured_gives_finite_values_or_a_typed_error(build, z, odd, spoilt):
+    # points in the disc, and perhaps one just outside it or not finite
+    _finite_or_typed(lambda: _values(eval_structured(build(), np.array(z + [odd] * spoilt))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(build=_functions(), n=_SIZE)
+def test_sample_boundary_gives_finite_values_or_a_typed_error(build, n):
+    _finite_or_typed(lambda: _values(sample_boundary(build(), n).values))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(build=_functions(), n=_SIZE, raw=_spoilt(1, 8),
+       scale=_SCALE, sampled=st.booleans(), index=st.one_of(st.integers(min_value=0, max_value=7), _SIZE))
+def test_taylor_coeff_gives_a_finite_value_or_a_typed_error(build, n, raw, scale, sampled, index):
+    # samples of a function, or raw values on a grid of 4 or 8, perhaps not finite
+    def coeff():
+        if sampled:
+            samples = sample_boundary(build(), n)
+        else:
+            values = [scale * v for v in raw]
+            samples = BoundarySamples(np.resize(values, 4 if len(values) <= 4 else 8))
+        return _values(taylor_coeff(samples, index))
+
+    _finite_or_typed(coeff)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(build=st.one_of(_functions(unimodular=True), _functions()), k=_K)
+def test_inner_defect_gives_a_finite_value_or_a_typed_error(build, k):
+    _finite_or_typed(lambda: (inner_defect(build(), k),))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coeffs=_spoilt(1, 12), scale=_SCALE, k=_K)
+def test_wiener_coeffs_gives_finite_coefficients_or_a_typed_error(coeffs, scale, k):
+    _finite_or_typed(lambda: _values(wiener_coeffs(PolyCoeffs(tuple(scale * c for c in coeffs)), k).coeffs))
 
 
 _T0_VALID = {"k": st.just(2), "p": st.floats(min_value=0.05, max_value=0.95),

@@ -59,6 +59,18 @@ def test_eval_outside_closed_disc_rejected():
         eval_structured(fn, 1.5)
 
 
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_nan_point_is_outside_the_closed_disc(p):
+    # a NaN point fails the disc test itself, rather than reaching the
+    # factors, where it warned (p = inf) or read as an overflow (p = 2)
+    fn = StructuredExtremal(1.0, p, 1, (0.5,))
+    for z in (math.nan, complex(0.0, math.nan), np.array([0.0, math.nan])):
+        with pytest.raises(EvaluationError, match="outside the closed unit disc"):
+            eval_structured(fn, z)
+        with pytest.raises(EvaluationError, match="outside the closed unit disc"):
+            wiener_eval(fn, 2, z)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         StructuredExtremal(1.0, 2.0, 2, (0.0,))  # l > k

@@ -294,3 +294,9 @@ def test_inner_defect_of_inner_fixed_points():
 def test_inner_defect_requires_unimodular_input():
     with pytest.raises(ValueError):
         inner_defect(lambda z: 0.5 * z, 2)
+
+
+def test_inner_defect_rejects_a_nan_boundary_value():
+    # a NaN value has no unit modulus: a NaN defect would certify nothing
+    with pytest.raises(ValueError, match="unit modulus"):
+        inner_defect(lambda z: np.where(z == z[0], np.nan, z), 2)
