@@ -159,7 +159,8 @@ def run_appendix() -> list:
     Checks, for every grid point: H(p) > 0, K(p) < 0, F_p(alpha_2) < 0,
     F_p(alpha_1) > 0, |F_p(alpha_p)| < 1e-12, alpha_1 < alpha_p < alpha_2,
     and the band 2^{-1/p} < t_p < 2^{-1/p} sqrt(p) (2-p)^{1/p-1/2}.
-    The band is compared in log space so tiny p cannot underflow.
+    The band is checked on log t_p(p), the value phi1 uses, in log space so
+    that tiny p cannot underflow its edges.
     """
     grid = [(i + 1) / 1001 for i in range(1000)]
 
@@ -182,8 +183,8 @@ def run_appendix() -> list:
         max_res = max(max_res, abs(F_p(p, ap)))
         if not (a1 < ap < a2) and not order_bad:
             order_bad = f"p={p}: a1={a1:.6e}, ap={ap:.6e}, a2={a2:.6e}"
-        # log t_p vs the log of both band edges
-        log_tp = math.log(ap) - math.log1p(ap * ap) / p
+        # log t_p, of the value phi1 uses, vs the log of both band edges
+        log_tp = math.log(t_p(p))
         log_lo, log_hi = _tp_band_log(p)
         if not (log_lo < log_tp < log_hi) and not band_bad:
             band_bad = f"p={p}: log t_p={log_tp:.6f} outside ({log_lo:.6f}, {log_hi:.6f})"
