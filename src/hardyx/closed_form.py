@@ -25,7 +25,6 @@ __all__ = [
     "OUTER",
     "BOTH",
     "ClosedFormResult",
-    "RootBracket",
     "solve_alpha",
     "solve_beta",
     "phi1",
@@ -71,33 +70,28 @@ class ClosedFormResult:
             raise ValueError("beta present iff regime is OUTER or BOTH")
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """A sign-changing interval, which the bracketed Newton iteration keeps shrinking."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("bracket requires lo < hi")
-        if not self.f_lo * self.f_hi < 0:
-            raise ValueError("bracket endpoints must have opposite signs")
-
-
-def _root(fdf, br: RootBracket, tol: float = 1e-13, x0: float | None = None) -> float:
+def _root(fdf, lo: float, hi: float, f_lo: float, f_hi: float, tol: float = 1e-13,
+          x0: float | None = None) -> float:
     """Newton's method kept inside a verified bracket (rtsafe, Numerical Recipes §9.4).
 
-    fdf(x) returns (f(x), f'(x)).  From x0, if it lies inside the open
-    bracket, or else from the midpoint on, each value of f replaces the end
-    of the bracket with its sign.  A Newton step that leaves the open
-    bracket, is not under half the step before last, or has f' zero or not
-    finite becomes a bisection step.  Returns once |f/f'| <= tol, or at a
+    fdf(x) returns (f(x), f'(x)), and f_lo, f_hi are f at lo and hi.  The
+    bracket must have lo < hi and end values of opposite signs, compared as
+    signs, since their product can underflow; otherwise, or where an end
+    value is NaN, ValueError is raised.  An end whose value is exactly 0 is
+    returned as the root.  From x0, if it lies inside the open bracket, or
+    else from the midpoint on, each value of f replaces the end of the
+    bracket with its sign.  A Newton step that leaves the open bracket, is
+    not under half the step before last, or has f' zero or not finite
+    becomes a bisection step.  Returns once |f/f'| <= tol, or at a
     bisection midpoint within tol of both ends or rounding to one of them.
     """
-    lo, hi, f_lo = br.lo, br.hi, br.f_lo
+    # a NaN fails every comparison
+    if not (lo < hi and (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo)):
+        raise ValueError(f"[{lo}, {hi}] with end values {f_lo}, {f_hi} brackets no root")
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     dx = dx_old = hi - lo
     while True:
@@ -144,7 +138,6 @@ def _branch_top(p: float) -> tuple[float, float]:
     return L, _t_of_log_alpha(p, L)
 
 
-@functools.lru_cache(maxsize=256)
 def _one_zero_top(k: int, p: float) -> tuple[float, float]:
     """(log r*, U) for U = sup_{0<r<=1} r (S_{k-1}(r) / S_k(r))^{1/p}, 0 < p <= inf.
 
@@ -176,6 +169,9 @@ def _one_zero_top(k: int, p: float) -> tuple[float, float]:
 
     lo = (math.log(p) - math.log(2 * k)) / k
     hi = math.log(p) / k
+    # bisection on "below p/2", not _root: at tiny p rounding can put the
+    # gap at lo a hair above p/2 (k = 2, p = 1e-300), an end pair that
+    # brackets nothing, and this loop then still closes on the root
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if gap(math.exp(mid))[0] < 0.5 * p:
@@ -221,16 +217,14 @@ def solve_alpha(p: float, t: float) -> float:
         a2 = math.exp(2 * (log_t + d))
         return d - math.log1p(a2) / p, 1.0 - (2.0 / p) * a2 / (1.0 + a2)
 
+    # where t^2 underflows, h(0) = 0 and _root returns d = 0: alpha = t
     h_lo, dh_lo = hdh(0.0)
-    if h_lo == 0.0:
-        # t^2 underflows, and alpha = t (1 + alpha^2)^{1/p} is t
-        return t
     hi_d = hi_L - log_t
     h_hi = hdh(hi_d)[0]
     if h_hi <= 0.0:
         # t lies within rounding of the top of the branch
         return math.exp(hi_L)
-    d = _root(hdh, RootBracket(0.0, hi_d, h_lo, h_hi), x0=-h_lo / dh_lo)
+    d = _root(hdh, 0.0, hi_d, h_lo, h_hi, x0=-h_lo / dh_lo)
     return t * math.exp(d)
 
 
@@ -368,7 +362,7 @@ def alpha1(p: float) -> float:
     hi = math.log(p) / (2.0 - p)
     lo = min(hi - 2.0, -math.log(2.0) / p - 1.0)
     # as p -> 1 the root nears a double one at L = 0: the tolerance follows it
-    L = _root(fdf, RootBracket(lo, hi, fdf(lo)[0], fdf(hi)[0]), tol=1e-13 * min(1.0, -hi))
+    L = _root(fdf, lo, hi, fdf(lo)[0], fdf(hi)[0], tol=1e-13 * min(1.0, -hi))
     if abs(fdf(L)[0]) > 1e-13:
         raise RuntimeError(f"J_p residual too large at the computed root for p={p}")
     return math.exp(L)
@@ -456,7 +450,7 @@ def _log_alpha_p(p: float) -> float:
     if not (f_lo > 0 and f_hi < 0):
         raise RuntimeError(f"F_p sign pattern violated at the bracket for p={p}: "
                            f"{f_lo} at log a = {lo}, {f_hi} at log alpha2 = {hi}")
-    L = _root(fdf, RootBracket(lo, hi, f_lo, f_hi), x0=4.0 / 3.0 * hi)
+    L = _root(fdf, lo, hi, f_lo, f_hi, x0=4.0 / 3.0 * hi)
     if abs(fdf(L)[0]) > 1e-12:
         raise RuntimeError(f"F_p residual too large at the computed root for p={p}")
     return L

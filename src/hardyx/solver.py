@@ -81,15 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import (
-    RootBracket,
-    _branch_top,
-    _one_zero_top,
-    _root,
-    phi1,
-    solve_alpha,
-    solve_beta,
-)
+from .closed_form import _branch_top, _one_zero_top, _root, phi1, solve_alpha, solve_beta
 from .fn_repr import (_UNIT_TOL, EvaluationError, StructuredExtremal, _is_int,
                       sample_boundary, taylor_coeff)
 from .hardy_norm import _chain_sum, norm_hinf, norm_hp
@@ -667,28 +659,23 @@ def _unreachable(cfg: SolveConfig, l: int) -> bool:
 def _candidates(cfg: SolveConfig, X: np.ndarray, f: np.ndarray, c: np.ndarray) -> list:
     """Per row of X, (J, lams) where it meets t, |c| <= _FEAS_TOL, else None.
 
-    The one feasibility test of a solve: the polish's ends and the one
-    points of _one_point pass through it alike.
+    The one feasibility test of a solve: the polish's ends and the
+    closed-form points of _solve_zero_counts pass through it alike.
     """
     lams = _lams_from_x_batch(X, cfg.k, cfg.t == 0.0)
     return [(-fv, [complex(z) for z in row]) if abs(cv) <= _FEAS_TOL else None
             for fv, cv, row in zip(f.tolist(), c.tolist(), lams)]
 
-def _one_point(cfg: SolveConfig, l: int, x: np.ndarray) -> list:
-    """[(J, lams)] of the one point x at zero count l where it meets t, else []."""
-    X = x[None]
-    return [found for found in _candidates(cfg, X, *_objective_batch(cfg.p, cfg.k, cfg.t, X, l))
-            if found is not None]
-
 def _in_family_point(cfg: SolveConfig) -> list:
-    """l = 0's point with every lam_j = -a and t_hat = t, as [(J, lams)], or [].
+    """l = 0's point with every lam_j = -a and t_hat = t, as [x], or [].
 
     There g = (1 + a z)^{2k/p} and ||g||^p = sum_n C(k, n)^2 a^{2n}, so
     t_hat = t where h(a) = p log t + log sum_n C(k, n)^2 a^{2n} vanishes.
     h increases from h(0) = p log t < 0, and h(1) >= 0 exactly where t
     reaches l = 0's floor C(2k, k)^{-1/p}; below it there is no root.  The
     point's value is t C(2k/p, k) a^k, and at k = 1 it is the outer
-    extremal.  For finite p and 0 < t < 1.
+    extremal.  For finite p and 0 < t < 1.  x joins l = 0's entry of
+    _solve_zero_counts's points table, which evaluates it.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
     sq = [float(math.comb(k, n) ** 2) for n in range(k + 1)]
@@ -706,8 +693,7 @@ def _in_family_point(cfg: SolveConfig) -> list:
     # h(0) rounds to 0 only where p is subnormal
     if h_hi < 0.0 or not h_lo < 0.0:
         return []
-    a = 1.0 if h_hi == 0.0 else _root(hdh, RootBracket(0.0, 1.0, h_lo, h_hi))
-    return _one_point(cfg, 0, _x_from_lams([-a] * k, k, 0, p))
+    return [_x_from_lams([-_root(hdh, 0.0, 1.0, h_lo, h_hi)] * k, k, 0, p)]
 
 def _starts(cfg: SolveConfig, l: int, dim: int) -> list:
     """The warm starts and cfg.starts random ones, from zero count l's own stream."""
@@ -738,27 +724,30 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
     """Multistart for every zero count of cfg; returns l -> feasible (J, lams).
 
     A zero count whose range of t_hat excludes t gets [] before any search.
-    With no free coordinate, or at t = 1, where |f(0)| <= ||f|| admits only
-    f = 1, a count evaluates its one point lam = 0, feasible at l = 0 alone.
-    The others explore in one lockstep population per free dimension, and
-    their leaders polish in one lockstep SQP: for finite p that is every
-    count, at p = inf (dimension 2l) each count alone.  Each count keeps
-    its own starts and leaders.
+    The closed-form points wait in one table, points = {l: [x]}: with no
+    free coordinate, or at t = 1, where |f(0)| <= ||f|| admits only f = 1,
+    a count's one point lam = 0, feasible at l = 0 alone, and l = 0's
+    in-family point (_in_family_point).  The other counts explore in one
+    lockstep population per free dimension, and their leaders polish in one
+    lockstep SQP: for finite p that is every count, at p = inf (dimension
+    2l) each count alone.  Each count keeps its own starts and leaders.
+    After the search each count's points pass through one _objective_batch
+    and _candidates, and the feasible ones follow the polish's ends.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
     pinned = t == 0.0
     feasible = {l: [] for l in cfg.l_range}
-    family = []  # l = 0's in-family point, which joins after its search
+    points = {}  # l -> [x], evaluated after the search
     groups: dict = {}  # dim -> [(l, starts)]
     for l in cfg.l_range:
         if _unreachable(cfg, l):
             continue
         dim = 2 * len(_free_slots(k, l, p, pinned))
         if dim == 0 or t == 1.0:
-            feasible[l] = _one_point(cfg, l, np.zeros(dim))
+            points[l] = [np.zeros(dim)]
             continue
         if l == 0:
-            family = _in_family_point(cfg)
+            points[l] = _in_family_point(cfg)
         groups.setdefault(dim, []).append((l, _starts(cfg, l, dim)))
 
     for dim, members in groups.items():
@@ -782,8 +771,11 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
         for l, found in zip(owners, _polish(cfg, np.array(leaders), np.array(owners))):
             if found is not None:
                 feasible[l].append(found)
-    if family:
-        feasible[0] += family
+    for l, xs in points.items():
+        if xs:
+            X = np.array(xs)
+            feasible[l] += [found for found in _candidates(cfg, X, *_objective_batch(p, k, t, X, l))
+                            if found is not None]
     return feasible
 
 

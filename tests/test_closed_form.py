@@ -14,7 +14,6 @@ from hardyx.closed_form import (
     OUTER,
     ClosedFormResult,
     F_p,
-    RootBracket,
     _branch_top,
     _Jp_log,
     _root,
@@ -421,14 +420,14 @@ def test_root_takes_few_evaluations(monkeypatch):
     # holds, per _root call, how many times it evaluated f and f'
     counts = []
 
-    def counted(fdf, br, tol=1e-13, x0=None):
+    def counted(fdf, lo, hi, f_lo, f_hi, tol=1e-13, x0=None):
         counts.append(0)
 
         def fdf_counted(x):
             counts[-1] += 1
             return fdf(x)
 
-        return _root(fdf_counted, br, tol, x0)
+        return _root(fdf_counted, lo, hi, f_lo, f_hi, tol, x0)
 
     def no_alpha1(p):
         raise AssertionError("alpha_p needs no alpha_1")
@@ -552,7 +551,7 @@ def test_overflow_and_p_outside_the_domain_are_value_errors():
 @pytest.mark.parametrize("df", [lambda x: 0.0, lambda x: math.nan], ids=["zero", "nan"])
 def test_root_bisects_without_a_derivative(df):
     f = lambda x: x**3 - 2.0  # noqa: E731
-    x = _root(lambda x: (f(x), df(x)), RootBracket(0.0, 2.0, f(0.0), f(2.0)))
+    x = _root(lambda x: (f(x), df(x)), 0.0, 2.0, f(0.0), f(2.0))
     assert abs(x - 2.0 ** (1 / 3)) <= 1e-13
 
 
@@ -561,7 +560,7 @@ def test_root_returns_at_a_root_one_ulp_from_the_bracket():
     # the midpoint rounds to an end of the bracket ends the loop
     lo = -671.0
     f = lambda x: -1.0 if x <= lo else 1.0  # noqa: E731
-    x = _root(lambda x: (f(x), math.nan), RootBracket(lo, 0.0, -1.0, 1.0), tol=0.0)
+    x = _root(lambda x: (f(x), math.nan), lo, 0.0, -1.0, 1.0, tol=0.0)
     assert x in (lo, math.nextafter(lo, 0.0))
     # the same case from the branch inversion: log t is about -671, and the
     # root of t = alpha (1 + alpha^2)^(-1/p) lies within an ulp or two of it
@@ -571,15 +570,47 @@ def test_root_returns_at_a_root_one_ulp_from_the_bracket():
     assert a * (1 + a * a) ** (-1 / p) == pytest.approx(t, rel=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# result and bracket containers
-# ---------------------------------------------------------------------------
+def _no_evaluation(x):
+    raise AssertionError("an end whose value is 0 is the root")
 
-def test_root_bracket_validation():
-    with pytest.raises(ValueError):
-        RootBracket(1.0, 0.5, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        RootBracket(0.0, 1.0, 1.0, 2.0)  # no sign change
+
+def test_root_returns_an_end_whose_value_is_zero():
+    assert _root(_no_evaluation, -1.0, 2.0, 0.0, 3.0) == -1.0
+    assert _root(_no_evaluation, -1.0, 2.0, -3.0, 0.0) == 2.0
+    assert _root(_no_evaluation, -1.0, 2.0, 0.0, -0.0) == -1.0
+
+
+def test_root_compares_signs_not_their_product():
+    # (-1e-200) * 1e-200 underflows to -0.0, which a product test rejects
+    x = _root(lambda x: (x - 0.5, 1.0), 0.0, 1.0, -1e-200, 1e-200)
+    assert x == pytest.approx(0.5, abs=1e-13)
+
+
+@pytest.mark.parametrize("lo, hi, f_lo, f_hi", [
+    (1.0, 0.5, -1.0, 1.0),  # lo > hi
+    (0.5, 0.5, -1.0, 1.0),  # lo = hi
+    (0.0, 1.0, 1.0, 2.0),  # same signs
+    (0.0, 1.0, -1.0, -1e-300),
+    (0.0, 1.0, math.nan, 1.0),
+    (0.0, 1.0, -1.0, math.nan),
+    (0.0, 1.0, 0.0, math.nan),
+    (0.0, math.nan, -1.0, 1.0),
+], ids=["reversed", "empty", "same-sign", "same-sign-tiny", "nan-lo", "nan-hi",
+        "zero-and-nan", "nan-end"])
+def test_root_rejects_what_brackets_no_root(lo, hi, f_lo, f_hi):
+    with pytest.raises(ValueError, match="brackets no root"):
+        _root(_no_evaluation, lo, hi, f_lo, f_hi)
+
+
+def test_solve_alpha_where_t_squared_underflows():
+    # h(0) = -log1p(t^2)/p is 0 there, and the root d = 0 gives alpha = t
+    assert solve_alpha(0.5, 1e-200) == 1e-200
+    assert solve_alpha(INF, 1e-200) == 1e-200
+
+
+# ---------------------------------------------------------------------------
+# result containers
+# ---------------------------------------------------------------------------
 
 
 def test_closed_form_result_validation():

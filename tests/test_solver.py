@@ -398,6 +398,14 @@ def test_p_inf_keeps_a_zero_near_the_circle(k, t):
     assert sol.l_used >= 1
 
 
+def _in_family_candidates(cfg):
+    # the in-family x, evaluated as _solve_zero_counts evaluates its points
+    # table: one _objective_batch and _candidates, feasible rows kept
+    X = np.array(solver._in_family_point(cfg))
+    f, c = solver._objective_batch(cfg.p, cfg.k, cfg.t, X, 0)
+    return [found for found in solver._candidates(cfg, X, f, c) if found is not None]
+
+
 def _mp_in_family(k, p, t):
     # the root a of t^p sum_n C(k, n)^2 a^(2n) = 1 in (0, 1] at 40 digits,
     # and the value t C(2k/p, k) a^k of the point lam_j = -a
@@ -418,7 +426,7 @@ def test_in_family_point_matches_a_40_digit_oracle(k, p, t):
         # below l = 0's floor no a in (0, 1] meets t
         assert solver._in_family_point(cfg) == []
         return
-    (J, lams), = solver._in_family_point(cfg)
+    (J, lams), = _in_family_candidates(cfg)
     a, value = _mp_in_family(k, p, t)
     assert all(lam == pytest.approx(-float(a), rel=1e-12) for lam in lams)
     # at k = 3, p = 3, C(2, 3) = 0 and the value is rounding alone
@@ -432,7 +440,7 @@ def test_in_family_point_at_k1_is_the_outer_extremal(p, t):
     # 0.81 and 2^(-1/3) = 0.79), a = beta
     ref = phi1(p, t)
     assert ref.regime == OUTER
-    (J, lams), = solver._in_family_point(SolveConfig(k=1, p=p, t=t))
+    (J, lams), = _in_family_candidates(SolveConfig(k=1, p=p, t=t))
     assert J == pytest.approx(ref.value, rel=1e-12)
     assert lams[0] == pytest.approx(-ref.beta, rel=1e-12)
 
@@ -462,7 +470,7 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
     cfg = SolveConfig(k=k, p=p, t=0.5, starts=4)
     sol = maximize_phik(cfg)
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
-    (J, _), = solver._in_family_point(cfg)
+    (J, _), = _in_family_candidates(cfg)
     assert sol.value >= J
 
 
@@ -471,7 +479,7 @@ def test_p_where_f_overflows_inside_the_disc_raises_a_solver_error(p):
     # the in-family point meets t, but (1 + a z)^(4/p) passes the largest
     # double on the check's circles, so the value cannot be checked
     cfg = SolveConfig(k=2, p=p, t=0.5, starts=4)
-    assert solver._in_family_point(cfg)
+    assert _in_family_candidates(cfg)
     with pytest.raises(SolverError, match="Cauchy integral"):
         maximize_phik(cfg)
 
