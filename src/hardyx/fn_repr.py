@@ -121,6 +121,10 @@ class PolyCoeffs:
             raise ValueError("at least one coefficient required")
         if not all(map(_finite, cs)):
             raise ValueError("coefficients must be finite")
+        # bounds every Horner and FFT partial sum on the closed disc; abs(c)
+        # itself overflows at 1.5e308 + 1.5e308j
+        if not math.isfinite(sum(abs(c.real) + abs(c.imag) for c in cs)):
+            raise ValueError("the coefficients' sizes sum past the largest double")
         object.__setattr__(self, "coeffs", cs)
 
     @property
@@ -301,14 +305,16 @@ def taylor_coeff(s: BoundarySamples, n: int) -> complex:
     """Discrete Cauchy integral: (1/N) sum_m values[m] exp(-2 pi i m n / N).
 
     Exact for polynomials of degree < N; otherwise the result carries the
-    usual aliasing of coefficients n + N, n + 2N, ...  Where the transform
-    is not finite, from a value that is not or from a sum past the largest
-    double, EvaluationError is raised.
+    usual aliasing of coefficients n + N, n + 2N, ...  The values are
+    divided by N before the transform, exactly above the subnormals since N
+    is a power of two, so every coefficient a double holds is returned.
+    Where the transform is not finite, from a value that is not or from a
+    sum past the largest double, EvaluationError is raised.
     """
     if not _is_int(n) or not (0 <= n < s.n):
         raise ValueError(f"coefficient index {n!r} is not an integer in 0..{s.n - 1}")
     with np.errstate(over="ignore", invalid="ignore"):
-        a = complex(np.fft.fft(s.values)[n] / s.n)
+        a = complex(np.fft.fft(s.values / s.n)[n])
     if not _finite(a):
         raise EvaluationError(f"coefficient {n} is not finite")
     return a

@@ -16,7 +16,7 @@ from hardyx.fn_repr import (
     taylor_coeff,
 )
 from hardyx.hardy_norm import norm_hinf, norm_hp
-from hardyx.wiener import inner_defect, wiener_eval
+from hardyx.wiener import inner_defect, wiener_bound_check, wiener_eval
 
 
 def test_all_lambdas_zero_gives_constant():
@@ -198,6 +198,42 @@ def test_taylor_coeff_examples():
     assert taylor_coeff(s, 2) == pytest.approx(6.0, abs=1e-12)
     assert taylor_coeff(sample_boundary(lambda z: 1.0, 8), 0) == pytest.approx(1.0)
     assert abs(taylor_coeff(sample_boundary(lambda z: z**3, 8), 1)) < 1e-14
+
+
+def test_taylor_coeff_holds_every_coefficient_a_double_holds():
+    # the undivided transform's sum, 4e308, passes the largest double
+    assert taylor_coeff(BoundarySamples([1e308] * 4), 0) == 1e308
+    assert taylor_coeff(BoundarySamples([1e308, -1e308] * 2), 2) == 1e308
+
+
+# each call evaluates the polynomial (1e308 + 1e308 z), whose value at z = 1
+# passes the largest double; the constructor rejects it first
+_PAST_THE_LARGEST_DOUBLE = {
+    "norm_hp_p2": lambda f: norm_hp(f, 2.0),
+    "norm_hp_p05": lambda f: norm_hp(f, 0.5),
+    "norm_hinf": norm_hinf,
+    "wiener_bound_check": lambda f: wiener_bound_check(f, 2, 1.0),
+    "wiener_eval": lambda f: wiener_eval(f, 2, 0.9),
+    "call": lambda f: f(1.0),
+}
+
+
+@pytest.mark.parametrize("entry", list(_PAST_THE_LARGEST_DOUBLE), ids=str)
+def test_coefficients_summing_past_the_largest_double_raise_value_error(entry):
+    with pytest.raises(ValueError, match="sum past the largest double"):
+        _PAST_THE_LARGEST_DOUBLE[entry](PolyCoeffs((1e308, 1e308)))
+
+
+def test_poly_coefficient_sizes_sum_by_parts():
+    # abs(1.5e308 + 1.5e308j) overflows; the parts' sum passes as well
+    with pytest.raises(ValueError, match="sum past the largest double"):
+        PolyCoeffs((1.5e308 + 1.5e308j,))
+    # parts summing to 1.7e308 build, and evaluate finitely on the disc
+    f = PolyCoeffs((1.2e308 + 0.5e308j,))
+    assert f(1.0) == 1.2e308 + 0.5e308j
+    f = PolyCoeffs((0.9e308, -0.8e308))
+    assert f(np.array([1.0, -1.0, 1j])).tolist() == [0.9e308 - 0.8e308, 1.7e308,
+                                                     0.9e308 - 0.8e308j]
 
 
 def test_taylor_coeff_index_range():

@@ -696,7 +696,6 @@ def _two_term_norm(c, p):
     return abs(c) * math.exp((math.lgamma(p + 1) - 2 * math.lgamma(p / 2 + 1)) / p)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power")
 def test_large_p_peak_between_starting_grid_points_rescales(monkeypatch):
     scales = []
     scaled = hardy_norm._scaled_norm_hp
@@ -720,7 +719,6 @@ def test_large_p_peak_between_starting_grid_points_rescales(monkeypatch):
     assert scales[-1] == 2.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power")
 def test_equal_peaks_of_a_polynomial_in_z_m_are_all_resolved():
     # 32 peaks narrower than the finest grid's spacing at p = 1e7: g(w) =
     # 1 + e^{i pi/128} w has one, which the panels seed; measured on f,
