@@ -17,7 +17,9 @@ workload, seed, seconds, each run's metrics, failed share and check
 outcome, and the median and quartiles of every metric, taken by
 perfbench/steady.py's ``summarize``.  The head's
 file adds, per metric, the ratio of the medians and the pairs in which the
-head is better, with the direction ("better") of BENCHMARK.json.
+head is better, with the direction ("better") of BENCHMARK.json; and per
+end-to-end metric how much worse the head's median is than the base's,
+relative to the base, and whether that is within the metric's ``bound``.
 """
 
 from __future__ import annotations
@@ -76,19 +78,31 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
-def compare(base: list[dict], head: list[dict], better: dict) -> dict:
-    """Per metric: head median over base median, and the pairs the head wins."""
+def compare(base: list[dict], head: list[dict], metrics: list[dict]) -> dict:
+    """Per metric of BENCHMARK.json's ``end_to_end`` list: head median over
+    base median, and the pairs the head wins.
+
+    ``worse_by`` is how much worse the head's median is than the base's,
+    relative to the base, in the metric's direction ("better"; negative
+    where the head is better), and ``within_bound`` whether it is at most
+    the metric's ``bound``.
+    """
     sb, sh = summarize(base), summarize(head)
     out = {}
-    for name, direction in better.items():
-        sign = 1.0 if direction == "higher" else -1.0
+    for metric in metrics:
+        name = metric["name"]
+        sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = sum(sign * (h["metrics"][name] - b["metrics"][name]) > 0
                    for b, h in zip(base, head))
+        gain = sign * (sh[name]["median"] - sb[name]["median"])
+        worse_by = -gain / sb[name]["median"]
         out[name] = {
             "ratio": sh[name]["median"] / sb[name]["median"],
             "head_better_pairs": wins,
             "pairs": len(base),
-            "beats_base_iqr": sign * (sh[name]["median"] - sb[name]["median"]) > sb[name]["iqr"],
+            "beats_base_iqr": gain > sb[name]["iqr"],
+            "worse_by": worse_by,
+            "within_bound": worse_by <= metric["bound"],
         }
     return out
 
@@ -110,7 +124,6 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {}
     for role, rev in (("base", args.base), ("head", args.head)):
         commit = _git("rev-parse", f"{rev}^{{commit}}")
@@ -133,7 +146,7 @@ def main(argv=None) -> int:
                 block = {"workload": workload, "seed": seed, "seconds": seconds,
                          "pairs": pairs, "runs": runs[role], "summary": summarize(runs[role])}
                 if role == "head":
-                    block["against_base"] = compare(runs["base"], runs["head"], better)
+                    block["against_base"] = compare(runs["base"], runs["head"], bench["end_to_end"])
                 sides[role]["blocks"].append(block)
 
     for role, path in (("base", args.out_base), ("head", args.out_head)):
