@@ -612,7 +612,6 @@ def test_solve_alpha_where_t_squared_underflows():
 # result containers
 # ---------------------------------------------------------------------------
 
-
 def test_closed_form_result_validation():
     with pytest.raises(ValueError):
         ClosedFormResult(0.5, "bogus", alpha=0.1)
