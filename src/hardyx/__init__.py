@@ -1,108 +1,18 @@
-"""Coefficient extremal problems and coefficient-averaging bounds on H^p."""
+"""Coefficient extremal problems and coefficient-averaging bounds on H^p.
 
-from .closed_form import (
-    BOTH,
-    MOEBIUS_OUTER,
-    OUTER,
-    AppendixValues,
-    ClosedFormResult,
-    F_p,
-    alpha1,
-    alpha2,
-    alpha_p,
-    appendix_functions,
-    beta_of_alpha,
-    phi1,
-    psi1,
-    solve_alpha,
-    solve_beta,
-    t_p,
-    t_star,
-)
-from .fn_repr import (
-    BoundarySamples,
-    EvaluationError,
-    PolyCoeffs,
-    StructuredExtremal,
-    boundary_grid,
-    eval_structured,
-    sample_boundary,
-    taylor_coeff,
-)
-from .hardy_norm import (
-    QuadConfig,
-    QuadratureError,
-    circle_mean,
-    norm_hinf,
-    norm_hp,
-    parseval_norm,
-)
-from .solver import (
-    ExtremalSolution,
-    SandwichReport,
-    SolveConfig,
-    SolverError,
-    maximize_phik,
-    sandwich_check,
-    t0_scan,
-)
-from .verify import CheckResult, run_suite
-from .wiener import (
-    WienerRatioReport,
-    inner_defect,
-    sharpness_ratio,
-    wiener_bound_check,
-    wiener_coeffs,
-    wiener_eval,
-)
+Each submodule's ``__all__`` is its public surface; the package republishes
+those names unchanged.
+"""
+
+from . import closed_form, fn_repr, hardy_norm, solver, verify, wiener
+from .closed_form import *  # noqa: F403
+from .fn_repr import *  # noqa: F403
+from .hardy_norm import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .verify import *  # noqa: F403
+from .wiener import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppendixValues",
-    "BOTH",
-    "BoundarySamples",
-    "CheckResult",
-    "ClosedFormResult",
-    "EvaluationError",
-    "ExtremalSolution",
-    "F_p",
-    "MOEBIUS_OUTER",
-    "OUTER",
-    "PolyCoeffs",
-    "QuadConfig",
-    "QuadratureError",
-    "SandwichReport",
-    "SolveConfig",
-    "SolverError",
-    "StructuredExtremal",
-    "WienerRatioReport",
-    "alpha1",
-    "alpha2",
-    "alpha_p",
-    "appendix_functions",
-    "beta_of_alpha",
-    "boundary_grid",
-    "circle_mean",
-    "eval_structured",
-    "inner_defect",
-    "maximize_phik",
-    "norm_hinf",
-    "norm_hp",
-    "parseval_norm",
-    "phi1",
-    "psi1",
-    "run_suite",
-    "sample_boundary",
-    "sandwich_check",
-    "sharpness_ratio",
-    "solve_alpha",
-    "solve_beta",
-    "t0_scan",
-    "t_p",
-    "t_star",
-    "taylor_coeff",
-    "wiener_bound_check",
-    "wiener_coeffs",
-    "wiener_eval",
-]
+__all__ = (closed_form.__all__ + fn_repr.__all__ + hardy_norm.__all__
+           + solver.__all__ + verify.__all__ + wiener.__all__)

@@ -30,6 +30,8 @@ from .hardy_norm import QuadConfig, norm_hp
 from .solver import SolveConfig, maximize_phik
 from .wiener import wiener_bound_check, wiener_coeffs
 
+__all__ = ["CheckResult", "run_suite"]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -52,30 +54,20 @@ _WIENER_PS = (0.4, 0.7, 1.0, 2.0, 4.0, math.inf)
 _MAX_DEGREE = 32
 
 
-def _random_polys(rng, count: int):
-    # drawn lazily: each polynomial, with the samples it keeps, is freed
-    # before the next is drawn
+def _random_polys(rng, count: int, k: int = 1):
+    # coefficients supported on multiples of k, so for k > 1 W_k f = f
+    # exactly; drawn lazily: each polynomial, with the samples it keeps, is
+    # freed before the next is drawn
     for _ in range(count):
-        deg = int(rng.integers(1, _MAX_DEGREE + 1))
-        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        deg = int(rng.integers(1, _MAX_DEGREE // k + 1))
+        c = np.zeros(deg * k + 1, dtype=complex)
+        c[::k] = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         yield PolyCoeffs(tuple(c))
 
 
 def _wiener_defect(f: PolyCoeffs, k: int) -> PolyCoeffs:
     w = np.asarray(wiener_coeffs(f, k).coeffs)
     return PolyCoeffs(tuple(w - np.asarray(f.coeffs)))
-
-
-def _periodic_polys(rng, k: int, count: int):
-    # coefficients supported on multiples of k, so W_k f = f exactly
-    polys = []
-    for _ in range(count):
-        top = _MAX_DEGREE // k
-        deg = int(rng.integers(1, top + 1))
-        c = np.zeros(deg * k + 1, dtype=complex)
-        c[::k] = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        polys.append(PolyCoeffs(tuple(c)))
-    return polys
 
 
 def run_wiener() -> list:
@@ -124,9 +116,8 @@ def run_wiener() -> list:
     # engineered fixed points: coefficients on multiples of k force ratio = bound
     # exactly, so the near-equality implication below is tested non-vacuously
     for k in _WIENER_KS:
-        fixed = _periodic_polys(rng, k, 4)
         low = math.inf
-        for f in fixed:
+        for f in _random_polys(rng, 4, k):
             for p in (2.0, 4.0):
                 rep = wiener_bound_check(f, k, p, cfg=cfg)
                 low = min(low, rep.ratio / rep.bound)

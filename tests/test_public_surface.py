@@ -1,5 +1,6 @@
-"""Every exported name resolves, every name the demos import exists, and
-demos 01-04 run.
+"""Every exported name resolves, `hardyx` exports exactly its submodules'
+names, perfbench's hooks into `hardyx` resolve, every name the demos import
+exists, and demos 01-04 run.
 
 Demo 05 is not run: it rewrites the committed figure CSVs, which
 criterion 10 already compares with the CLI's output.
@@ -13,6 +14,7 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hardyx
@@ -22,6 +24,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SUBMODULES = sorted(
     m.name for m in pkgutil.iter_modules(hardyx.__path__) if m.name != "__main__"
 )
+# the library modules, whose names hardyx republishes; cli is the entry point
+REPUBLISHED = [m for m in SUBMODULES if m != "cli"]
 
 
 @pytest.mark.parametrize("modname", ["hardyx"] + [f"hardyx.{m}" for m in SUBMODULES])
@@ -29,6 +33,49 @@ def test_all_names_resolve(modname):
     mod = importlib.import_module(modname)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{modname}.__all__ lists missing names {missing}"
+
+
+def test_hardyx_all_is_the_submodules_all():
+    # a name listed twice would let a later wildcard import shadow an earlier one
+    modules = [importlib.import_module(f"hardyx.{m}") for m in REPUBLISHED]
+    expected = [name for mod in modules for name in mod.__all__]
+    assert hardyx.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    namespace = {}
+    exec("from hardyx import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(hardyx.__all__)
+
+
+def _attributes(owners):
+    return {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    # perfbench/run.py installs tracing.Tracer on hardyx and calls hardyx.<op.fn>
+    # for the workloads' operations; a name either needs must stay
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+
+    owners = [getattr(hardyx, m) for m in REPUBLISHED] + [hardyx.PolyCoeffs]
+    before = _attributes(owners)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(hardyx)
+        installed = _attributes(owners)
+        patched = [key for key, value in installed.items() if value is not before.get(key)]
+    finally:
+        tracer.uninstall()
+    assert patched
+    after = _attributes(owners)
+    assert [key for key in patched if after[key] is not before[key]] == []
+
+    for workload in workloads.WORKLOADS.values():
+        ops = workload.round_inputs(hardyx, np.random.default_rng([1, 1]))
+        ops += workload.warmup(hardyx)
+        missing = {op.fn for op in ops if not callable(getattr(hardyx, op.fn, None))}
+        assert not missing, f"{workload.name} calls missing hardyx names {sorted(missing)}"
 
 
 def _hardyx_imports(tree):
