@@ -31,8 +31,6 @@ def _fmt(x: float) -> str:
 # to phi1, SolveConfig, t_p and sharpness_ratio, whose ValueError exits 2
 def _parse_t(text: str, p: float, allow_tp: bool) -> float:
     if allow_tp and text.strip().lower() == "tp":
-        if not (0 < p < 1):
-            raise ValueError("the tp keyword needs 0 < p < 1")
         return t_p(p)
     return float(text)
 

@@ -28,9 +28,11 @@ that p in the hundreds or more neither under- nor overflows.  M is 1
 wherever the starting grid's largest finite sample, raised to p, and a sum
 of 32768 such terms stay in the normal double range; elsewhere it is that
 sample.  A finer grid or a panel node can meet a higher peak between the
-starting grid's points, higher by a factor (1 + delta)^p; if that takes a
-finite sample's power out of the range, the measurement starts again with M
-that sample.  A polynomial's kept grids make that restart cheap.
+starting grid's points, higher by a factor (1 + delta)^p.  Each batch of
+samples is checked before its powers are formed: if a finite sample's power
+would leave the range, the measurement starts again with M that sample.  So
+no power overflows, and no overflow is silenced.  A polynomial's kept grids
+make that restart cheap.
 
 A ``PolyCoeffs`` whose nonzero coefficients all sit at multiples of some
 m > 1 (m their indices' gcd), such as every W_k f, is f(z) = g(z^m) with
@@ -393,35 +395,25 @@ def _pow_scale(prof: np.ndarray, p: float) -> float:
 
 
 class _PowerOverflow(Exception):
-    """A finite sample above M took (|f|/M)^p out of the double range."""
+    """A finite sample above M would take (|f|/M)^p out of the double range."""
 
     def __init__(self, peak: float):
         super().__init__(peak)
         self.peak = peak
 
 
-def _check_headroom(x: np.ndarray, scale: float, p: float) -> None:
-    """Raise _PowerOverflow if x's largest finite value, over scale, to the
-    power p leaves _LOG_POW_MAX; a non-finite mean is then the scale's."""
-    peak = _finite_max(x)
-    if peak > scale and p * math.log(peak / scale) > _LOG_POW_MAX:
-        raise _PowerOverflow(peak)
-
-
 def _norm_hp(f, n: int, p: float, rel_tol: float) -> float:
     # A later grid or a panel node can find a peak above the starting grid's
-    # by (1 + delta)^p; then the measurement starts again with M that peak.
-    # M grows by e^(_LOG_POW_MAX / p) at least each time, and stays below the
-    # sup of |f|.  A polynomial's kept grids make the dyadic pass cheap.
-    # Such a peak's power overflows before _check_headroom sees it, so numpy's
-    # overflow warning is silenced here, once per measured norm.
+    # by (1 + delta)^p; its power would leave the range, so the measurement
+    # starts again with M that peak before the power is formed.  M grows by
+    # e^(_LOG_POW_MAX / p) at least each time, and stays below the sup of
+    # |f|.  A polynomial's kept grids make the dyadic pass cheap.
     absf, grid, _ = _samplers(f)
     prof = grid(n, False)
     scale = _pow_scale(prof, p)
     while True:
         try:
-            with np.errstate(over="ignore"):
-                return _scaled_norm_hp(f, absf, grid, prof, p, rel_tol, scale)
+            return _scaled_norm_hp(f, absf, grid, prof, p, rel_tol, scale)
         except _PowerOverflow as exc:
             scale = exc.peak
 
@@ -476,6 +468,11 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
     """The dyadic pass, then the panels, on (|f|/scale)^p; prof is the
     starting grid's |f|."""
     def power(x):
+        # every finite power stays at most e^_LOG_POW_MAX, so neither it nor
+        # a sum of a grid's or the panels' powers overflows
+        peak = _finite_max(x)
+        if peak > scale and p * math.log(peak / scale) > _LOG_POW_MAX:
+            raise _PowerOverflow(peak)
         return (x / scale) ** p
 
     def root(mean: float) -> float:
@@ -516,24 +513,11 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
             seeds = _grid_seeds(prof < 1e-6 * max(prof.max(), 1e-300), 0.0)
         seeds.append(_TWO_PI * int(np.argmax(prof)) / len(prof))
     else:
-        _check_headroom(samples, scale, p)
         # the last grid met a pole or a NaN, which no trapezoid sum can use;
         # seed the panels there, where no Gauss-Legendre node lands
         seeds = _grid_seeds(~np.isfinite(samples), 0.0 if samples is prof else 0.5)
 
-    # the panels stop at the first non-finite estimate: keep the |f| of the
-    # last call, to tell an overflow from a pole
-    last = [prof]
-
-    def g(theta):
-        last[0] = absf(theta)
-        return power(last[0])
-
-    try:
-        return root(circle_mean(g, rel_tol * min(1.0, p), seeds=seeds))
-    except QuadratureError:
-        _check_headroom(last[0], scale, p)
-        raise
+    return root(circle_mean(lambda theta: power(absf(theta)), rel_tol * min(1.0, p), seeds=seeds))
 
 
 def norm_hinf(f, return_witness: bool = False):

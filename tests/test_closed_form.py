@@ -53,6 +53,15 @@ def test_solve_alpha_top_of_branch():
         solve_alpha(0.5, 0.5)  # above the increasing branch's reach
 
 
+def test_solve_alpha_one_ulp_below_the_top_takes_the_top():
+    # h at the branch top rounds to -1.1e-16 here, so no root is bracketed
+    # and the rounding fallback returns the top's alpha
+    hi_L, top = _branch_top(0.5)
+    t = math.nextafter(top, 0.0)
+    assert t == 0.3247595264191645
+    assert solve_alpha(0.5, t) == math.exp(hi_L)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.floats(min_value=1.0, max_value=8.0),

@@ -719,6 +719,27 @@ def test_large_p_peak_between_starting_grid_points_rescales(monkeypatch):
     assert scales[-1] == 2.0
 
 
+def test_large_p_peak_met_by_a_panel_node_rescales(monkeypatch):
+    # the NaN at theta = 0 sends the first attempt straight to the panels,
+    # where a node meets the peak at theta = -2 pi 0.3 / 32768, above every
+    # starting-grid sample; the restart is raised inside circle_mean
+    events = []
+    scaled, mean = hardy_norm._scaled_norm_hp, hardy_norm.circle_mean
+    monkeypatch.setattr(
+        hardy_norm, "_scaled_norm_hp", lambda *a: events.append(a[-1]) or scaled(*a)
+    )
+    monkeypatch.setattr(
+        hardy_norm, "circle_mean", lambda *a, **kw: events.append("panels") or mean(*a, **kw)
+    )
+    w = np.exp(2j * math.pi * 0.3 / 32768)
+    f = lambda z: np.where(z == 1, np.nan, 1 + w * z)
+    value = norm_hp(f, 1e10, QuadConfig(rel_tol=1e-6))
+    assert value == pytest.approx(_two_term_norm(1.0, 1e10), rel=1e-12)
+    first, _, second, _ = events
+    assert events[1::2] == ["panels", "panels"]
+    assert 1.0 < first < second <= 2.0
+
+
 def test_equal_peaks_of_a_polynomial_in_z_m_are_all_resolved():
     # 32 peaks narrower than the finest grid's spacing at p = 1e7: g(w) =
     # 1 + e^{i pi/128} w has one, which the panels seed; measured on f,

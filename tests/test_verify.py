@@ -1,5 +1,6 @@
 import pytest
 
+from hardyx import verify
 from hardyx.verify import run_suite, run_theorems
 
 
@@ -14,3 +15,10 @@ def test_theorems_suite_passes():
 def test_unknown_suite_name():
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_all_runs_every_suite_in_order(monkeypatch):
+    suites = {name: (lambda name=name: [f"{name}/1", f"{name}/2"]) for name in ("c", "a", "b")}
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    assert run_suite("all") == ["c/1", "c/2", "a/1", "a/2", "b/1", "b/2"]
+    assert run_suite("a") == ["a/1", "a/2"]
