@@ -404,10 +404,10 @@ class _PowerOverflow(Exception):
 
 def _norm_hp(f, n: int, p: float, rel_tol: float) -> float:
     # A later grid or a panel node can find a peak above the starting grid's
-    # by (1 + delta)^p; its power would leave the range, so the measurement
-    # starts again with M that peak before the power is formed.  M grows by
-    # e^(_LOG_POW_MAX / p) at least each time, and stays below the sup of
-    # |f|.  A polynomial's kept grids make the dyadic pass cheap.
+    # by (1 + delta)^p; where its power would leave the range, the
+    # measurement starts again with M that peak, before the power is formed.
+    # M grows by e^(_LOG_POW_MAX / p) at least each time, and stays below the
+    # sup of |f|.  A polynomial's kept grids make the dyadic pass cheap.
     absf, grid, _ = _samplers(f)
     prof = grid(n, False)
     scale = _pow_scale(prof, p)
