@@ -44,7 +44,7 @@ MOEBIUS_OUTER = "MOEBIUS_OUTER"
 OUTER = "OUTER"
 BOTH = "BOTH"
 
-# threshold for treating t as sitting exactly on a regime boundary
+# for p < 1, how near t_p a t is tagged BOTH (phi1)
 _BOUNDARY_SNAP = 1e-13
 # smallest p at which t_p, alpha_p and phi1 answer (see _log_alpha_p)
 _P_MIN = 1e-300
@@ -229,48 +229,42 @@ def solve_alpha(p: float, t: float) -> float:
 
 
 def solve_beta(p: float, t: float) -> float:
-    """beta = sqrt(t^{-p} - 1), valid while it lands in [0, 1].
+    """beta = sqrt(t^{-p} - 1) = sqrt(expm1(-p log t)), valid while it lands in [0, 1].
 
-    At p = inf, t^{-p} is 1 at t = 1 and inf below it, so only t = 1 has a
-    beta, 0.
+    expm1 keeps beta's relative accuracy as p log(1/t) -> 0, and the range
+    test on -p log t comes before it could overflow.  At t = 1 beta is +0.0
+    for every p, p = inf too (where -p log t is NaN); there every t < 1 raises.
     """
     if not (p > 0):
         raise ValueError(f"p must be positive (got {p})")
     if not (0 < t <= 1):
         raise ValueError(f"t must lie in (0, 1] (got {t})")
-    try:
-        b2 = t ** (-p) - 1.0
-    except OverflowError:
-        # t^{-p} past the double range puts beta far above 1
-        raise ValueError(f"t={t} lies below the outer branch (t^-p overflows)") from None
-    beta = math.sqrt(max(b2, 0.0))
-    if beta > 1.0:
-        if beta <= 1.0 + 1e-12:
-            return 1.0
-        raise ValueError(f"t={t} lies below the outer branch (beta={beta} > 1)")
-    return beta
+    if t == 1.0:
+        return 0.0
+    x = -p * math.log(t)
+    # beta <= 1 + 1e-12 is x <= log(2 + 2e-12): rounding noise above 1 is snapped
+    if not x <= math.log(2.0) + 1e-12:
+        raise ValueError(f"t={t} lies below the outer branch (beta > 1)")
+    return min(math.sqrt(math.expm1(x)), 1.0)
 
 
 def _case1_value(p: float, alpha: float) -> float:
-    # at p = inf this is 1 - alpha^2 to the bit
-    a2 = alpha * alpha
-    return math.exp(-math.log1p(a2) / p) * (1.0 + (2.0 / p - 1.0) * a2)
-
-
-def _case2_value(p: float, beta: float) -> float:
-    # at p = inf only beta = 0 reaches it (solve_beta), where it is 0
-    b2 = beta * beta
-    return math.exp(-math.log1p(b2) / p) * 2.0 * beta / p
+    # 1 + (2/p - 1) alpha^2, with 1 - alpha^2 as a product: exact at p = inf
+    return ((1.0 - alpha) * (1.0 + alpha) + 2.0 * alpha * alpha / p) * math.exp(
+        -math.log1p(alpha * alpha) / p)
 
 
 def phi1(p: float, t: float) -> ClosedFormResult:
     """The sharp first-coefficient bound at fixed f(0) = t, with regime tag.
 
+    The side is t < switch for every p.  Below it the value is
+    (1 - alpha^2 + 2 alpha^2/p)(1 + alpha^2)^{-1/p}, else 2 t beta / p, each
+    with no cancelling subtraction up to t = 1 and at p = inf.  For p < 1 a
+    t within _BOUNDARY_SNAP of t_p is tagged BOTH, with alpha_p and its beta.
+
     Domain: p >= _P_MIN = 1e-300 (or inf) and 0 <= t <= 1.  Smaller p raise
     ValueError: t_p, which places the regime switch for p < 1, is certified
-    down to that floor and no further.  Above t_p, solve_beta's
-    t^{-p} - 1 cancels as p -> 0, so the outer regime's relative error
-    grows like 1e-16 / (p log(1/t)).
+    down to that floor and no further.
     """
     if not (p > 0):
         raise ValueError(f"p must be positive (got {p})")
@@ -279,20 +273,16 @@ def phi1(p: float, t: float) -> ClosedFormResult:
 
     if p >= 1:
         switch = 2.0 ** (-1.0 / p)
-        below = t < switch - _BOUNDARY_SNAP
     else:
-        # past the snap the side is plain t < t_p: t < t_p - snap rounds apart
-        # from the snap test and would tag some t just below it OUTER
         switch = t_p(p)
-        if abs(t - switch) <= _BOUNDARY_SNAP * max(1.0, switch):
+        if abs(t - switch) <= _BOUNDARY_SNAP:
             ap = alpha_p(p)
             return ClosedFormResult(_case1_value(p, ap), BOTH, alpha=ap, beta=beta_of_alpha(p, ap))
-        below = t < switch
-    if below:
+    if t < switch:
         alpha = solve_alpha(p, t)
         return ClosedFormResult(_case1_value(p, alpha), MOEBIUS_OUTER, alpha=alpha)
-    beta = solve_beta(p, max(t, switch))
-    return ClosedFormResult(_case2_value(p, beta), OUTER, beta=beta)
+    beta = solve_beta(p, t)
+    return ClosedFormResult(2.0 * t * beta / p, OUTER, beta=beta)
 
 
 # ---------------------------------------------------------------------------

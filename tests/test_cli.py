@@ -65,6 +65,19 @@ def test_phi1_sup_norm_records_inf_as_string(capsys):
     assert rec["results"]["value"] == pytest.approx(0.75, abs=1e-14)
 
 
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_phi1_at_t_one_prints_beta_plus_zero(capsys, p):
+    rc, out, _ = run(capsys, "phi1", "--p", p, "--t", "1")
+    assert rc == EXIT_OK
+    assert out.splitlines() == ["phi1 = 0", "regime = OUTER", "beta = 0"]
+
+
+def test_phi1_at_p_inf_one_double_below_one_is_positive(capsys):
+    rc, out, _ = run(capsys, "phi1", "--p", "inf", "--t", "0.9999999999999999", "--json")
+    assert rc == EXIT_OK
+    assert json.loads(out)["results"]["value"] > 0
+
+
 def test_phi1_just_below_p_1(capsys):
     # alpha_p merges with alpha_1 and alpha_2 at 1; its u-form still solves
     rc, out, _ = run(capsys, "phi1", "--p", "0.9999", "--t", "0.3", "--json")

@@ -108,6 +108,13 @@ def test_solve_beta_snaps_rounding_at_the_switch_to_one():
         solve_beta(2.0, 2**-0.5 - 1e-6)
 
 
+@pytest.mark.parametrize("p", [0.5, 2.0, INF])
+def test_solve_beta_at_t_one_is_plus_zero(p):
+    # -p log 1 is -0.0 at finite p and NaN at p = inf; beta is +0.0 at each
+    beta = solve_beta(p, 1.0)
+    assert beta == 0.0 and math.copysign(1.0, beta) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # phi1
 # ---------------------------------------------------------------------------
@@ -151,6 +158,64 @@ def test_phi1_both_regime_at_switch_point():
     # continuity across the switch
     for h in (1e-9, -1e-9):
         assert phi1(p, t_p(p) + h).value == pytest.approx(res.value, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 8.0, 1e3])
+def test_phi1_one_double_below_the_switch_is_moebius_and_continuous(p):
+    # for every p the side is t < switch, with no snap towards either regime
+    switch = 2.0 ** (-1.0 / p)
+    below, at = phi1(p, math.nextafter(switch, 0.0)), phi1(p, switch)
+    assert below.regime == MOEBIUS_OUTER and at.regime == OUTER
+    assert below.value == pytest.approx(at.value, rel=1e-12)
+
+
+def test_phi1_at_p_inf_one_double_below_one():
+    # 1 - t^2 as (1 - t)(1 + t): 2^-53 (2 - 2^-53) rounds to 2^-52
+    res = phi1(INF, 1.0 - 2.0**-53)
+    assert res.regime == MOEBIUS_OUTER
+    assert res.value == pytest.approx(2.0**-52, rel=2.0**-52)
+
+
+_P_GRID = [1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0, 2.0, 8.0, 1e3, INF]
+_ONE_MINUS_T_GRID = [0.5, 0.3, 0.1, 1e-2, 1e-4, 1e-6, 1e-9, 1e-11, 1e-13, 2.0**-52, 2.0**-53]
+
+
+def _mp_phi1(p, t, switch):
+    """phi1 at 60 digits: below the switch the Moebius value at the root of
+    log alpha - log1p(alpha^2)/p = log t, by bisection; at or above it
+    (2/p) t sqrt(t^-p - 1); 1 - t^2 at p = inf."""
+    with mpmath.workdps(60):
+        tm = mpmath.mpf(t)
+        if p == INF:
+            return 1 - tm * tm
+        pm = mpmath.mpf(p)
+        if tm >= switch:
+            return 2 / pm * tm * mpmath.sqrt(tm ** -pm - 1)
+        # the increasing branch ends at log alpha = 0 for p >= 1, log alpha2 below
+        lo, hi = mpmath.log(tm), (0 if p >= 1 else mpmath.log(pm / (2 - pm)) / 2)
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if mid - mpmath.log1p(mpmath.exp(2 * mid)) / pm < mpmath.log(tm):
+                lo = mid
+            else:
+                hi = mid
+        a2 = mpmath.exp(lo + hi)
+        return (1 + (2 / pm - 1) * a2) * (1 + a2) ** (-1 / pm)
+
+
+@pytest.mark.parametrize("p", _P_GRID)
+def test_phi1_matches_60_digits_up_to_t_one(p):
+    # both regimes keep their relative accuracy as t -> 1 and at tiny p:
+    # the outer value once read 0.0 at (1e-12, 0.999999), and p = inf 0.0
+    # from 1 - t = 1e-13 on
+    with mpmath.workdps(60):
+        switch = 2 ** (-1 / mpmath.mpf(p)) if p >= 1 else _mp_switch(p)[1]
+    for d in _ONE_MINUS_T_GRID:
+        t = 1.0 - d
+        exact = _mp_phi1(p, t, switch)
+        assert abs(phi1(p, t).value / exact - 1) <= 1e-12, (p, d)
+    if p == 1e-12:
+        assert phi1(p, 0.999999).value == pytest.approx(1999.9985, rel=1e-7)
 
 
 def test_phi1_domain():
