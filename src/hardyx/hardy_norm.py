@@ -423,9 +423,15 @@ def _zero_angles(f: PolyCoeffs) -> list[float]:
 
     numpy.roots splits a j-fold zero into j roots about eps^(1/j) apart, so
     roots whose angles lie within 1e-4 rad of the next are taken as one
-    zero, at the angle of their mean.
+    zero, at the angle of their mean.  Top coefficients below the largest by
+    more than the double range, whose roots lie past it and whose companion
+    row would be infinite, are dropped first.
     """
-    r = np.roots(f.coeffs[::-1])
+    size = np.abs(f.coeffs)
+    top = len(size)
+    while size[top - 1] < size.max() / sys.float_info.max:
+        top -= 1
+    r = np.roots(f.coeffs[top - 1::-1])
     r = r[np.abs(np.abs(r) - 1.0) <= 1e-3]
     if not r.size:
         return []

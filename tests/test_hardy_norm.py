@@ -500,6 +500,20 @@ def test_double_zero_split_across_angle_zero_is_one_seed():
     assert abs(norm_hp(f, p) - exact) <= 1e-9
 
 
+@pytest.mark.parametrize("coeffs,p", [((1e10, 1e10, 1e-300), 0.5), ((1.0, 1.0, 1e-310), 0.2)])
+def test_top_coefficient_past_the_double_range_drops_out_of_the_seeds(coeffs, p):
+    # the z^2 coefficient lies below the others by more than the double
+    # range: numpy.roots on all three would form an infinite companion row.
+    # Its roots lie past that range, so the seed is -1 alone, and the norm
+    # is c_0 ||1 + z||_p, from the Gamma formula, to far below an ulp
+    (seed,) = hardy_norm._zero_angles(PolyCoeffs(coeffs))
+    assert seed == pytest.approx(math.pi, abs=1e-12)
+    with mpmath.workdps(30):
+        pm = mpmath.mpf(p)
+        exact = coeffs[0] * (mpmath.gamma(1 + pm) / mpmath.gamma(1 + pm / 2) ** 2) ** (1 / pm)
+    assert abs(norm_hp(PolyCoeffs(coeffs), p) / exact - 1) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "j,ps",
     [
