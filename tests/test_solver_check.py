@@ -124,3 +124,20 @@ def test_compare_fails_on_a_changed_zero_count(capsys):
     assert out[0].startswith("FAIL k=2 p=0.01 t=0.5 ") and out[0].endswith(": l_used 0 -> 1")
     assert out[-2] == ("domain: 1 -> 1 of 1 succeed, 1 of the 1 on both sides identical to the "
                        "bit, 0 rose and 0 fell by more than 1e-09, largest relative fall 0")
+
+
+def test_compare_prints_a_bits_line_for_each_move_within_the_bound(capsys):
+    # a value that moved by at most VALUE_TOL passes, but is named; one that
+    # did not move is not
+    tol = solver_check.VALUE_TOL
+    pairs = [(_solved("tiny p", 0.1, 1.0), _solved("tiny p", 0.1, 1.0 + 0.5 * tol)),
+             (_solved("tiny p", 0.2, 2.0), _solved("tiny p", 0.2, 2.0)),
+             (_solved("tiny p", 0.3, 3.0), _solved("tiny p", 0.3, 3.0 - 0.25 * tol))]
+    assert solver_check.report(pairs)
+    out = capsys.readouterr().out.splitlines()
+    bits = [line for line in out if line.startswith("BITS")]
+    assert len(bits) == 2 and not any(line.startswith(("FAIL", "DIFF")) for line in out)
+    assert bits[0].startswith("BITS k=2 p=0.01 t=0.1 ")
+    assert bits[0].endswith(f": value 1.0 -> {1.0 + 0.5 * tol!r} (gap {0.5 * tol:.3g})")
+    assert bits[1].startswith("BITS k=2 p=0.01 t=0.3 ")
+    assert out[-1].endswith("pass")

@@ -33,14 +33,15 @@ configuration, ``--compare`` two outputs of ``--sweep`` record by record.
 Both fail when a solve is gained or lost, an error type changes, a
 ``value`` moves by more than 1e-9 or an ``l_used`` changes.  They print
 each failure and, without failing on them, each ``cluster_count``
-difference and each ``per_l_values`` difference (a zero count that turned
-feasible or infeasible, or moved by more than 1e-9), with the entry's note
-where it has one.  Then, per part (the file, perfbench round or sweep part
-of a record's first source), how many solves succeed on each side; of
-those that succeed on both, how many return the same value to the bit,
-how many values rose and how many fell by more than 1e-9, and the largest
-fall relative to the value before.  A change that moves digits lists every
-printed difference with its explanation.
+difference, each ``per_l_values`` difference (a zero count that turned
+feasible or infeasible, or moved by more than 1e-9) and, on a ``BITS``
+line, each ``value`` that moved, but by at most 1e-9, with the entry's
+note where it has one.  Then, per part (the file, perfbench round or
+sweep part of a record's first source), how many solves succeed on each
+side; of those that succeed on both, how many return the same value to
+the bit, how many values rose and how many fell by more than 1e-9, and
+the largest fall relative to the value before.  A change that moves
+digits lists every printed difference with its explanation.
 """
 
 from __future__ import annotations
@@ -226,6 +227,7 @@ def report(pairs) -> bool:
     ok, worst, parts = True, 0.0, {}
     for entry, got in pairs:
         fails, diffs = compare(entry, got)
+        bits = []
         count = parts.setdefault(entry["sources"][0].split(":")[0], collections.Counter())
         count["solves"] += 1
         count["before"] += "value" in entry
@@ -233,15 +235,18 @@ def report(pairs) -> bool:
         if "value" in entry and "value" in got:
             count["both"] += 1
             count["same"] += got["value"] == entry["value"]  # JSON keeps every double exactly
-            worst = max(worst, abs(got["value"] - entry["value"]))
+            gap = abs(got["value"] - entry["value"])
+            worst = max(worst, gap)
+            if 0 < gap <= VALUE_TOL:
+                bits.append(f"value {entry['value']!r} -> {got['value']!r} (gap {gap:.3g})")
             count["rose"] += got["value"] - entry["value"] > VALUE_TOL
             if entry["value"] - got["value"] > VALUE_TOL:
                 # a value is >= 0, so one that falls was positive
                 count["fell"] += 1
                 count["largest fall"] = max(count["largest fall"], 1 - got["value"] / entry["value"])
-        if fails or diffs:
+        if fails or diffs or bits:
             where = " ".join(f"{key}={v!r}" for key, v in entry["config"].items())
-            for kind, lines in (("FAIL", fails), ("DIFF", diffs)):
+            for kind, lines in (("FAIL", fails), ("DIFF", diffs), ("BITS", bits)):
                 for line in lines:
                     print(f"{kind} {where}: {line}")
             if "note" in entry:
