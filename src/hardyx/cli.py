@@ -154,21 +154,12 @@ def figure2_rows():
         yield p, t_p(p), math.exp(log_lo), math.exp(log_hi)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
+def cmd_figure(args) -> int:
+    # the subcommand's parser sets the CSV's header and its rows
+    with open(args.out, "w", newline="") as fh:
+        fh.write(args.header + "\n")
+        for row in args.rows():
             fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def cmd_figure1(args) -> int:
-    _write_csv(args.out, "p,t,phi1", figure1_rows())
-    print(f"wrote {args.out}")
-    return EXIT_OK
-
-
-def cmd_figure2(args) -> int:
-    _write_csv(args.out, "p,t_p,lower,upper", figure2_rows())
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -237,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_f1 = sub.add_parser("figure1", help="CSV of t -> phi1(p, t) curves")
     p_f1.add_argument("--out", required=True)
-    p_f1.set_defaults(func=cmd_figure1)
+    p_f1.set_defaults(func=cmd_figure, header="p,t,phi1", rows=figure1_rows)
 
     p_f2 = sub.add_parser("figure2", help="CSV of p -> t_p with its enclosing band")
     p_f2.add_argument("--out", required=True)
-    p_f2.set_defaults(func=cmd_figure2)
+    p_f2.set_defaults(func=cmd_figure, header="p,t_p,lower,upper", rows=figure2_rows)
 
     p_ver = sub.add_parser("verify", help="run invariant suites")
     p_ver.add_argument(

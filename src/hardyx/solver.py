@@ -297,6 +297,9 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
 # a - b == a + (-b)), the shrink coefficient and the initial-simplex steps
 _NM_TRIAL_A, _NM_TRIAL_C = np.array([2, 3, 1.5, 0.5]), np.array([-1, -2, -0.5, 0.5])
 _NM_SIGMA, _NM_NONZDELT, _NM_ZDELT = 0.5, 0.05, 0.00025
+# the explore's stopping test, scipy's xatol and fatol: every vertex within
+# _NM_XATOL of the best in each coordinate, and its value within _NM_FATOL
+_NM_XATOL, _NM_FATOL = 1e-4, 1e-8
 # the explore's evaluations per start and free coordinate: enough to pick a
 # start's basin, which the polish finishes (module docstring)
 _EXPLORE_FEV_PER_DIM = 20
@@ -308,20 +311,20 @@ def _nm_sort(sim, fsim):
     row = np.arange(len(fsim))[:, None]
     return sim[row, ind], fsim[row, ind]
 
-def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxfev: int):
+def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
     """Nelder-Mead from every row of x0s at once; returns arrays x, fun, nfev.
 
     fun maps an (m, dim) array of points, and the index of the start each
     belongs to, onto their m values.  Each start follows
-    scipy.optimize.minimize(method="Nelder-Mead") with the same xatol,
-    fatol and maxfev (> dim): the same initial simplex, coefficients,
-    sorts and stopping test, and an expansion, contraction or shrink cut off
-    where the start runs out of evaluations.  So each row of the result is
-    what scipy returns for that start alone, where no value of fun depends
-    on the other points of its call: fun is called once for the initial
-    simplices, once per step on the reflection and all three second trials
-    of every start, and once per step in which a start shrinks, and nfev
-    counts only the points scipy evaluates.
+    scipy.optimize.minimize(method="Nelder-Mead") with xatol = _NM_XATOL,
+    fatol = _NM_FATOL and the same maxfev (> dim): the same initial simplex,
+    coefficients, sorts and stopping test, and an expansion, contraction or
+    shrink cut off where the start runs out of evaluations.  So each row of
+    the result is what scipy returns for that start alone, where no value of
+    fun depends on the other points of its call: fun is called once for the
+    initial simplices, once per step on the reflection and all three second
+    trials of every start, and once per step in which a start shrinks, and
+    nfev counts only the points scipy evaluates.
     """
     n, N = x0s.shape
     sim = np.repeat(x0s[:, None, :], N + 1, axis=1)
@@ -340,9 +343,9 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, xatol: float, fatol: float, maxf
         done = nfev >= maxfev
         # the vertex spread only where the values pass: nearly every start
         # runs to its cap
-        flat = ~done & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
+        flat = ~done & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _NM_FATOL)
         if flat.any():
-            done[flat] = np.abs(sim[flat, 1:] - sim[flat, :1]).max(axis=(1, 2)) <= xatol
+            done[flat] = np.abs(sim[flat, 1:] - sim[flat, :1]).max(axis=(1, 2)) <= _NM_XATOL
         if done.any():
             x_out[rows[done]] = sim[done, 0]
             f_out[rows[done]] = fsim[done].min(axis=1)
@@ -706,20 +709,6 @@ def _starts(cfg: SolveConfig, l: int, dim: int) -> list:
         x0s.append(np.column_stack([r, th]).ravel())
     return x0s
 
-def _polish(cfg: SolveConfig, x0s: np.ndarray, counts: np.ndarray) -> list:
-    """The lockstep SQP from leaders x0s, row i of zero count counts[i].
-
-    Returns per row (J, lams) where it ends feasible, else None
-    (_candidates).  Pinned, f(0) = 0 holds by construction and only J is
-    polished: the SQP runs unconstrained and takes only steps that lower
-    -J, up to the merit's rounding slack, so every row keeps where it
-    stops, converged or not.
-    """
-    x, f, c, _ = _sqp_lockstep(
-        lambda X, rows, grad=False: _objective_batch(cfg.p, cfg.k, cfg.t, X, counts[rows], grad),
-        x0s, constrained=cfg.t > 0)
-    return _candidates(cfg, x, f, c)
-
 def _solve_zero_counts(cfg: SolveConfig) -> dict:
     """Multistart for every zero count of cfg; returns l -> feasible (J, lams).
 
@@ -754,9 +743,7 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
         counts = np.concatenate([np.full(len(x0s), l) for l, x0s in members])
         ends, fends, _ = _nelder_mead_lockstep(
             lambda X, starts: _penalized(p, k, t, X, counts[starts]),
-            np.array([x0 for _, x0s in members for x0 in x0s]),
-            xatol=1e-4, fatol=1e-8, maxfev=_EXPLORE_FEV_PER_DIM * dim,
-        )
+            np.array([x0 for _, x0s in members for x0 in x0s]), maxfev=_EXPLORE_FEV_PER_DIM * dim)
         # each count's 8 best ends, and up to 16 within 1e-4 of its best
         leaders, owners = [], []
         at = 0
@@ -768,7 +755,15 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
             leaders += block
             owners += [l] * len(block)
             at += len(x0s)
-        for l, found in zip(owners, _polish(cfg, np.array(leaders), np.array(owners))):
+        # pinned, f(0) = 0 holds by construction and only J is polished: the
+        # SQP runs unconstrained and takes only steps that lower -J, up to the
+        # merit's rounding slack, so every row keeps where it stops, converged
+        # or not
+        owners = np.array(owners)
+        x, f, c, _ = _sqp_lockstep(
+            lambda X, rows, grad=False: _objective_batch(p, k, t, X, owners[rows], grad),
+            np.array(leaders), constrained=not pinned)
+        for l, found in zip(owners.tolist(), _candidates(cfg, x, f, c)):
             if found is not None:
                 feasible[l].append(found)
     for l, xs in points.items():

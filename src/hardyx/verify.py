@@ -65,11 +65,6 @@ def _random_polys(rng, count: int, k: int = 1):
         yield PolyCoeffs(tuple(c))
 
 
-def _wiener_defect(f: PolyCoeffs, k: int) -> PolyCoeffs:
-    w = np.asarray(wiener_coeffs(f, k).coeffs)
-    return PolyCoeffs(tuple(w - np.asarray(f.coeffs)))
-
-
 def run_wiener() -> list:
     """Averaging-operator bound on 200 random polynomials.
 
@@ -91,7 +86,8 @@ def run_wiener() -> list:
         k, p = rep.k, rep.p
         if 1.0 < p < math.inf and rep.ratio >= rep.bound - 1e-9:
             near_eq_checked += 1
-            dn = norm_hp(_wiener_defect(f, k), p, cfg)
+            defect = np.asarray(wiener_coeffs(f, k).coeffs) - np.asarray(f.coeffs)
+            dn = norm_hp(PolyCoeffs(tuple(defect)), p, cfg)
             if dn >= 1e-6 and not near_eq_bad:
                 near_eq_bad = f"{where}, k={k}, p={p}: ||Wf-f||={dn:.3e}"
 
@@ -195,10 +191,6 @@ def run_appendix() -> list:
 # theorems suite
 # ---------------------------------------------------------------------------
 
-def _phi1_grid(p: float, ts):
-    return [phi1(p, t).value for t in ts]
-
-
 def run_theorems() -> list:
     results = []
 
@@ -222,7 +214,7 @@ def run_theorems() -> list:
     # p >= 1: strictly decreasing in t
     mono_bad = ""
     for p in (1.0, 2.0, 4.0, math.inf):
-        vals = _phi1_grid(p, ts)
+        vals = [phi1(p, t).value for t in ts]
         diffs = np.diff(vals)
         if not np.all(diffs <= 1e-12):
             mono_bad = f"p={p}: max increase {float(np.max(diffs)):.3e}"
@@ -232,7 +224,7 @@ def run_theorems() -> list:
     # p < 1: unimodal, peak value psi1 at t_star
     uni_bad = ""
     for p in (0.3, 0.5, 0.7, 0.9):
-        vals = np.array(_phi1_grid(p, ts))
+        vals = np.array([phi1(p, t).value for t in ts])
         peak = int(np.argmax(vals))
         rising = np.diff(vals[: peak + 1])
         falling = np.diff(vals[peak:])

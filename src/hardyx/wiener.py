@@ -134,13 +134,14 @@ def _log_w(theta: np.ndarray, eps: float) -> np.ndarray:
     return np.log(np.abs(w)) + 1j * (np.angle(w) % _TWO_PI)
 
 
-def _even_mean(h, half_period: float, rel_tol: float) -> float:
+def _even_mean(h, half_period: float) -> float:
     """Circle mean of an even h with period 2 * half_period, from [0, half_period].
 
-    ``circle_mean`` integrates h stretched onto [0, 2 pi), so a peak of h at
-    0 lands on the seeded panel edge 0, where the starting panels are graded
-    down to 3e-16 and double-precision nodes keep their full relative
-    accuracy however far the panels are refined.
+    ``circle_mean`` integrates h stretched onto [0, 2 pi), to
+    _SHARPNESS_REL_TOL, so a peak of h at 0 lands on the seeded panel edge
+    0, where the starting panels are graded down to 3e-16 and
+    double-precision nodes keep their full relative accuracy however far
+    the panels are refined.
     """
     # The seed 0 is graded from both sides, and the side toward 2 pi is
     # needed: s = 2 pi is the half period, where W_k f_eps can nearly vanish.
@@ -148,7 +149,7 @@ def _even_mean(h, half_period: float, rel_tol: float) -> float:
     # at 1e-4 rad from it; without those panels sharpness_ratio(0.5, 2, .)
     # moved from 6.7e-16 to 4.2e-12 off its 40-digit oracle.
     scale = half_period / _TWO_PI
-    return circle_mean(lambda s: h(scale * s), rel_tol, seeds=(0.0,))
+    return circle_mean(lambda s: h(scale * s), _SHARPNESS_REL_TOL, seeds=(0.0,))
 
 
 def _pole_mean(eps: float) -> float:
@@ -201,7 +202,7 @@ def sharpness_ratio(p: float, k: int, eps: float) -> float:
         acc = sum(np.exp((logs[0] - lw) / p) for lw in logs)
         return np.abs(acc / k) ** p * np.exp(-logs[0].real)
 
-    return _even_mean(num, math.pi / k, _SHARPNESS_REL_TOL) / _pole_mean(eps)
+    return _even_mean(num, math.pi / k) / _pole_mean(eps)
 
 
 def inner_defect(f, k: int) -> float:

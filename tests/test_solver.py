@@ -347,7 +347,7 @@ def _check_skipped(monkeypatch, p, l, outside, inside):
     def no_search(*args, **kwargs):
         raise AssertionError("searched a zero count that cannot reach t")
 
-    for name in ("_nelder_mead_lockstep", "_polish", "_objective_batch"):
+    for name in ("_nelder_mead_lockstep", "_sqp_lockstep", "_candidates", "_objective_batch"):
         monkeypatch.setattr(solver, name, no_search)
     for t in outside:
         with pytest.raises(SolverError):
@@ -743,7 +743,8 @@ def _against_scipy(x0s, maxfev, out, memo, calls):
             return memo[i, x.tobytes()]
 
         res = minimize(f, x0, method="Nelder-Mead", callback=lambda xk: marks.append(seen[0]),
-                       options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": maxfev})
+                       options={"xatol": solver._NM_XATOL, "fatol": solver._NM_FATOL,
+                                "maxfev": maxfev})
         assert np.array_equal(xs[i], res.x), (maxfev, i)
         assert fun[i] == res.fun and nfev[i] == res.nfev, (maxfev, i)
         results.append(res)
@@ -758,8 +759,7 @@ def test_lockstep_nelder_mead_replicates_scipy():
     exhausted = shrunk = 0
     for f, x0s, maxfev in _replica_cases():
         memo, calls = {}, []
-        out = solver._nelder_mead_lockstep(_recorded(f, memo, calls), np.array(x0s),
-                                           xatol=1e-4, fatol=1e-8, maxfev=maxfev)
+        out = solver._nelder_mead_lockstep(_recorded(f, memo, calls), np.array(x0s), maxfev=maxfev)
         results, steps = _against_scipy(x0s, maxfev, out, memo, calls)
         exhausted += sum(res.nfev >= maxfev for res in results)
         shrunk += sum((made > 2).any() for made in steps)
@@ -786,8 +786,7 @@ def test_solve_explore_makes_one_call_per_step(monkeypatch):
 
 
 def _explore(fun, x0s, dim):
-    return solver._nelder_mead_lockstep(fun, x0s, xatol=1e-4, fatol=1e-8,
-                                        maxfev=solver._EXPLORE_FEV_PER_DIM * dim)
+    return solver._nelder_mead_lockstep(fun, x0s, maxfev=solver._EXPLORE_FEV_PER_DIM * dim)
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
@@ -953,6 +952,16 @@ def test_exact_gradient_matches_a_30_digit_oracle(p):
     assert checked >= 8
 
 
+def _polish(cfg, x0s, counts):
+    # the solve's polish: the lockstep SQP from leaders x0s, row i of zero
+    # count counts[i], and (J, lams) per row where it ends feasible
+    def fun(X, rows, grad=False):
+        return solver._objective_batch(cfg.p, cfg.k, cfg.t, X, counts[rows], grad)
+
+    x, f, c, _ = solver._sqp_lockstep(fun, x0s, constrained=cfg.t > 0)
+    return solver._candidates(cfg, x, f, c)
+
+
 @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
 @pytest.mark.parametrize("pinned", [False, True])
 def test_merged_polish_matches_each_zero_count_alone(p, pinned):
@@ -970,10 +979,10 @@ def test_merged_polish_matches_each_zero_count_alone(p, pinned):
                 groups.setdefault(dim, []).append((l, np.array(solver._starts(cfg, l, dim))))
         for dim, members in groups.items():
             counts = np.concatenate([np.full(len(x0s), l) for l, x0s in members])
-            found = solver._polish(cfg, np.concatenate([x0s for _, x0s in members]), counts)
+            found = _polish(cfg, np.concatenate([x0s for _, x0s in members]), counts)
             at = 0
             for l, x0s in members:
-                alone = solver._polish(cfg, x0s, np.full(len(x0s), l))
+                alone = _polish(cfg, x0s, np.full(len(x0s), l))
                 assert repr(found[at:at + len(x0s)]) == repr(alone), (k, l)
                 at += len(x0s)
             merged += len(members) > 1
@@ -1032,7 +1041,7 @@ def test_pinned_polish_keeps_where_the_sqp_stops(monkeypatch):
     # at t = 0 the SQP runs unconstrained and takes only steps that lower
     # -J, so each row keeps the J of its end, converged or not; here some
     # rows stop unconverged
-    lockstep, polish = solver._sqp_lockstep, solver._polish
+    lockstep, candidates = solver._sqp_lockstep, solver._candidates
     ends, found = [], []
 
     def recorded(fun, x0s, constrained):
@@ -1041,7 +1050,10 @@ def test_pinned_polish_keeps_where_the_sqp_stops(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "_sqp_lockstep", recorded)
-    monkeypatch.setattr(solver, "_polish", lambda *args: found.append(polish(*args)) or found[-1])
+    # no zero count has a closed-form point here, so the polish's ends are
+    # the only candidates
+    monkeypatch.setattr(solver, "_candidates",
+                        lambda *args: found.append(candidates(*args)) or found[-1])
     maximize_phik(SolveConfig(k=3, p=0.001010840125498493, t=0.0, starts=4))
     ((_, f, _, conv),), (rows,) = ends, found
     assert not conv.all()

@@ -209,7 +209,7 @@ def _pole_mean_oracle(eps):
 def test_pole_mean_matches_quadrature_and_elliptic_k(eps):
     got = wiener._pole_mean(eps)
     # the circle mean sharpness_ratio took before the AGM replaced it
-    quad = wiener._even_mean(lambda th: np.exp(-wiener._log_w(th, eps).real), math.pi, 1e-11)
+    quad = wiener._even_mean(lambda th: np.exp(-wiener._log_w(th, eps).real), math.pi)
     assert got == pytest.approx(quad, rel=1e-15)
     assert got == pytest.approx(float(_pole_mean_oracle(eps)), rel=1e-15)
 
