@@ -21,7 +21,8 @@ error estimate says so.  The same panel machinery handles integrands with
 a sharp near-singular peak and a starting grid that meets a pole or a
 NaN, seeded there.
 ``QuadConfig.rel_tol`` is the one quadrature setting; the panels take the
-mean of |f|^p to rel_tol * min(1, p), which holds the norm to rel_tol.
+mean of |f|^p to 1 - (1 - rel_tol)^p, about p rel_tol at small p, which
+holds the norm to rel_tol for every p.
 
 The mean is taken of (|f|/M)^p and the norm returned as M mean^(1/p), so
 that p in the hundreds or more neither under- nor overflows.  M is 1
@@ -322,7 +323,7 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
     stalls, or a grid sample is not finite (a pole on the circle), an
     adaptive panel pass finishes the job, and raises QuadratureError with
     its last two estimates if it runs out of panels.  The panels take the
-    mean of |f|^p to rel_tol * min(1, p), so that its 1/p-th power, the
+    mean of |f|^p to 1 - (1 - rel_tol)^p, so that its 1/p-th power, the
     norm, meets rel_tol.  The mean is taken of (|f|/M)^p, with M from the
     starting grid, or from a higher peak found later, so large p neither
     under- nor overflows.
@@ -523,7 +524,10 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
         # seed the panels there, where no Gauss-Legendre node lands
         seeds = _grid_seeds(~np.isfinite(samples), 0.0 if samples is prof else 0.5)
 
-    return root(circle_mean(lambda theta: power(absf(theta)), rel_tol * min(1.0, p), seeds=seeds))
+    # a mean at most 1 - (1 - rel_tol)^p low keeps its 1/p-th power at most
+    # rel_tol low, and one as far high keeps it further within rel_tol
+    mean_tol = -math.expm1(p * math.log1p(-rel_tol))
+    return root(circle_mean(lambda theta: power(absf(theta)), mean_tol, seeds=seeds))
 
 
 def norm_hinf(f, return_witness: bool = False):

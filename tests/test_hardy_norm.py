@@ -754,6 +754,18 @@ def test_large_p_peak_met_by_a_panel_node_rescales(monkeypatch):
     assert 1.0 < first < second <= 2.0
 
 
+@pytest.mark.parametrize("p", [3.0, 20.0, 1e3, 1e6, 1e10])
+def test_panel_norms_at_large_p_meet_the_gamma_formula(p):
+    # the NaN at theta = 0 sends the norm to the panels; the mean there is
+    # held to 1 - (1 - rel_tol)^p, which keeps the norm within rel_tol.  At
+    # p = 1e10 a target of rel_tol in the mean stalled at the round-off floor
+    w = np.exp(2j * math.pi * 0.3 / 32768)
+    value = norm_hp(lambda z: np.where(z == 1, np.nan, 1 + w * z), p)
+    with mpmath.workdps(40):
+        exact = mpmath.exp((mpmath.loggamma(p + 1) - 2 * mpmath.loggamma(mpmath.mpf(p) / 2 + 1)) / p)
+    assert value == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_equal_peaks_of_a_polynomial_in_z_m_are_all_resolved():
     # 32 peaks narrower than the finest grid's spacing at p = 1e7: g(w) =
     # 1 + e^{i pi/128} w has one, which the panels seed; measured on f,
