@@ -109,9 +109,10 @@ def test_demo_imports_resolve(demo):
 @pytest.mark.parametrize("demo", [d for d in DEMOS if not d.name.startswith("05_")],
                          ids=lambda path: path.name)
 def test_demo_runs(demo):
-    # a fresh process, so that a demo passing a removed parameter fails here
+    # a fresh process, so that a demo passing a removed parameter fails here,
+    # under the RuntimeWarning filter that pyproject.toml sets for the tests
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True,
-                         timeout=120)
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], env=env,
+                         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
