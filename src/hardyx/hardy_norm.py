@@ -526,7 +526,7 @@ def _scaled_norm_hp(f, absf, grid, prof, p: float, rel_tol: float, scale: float)
 
     # a mean at most 1 - (1 - rel_tol)^p low keeps its 1/p-th power at most
     # rel_tol low, and one as far high keeps it further within rel_tol
-    mean_tol = -math.expm1(p * math.log1p(-rel_tol))
+    mean_tol = -math.expm1(p * math.log1p(-rel_tol)) if rel_tol < 1 else 1.0
     return root(circle_mean(lambda theta: power(absf(theta)), mean_tol, seeds=seeds))
 
 

@@ -766,6 +766,16 @@ def test_panel_norms_at_large_p_meet_the_gamma_formula(p):
     assert value == pytest.approx(float(exact), rel=1e-12)
 
 
+@pytest.mark.parametrize("rel_tol", [1.0, 2.0])
+@pytest.mark.parametrize("p", [0.5, 3.0])
+def test_panel_norms_take_a_rel_tol_of_one_or_more(rel_tol, p):
+    # every mean of |f|^p is within 1 - (1 - rel_tol)^p = 1 of the true one
+    # on its low side, so the panels' target is 1 and nothing raises
+    w = np.exp(2j * math.pi * 0.3 / 32768)
+    value = norm_hp(lambda z: np.where(z == 1, np.nan, 1 + w * z), p, QuadConfig(rel_tol=rel_tol))
+    assert abs(value / _two_term_norm(1.0, p) - 1) <= rel_tol
+
+
 def test_equal_peaks_of_a_polynomial_in_z_m_are_all_resolved():
     # 32 peaks narrower than the finest grid's spacing at p = 1e7: g(w) =
     # 1 + e^{i pi/128} w has one, which the panels seed; measured on f,
