@@ -758,7 +758,7 @@ def test_large_p_peak_met_by_a_panel_node_rescales(monkeypatch):
 def test_panel_norms_at_large_p_meet_the_gamma_formula(p):
     # the NaN at theta = 0 sends the norm to the panels; the mean there is
     # held to 1 - (1 - rel_tol)^p, which keeps the norm within rel_tol.  At
-    # p = 1e10 a target of rel_tol in the mean stalled at the round-off floor
+    # p = 1e10 holding the mean to rel_tol itself meets the round-off floor
     w = np.exp(2j * math.pi * 0.3 / 32768)
     value = norm_hp(lambda z: np.where(z == 1, np.nan, 1 + w * z), p)
     with mpmath.workdps(40):
