@@ -241,16 +241,17 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     zeros = np.arange(k)[:, None] < l  # slot j of a row carries a Blaschke zero
     num = np.zeros((k + 1, n), dtype=complex)
     num[0] = 1.0
-    for j in range(int(np.max(l))):
+    for j in range(int(np.asarray(l).max())):
         times = lam[j] * num
         times[1:] -= num[:-1]
         num = np.where(zeros[j], times, num)
     e = 2.0 / p
     weight = zeros - e
-    power, P = w, []
-    for _ in range(k):
-        P.append(_chain_sum(weight * power))
+    P = [_chain_sum(weight * w)]
+    power = w
+    for _ in range(1, k):
         power = power * w
+        P.append(_chain_sum(weight * power))
     E = [1.0]
     for d in range(1, k + 1):
         E.append(_chain_sum([P[d - 1], *(P[m - 1] * E[d - m] for m in range(1, d))]) / d)
@@ -258,18 +259,18 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     if grad:
         # slot j's numerator without its factor (0 where j carries no zero),
         # and the coefficients of d E/d w_j, each of shape (k, n) per degree
-        quot = [np.zeros((k, n), dtype=complex)] * (k + 1)
+        quot = np.zeros((k + 1, k, n), dtype=complex)
         for d in range(k, 0, -1):
             quot[d - 1] = lam * quot[d] - num[d]
-        quot = [np.where(zeros, q, 0) for q in quot]
+        quot = np.where(zeros, quot, 0)
         F = [0.0]
         for d in range(1, k + 1):
             F.append(weight * E[d - 1] + w * F[d - 1])
         dak_dlam = _chain_sum([quot[k], *(quot[i] * E[k - i] for i in range(k))])
         dak_dw = _chain_sum(num[i] * F[k - i] for i in range(k))
-        derivs = [quot[0], dak_dlam, dak_dw, np.zeros((k, n), dtype=complex)]
+        derivs = [quot[0], dak_dlam, dak_dw]
     if not e:
-        return (num[0], ak, np.ones(n)) + ((derivs,) if grad else ())
+        return (num[0], ak, np.ones(n)) + ((derivs + [np.zeros((k, n), dtype=complex)],) if grad else ())
     c = np.zeros((k + 1, n), dtype=complex)
     c[0] = 1.0
     for j in range(k):
@@ -283,9 +284,9 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     q = [np.ones((k, n), dtype=complex)]
     for d in range(2, k + 1):
         q.append(c[d - 1] + w * q[-1])
-    dS = _chain_sum(c[d].conj() * q[d - 1] for d in range(1, k + 1))
-    derivs[3] = -dS / (p * total)
-    return num[0], ak, nrm, derivs
+    cc = c.conj()
+    dS = _chain_sum(cc[d] * q[d - 1] for d in range(1, k + 1))
+    return num[0], ak, nrm, derivs + [-dS / (p * total)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,8 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
 # scipy's Nelder-Mead: the reflection, expansion, outside and inside
 # contraction a xbar + c worst (scipy's a xbar - |c| worst, the same double:
 # a - b == a + (-b)), the shrink coefficient and the initial-simplex steps
-_NM_TRIAL_A, _NM_TRIAL_C = np.array([2, 3, 1.5, 0.5]), np.array([-1, -2, -0.5, 0.5])
+_NM_TRIAL_A = np.array([2, 3, 1.5, 0.5])[:, None, None]
+_NM_TRIAL_C = np.array([-1, -2, -0.5, 0.5])[:, None, None]
 _NM_SIGMA, _NM_NONZDELT, _NM_ZDELT = 0.5, 0.05, 0.00025
 # the explore's stopping test, scipy's xatol and fatol: every vertex within
 # _NM_XATOL of the best in each coordinate, and its value within _NM_FATOL
@@ -304,12 +306,12 @@ _NM_XATOL, _NM_FATOL = 1e-4, 1e-8
 # start's basin, which the polish finishes (module docstring)
 _EXPLORE_FEV_PER_DIM = 20
 
-def _nm_sort(sim, fsim):
+def _nm_sort(sim, fsim, offs):
     # np.argsort's default kind, as in scipy: it is not stable on every
-    # platform, and tied vertices must fall the same way
-    ind = np.argsort(fsim, axis=1)
-    row = np.arange(len(fsim))[:, None]
-    return sim[row, ind], fsim[row, ind]
+    # platform, and tied vertices must fall the same way.  offs[i] = i (N + 1)
+    # turns row i's order into indices of the vertices of all rows
+    at = fsim.argsort(axis=1) + offs
+    return sim.reshape(-1, sim.shape[2]).take(at, axis=0), fsim.take(at)
 
 def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
     """Nelder-Mead from every row of x0s at once; returns arrays x, fun, nfev.
@@ -331,19 +333,23 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
     for j in range(N):
         y = x0s[:, j]
         sim[:, j + 1, j] = np.where(y != 0, (1 + _NM_NONZDELT) * y, _NM_ZDELT)
-    fsim = fun(sim.reshape(-1, N), np.repeat(np.arange(n), N + 1)).reshape(n, N + 1)
+    rows = np.arange(n)  # the starts still running, in population order
+    fsim = fun(sim.reshape(-1, N), np.repeat(rows, N + 1)).reshape(n, N + 1)
     # scipy sorts twice before its first step; with an unstable sort the
     # second pass can reorder ties
-    sim, fsim = _nm_sort(*_nm_sort(sim, fsim))
+    offs = rows[:, None] * (N + 1)
+    sim, fsim = _nm_sort(*_nm_sort(sim, fsim, offs), offs)
     nfev = np.full(n, N + 1)
 
     x_out, f_out, nfev_out = np.empty((n, N)), np.empty(n), np.empty(n, dtype=int)
-    rows = np.arange(n)  # the starts still running, in population order
+    # each trial's start, and each live start's position, kept until one finishes
+    rows4, pos = np.tile(rows, 4), rows
     while rows.size:
         done = nfev >= maxfev
         # the vertex spread only where the values pass: nearly every start
-        # runs to its cap
-        flat = ~done & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _NM_FATOL)
+        # runs to its cap.  fsim is sorted, so its spread max_j |f_0 - f_j|
+        # is f_N - f_0, NaN and inf alike
+        flat = ~done & (fsim[:, -1] - fsim[:, 0] <= _NM_FATOL)
         if flat.any():
             done[flat] = np.abs(sim[flat, 1:] - sim[flat, :1]).max(axis=(1, 2)) <= _NM_XATOL
         if done.any():
@@ -354,29 +360,35 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
             rows, sim, fsim, nfev = rows[live], sim[live], fsim[live], nfev[live]
             if not rows.size:
                 break
+            rows4, pos = np.tile(rows, 4), np.arange(rows.size)
+            offs = pos[:, None] * (N + 1)
 
-        xbar = np.add.reduce(sim[:, :-1], axis=1) / N
-        trial = _NM_TRIAL_A[:, None] * xbar[:, None] + _NM_TRIAL_C[:, None] * sim[:, -1:]
-        ftrial = fun(trial.reshape(-1, N), np.repeat(rows, 4)).reshape(-1, 4)
-        fxr = ftrial[:, 0]
+        # scipy's np.add.reduce(sim[:-1], 0): from 0.0, then vertex by vertex
+        xbar = _chain_sum([0.0, *(sim[:, j] for j in range(N))]) / N
+        # trial i of every start, then trial i + 1
+        trial = _NM_TRIAL_A * xbar + _NM_TRIAL_C * sim[:, -1]
+        ftrial = fun(trial.reshape(-1, N), rows4).reshape(4, -1)
+        fxr = ftrial[0]
         nfev += 1
         expand = fxr < fsim[:, 0]
-        reflect = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+        no_expand = ~expand
+        reflect = no_expand & (fxr < fsim[:, -2])
+        outside = no_expand & ~reflect & (fxr < fsim[:, -1])
         # scipy's second trial: the expansion, outside or inside contraction
         second = 3 - 2 * expand - outside
-        f2 = ftrial[np.arange(rows.size), second]
+        f2 = ftrial[second, pos]
         tried = ~reflect & (nfev < maxfev)  # while the start has evaluations left
         nfev += tried
-        better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
+        # expand and outside exclude each other
+        better = np.where(outside, f2 <= fxr, f2 < np.where(expand, fxr, fsim[:, -1]))
         take_2 = tried & better
-        shrink = tried & ~expand & ~better
-        swap = np.nonzero(take_2 | reflect | (tried & expand))[0]
+        shrink = tried & no_expand & ~better
+        swap = (take_2 | reflect | (tried & expand)).nonzero()[0]
         pick = np.where(take_2, second, 0)[swap]
-        sim[swap, -1], fsim[swap, -1] = trial[swap, pick], ftrial[swap, pick]
+        sim[swap, -1], fsim[swap, -1] = trial[pick, swap], ftrial[pick, swap]
 
         if shrink.any():
-            s = np.nonzero(shrink)[0]
+            s = shrink.nonzero()[0]
             ssim, sf = sim[s], fsim[s]
             moved = ssim[:, :1] + _NM_SIGMA * (ssim[:, 1:] - ssim[:, :1])
             # scipy moves vertex j, then evaluates it; the vertex at which a
@@ -389,7 +401,7 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
             sim[s], fsim[s] = ssim, sf
             nfev[s] += evaluated.sum(axis=1)
 
-        sim, fsim = _nm_sort(sim, fsim)
+        sim, fsim = _nm_sort(sim, fsim, offs)
     return x_out, f_out, nfev_out
 
 
@@ -405,7 +417,19 @@ _EPS = np.finfo(float).eps
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_j a[..., j] b[..., j], by _chain_sum: each row's as if alone."""
-    return _chain_sum(np.moveaxis(a * b, -1, 0))
+    prod = a * b
+    return _chain_sum(prod[..., j] for j in range(prod.shape[-1]))
+
+def _first_per_row(at: np.ndarray, ok: np.ndarray):
+    """(rows, indices): each row of at with a trial that passes, and its first.
+
+    at holds the row of each trial, grouped by row in increasing order, and
+    ok whether the trial passes.
+    """
+    hit = ok.nonzero()[0]
+    won = at[hit]
+    first = np.diff(won, prepend=-1) != 0
+    return won[first], hit[first]
 
 def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     """min f subject to c = 0 from every row of x0s at once; returns x, f, c, converged.
@@ -451,10 +475,13 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
             # grad c vanishes where no step of a radian moves c by a rounding
             # unit of t_hat <= 1: the |g0| guard, an overflowed norm, and
             # points where t_hat underflows
-            out = ~(_dot(gc, gc) > _EPS * _EPS)
-            x_out[rows[out]], f_out[rows[out]], c_out[rows[out]] = x[out], f[out], c[out]
-            rows, x, f, c, gf, gc, B, fresh, spare, mu = (
-                v[~out] for v in (rows, x, f, c, gf, gc, B, fresh, spare, mu))
+            gg = _dot(gc, gc)
+            out = ~(gg > _EPS * _EPS)
+            if out.any():
+                x_out[rows[out]], f_out[rows[out]], c_out[rows[out]] = x[out], f[out], c[out]
+                keep = ~out
+                rows, x, f, c, gf, gc, gg, B, fresh, spare, mu = (
+                    v[keep] for v in (rows, x, f, c, gf, gc, gg, B, fresh, spare, mu))
         m = rows.size
         if not m:
             break
@@ -473,43 +500,52 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
         size = np.abs(mult[:, 0])
         mu = np.maximum(need, np.maximum(size, 0.5 * (mu + size)))
         merit, descent = f + mu * viol, slope - mu * viol
+        slack = 4 * _EPS * np.abs(merit)
 
-        def attempt(at, a, corr):
-            # x + a step + a^2 corr for rows at, in one call; each row takes its first pass
-            xt = x[at] + a[:, None] * step[at] + (a * a)[:, None] * corr
-            ft, ct = fun(xt, rows[at])
-            # a change within the rounding of the merit counts as none
-            ok = (ft + mu[at] * np.abs(ct) - merit[at]
-                  <= _LS_ETA * a * descent[at] + 4 * _EPS * np.abs(merit[at]))
-            won, first = np.unique(at[ok], return_index=True)
-            pick = np.nonzero(ok)[0][first]
-            x_new[won], f_new[won], c_new[won], moved[won] = xt[pick], ft[pick], ct[pick], True
-            return ct
+        def passes(ft, ct, at, a):
+            # sufficient decrease of the merit at alpha = a for rows at; a
+            # change within the rounding of the merit counts as none
+            return ft + mu[at] * np.abs(ct) - merit[at] <= _LS_ETA * a * descent[at] + slack[at]
 
-        x_new, f_new, c_new, moved = x.copy(), f.copy(), c.copy(), np.zeros(m, dtype=bool)
-        ct = attempt(np.arange(m), np.ones(m), np.zeros((m, dim)))
+        # the full step: the arc below at alpha = 1 with no correction, whose
+        # + 1^2 0 turns a -0.0 into +0.0
+        x_new = x + step + 0.0
+        f_new, ct = fun(x_new, rows)
+        moved = passes(f_new, ct, slice(None), 1.0)
+        c_new = np.where(moved, ct, c)
+        f_new = np.where(moved, f_new, f)
+        x_new = np.where(moved[:, None], x_new, x)
         # the full step's c fixes every later trial of the rows it fails: with
-        # the correction, cut j is at alpha = 2^(1-j), and without, at 2^-j
-        fail = np.nonzero(~moved)[0]
+        # the correction, cut j is at alpha = 2^(1-j), and without, at 2^-j.
+        # The trials are grouped by row, each row's in the order of its cuts
+        fail = (~moved).nonzero()[0]
         if fail.size:
             cuts = np.arange(1, _LS_CUTS_FROM_I + 1)
-            at, cut = np.nonzero(cuts <= np.where(fresh[fail], _LS_CUTS_FROM_I, _LS_CUTS)[:, None])
-            gcf = gc[fail]
-            corr = -gcf * (ct[fail] / _dot(gcf, gcf))[:, None] if constrained else np.zeros_like(gcf)
-            attempt(fail[at], np.ldexp(1.0, int(constrained) - cuts[cut]), corr[at])
+            i, cut = (cuts <= np.where(fresh[fail], _LS_CUTS_FROM_I, _LS_CUTS)[:, None]).nonzero()
+            corr = (-gc[fail] * (ct[fail] / gg[fail])[:, None] if constrained
+                    else np.zeros((fail.size, dim)))
+            at, a = fail[i], np.ldexp(1.0, int(constrained) - cuts[cut])
+            xt = x[at] + a[:, None] * step[at] + (a * a)[:, None] * corr[i]
+            ft, ct = fun(xt, rows[at])
+            won, hit = _first_per_row(at, passes(ft, ct, at, a))
+            x_new[won], f_new[won], c_new[won], moved[won] = xt[hit], ft[hit], ct[hit], True
 
         conv = moved & (np.abs(f_new - f) < _POLISH_FTOL) & (np.abs(c_new) < _POLISH_FTOL)
-        stop = (~moved & (fresh | ~spare)) | conv
-        again = ~moved & ~stop
-        B[again] = np.eye(dim)
-        fresh |= again
-        spare &= ~again
-        x_out[rows[stop]], f_out[rows[stop]], c_out[rows[stop]] = x_new[stop], f_new[stop], c_new[stop]
-        conv_out[rows[stop]] = conv[stop]
-        rows, x, x_new, f, c, gf, gc, B, fresh, spare, mu, mult = (
-            v[~stop] for v in (rows, x, x_new, f, c, gf, gc, B, fresh, spare, mu, mult))
-        if not rows.size:
-            break
+        stuck = ~moved
+        stop = (stuck & (fresh | ~spare)) | conv
+        again = stuck & ~stop
+        if again.any():
+            B[again] = np.eye(dim)
+            fresh |= again
+            spare &= ~again
+        if stop.any():
+            x_out[rows[stop]], f_out[rows[stop]], c_out[rows[stop]] = x_new[stop], f_new[stop], c_new[stop]
+            conv_out[rows[stop]] = conv[stop]
+            keep = ~stop
+            rows, x, x_new, f, c, gf, gc, B, fresh, spare, mu, mult = (
+                v[keep] for v in (rows, x, x_new, f, c, gf, gc, B, fresh, spare, mu, mult))
+            if not rows.size:
+                break
         f, c, gf_new, gc_new = fun(x_new, rows, grad=True)
         s = x_new - x
         y = (gf_new + mult * gc_new) - (gf + mult * gc)
@@ -550,9 +586,12 @@ def _lams_from_x_batch(X: np.ndarray, k: int, pinned: bool) -> np.ndarray:
     The free slots are the X.shape[1] // 2 from lam_1 (pinned) or lam_0 on.
     """
     r, th = X[:, 0::2], X[:, 1::2]
+    block = np.sin(r) ** 2 * np.exp(1j * th)
+    if not pinned and r.shape[1] == k:
+        return block
     lo = int(pinned)
     lams = np.zeros((X.shape[0], k), dtype=complex)
-    lams[:, lo:lo + r.shape[1]] = np.sin(r) ** 2 * np.exp(1j * th)
+    lams[:, lo:lo + r.shape[1]] = block
     return lams
 
 def _x_from_lams(lams, k: int, l: int, p: float) -> np.ndarray:
@@ -589,13 +628,15 @@ def _objective_batch(p: float, k: int, t: float, X: np.ndarray, l, grad: bool = 
         t_hat = np.divide(a0, nrm, out=np.zeros(n), where=live)
     if not grad:
         return -J, t_hat - t
-    slot = int(pinned) + np.arange(X.shape[1]) // 2  # the lambda each column moves
+    lo = int(pinned)
+    slot = lo + np.arange(X.shape[1]) // 2  # the lambda each column moves
     dg0, dak_dlam, dak_dw, dlog_dw = (d.T[:, slot] for d in out[3])
     dlam = np.empty(X.shape, dtype=complex)
     dlam[:, 0::2] = np.sin(2 * X[:, 0::2]) * np.exp(1j * X[:, 1::2])
-    dlam[:, 1::2] = 1j * lams[:, slot[1::2]]
-    dak = dak_dlam * dlam + dak_dw * dlam.conj()
-    dlog_nrm = 2 * (dlog_dw * dlam.conj()).real
+    dlam[:, 1::2] = 1j * lams[:, lo:lo + X.shape[1] // 2]
+    dlam_c = dlam.conj()
+    dak = dak_dlam * dlam + dak_dw * dlam_c
+    dlog_nrm = 2 * (dlog_dw * dlam_c).real
     zero = np.zeros(X.shape)
     if pinned:
         dJ = np.divide((ak.conj()[:, None] * dak).real, (size * nrm)[:, None], out=zero.copy(),
@@ -605,7 +646,7 @@ def _objective_batch(p: float, k: int, t: float, X: np.ndarray, l, grad: bool = 
     ok = (live & np.isfinite(nrm))[:, None]
     h = np.divide(dg0 * dlam, g0[:, None], out=np.zeros(X.shape, dtype=complex), where=ok)
     phase = np.divide(g0.conj(), a0, out=np.zeros(n, dtype=complex), where=live)[:, None]
-    dJ = np.divide((phase * (dak - 1j * h.imag * ak[:, None])).real, nrm[:, None], out=zero.copy(),
+    dJ = np.divide((phase * (dak - 1j * h.imag * ak[:, None])).real, nrm[:, None], out=zero,
                    where=ok) - J[:, None] * dlog_nrm
     return (-J, t_hat - t, -np.where(ok, dJ, 0.0),
             np.where(ok, t_hat[:, None] * (h.real - dlog_nrm), 0.0))
@@ -698,16 +739,17 @@ def _in_family_point(cfg: SolveConfig) -> list:
         return []
     return [_x_from_lams([-_root(hdh, 0.0, 1.0, h_lo, h_hi)] * k, k, 0, p)]
 
+# the upper ends of a random start's r and theta, broadcast over its free slots
+_START_HIGH = np.array([[math.pi / 2.0], [2.0 * math.pi]])
+
 def _starts(cfg: SolveConfig, l: int, dim: int) -> list:
     """The warm starts and cfg.starts random ones, from zero count l's own stream."""
     rng = np.random.default_rng([cfg.seed, cfg.k, l, 1])
     x0s = _warm_starts(cfg.p, cfg.k, l, cfg.t)
     n_random = max(cfg.starts - len(x0s), 1)
-    for _ in range(n_random):
-        r = rng.uniform(0.0, math.pi / 2.0, size=dim // 2)
-        th = rng.uniform(0.0, 2.0 * math.pi, size=dim // 2)
-        x0s.append(np.column_stack([r, th]).ravel())
-    return x0s
+    # each start's r draws, then its theta draws, as one call per start would
+    draws = rng.uniform(0.0, _START_HIGH, size=(n_random, 2, dim // 2))
+    return x0s + list(draws.transpose(0, 2, 1).reshape(n_random, dim))
 
 def _solve_zero_counts(cfg: SolveConfig) -> dict:
     """Multistart for every zero count of cfg; returns l -> feasible (J, lams).

@@ -25,6 +25,7 @@ from hardyx.closed_form import (
     solve_alpha,
     t_p,
 )
+from hardyx.hardy_norm import _chain_sum
 from hardyx.solver import (
     ExtremalSolution,
     SolveConfig,
@@ -691,6 +692,7 @@ def _rosenbrock_rows(X, starts):
     return np.array([_quantised_rosenbrock(x) for x in X])
 
 
+
 def _replica_cases():
     rng = np.random.default_rng(11)
     # the solver's own penalty from its seeded starts; the pinned case shrinks
@@ -707,8 +709,20 @@ def _replica_cases():
     # small budgets cut starts off in every phase of a step, shrinks included
     for dim in (2, 3, 5):
         x0s = [rng.uniform(-2, 2, dim) for _ in range(6)] + [np.zeros(dim)]
+
+        def with_holes(X, starts, x0s=np.array(x0s)):
+            # inf and NaN, which the sorts and the stopping test must order
+            # and compare as scipy does, where a start has moved far from
+            # its first simplex: its best vertex stays finite
+            values = _rosenbrock_rows(X, starts)
+            shift = X[:, 0] - x0s[starts, 0]
+            values[shift > 0.5] = math.inf
+            values[shift < -0.5] = math.nan
+            return values
+
         for maxfev in (dim + 2, 23, 37, 61, 2000):
             yield _rosenbrock_rows, x0s, maxfev
+            yield with_holes, x0s, maxfev
 
 
 def _recorded(fun, memo, calls):
@@ -746,7 +760,9 @@ def _against_scipy(x0s, maxfev, out, memo, calls):
                        options={"xatol": solver._NM_XATOL, "fatol": solver._NM_FATOL,
                                 "maxfev": maxfev})
         assert np.array_equal(xs[i], res.x), (maxfev, i)
-        assert fun[i] == res.fun and nfev[i] == res.nfev, (maxfev, i)
+        # to the bit, so that a NaN matches a NaN
+        assert np.float64(fun[i]).tobytes() == np.float64(res.fun).tobytes(), (maxfev, i)
+        assert nfev[i] == res.nfev, (maxfev, i)
         results.append(res)
         steps.append(np.diff([len(x0) + 1] + marks))
     n = max(map(len, steps))
@@ -1084,3 +1100,59 @@ def test_polish_ends_at_kkt_points(monkeypatch, t):
         assert (np.abs(c[conv]) < solver._POLISH_FTOL).all()
         gf = gf - ((gf * gc).sum(axis=1) / (gc * gc).sum(axis=1))[:, None] * gc
     assert np.abs(gf).max() < 1e-4
+
+
+# The loops and numpy calls that the lockstep bookkeeping replaced, kept as
+# references: each replacement does the same arithmetic in the same order,
+# so it must give the same bytes, inf, NaN and -0.0 included.
+
+def _with_specials(rng, shape):
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    kind = rng.integers(0, 20, shape)
+    for code, value in enumerate((math.inf, -math.inf, math.nan, -0.0, 0.0)):
+        x[kind == code] = value
+    return x
+
+
+def test_starts_draw_in_one_call_what_two_calls_a_start_drew():
+    for k, p, t, l, starts, seed in ((1, 0.5, 0.3, 0, 5, 0), (2, 0.5, 0.3, 1, 9, 3),
+                                     (3, 2.0, 0.6, 3, 7, 1), (2, math.inf, 0.4, 2, 4, 2),
+                                     (2, 0.5, 0.0, 1, 1, 5), (5, 0.3, 0.2, 2, 3, 4)):
+        cfg = SolveConfig(k=k, p=p, t=t, starts=starts, seed=seed)
+        dim = 2 * len(solver._free_slots(k, l, p, t == 0.0))
+        rng = np.random.default_rng([seed, k, l, 1])
+        ref = solver._warm_starts(p, k, l, t)
+        for _ in range(max(starts - len(ref), 1)):
+            r = rng.uniform(0.0, math.pi / 2.0, size=dim // 2)
+            th = rng.uniform(0.0, 2.0 * math.pi, size=dim // 2)
+            ref.append(np.column_stack([r, th]).ravel())
+        got = solver._starts(cfg, l, dim)
+        assert len(got) == len(ref), (k, l)
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), (k, l)
+
+
+def test_dot_adds_as_the_moveaxis_chain_did():
+    rng = np.random.default_rng(19)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m, dim in ((1, 1), (5, 2), (12, 4), (40, 6)):
+            a, b = _with_specials(rng, (m, dim)), _with_specials(rng, (m, dim))
+            B = _with_specials(rng, (m, dim, dim))
+            for x, y in ((a, b), (B, a[:, None, :])):
+                ref = _chain_sum(np.moveaxis(x * y, -1, 0))
+                assert solver._dot(x, y).tobytes() == ref.tobytes(), (m, dim, x.ndim)
+
+
+def test_first_passing_trial_of_each_row_as_np_unique_picked_it():
+    rng = np.random.default_rng(23)
+    several = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 12))
+        rows = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+        at = np.repeat(rows, rng.integers(1, 31, rows.size))
+        ok = rng.random(at.size) < rng.choice([0.0, 0.05, 0.3, 0.9])
+        won, first = np.unique(at[ok], return_index=True)
+        hit = np.nonzero(ok)[0][first]
+        got_won, got_hit = solver._first_per_row(at, ok)
+        assert got_won.tobytes() == won.tobytes() and got_hit.tobytes() == hit.tobytes()
+        several += np.any(np.bincount(at[ok], minlength=m) > 1)
+    assert several >= 100
