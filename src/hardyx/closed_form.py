@@ -50,6 +50,10 @@ _BOUNDARY_SNAP = 1e-13
 _P_MIN = 1e-300
 # below this 1 - p, alpha_p is solved on the u-form of F_p (_Fp_near_one)
 _NEAR_ONE = 0.35
+# below this p, alpha_p's Newton search starts from the small-p balance: from
+# (4/3) log alpha2 it takes 1 to 4 more values of F_p below, as many up to
+# p = 0.017, and one fewer from 0.02 on
+_SMALL_P = 2e-3
 
 
 @dataclass(frozen=True)
@@ -419,8 +423,11 @@ def _log_alpha_p(p: float) -> float:
     alpha_p is bracketed by [1.5 log alpha2, log alpha2]: log alpha_p /
     log alpha2 rises from 1 as p -> 0 to at most 1.342 (near p = 0.2) and
     tends to 4/3 as p -> 1, where u_p ~ 4(1-p)/3 and u2 = atanh(1-p).  So
-    the Newton iteration starts at (4/3) log alpha2.  A p that raises is
-    not remembered and raises again.
+    the Newton iteration starts at (4/3) log alpha2, and below p =
+    _SMALL_P, where that start lies far from the root, at the small-p
+    balance alpha^2 = p / (4 (|log alpha| - 1)): F_p = 0 with log1p and
+    expm1 taken to first order in p, solved by two fixed-point steps from
+    log alpha2.  A p that raises is not remembered and raises again.
     """
     if not (0 < p < 1):
         raise ValueError(f"p must lie in (0, 1) (got {p})")
@@ -440,7 +447,12 @@ def _log_alpha_p(p: float) -> float:
     if not (f_lo > 0 and f_hi < 0):
         raise RuntimeError(f"F_p sign pattern violated at the bracket for p={p}: "
                            f"{f_lo} at log a = {lo}, {f_hi} at log alpha2 = {hi}")
-    L = _root(fdf, lo, hi, f_lo, f_hi, x0=4.0 / 3.0 * hi)
+    x0 = 4.0 / 3.0 * hi
+    if p < _SMALL_P:
+        x0 = hi
+        for _ in range(2):
+            x0 = 0.5 * (lp - math.log(4.0 * (-x0 - 1.0)))
+    L = _root(fdf, lo, hi, f_lo, f_hi, x0=x0)
     if abs(fdf(L)[0]) > 1e-12:
         raise RuntimeError(f"F_p residual too large at the computed root for p={p}")
     return L

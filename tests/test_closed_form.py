@@ -522,6 +522,23 @@ def test_root_takes_few_evaluations(monkeypatch):
     assert max(counts) <= 12
 
 
+def test_alpha_p_at_small_p_takes_few_values_of_F(monkeypatch):
+    # from (4/3) log alpha2 these took 13.4 values on average, and up to 17
+    F = closed_form._Fp_scaled
+    calls = [0]
+
+    def counted(p, lp, L):
+        calls[0] += 1
+        return F(p, lp, L)
+
+    monkeypatch.setattr(closed_form, "_Fp_scaled", counted)
+    ps = np.geomspace(1e-300, 0.05, 60)
+    for p in ps:
+        closed_form._log_alpha_p.__wrapped__(float(p))
+    # the two ends of the bracket and the residual check included
+    assert calls[0] / len(ps) <= 8
+
+
 @pytest.mark.parametrize("delta", np.geomspace(1e-12, 1e-1, 23).tolist())
 def test_t_p_and_alpha_p_near_one_match_mpmath(delta):
     # the u-form of F_p keeps its relative accuracy as alpha_p -> 1
