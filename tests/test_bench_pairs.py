@@ -48,3 +48,42 @@ def test_worse_by_is_relative_to_the_base_in_each_metrics_direction():
     assert cmp["ops_per_s"]["worse_by"] == pytest.approx(-0.25)
     assert cmp["op_p50_ms"]["worse_by"] == pytest.approx(-0.2)
     assert cmp["ops_per_s"]["within_bound"] and cmp["op_p50_ms"]["within_bound"]
+
+
+def test_a_gain_needs_nine_pairs_in_ten_and_more_than_the_base_iqr():
+    base_values = [9.0, 9.5, 10.0, 10.5, 11.0, 9.8, 10.2, 9.6, 10.4, 10.1]
+    base = _runs(base_values)
+    head = [1.5 * v for v in base_values]
+    head[0] = 8.0  # the one pair the head loses
+    cmp = bench_pairs.compare(base, _runs(head), _METRICS)
+    for name in ("ops_per_s", "op_p50_ms"):
+        assert cmp[name]["head_better_pairs"] == 9 and cmp[name]["beats_base_iqr"]
+        assert cmp[name]["verdict"] == "gain"
+    # two lost pairs: the better median is no gain
+    head[1] = 9.0
+    cmp = bench_pairs.compare(base, _runs(head), _METRICS)
+    assert cmp["ops_per_s"]["head_better_pairs"] == 8
+    assert cmp["ops_per_s"]["verdict"] == "within bound"
+    # every pair won, but by less than the base's IQR
+    cmp = bench_pairs.compare(base, _runs([v + 0.01 for v in base_values]), _METRICS)
+    assert cmp["ops_per_s"]["head_better_pairs"] == 10 and not cmp["ops_per_s"]["beats_base_iqr"]
+    assert cmp["ops_per_s"]["verdict"] == "within bound"
+
+
+def test_a_spread_wider_than_the_bound_leaves_the_verdict_unresolved():
+    base_values = [float(v) for v in range(1, 11)]  # IQR 5.5 on a median of 5.5
+    base = _runs(base_values)
+    metric = _METRICS[:1]
+    # 5% worse, within the bound, but the base's runs spread over 100%
+    cmp = bench_pairs.compare(base, _runs([0.95 * v for v in base_values]), metric)
+    assert cmp["ops_per_s"]["within_bound"] and cmp["ops_per_s"]["verdict"] == "unresolved"
+    # every head run beats every base run, though not by the IQR
+    cmp = bench_pairs.compare(base, _runs([10.1 + 0.1 * i for i in range(10)]), metric)
+    assert not cmp["ops_per_s"]["beats_base_iqr"]
+    assert cmp["ops_per_s"]["verdict"] == "within bound"
+    # worse than the bound is said first, however wide the spread
+    cmp = bench_pairs.compare(base, _runs([0.5 * v for v in base_values]), metric)
+    assert cmp["ops_per_s"]["verdict"] == "worse than bound"
+    # a narrow spread and a median within the bound
+    cmp = bench_pairs.compare(_runs([4.0] * 3), _runs([3.6] * 3), metric)
+    assert cmp["ops_per_s"]["verdict"] == "within bound"

@@ -19,7 +19,8 @@ perfbench/steady.py's ``summarize``.  The head's
 file adds, per metric, the ratio of the medians and the pairs in which the
 head is better, with the direction ("better") of BENCHMARK.json; and per
 end-to-end metric how much worse the head's median is than the base's,
-relative to the base, and whether that is within the metric's ``bound``.
+relative to the base, whether that is within the metric's ``bound``, and
+a verdict by the paired rule of the choosing-metrics method (``compare``).
 """
 
 from __future__ import annotations
@@ -85,24 +86,41 @@ def compare(base: list[dict], head: list[dict], metrics: list[dict]) -> dict:
     ``worse_by`` is how much worse the head's median is than the base's,
     relative to the base, in the metric's direction ("better"; negative
     where the head is better), and ``within_bound`` whether it is at most
-    the metric's ``bound``.
+    the metric's ``bound``.  ``verdict`` is the first that holds of:
+    "gain", where the head wins at least 9 of 10 pairs and its median beats
+    the base's by more than the base's IQR; "worse than bound", where
+    ``worse_by`` exceeds the bound; "unresolved", where the base's IQR
+    exceeds the bound relative to its median and some head run does not
+    beat every base run; and "within bound".
     """
     sb, sh = summarize(base), summarize(head)
     out = {}
     for metric in metrics:
         name = metric["name"]
         sign = 1.0 if metric["better"] == "higher" else -1.0
-        wins = sum(sign * (h["metrics"][name] - b["metrics"][name]) > 0
-                   for b, h in zip(base, head))
+        b_vals = [sign * b["metrics"][name] for b in base]
+        h_vals = [sign * h["metrics"][name] for h in head]
+        wins = sum(h > b for b, h in zip(b_vals, h_vals))
         gain = sign * (sh[name]["median"] - sb[name]["median"])
         worse_by = -gain / sb[name]["median"]
+        beats_iqr = gain > sb[name]["iqr"]
+        if wins >= 0.9 * len(base) and beats_iqr:
+            verdict = "gain"
+        elif worse_by > metric["bound"]:
+            verdict = "worse than bound"
+        elif (sb[name]["iqr"] > metric["bound"] * abs(sb[name]["median"])
+              and not min(h_vals) > max(b_vals)):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         out[name] = {
             "ratio": sh[name]["median"] / sb[name]["median"],
             "head_better_pairs": wins,
             "pairs": len(base),
-            "beats_base_iqr": gain > sb[name]["iqr"],
+            "beats_base_iqr": beats_iqr,
             "worse_by": worse_by,
             "within_bound": worse_by <= metric["bound"],
+            "verdict": verdict,
         }
     return out
 
