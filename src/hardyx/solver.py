@@ -306,11 +306,12 @@ _NM_XATOL, _NM_FATOL = 1e-4, 1e-8
 # start's basin, which the polish finishes (module docstring)
 _EXPLORE_FEV_PER_DIM = 20
 
-def _nm_sort(sim, fsim, offs):
+def _nm_sort(sim, fsim, pos):
     # np.argsort's default kind, as in scipy: it is not stable on every
-    # platform, and tied vertices must fall the same way.  offs[i] = i (N + 1)
-    # turns row i's order into indices of the vertices of all rows
-    at = fsim.argsort(axis=1) + offs
+    # platform, and tied vertices must fall the same way.  A start's sorted
+    # vertex j, times the starts m, plus its position pos indexes sim and
+    # fsim flattened
+    at = fsim.T.argsort(axis=1).T * len(pos) + pos
     return sim.reshape(-1, sim.shape[2]).take(at, axis=0), fsim.take(at)
 
 def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
@@ -329,79 +330,79 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
     nfev counts only the points scipy evaluates.
     """
     n, N = x0s.shape
-    sim = np.repeat(x0s[:, None, :], N + 1, axis=1)
+    # vertex j of the start at position i is sim[j, i], its value fsim[j, i]
+    sim = np.repeat(x0s[None], N + 1, axis=0)
     for j in range(N):
         y = x0s[:, j]
-        sim[:, j + 1, j] = np.where(y != 0, (1 + _NM_NONZDELT) * y, _NM_ZDELT)
+        sim[j + 1, :, j] = np.where(y != 0, (1 + _NM_NONZDELT) * y, _NM_ZDELT)
     rows = np.arange(n)  # the starts still running, in population order
-    fsim = fun(sim.reshape(-1, N), np.repeat(rows, N + 1)).reshape(n, N + 1)
+    fsim = fun(sim.reshape(-1, N), np.tile(rows, N + 1)).reshape(N + 1, n)
     # scipy sorts twice before its first step; with an unstable sort the
     # second pass can reorder ties
-    offs = rows[:, None] * (N + 1)
-    sim, fsim = _nm_sort(*_nm_sort(sim, fsim, offs), offs)
+    pos = rows  # each live start's position, kept until one finishes
+    sim, fsim = _nm_sort(*_nm_sort(sim, fsim, pos), pos)
     nfev = np.full(n, N + 1)
 
     x_out, f_out, nfev_out = np.empty((n, N)), np.empty(n), np.empty(n, dtype=int)
-    # each trial's start, and each live start's position, kept until one finishes
-    rows4, pos = np.tile(rows, 4), rows
+    rows4 = np.tile(rows, 4)  # each trial's start
     while rows.size:
         done = nfev >= maxfev
         # the vertex spread only where the values pass: nearly every start
         # runs to its cap.  fsim is sorted, so its spread max_j |f_0 - f_j|
         # is f_N - f_0, NaN and inf alike
-        flat = ~done & (fsim[:, -1] - fsim[:, 0] <= _NM_FATOL)
+        flat = ~done & (fsim[-1] - fsim[0] <= _NM_FATOL)
         if flat.any():
-            done[flat] = np.abs(sim[flat, 1:] - sim[flat, :1]).max(axis=(1, 2)) <= _NM_XATOL
+            done[flat] = np.abs(sim[1:, flat] - sim[:1, flat]).max(axis=(0, 2)) <= _NM_XATOL
         if done.any():
-            x_out[rows[done]] = sim[done, 0]
-            f_out[rows[done]] = fsim[done].min(axis=1)
+            x_out[rows[done]] = sim[0, done]
+            f_out[rows[done]] = fsim.T[done].min(axis=1)
             nfev_out[rows[done]] = nfev[done]
             live = ~done
-            rows, sim, fsim, nfev = rows[live], sim[live], fsim[live], nfev[live]
+            rows, sim, fsim, nfev = rows[live], sim[:, live], fsim[:, live], nfev[live]
             if not rows.size:
                 break
             rows4, pos = np.tile(rows, 4), np.arange(rows.size)
-            offs = pos[:, None] * (N + 1)
 
         # scipy's np.add.reduce(sim[:-1], 0): from 0.0, then vertex by vertex
-        xbar = _chain_sum([0.0, *(sim[:, j] for j in range(N))]) / N
+        xbar = _chain_sum([0.0, *sim[:-1]]) / N
         # trial i of every start, then trial i + 1
-        trial = _NM_TRIAL_A * xbar + _NM_TRIAL_C * sim[:, -1]
+        trial = _NM_TRIAL_A * xbar + _NM_TRIAL_C * sim[-1]
         ftrial = fun(trial.reshape(-1, N), rows4).reshape(4, -1)
         fxr = ftrial[0]
         nfev += 1
-        expand = fxr < fsim[:, 0]
+        expand = fxr < fsim[0]
         no_expand = ~expand
-        reflect = no_expand & (fxr < fsim[:, -2])
-        outside = no_expand & ~reflect & (fxr < fsim[:, -1])
+        reflect = no_expand & (fxr < fsim[-2])
+        outside = no_expand & ~reflect & (fxr < fsim[-1])
         # scipy's second trial: the expansion, outside or inside contraction
         second = 3 - 2 * expand - outside
         f2 = ftrial[second, pos]
         tried = ~reflect & (nfev < maxfev)  # while the start has evaluations left
         nfev += tried
         # expand and outside exclude each other
-        better = np.where(outside, f2 <= fxr, f2 < np.where(expand, fxr, fsim[:, -1]))
+        better = np.where(outside, f2 <= fxr, f2 < np.where(expand, fxr, fsim[-1]))
         take_2 = tried & better
         shrink = tried & no_expand & ~better
         swap = (take_2 | reflect | (tried & expand)).nonzero()[0]
         pick = np.where(take_2, second, 0)[swap]
-        sim[swap, -1], fsim[swap, -1] = trial[pick, swap], ftrial[pick, swap]
+        sim[-1, swap], fsim[-1, swap] = trial[pick, swap], ftrial[pick, swap]
 
         if shrink.any():
             s = shrink.nonzero()[0]
-            ssim, sf = sim[s], fsim[s]
-            moved = ssim[:, :1] + _NM_SIGMA * (ssim[:, 1:] - ssim[:, :1])
+            ssim, sf = sim[:, s], fsim[:, s]
+            moved = ssim[:1] + _NM_SIGMA * (ssim[1:] - ssim[:1])
             # scipy moves vertex j, then evaluates it; the vertex at which a
             # start runs out is moved but keeps its old value
-            room = (maxfev - nfev[s])[:, None] - np.arange(1, N + 1)
+            room = (maxfev - nfev[s]) - np.arange(1, N + 1)[:, None]
             evaluated, relocated = room >= 0, room >= -1
-            ssim[:, 1:][relocated] = moved[relocated]
+            ssim[1:][relocated] = moved[relocated]
             if evaluated.any():
-                sf[:, 1:][evaluated] = fun(moved[evaluated], np.repeat(rows[s], evaluated.sum(axis=1)))
-            sim[s], fsim[s] = ssim, sf
-            nfev[s] += evaluated.sum(axis=1)
+                sf[1:][evaluated] = fun(moved[evaluated],
+                                        np.broadcast_to(rows[s], evaluated.shape)[evaluated])
+            sim[:, s], fsim[:, s] = ssim, sf
+            nfev[s] += evaluated.sum(axis=0)
 
-        sim, fsim = _nm_sort(sim, fsim, offs)
+        sim, fsim = _nm_sort(sim, fsim, pos)
     return x_out, f_out, nfev_out
 
 
