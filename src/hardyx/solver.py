@@ -397,8 +397,7 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
             evaluated, relocated = room >= 0, room >= -1
             ssim[1:][relocated] = moved[relocated]
             if evaluated.any():
-                sf[1:][evaluated] = fun(moved[evaluated],
-                                        np.broadcast_to(rows[s], evaluated.shape)[evaluated])
+                sf[1:][evaluated] = fun(moved[evaluated], rows[s][evaluated.nonzero()[1]])
             sim[:, s], fsim[:, s] = ssim, sf
             nfev[s] += evaluated.sum(axis=0)
 
