@@ -428,7 +428,8 @@ def _first_per_row(at: np.ndarray, ok: np.ndarray):
     """
     hit = ok.nonzero()[0]
     won = at[hit]
-    first = np.diff(won, prepend=-1) != 0
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = won[1:] != won[:-1]
     return won[first], hit[first]
 
 def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
