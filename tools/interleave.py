@@ -30,6 +30,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -50,8 +52,6 @@ def _seconds(hx, op) -> tuple[float, bool]:
 
 def interleave(hxs: dict, workload, seeds: list[int], reps: int) -> dict:
     """Per side, the list of (seconds, ok) of every operation, in one order."""
-    import numpy as np
-
     for hx in hxs.values():
         for op in workload.warmup(hx):
             getattr(hx, op.fn)(*op.args, **op.kwargs)
