@@ -308,11 +308,15 @@ _EXPLORE_FEV_PER_DIM = 20
 
 def _nm_sort(sim, fsim, pos):
     # np.argsort's default kind, as in scipy: it is not stable on every
-    # platform, and tied vertices must fall the same way.  A start's sorted
-    # vertex j, times the starts m, plus its position pos indexes sim and
-    # fsim flattened
+    # platform, and tied vertices must fall the same way.  Vertex j of the
+    # start at position i sits at j m + i of sim and fsim flattened
     at = fsim.T.argsort(axis=1).T * len(pos) + pos
     return sim.reshape(-1, sim.shape[2]).take(at, axis=0), fsim.take(at)
+
+def _nm_centroid(sim):
+    # scipy's np.add.reduce(sim[:-1], 0) / N, which adds from 0.0 (so that
+    # -0.0 vertices give +0.0), then vertex by vertex
+    return _chain_sum([0.0, *sim[:-1]]) / (len(sim) - 1)
 
 def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
     """Nelder-Mead from every row of x0s at once; returns arrays x, fun, nfev.
@@ -363,8 +367,7 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
                 break
             rows4, pos = np.tile(rows, 4), np.arange(rows.size)
 
-        # scipy's np.add.reduce(sim[:-1], 0): from 0.0, then vertex by vertex
-        xbar = _chain_sum([0.0, *sim[:-1]]) / N
+        xbar = _nm_centroid(sim)
         # trial i of every start, then trial i + 1
         trial = _NM_TRIAL_A * xbar + _NM_TRIAL_C * sim[-1]
         ftrial = fun(trial.reshape(-1, N), rows4).reshape(4, -1)

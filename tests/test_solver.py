@@ -1142,6 +1142,17 @@ def test_dot_adds_as_the_moveaxis_chain_did():
                 assert solver._dot(x, y).tobytes() == ref.tobytes(), (m, dim, x.ndim)
 
 
+def test_centroid_adds_as_scipys_reduce_did():
+    # vertex j of every start in sim[j]: scipy's own expression, batched
+    rng = np.random.default_rng(29)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m, N in ((1, 1), (6, 2), (30, 4), (9, 6), (4, 12)):
+            sim = _with_specials(rng, (N + 1, m, N))
+            sim[:, :2] = -0.0  # starts whose vertices all read -0.0
+            ref = np.add.reduce(sim[:-1], 0) / N
+            assert solver._nm_centroid(sim).tobytes() == ref.tobytes(), (m, N)
+
+
 def test_first_passing_trial_of_each_row_as_np_unique_picked_it():
     rng = np.random.default_rng(23)
     several = 0
