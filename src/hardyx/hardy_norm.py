@@ -44,6 +44,11 @@ Up to m = 32 that is the sample set of f's 4096-point grid when m is a
 power of two and a finer one otherwise.  Its zeros and the panels' nodes are g's, and the sup-norm's
 witness angle is g's over m.
 
+A ``StructuredExtremal`` of degree k < 128 at its own p also starts from
+128 points: on the circle its |f|^p is |C|^p prod_j |1 - conj(lam_j) z|^2,
+a trigonometric polynomial of degree k, which every grid of more than k
+points integrates exactly.  At any other p it starts from 4096.
+
 A ``PolyCoeffs`` is sampled on each trapezoid grid by one zero-padded
 inverse FFT of its coefficients (twisted by e^{i pi j/n} for the midpoint
 grid, folded mod n past degree n), in place of a Horner pass per grid.
@@ -70,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fn_repr import PolyCoeffs, _eval_points, _memoized, _poly_grid
+from .fn_repr import PolyCoeffs, StructuredExtremal, _eval_points, _memoized, _poly_grid
 
 __all__ = [
     "QuadConfig",
@@ -86,7 +91,8 @@ _TWO_PI = 2.0 * np.pi
 # panel pass takes over
 _BASE_SAMPLES = 4096
 _MAX_REFINEMENTS = 3
-# the fewest starting points of a polynomial measured through g(z^m)
+# the fewest starting points of a polynomial measured through g(z^m), and
+# those of a StructuredExtremal at its own p
 _MIN_SAMPLES = 128
 # log of the range |f|^p may take unscaled: normal doubles, with room for
 # the sum of the finest grid's samples
@@ -330,7 +336,9 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
 
     A polynomial f(z) = g(z^m) is measured through g (see the module
     docstring); either way it is sampled once per grid whatever p and
-    rel_tol, and its norm is measured once per (p, rel_tol).
+    rel_tol, and its norm is measured once per (p, rel_tol).  A
+    StructuredExtremal of degree k < 128 at its own p starts from 128
+    points: there |f|^p is a trigonometric polynomial of degree k.
 
     The mean of |f|^p is rounded at about 2^-52 relative, which its
     1/p-th power turns into about 2^-52 / p in the norm.  So p must be at
@@ -346,6 +354,11 @@ def norm_hp(f, p: float, cfg: QuadConfig | None = None) -> float:
 
     def measure():
         g, _, n = _measured(f)
+        if isinstance(f, StructuredExtremal) and f.p == p and f.k < _MIN_SAMPLES:
+            # |f|^p = |C|^p prod_j |1 - conj(lam_j) z|^2 on the circle, a
+            # trigonometric polynomial of degree k, whose mean every grid of
+            # more than k points gives exactly
+            n = _MIN_SAMPLES
         return _norm_hp(g, n, p, cfg.rel_tol)
 
     return _memoized(f, ("hp", p, cfg.rel_tol), measure)

@@ -52,7 +52,7 @@ solver's only evaluation of the series: it agrees with a 30-digit
 evaluation to 1e-13 of the terms' size, and no row's result depends on
 the other rows.  So one pass per step holds the
 reflection and all three second trials of every start, and each start
-takes the values scipy would evaluate, to the bit.  Each start has 20
+takes the values scipy would evaluate, to the bit.  Each start has 10
 penalty evaluations per free coordinate (_EXPLORE_FEV_PER_DIM), enough to
 pick its basin: near the feasible set the penalty has a kink along
 t_hat = t, which a simplex follows only slowly, and the polish does that
@@ -62,14 +62,17 @@ the in-family point keeps l = 0 from ending with no feasible point.  One
 sequential quadratic programming polish then enforces the constraint on
 the leaders of every count of the population in lockstep, each iteration
 evaluating the objective, t_hat and their exact gradients for all of its
-rows in one pass of the same kernel; the series are finite in lam and
-conj(lam), so the derivatives are too (_series_batch, _objective_batch).
-Its line search is at most two passes: the full step, then every halving
-of the rows that step fails, all fixed by then.  The winner is the
-smallest zero count with a candidate within _TIE_TOL of the top, and
-cluster_count counts the distinct configurations among the candidates
-within the same _TIE_TOL.  The value returned is the winner's series
-Re a_k.  One 256-point Cauchy integral of the built function checks it, on
+rows, and at every row moved by 1e-6 along each coordinate, in one pass of
+the same kernel; the series are finite in lam and conj(lam), so the
+derivatives are too (_series_batch, _objective_batch).  The moved rows'
+gradients difference into the Hessian of the Lagrangian, whose
+eigenvalues, replaced by their moduli, make a modified Newton step
+(_newton_parts, _abs_eigen).  Its line search is at most two passes: the
+full step, then every halving of the rows that step fails, all fixed by
+then.  The winner is the smallest zero count with a candidate that ties
+with the top, within _TIE_TOL min(1, |top|) of it, and cluster_count
+counts the distinct configurations among the candidates that tie by the
+same rule.  The value returned is the winner's series Re a_k.  One 256-point Cauchy integral of the built function checks it, on
 the circle |z| = r of 1/2, ..., 1/32 where its round-off is least
 (_coeff_inside), and hardy_norm re-measures its norm.
 """
@@ -98,6 +101,8 @@ __all__ = [
 
 _PENALTY = 10.0
 _FEAS_TOL = 1e-9
+# a candidate ties with the top value J where it lies within
+# _TIE_TOL min(1, |J|) of it (_ties)
 _TIE_TOL = 1e-9
 _CLUSTER_DIST_TOL = 1e-3
 # the polish's convergence tolerance on the change of the objective and on
@@ -304,7 +309,7 @@ _NM_SIGMA, _NM_NONZDELT, _NM_ZDELT = 0.5, 0.05, 0.00025
 _NM_XATOL, _NM_FATOL = 1e-4, 1e-8
 # the explore's evaluations per start and free coordinate: enough to pick a
 # start's basin, which the polish finishes (module docstring)
-_EXPLORE_FEV_PER_DIM = 20
+_EXPLORE_FEV_PER_DIM = 10
 
 def _nm_sort(sim, fsim, pos):
     # np.argsort's default kind, as in scipy: it is not stable on every
@@ -412,10 +417,12 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
 # lockstep SQP
 # ---------------------------------------------------------------------------
 
-# the sufficient-decrease fraction of the polish's line search, and its most
-# step halvings: from a learned B as many as SLSQP's line search takes, and
-# from B = I, whose scale can be far off (tiny p), more
-_LS_ETA, _LS_CUTS, _LS_CUTS_FROM_I = 1e-4, 10, 30
+# the sufficient-decrease fraction of the polish's line search and its most
+# step halvings, enough where the Newton step's scale is far off (tiny p)
+_LS_ETA, _LS_CUTS = 1e-4, 30
+# the forward-difference step of the polish's Hessian, and the largest step
+# in any coordinate of a row that converges
+_HESS_STEP, _POLISH_XTOL = 1e-6, 1e-6
 _EPS = np.finfo(float).eps
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -435,73 +442,116 @@ def _first_per_row(at: np.ndarray, ok: np.ndarray):
     first[1:] = won[1:] != won[:-1]
     return won[first], hit[first]
 
+def _newton_parts(fun, x: np.ndarray, rows: np.ndarray):
+    """f, c, grad f, grad c at the rows of x, and the Hessian of the Lagrangian.
+
+    One call of fun takes x and every x + h e_j, h = _HESS_STEP.  The
+    gradients of f + mult c, with mult the least-squares multiplier
+    -(grad c . grad f) / |grad c|^2 at x (0 where grad c vanishes, as it
+    does unconstrained), are differenced over the step each coordinate takes
+    in rounding, and the difference quotient is symmetrized.
+    """
+    m, dim = x.shape
+    shifted = x + _HESS_STEP * np.eye(dim)[:, None, :]  # x + h e_j, j first
+    f, c, gf, gc = fun(np.concatenate((x, shifted.reshape(-1, dim))), np.tile(rows, dim + 1),
+                       grad=True)
+    gf0, gc0 = gf[:m], gc[:m]
+    gg = _dot(gc0, gc0)
+    mult = -np.divide(_dot(gc0, gf0), gg, out=np.zeros(m), where=gg > 0)
+    gL = (gf + np.tile(mult, dim + 1)[:, None] * gc).reshape(dim + 1, m, dim)
+    # row i's column j: (grad L(x + h e_j) - grad L(x)) / ((x_j + h) - x_j),
+    # not finite where a gradient is not or x_j + h rounds to x_j
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        H = ((gL[1:] - gL[0]) / ((x + _HESS_STEP) - x).T[:, :, None]).transpose(1, 2, 0)
+    return f[:m], c[:m], gf0, gc0, 0.5 * (H + H.transpose(0, 2, 1))
+
+def _abs_eigen(H: np.ndarray) -> np.ndarray:
+    """Each symmetric matrix of H with its eigenvalues replaced by their
+    moduli, floored at max(1e-6 max|eig|, 1e-10): positive definite, and
+    the Newton matrix itself where that is (Nocedal & Wright, section 3.4).
+
+    np.linalg.eigh factors each matrix alone, and the product adds over the
+    eigenvalues by _chain_sum, so each row's is as if alone.
+    """
+    eig, V = np.linalg.eigh(H)
+    size = np.abs(eig)
+    d = np.maximum(size, np.maximum(1e-6 * size.max(axis=1), 1e-10)[:, None])
+    return _chain_sum((V[:, :, j] * d[:, j, None])[:, :, None] * V[:, None, :, j]
+                      for j in range(H.shape[1]))
+
 def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     """min f subject to c = 0 from every row of x0s at once; returns x, f, c, converged.
 
     fun maps an (m, dim) array of points, and the index of the start each
     belongs to, onto f and c, and with grad=True also onto their gradients,
-    each of shape (m, dim); without constrained, c is ignored.  Each start
-    follows Nocedal & Wright, Numerical Optimization, Algorithm 18.3:
+    each of shape (m, dim); without constrained, c is ignored (fun gives
+    it, and its gradient, as 0).  Each start follows Nocedal & Wright,
+    Numerical Optimization, Algorithm 18.3, with a modified Newton matrix:
+    * B is the Hessian of the Lagrangian at the least-squares multiplier,
+      by differences of exact gradients (_newton_parts), with each
+      eigenvalue replaced by its modulus, floored (_abs_eigen, their
+      section 3.4), so that every step descends;
     * the step and multiplier solve the KKT system [[B, a], [a^T, 0]],
       a = grad c;
     * the merit is f + mu |c|, with mu at least their (18.36) bound at
       rho = 1/2, so that the step descends, and otherwise Powell's
       max(|multiplier|, mean of the last mu and |multiplier|), which
       SLSQP uses and which lets mu fall again;
-    * the line search backtracks by halves to sufficient decrease; where
-      the full step fails, its second-order correction back onto the
-      constraint along a bends the search to the arc
+    * the line search backtracks by halves, _LS_CUTS times, to sufficient
+      decrease; where the full step fails, its second-order correction
+      back onto the constraint along a bends the search to the arc
       x + alpha step + alpha^2 correction (their remedy for the Maratos
-      effect), in two calls: the full step, then every halving of the rows
-      it fails, all fixed by the full step's c;
-    * B is updated by damped BFGS (Procedure 18.2) from B = I, and starts
-      again from I, once, where the line search fails on a learned B.
+      effect), and each cut tries the arc and then the line, whose
+      correction can be far off where the full step is long.  That is two
+      calls: the full step, then every cut of the rows it fails, all fixed
+      by the full step's c.
     A start converges on SLSQP's test, |f change| < _POLISH_FTOL and
-    |c| < _POLISH_FTOL.  It stops unconverged after 200 steps (SLSQP's
-    maxiter in the polish this replaced), where its line search fails
-    from B = I or after the restart, or where grad c vanishes (SLSQP's
-    status 8 and 7).
-    Every operation is elementwise over the starts, and the batched KKT
-    solve factors each matrix alone, so each row is what it would be alone
-    where no value of fun depends on the other points of its call.
+    |c| < _POLISH_FTOL, with a step below _POLISH_XTOL in every
+    coordinate: on a flat top f settles long before x.  It stops
+    unconverged after 200 steps (SLSQP's maxiter in the polish this
+    replaced), where its line search fails, or where grad c vanishes
+    (SLSQP's status 8 and 7).
+    Every operation is elementwise over the starts, and the batched
+    eigendecomposition and KKT solve factor each matrix alone, so each row
+    is what it would be alone where no value of fun depends on the other
+    points of its call.
     """
     n, dim = x0s.shape
     rows = np.arange(n)  # the starts still running
     x = x0s.copy()
-    f, c, gf, gc = fun(x, rows, grad=True)
+    f, c, gf, gc, H = _newton_parts(fun, x, rows)
     x_out, f_out, c_out, conv_out = x.copy(), f.copy(), c.copy(), np.zeros(n, dtype=bool)
-    B = np.tile(np.eye(dim), (n, 1, 1))
-    fresh = np.ones(n, dtype=bool)  # B = I
-    spare = np.ones(n, dtype=bool)  # B may still start again from I
     mu = np.zeros(n)
+    cuts = np.arange(1, _LS_CUTS + 1)
     for _ in range(200):
+        # a row stops where its Hessian is not finite: a gradient overflowed,
+        # or x ran so far that x_j + h rounds to x_j.  Constrained, it stops
+        # where grad c vanishes, where no step of a radian moves c by a
+        # rounding unit of t_hat <= 1: the |g0| guard, an overflowed norm,
+        # and points where t_hat underflows
+        gg = _dot(gc, gc)
+        out = ~np.isfinite(H).all(axis=(1, 2))
         if constrained:
-            # grad c vanishes where no step of a radian moves c by a rounding
-            # unit of t_hat <= 1: the |g0| guard, an overflowed norm, and
-            # points where t_hat underflows
-            gg = _dot(gc, gc)
-            out = ~(gg > _EPS * _EPS)
-            if out.any():
-                x_out[rows[out]], f_out[rows[out]], c_out[rows[out]] = x[out], f[out], c[out]
-                keep = ~out
-                rows, x, f, c, gf, gc, gg, B, fresh, spare, mu = (
-                    v[keep] for v in (rows, x, f, c, gf, gc, gg, B, fresh, spare, mu))
+            out |= ~(gg > _EPS * _EPS)
+        if out.any():
+            x_out[rows[out]], f_out[rows[out]], c_out[rows[out]] = x[out], f[out], c[out]
+            keep = ~out
+            rows, x, f, c, gf, gc, H, gg, mu = (v[keep] for v in (rows, x, f, c, gf, gc, H, gg, mu))
         m = rows.size
         if not m:
             break
+        B = _abs_eigen(H)
         if constrained:
             K = np.zeros((m, dim + 1, dim + 1))
             K[:, :dim, :dim] = B
             K[:, :dim, dim] = K[:, dim, :dim] = gc
             sol = np.linalg.solve(K, np.concatenate((-gf, -c[:, None]), axis=1)[..., None])[..., 0]
-            step, mult = sol[:, :dim], sol[:, dim:]
+            step, size = sol[:, :dim], np.abs(sol[:, dim])
         else:
-            step, mult = np.linalg.solve(B, -gf[..., None])[..., 0], np.zeros((m, 1))
-        Bs = _dot(B, step[:, None, :])
-        sBs, slope, viol = _dot(step, Bs), _dot(gf, step), np.abs(c)
+            step, size = np.linalg.solve(B, -gf[..., None])[..., 0], np.zeros(m)
+        sBs, slope, viol = _dot(step, _dot(B, step[:, None, :])), _dot(gf, step), np.abs(c)
         need = np.divide(slope + 0.5 * np.maximum(sBs, 0.0), 0.5 * viol,
                          out=np.zeros(m), where=viol > 0)
-        size = np.abs(mult[:, 0])
         mu = np.maximum(need, np.maximum(size, 0.5 * (mu + size)))
         merit, descent = f + mu * viol, slope - mu * viol
         slack = 4 * _EPS * np.abs(merit)
@@ -519,54 +569,36 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
         c_new = np.where(moved, ct, c)
         f_new = np.where(moved, f_new, f)
         x_new = np.where(moved[:, None], x_new, x)
-        # the full step's c fixes every later trial of the rows it fails: with
-        # the correction, cut j is at alpha = 2^(1-j), and without, at 2^-j.
-        # The trials are grouped by row, each row's in the order of its cuts
+        # the full step's c fixes every later trial of the rows it fails: cut
+        # j tries the arc at alpha = 2^(1-j), then the line at 2^-j (only the
+        # line unconstrained).  The trials are grouped by row, each row's in
+        # the order of its cuts
         fail = (~moved).nonzero()[0]
         if fail.size:
-            cuts = np.arange(1, _LS_CUTS_FROM_I + 1)
-            i, cut = (cuts <= np.where(fresh[fail], _LS_CUTS_FROM_I, _LS_CUTS)[:, None]).nonzero()
+            bends = [1, 0] if constrained else [0]
+            i = np.repeat(np.arange(fail.size), len(bends) * _LS_CUTS)
+            cut = np.tile(np.repeat(cuts, len(bends)), fail.size)
+            bend = np.tile(bends, fail.size * _LS_CUTS)
             corr = (-gc[fail] * (ct[fail] / gg[fail])[:, None] if constrained
                     else np.zeros((fail.size, dim)))
-            at, a = fail[i], np.ldexp(1.0, int(constrained) - cuts[cut])
-            xt = x[at] + a[:, None] * step[at] + (a * a)[:, None] * corr[i]
+            at, a = fail[i], np.ldexp(1.0, bend - cut)
+            xt = x[at] + a[:, None] * step[at] + (bend * a * a)[:, None] * corr[i]
             ft, ct = fun(xt, rows[at])
             won, hit = _first_per_row(at, passes(ft, ct, at, a))
             x_new[won], f_new[won], c_new[won], moved[won] = xt[hit], ft[hit], ct[hit], True
 
-        conv = moved & (np.abs(f_new - f) < _POLISH_FTOL) & (np.abs(c_new) < _POLISH_FTOL)
-        stuck = ~moved
-        stop = (stuck & (fresh | ~spare)) | conv
-        again = stuck & ~stop
-        if again.any():
-            B[again] = np.eye(dim)
-            fresh |= again
-            spare &= ~again
+        conv = (moved & (np.abs(f_new - f) < _POLISH_FTOL) & (np.abs(c_new) < _POLISH_FTOL)
+                & (np.abs(x_new - x).max(axis=1) < _POLISH_XTOL))
+        stop = ~moved | conv
         if stop.any():
             x_out[rows[stop]], f_out[rows[stop]], c_out[rows[stop]] = x_new[stop], f_new[stop], c_new[stop]
             conv_out[rows[stop]] = conv[stop]
             keep = ~stop
-            rows, x, x_new, f, c, gf, gc, B, fresh, spare, mu, mult = (
-                v[keep] for v in (rows, x, x_new, f, c, gf, gc, B, fresh, spare, mu, mult))
+            rows, x_new, mu = rows[keep], x_new[keep], mu[keep]
             if not rows.size:
-                break
-        f, c, gf_new, gc_new = fun(x_new, rows, grad=True)
-        s = x_new - x
-        y = (gf_new + mult * gc_new) - (gf + mult * gc)
-        Bs = _dot(B, s[:, None, :])
-        sBs, sy = _dot(s, Bs), _dot(s, y)
-        damped = sy < 0.2 * sBs
-        theta = np.divide(0.8 * sBs, sBs - sy, out=np.ones(rows.size), where=damped)
-        r = theta[:, None] * y + (1 - theta[:, None]) * Bs
-        sr = _dot(s, r)
-        # a step lost in the rounding of x leaves B as it is
-        upd = ((sBs > 0) & (sr > 0))[:, None, None]
-        B = np.where(upd, B - np.divide(Bs[:, :, None] * Bs[:, None, :], sBs[:, None, None],
-                                        out=np.zeros_like(B), where=upd)
-                     + np.divide(r[:, :, None] * r[:, None, :], sr[:, None, None],
-                                 out=np.zeros_like(B), where=upd), B)
-        fresh &= ~upd[:, 0, 0]
-        x, gf, gc = x_new, gf_new, gc_new
+                return x_out, f_out, c_out, conv_out
+        f, c, gf, gc, H = _newton_parts(fun, x_new, rows)
+        x = x_new
     x_out[rows], f_out[rows], c_out[rows] = x, f, c
     return x_out, f_out, c_out, conv_out
 
@@ -872,12 +904,17 @@ def _same_configuration(a_lams, a_l, b_lams, b_l, k: int) -> bool:
             return True
     return False
 
+def _ties(J: float, top: float) -> bool:
+    """Whether J ties with the top value: within _TIE_TOL of it, relative
+    where |top| < 1, as near t = 1, where values are about 2 (1 - t)."""
+    return J >= top - _TIE_TOL * min(1.0, abs(top))
+
 def _count_clusters(cands, best_value: float, k: int) -> int:
-    """The distinct configurations among the candidates within _TIE_TOL of
-    the top, the tolerance that picks the winner (at least 1)."""
+    """The distinct configurations among the candidates that tie with the
+    top, by the rule that picks the winner (at least 1)."""
     reps = []
     for J, lams, l_eff in cands:
-        if J < best_value - _TIE_TOL:
+        if not _ties(J, best_value):
             continue
         for r_lams, r_l in reps:
             if _same_configuration(lams, l_eff, r_lams, r_l, k):
@@ -926,7 +963,7 @@ def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     top = max((J for J in per_l.values() if J is not None), default=None)
     if top is None:
         raise SolverError(f"no feasible structure for k={k}, p={p}, t={t}")
-    winner = min(l for l, J in per_l.items() if J is not None and J >= top - _TIE_TOL)
+    winner = min(l for l, J in per_l.items() if J is not None and _ties(J, top))
     J_win, lams_win = max(searched[winner], key=lambda e: e[0])
 
     best = _build_best(cfg, *_effective(lams_win, winner))

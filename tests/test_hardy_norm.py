@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyx import hardy_norm, wiener
-from hardyx.fn_repr import PolyCoeffs, _poly_grid
+from hardyx import fn_repr, hardy_norm, wiener
+from hardyx.fn_repr import PolyCoeffs, StructuredExtremal, _poly_grid
 from hardyx.hardy_norm import (
     QuadConfig,
     QuadratureError,
@@ -590,6 +590,35 @@ def test_polynomial_in_z_m_is_measured_through_g(monkeypatch, m):
     assert grid_max <= sup <= grid_max * (1 + 1e-9)
     assert abs(f(np.exp(1j * theta))) == pytest.approx(sup, rel=1e-14)
     assert sampled and all(c is not f and c.coeffs == g.coeffs for c in sampled)
+
+
+def test_structured_norm_at_its_own_p_starts_from_128_points(monkeypatch):
+    # on the circle |f|^p = |C|^p prod_j |1 - conj(lam_j) z|^2 at f's own p,
+    # a trigonometric polynomial of degree k: the 128- and 256-point means
+    # are exact and the pass stops there, within rounding of the 4096-point
+    # start and of the series norm |C| (sum |c_n|^2)^(1/p); at another p the
+    # pass starts from 4096 points
+    points = []
+    evaluate = fn_repr.eval_structured
+    monkeypatch.setattr(fn_repr, "eval_structured",
+                        lambda fn, z: points.append(np.size(z)) or evaluate(fn, z))
+    rng = np.random.default_rng(31)
+    for k, p, l in ((1, 0.5, 1), (2, 0.3, 0), (2, 4.0, 2), (3, 1.5, 2), (3, 0.01, 1)):
+        lams = 0.5 * rng.uniform(0.0, 1.0, k) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, k))
+        fn = StructuredExtremal(scale=0.7 - 0.2j, p=p, zero_count=l, lambdas=tuple(lams))
+        points.clear()
+        own = norm_hp(fn, p)
+        assert points == [128, 128], (k, p)
+        c = np.array([1.0 + 0j])
+        for lam in lams:
+            c = np.convolve(c, [1.0, -np.conj(lam)])
+        series = abs(fn.scale) * float(np.sum(np.abs(c) ** 2)) ** (1 / p)
+        assert abs(own - series) <= 1e-13 * series, (k, p)
+        # a mean rounded at 2^-52 relative puts about 2^-52 / p in the norm
+        assert abs(own - hardy_norm._norm_hp(fn, 4096, p, 1e-9)) <= 4e-15 / min(1.0, p) * own, (k, p)
+        points.clear()
+        norm_hp(fn, 2 * p)
+        assert points[:2] == [4096, 4096], (k, p)
 
 
 def test_norm_of_a_high_power_needs_no_roots_of_its_degree():

@@ -968,6 +968,45 @@ def test_exact_gradient_matches_a_30_digit_oracle(p):
     assert checked >= 8
 
 
+@pytest.mark.parametrize("p", [0.3, math.inf])
+def test_newton_hessian_matches_30_digit_second_derivatives(p):
+    # the polish's Hessian of f + mult c, differenced from exact gradients,
+    # against mpmath's second derivatives of f = -J and c = t_hat - t at the
+    # least-squares multiplier; a forward difference of step h is off by
+    # about h times a third derivative, so the bound is 1e-4 of the largest
+    # term
+    checked = 0
+    for pinned in (False, True):
+        rng = np.random.default_rng(13)
+        t = 0.0 if pinned else 0.4
+        for k in (1, 2, 3):
+            for l in range(1 if pinned else 0, k + 1):
+                if not solver._free_slots(k, l, p, pinned):
+                    continue
+                x = _population(rng, k, l, p, pinned, rows=5)[4:]
+                _, _, gf, gc, H = solver._newton_parts(
+                    lambda X, rows, grad=False: solver._objective_batch(p, k, t, X, l, grad),
+                    x, np.arange(1))
+                gg = gc[0] @ gc[0]
+                mult = -(gc[0] @ gf[0]) / gg if gg > 0 else 0.0
+                assert not pinned or mult == 0.0
+                dim = x.shape[1]
+                errs, terms = [], []
+                with mpmath.workdps(30):
+                    point = [mpmath.mpf(v) for v in x[0].tolist()]
+                    for i in range(dim):
+                        for j in range(i, dim):
+                            order = tuple((a == i) + (a == j) for a in range(dim))
+                            dJ, dt = (mpmath.diff(lambda *v: _mp_J_and_t_hat(p, k, l, pinned, v)[part],
+                                                  point, order) for part in (0, 1))
+                            errs.append(abs(H[0, i, j] - float(-dJ + mult * dt)))
+                            errs.append(abs(H[0, j, i] - float(-dJ + mult * dt)))
+                            terms.append(float(abs(dJ) + abs(mult * dt)))
+                assert max(errs) <= 1e-4 * max(terms), (k, l, pinned, max(errs), max(terms))
+                checked += 1
+    assert checked >= (14 if p == 0.3 else 9)
+
+
 def _polish(cfg, x0s, counts):
     # the solve's polish: the lockstep SQP from leaders x0s, row i of zero
     # count counts[i], and (J, lams) per row where it ends feasible
@@ -1010,10 +1049,10 @@ def test_merged_polish_matches_each_zero_count_alone(p, pinned):
 
 @pytest.mark.parametrize("k, p, t", [(2, 0.0168261370424421, 0.3981608154465375),
                                      (2, 0.0032542507601116023, 0.8240017986428428)])
-def test_polish_restarts_a_failed_line_search_at_tiny_p(monkeypatch, k, p, t):
-    # at tiny p a learned B can point the line search nowhere within 10
-    # halvings; starting again from B = I reaches the constraint here, where
-    # no leader is feasible otherwise
+def test_polish_line_search_halves_in_one_call_at_tiny_p(monkeypatch, k, p, t):
+    # at tiny p the Newton step's scale can be far off: each line search is
+    # the full step, then one call for all _LS_CUTS halvings of every row it
+    # fails, each cut on the arc and then on the line
     lockstep = solver._sqp_lockstep
     searches = []  # the rows of each call of each line search
 
@@ -1031,10 +1070,29 @@ def test_polish_restarts_a_failed_line_search_at_tiny_p(monkeypatch, k, p, t):
     sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
     assert sol.value >= phi1(p, t).value - 1e-6
-    # each line search is the full step, then one call for every halving of
-    # the rows it fails, up to 30 from B = I
     assert max(map(len, searches)) == 2
-    assert max(calls[1] for calls in searches if len(calls) == 2) >= solver._LS_CUTS_FROM_I
+    halvings = [calls[1] for calls in searches if len(calls) == 2]
+    assert halvings and all(rows % (2 * solver._LS_CUTS) == 0 for rows in halvings)
+
+
+def test_tiny_p_at_four_starts_reaches_the_1024_start_value():
+    # k = 2, p = 1e-3, t = 0.5: the explore and BFGS polish stopped at
+    # 693.18408 at 4, 64 and 256 starts, and 693.29089 needed 1024
+    sol = maximize_phik(SolveConfig(k=2, p=1e-3, t=0.5, starts=4))
+    assert sol.value >= 693.2908939
+
+
+def test_tiny_p_at_four_starts_lies_above_the_exponential_bound():
+    # f = t e^{cz} with t^p I_0(p c) = 1 is feasible, so its a_k = t c^k / k!
+    # (53.924 here) is a lower end of the answer; the explore and BFGS
+    # polish stopped at 53.589 at 4 and 64 starts
+    k, p, t = 3, 0.01342136277102184, 0.8369886032761097
+    with mpmath.workdps(30):
+        c = mpmath.findroot(lambda c: mpmath.log(mpmath.besseli(0, p * c)) + p * mpmath.log(t),
+                            2 * mpmath.sqrt(-p * mpmath.log(t)) / p)
+        bound = float(t * c**k / mpmath.factorial(k))
+    assert 53.92 < bound < 53.93
+    assert maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4)).value > bound
 
 
 @pytest.mark.parametrize("field", ["value", "norm_residual", "t_residual"])
@@ -1055,7 +1113,7 @@ def test_nan_cross_check_raises(monkeypatch):
 
 def test_pinned_polish_keeps_where_the_sqp_stops(monkeypatch):
     # at t = 0 the SQP runs unconstrained and takes only steps that lower
-    # -J, so each row keeps the J of its end, converged or not; here some
+    # -J, so each row keeps the J of its end, converged or not; here three
     # rows stop unconverged
     lockstep, candidates = solver._sqp_lockstep, solver._candidates
     ends, found = [], []
@@ -1070,7 +1128,7 @@ def test_pinned_polish_keeps_where_the_sqp_stops(monkeypatch):
     # the only candidates
     monkeypatch.setattr(solver, "_candidates",
                         lambda *args: found.append(candidates(*args)) or found[-1])
-    maximize_phik(SolveConfig(k=3, p=0.001010840125498493, t=0.0, starts=4))
+    maximize_phik(SolveConfig(k=3, p=2.0, t=0.0, starts=4))
     ((_, f, _, conv),), (rows,) = ends, found
     assert not conv.all()
     assert [J for J, _ in rows] == [-fv for fv in f.tolist()]

@@ -3,6 +3,8 @@ import json
 import math
 import pathlib
 
+import pytest
+
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "solver_check.py"
 _spec = importlib.util.spec_from_file_location("solver_check", _PATH)
 solver_check = importlib.util.module_from_spec(_spec)
@@ -141,3 +143,31 @@ def test_compare_prints_a_bits_line_for_each_move_within_the_bound(capsys):
     assert bits[0].endswith(f": value 1.0 -> {1.0 + 0.5 * tol!r} (gap {0.5 * tol:.3g})")
     assert bits[1].startswith("BITS k=2 p=0.01 t=0.3 ")
     assert out[-1].endswith("pass")
+
+
+def test_sweep_starts_changes_only_the_starts():
+    # --starts N draws the same solves, each with N starts
+    drawn, more = solver_check.sweep_configs(), solver_check.sweep_configs(64)
+    assert all(c["starts"] == solver_check.STARTS for _, c in drawn)
+    assert all(c["starts"] == 64 for _, c in more)
+    assert [(part, dict(c, starts=None)) for part, c in drawn] == \
+           [(part, dict(c, starts=None)) for part, c in more]
+
+
+def test_compare_takes_sweeps_at_different_starts(tmp_path, capsys):
+    # 4 starts against 64: the same solves pair up; other solves do not
+    def write(name, records):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return str(path)
+
+    few = [_solved("tiny p", 0.1, 2.0), _solved("tiny p", 0.2, 3.0)]
+    many = [_solved("tiny p", 0.1, 2.5), _solved("tiny p", 0.2, 3.0)]
+    for r in many:
+        r["config"]["starts"] = 64
+    assert solver_check.main(["--compare", write("few", few), write("many", many)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("tiny p: 2 -> 2 of 2 succeed, 1 of the 2") and " 1 rose " in out[-2]
+    many[1]["config"]["t"] = 0.3
+    with pytest.raises(SystemExit, match="different solves"):
+        solver_check.main(["--compare", write("few", few), write("other", many)])

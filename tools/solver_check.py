@@ -3,6 +3,7 @@
     python3 tools/solver_check.py --write    # rewrite tests/data/solver_reference.json
     python3 tools/solver_check.py --check    # solve the reference's entries again and compare
     python3 tools/solver_check.py --sweep > sweep.jsonl
+    python3 tools/solver_check.py --sweep --starts 64 > sweep64.jsonl
     python3 tools/solver_check.py --compare before.jsonl after.jsonl
 
 Every set keeps one record per solve: ``sources``, where the configuration
@@ -24,9 +25,12 @@ fixes lam_0 = 0 and the polish runs unconstrained, then 20 at t = 1 with
 every fifth at p = inf (source "constant"), where f = 1 is the only
 admissible function.  Each has k uniform in {1, 2, 3}, t uniform in
 [0, 1] outside "pinned" and "constant", the default ``l_range``,
-starts = 4 and seed 0.  The parts draw in that order, each k, p and t in
+starts = 4 (``--starts`` sets another count) and seed 0.  The parts draw in that order, each k, p and t in
 turn (a part at a fixed t draws no t), so adding a part after the others
-leaves their solves as they were.  ``--sweep`` prints one record a line.
+leaves their solves as they were, and so does another ``--starts``.
+``--sweep`` prints one record a line.  ``--compare`` takes two sweeps at
+different starts as it takes two runs at the same starts, which measures
+how a value depends on the number of starts.
 
 ``--check`` compares each reference entry with a fresh solve of its
 configuration, ``--compare`` two outputs of ``--sweep`` record by record.
@@ -94,8 +98,9 @@ NOTED = [
              "maximizers a continuum, so nearly every leader is a cluster of its own"},
     {"source": "tests/test_solver.py::test_polish_ends_at_kkt_points[0.0]",
      "config": {"k": 2, "p": 0.5, "t": 0.0, "l_range": [0, 1, 2], "starts": 32, "seed": 0},
-     "note": "cluster_count is 15 here, 16 at seeds 1 and 2, and 16, 16, 15, 15, 15 in the "
-             "ulp runs at j = 1, -1, 2, -2, 4, as the continuum at starts = 64 explains"},
+     "note": "cluster_count is 16 here, at seeds 1 and 2 and in all 5 ulp runs, as the "
+             "continuum at starts = 64 explains; with the BFGS polish it read 15 here, 16 at "
+             "seeds 1 and 2, and 16, 16, 15, 15, 15 in the ulp runs"},
 ]
 
 
@@ -146,8 +151,9 @@ def _perfbench_configs() -> list[tuple[str, dict]]:
     return out
 
 
-def sweep_configs() -> list[tuple[str, dict]]:
-    """(part, config) of every solve of the sweep, in the order drawn."""
+def sweep_configs(starts: int = STARTS) -> list[tuple[str, dict]]:
+    """(part, config) of every solve of the sweep, in the order drawn, each
+    with the given starts."""
     rng = np.random.default_rng(SEED)
     out = []
     for part, n, p_max, inf_every, fixed_t in PARTS:
@@ -157,7 +163,7 @@ def sweep_configs() -> list[tuple[str, dict]]:
             t = float(rng.uniform(0.0, 1.0)) if fixed_t is None else fixed_t
             if inf_every and i % inf_every == inf_every - 1:
                 p = math.inf
-            out.append((part, _config(hardyx.SolveConfig(k=k, p=p, t=t, starts=STARTS))))
+            out.append((part, _config(hardyx.SolveConfig(k=k, p=p, t=t, starts=starts))))
     return out
 
 
@@ -272,11 +278,13 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, type=pathlib.Path, metavar=("BEFORE", "AFTER"),
                       help="compare two outputs of --sweep")
     ap.add_argument("--reference", type=pathlib.Path, default=REFERENCE)
+    ap.add_argument("--starts", type=int, default=STARTS,
+                    help=f"the starts of every sweep solve (default {STARTS})")
     args = ap.parse_args(argv)
     if args.write:
         return write(args.reference)
     if args.sweep:
-        for part, config in sweep_configs():
+        for part, config in sweep_configs(args.starts):
             print(json.dumps({"sources": [part], "config": config, **solve(config)}), flush=True)
         return 0
     if args.check:
@@ -285,7 +293,10 @@ def main(argv=None) -> int:
     else:
         before, after = ([json.loads(line) for line in path.read_text().splitlines()]
                          for path in args.compare)
-        if [e["config"] for e in before] != [e["config"] for e in after]:
+        def solves(records):  # each record's configuration, apart from its starts
+            return [dict(e["config"], starts=None) for e in records]
+
+        if solves(before) != solves(after):
             sys.exit("solver_check: the two outputs list different solves")
         pairs = zip(before, after)
     return 0 if report(pairs) else 1
