@@ -99,8 +99,7 @@ NOTED = [
     {"source": "tests/test_solver.py::test_polish_ends_at_kkt_points[0.0]",
      "config": {"k": 2, "p": 0.5, "t": 0.0, "l_range": [0, 1, 2], "starts": 32, "seed": 0},
      "note": "cluster_count is 16 here, at seeds 1 and 2 and in all 5 ulp runs, as the "
-             "continuum at starts = 64 explains; with the BFGS polish it read 15 here, 16 at "
-             "seeds 1 and 2, and 16, 16, 15, 15, 15 in the ulp runs"},
+             "continuum at starts = 64 explains"},
 ]
 
 
