@@ -72,9 +72,10 @@ full step, then every halving of the rows that step fails, all fixed by
 then.  The winner is the smallest zero count with a candidate that ties
 with the top, within _TIE_TOL min(1, |top|) of it, and cluster_count
 counts the distinct configurations among the candidates that tie by the
-same rule.  The value returned is the winner's series Re a_k.  One 256-point Cauchy integral of the built function checks it, on
-the circle |z| = r of 1/2, ..., 1/32 where its round-off is least
-(_coeff_inside), and hardy_norm re-measures its norm.
+same rule.  The value returned is the winner's series Re a_k.  One
+256-point Cauchy integral of the built function checks it, on the circle
+|z| = r of 1/2, ..., 1/32 where its round-off is least (_coeff_inside),
+and hardy_norm re-measures its norm.
 """
 
 from __future__ import annotations
