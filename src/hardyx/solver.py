@@ -507,8 +507,10 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
       calls: the full step, then every cut of the rows it fails, all fixed
       by the full step's c.
     A start converges on SLSQP's test, |f change| < _POLISH_FTOL and
-    |c| < _POLISH_FTOL, with a step below _POLISH_XTOL in every
-    coordinate: on a flat top f settles long before x.  It stops
+    |c| < _POLISH_FTOL, with a step below _POLISH_XTOL in every coordinate
+    or one along which the merit's slope lies within its rounding: at the
+    quartic-flat top of t = 0, f settles long before x, while on a top
+    flat to rounding, such as p = 1's plateau, x would crawl on.  It stops
     unconverged after 200 steps (SLSQP's maxiter in the polish this
     replaced), where its line search fails, or where grad c vanishes
     (SLSQP's status 8 and 7).
@@ -589,7 +591,7 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
             x_new[won], f_new[won], c_new[won], moved[won] = xt[hit], ft[hit], ct[hit], True
 
         conv = (moved & (np.abs(f_new - f) < _POLISH_FTOL) & (np.abs(c_new) < _POLISH_FTOL)
-                & (np.abs(x_new - x).max(axis=1) < _POLISH_XTOL))
+                & ((np.abs(x_new - x).max(axis=1) < _POLISH_XTOL) | (-descent <= slack)))
         stop = ~moved | conv
         if stop.any():
             x_out[rows[stop]], f_out[rows[stop]], c_out[rows[stop]] = x_new[stop], f_new[stop], c_new[stop]
