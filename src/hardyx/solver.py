@@ -66,8 +66,9 @@ rows, and at every row moved by 1e-6 along each coordinate, in one pass of
 the same kernel; the series are finite in lam and conj(lam), so the
 derivatives are too (_series_batch, _objective_batch).  The moved rows'
 gradients difference into the Hessian of the Lagrangian, whose
-eigenvalues, replaced by their moduli, make a modified Newton step
-(_newton_parts, _abs_eigen).  Its line search is at most two passes: the
+eigenvalues, replaced by their moduli, make a modified Newton matrix; its
+one eigendecomposition gives the step and the multiplier
+(_newton_parts, _newton_step).  Its line search is at most two passes: the
 full step, then every halving of the rows that step fails, all fixed by
 then.  The winner is the smallest zero count with a candidate that ties
 with the top, within _TIE_TOL min(1, |top|) of it, and cluster_count
@@ -466,19 +467,29 @@ def _newton_parts(fun, x: np.ndarray, rows: np.ndarray):
         H = ((gL[1:] - gL[0]) / ((x + _HESS_STEP) - x).T[:, :, None]).transpose(1, 2, 0)
     return f[:m], c[:m], gf0, gc0, 0.5 * (H + H.transpose(0, 2, 1))
 
-def _abs_eigen(H: np.ndarray) -> np.ndarray:
-    """Each symmetric matrix of H with its eigenvalues replaced by their
-    moduli, floored at max(1e-6 max|eig|, 1e-10): positive definite, and
-    the Newton matrix itself where that is (Nocedal & Wright, section 3.4).
+def _newton_step(H: np.ndarray, gf: np.ndarray, gc: np.ndarray, c: np.ndarray):
+    """(step, multiplier, step . B step) of each row's Newton-SQP step.
 
-    np.linalg.eigh factors each matrix alone, and the product adds over the
-    eigenvalues by _chain_sum, so each row's is as if alone.
+    B is the row's matrix of H with its eigenvalues replaced by their
+    moduli, floored at max(1e-6 max|eig|, 1e-10): positive definite, and the
+    Newton matrix itself where that is (Nocedal & Wright, section 3.4).  The
+    step minimizes gf . s + s . B s / 2 subject to c + gc . s = 0, in the
+    range-space form of their section 16.2: with B = V diag(d) V^T from one
+    np.linalg.eigh, B^-1 v = V((V^T v) / d), the multiplier is
+    (c - gc . B^-1 gf) / (gc . B^-1 gc), 0 where that denominator is (where
+    gc = 0), and the step -B^-1 (gf + multiplier gc).  np.linalg.eigh
+    factors each matrix alone, and every sum is by _chain_sum, so each row's
+    is as if alone.
     """
     eig, V = np.linalg.eigh(H)
     size = np.abs(eig)
     d = np.maximum(size, np.maximum(1e-6 * size.max(axis=1), 1e-10)[:, None])
-    return _chain_sum((V[:, :, j] * d[:, j, None])[:, :, None] * V[:, None, :, j]
-                      for j in range(H.shape[1]))
+    Vt = V.transpose(0, 2, 1)
+    Bf, Bc = (_dot(V, (_dot(Vt, v[:, None, :]) / d)[:, None, :]) for v in (gf, gc))
+    curv = _dot(gc, Bc)
+    mult = np.divide(c - _dot(gc, Bf), curv, out=np.zeros(len(c)), where=curv != 0)
+    step = -(Bf + mult[:, None] * Bc)
+    return step, mult, _dot(d, _dot(Vt, step[:, None, :]) ** 2)
 
 def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     """min f subject to c = 0 from every row of x0s at once; returns x, f, c, converged.
@@ -490,10 +501,11 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     Numerical Optimization, Algorithm 18.3, with a modified Newton matrix:
     * B is the Hessian of the Lagrangian at the least-squares multiplier,
       by differences of exact gradients (_newton_parts), with each
-      eigenvalue replaced by its modulus, floored (_abs_eigen, their
-      section 3.4), so that every step descends;
+      eigenvalue replaced by its modulus, floored (their section 3.4), so
+      that every step descends;
     * the step and multiplier solve the KKT system [[B, a], [a^T, 0]],
-      a = grad c;
+      a = grad c, in range-space form from B's eigendecomposition
+      (_newton_step, their section 16.2);
     * the merit is f + mu |c|, with mu at least their (18.36) bound at
       rho = 1/2, so that the step descends, and otherwise Powell's
       max(|multiplier|, mean of the last mu and |multiplier|), which
@@ -515,7 +527,7 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     replaced), where its line search fails, or where grad c vanishes
     (SLSQP's status 8 and 7).
     Every operation is elementwise over the starts, and the batched
-    eigendecomposition and KKT solve factor each matrix alone, so each row
+    eigendecomposition factors each matrix alone, so each row
     is what it would be alone where no value of fun depends on the other
     points of its call.
     """
@@ -543,16 +555,8 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
         m = rows.size
         if not m:
             break
-        B = _abs_eigen(H)
-        if constrained:
-            K = np.zeros((m, dim + 1, dim + 1))
-            K[:, :dim, :dim] = B
-            K[:, :dim, dim] = K[:, dim, :dim] = gc
-            sol = np.linalg.solve(K, np.concatenate((-gf, -c[:, None]), axis=1)[..., None])[..., 0]
-            step, size = sol[:, :dim], np.abs(sol[:, dim])
-        else:
-            step, size = np.linalg.solve(B, -gf[..., None])[..., 0], np.zeros(m)
-        sBs, slope, viol = _dot(step, _dot(B, step[:, None, :])), _dot(gf, step), np.abs(c)
+        step, mult, sBs = _newton_step(H, gf, gc, c)
+        size, slope, viol = np.abs(mult), _dot(gf, step), np.abs(c)
         need = np.divide(slope + 0.5 * np.maximum(sBs, 0.0), 0.5 * viol,
                          out=np.zeros(m), where=viol > 0)
         mu = np.maximum(need, np.maximum(size, 0.5 * (mu + size)))

@@ -1007,6 +1007,48 @@ def test_newton_hessian_matches_30_digit_second_derivatives(p):
     assert checked >= (14 if p == 0.3 else 9)
 
 
+def test_newton_step_solves_the_bordered_kkt_system():
+    # the range-space step from one eigendecomposition, against the bordered
+    # solve [[B, gc], [gc^T, 0]] [step; mult] = [-gf; -c] it replaced, B the
+    # floored-modulus matrix; where gc = 0 the system is singular, and the
+    # step is -B^-1 gf with multiplier 0
+    rng = np.random.default_rng(37)
+    for dim in (1, 2, 4, 6):
+        m = 60
+        V = np.linalg.qr(rng.standard_normal((m, dim, dim)))[0]
+        eig = rng.choice([-1.0, 1.0], (m, dim)) * 10.0 ** rng.uniform(-3, 3, (m, dim))
+        eig[::3, 0] *= 1e-12  # nearly singular: floored, at dim = 1 to 1e-10
+        eig[1::3] = np.abs(eig[1::3])  # positive definite
+        H = V @ (eig[:, :, None] * V.transpose(0, 2, 1))
+        H = 0.5 * (H + H.transpose(0, 2, 1))
+        gf, gc = rng.standard_normal((m, dim)), rng.standard_normal((m, dim))
+        c = rng.standard_normal(m) * (rng.random(m) < 0.8)
+        gc[::4] = 0.0
+        step, mult, sBs = solver._newton_step(H, gf, gc, c)
+
+        size, U = np.linalg.eigh(H)
+        size = np.abs(size)
+        d = np.maximum(size, np.maximum(1e-6 * size.max(axis=1), 1e-10)[:, None])
+        B = U @ (d[:, :, None] * U.transpose(0, 2, 1))
+        for i in range(m):
+            if gc[i].any():
+                K = np.block([[B[i], gc[i][:, None]], [gc[i][None, :], np.zeros((1, 1))]])
+                sol = np.linalg.solve(K, np.append(-gf[i], -c[i]))
+                ref_step, ref_mult = sol[:dim], sol[dim]
+            else:
+                ref_step, ref_mult = np.linalg.solve(B[i], -gf[i]), 0.0
+                assert mult[i] == 0.0
+            # the step is a difference of terms of the size of B^-1 gf, and
+            # rounds relative to them where the constraint fixes it (dim = 1)
+            scale = max(np.abs(ref_step).max(), np.abs(np.linalg.solve(B[i], gf[i])).max())
+            assert np.abs(step[i] - ref_step).max() <= 1e-9 * scale, (dim, i)
+            assert abs(mult[i] - ref_mult) <= 1e-9 * abs(ref_mult), (dim, i)
+            assert abs(sBs[i] - step[i] @ B[i] @ step[i]) <= 1e-9 * sBs[i], (dim, i)
+            alone = solver._newton_step(H[i:i + 1], gf[i:i + 1], gc[i:i + 1], c[i:i + 1])
+            for got, row in zip(alone, (step, mult, sBs)):
+                assert got.tobytes() == row[i:i + 1].tobytes(), (dim, i)
+
+
 def _polish(cfg, x0s, counts):
     # the solve's polish: the lockstep SQP from leaders x0s, row i of zero
     # count counts[i], and (J, lams) per row where it ends feasible
