@@ -422,6 +422,10 @@ def _nelder_mead_lockstep(fun, x0s: np.ndarray, maxfev: int):
 # the sufficient-decrease fraction of the polish's line search and its most
 # step halvings, enough where the Newton step's scale is far off (tiny p)
 _LS_ETA, _LS_CUTS = 1e-4, 30
+# the trials of a row that the full step fails, in order: cut j tries the arc
+# at alpha = 2^(1-j) (bend 1), then the line at alpha = 2^-j (bend 0)
+_LS_BEND = np.tile([1, 0], _LS_CUTS)
+_LS_ALPHA = np.ldexp(1.0, _LS_BEND - np.repeat(np.arange(1, _LS_CUTS + 1), 2))
 # the forward-difference step of the polish's Hessian, and the largest step
 # in any coordinate of a row that converges
 _HESS_STEP, _POLISH_XTOL = 1e-6, 1e-6
@@ -432,25 +436,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = a * b
     return _chain_sum(prod[..., j] for j in range(prod.shape[-1]))
 
-def _first_per_row(at: np.ndarray, ok: np.ndarray):
-    """(rows, indices): each row of at with a trial that passes, and its first.
-
-    at holds the row of each trial, grouped by row in increasing order, and
-    ok whether the trial passes.
-    """
-    hit = ok.nonzero()[0]
-    won = at[hit]
-    first = np.ones(hit.size, dtype=bool)
-    first[1:] = won[1:] != won[:-1]
-    return won[first], hit[first]
-
 def _newton_parts(fun, x: np.ndarray, rows: np.ndarray):
     """f, c, grad f, grad c at the rows of x, and the Hessian of the Lagrangian.
 
     One call of fun takes x and every x + h e_j, h = _HESS_STEP.  The
     gradients of f + mult c, with mult the least-squares multiplier
     -(grad c . grad f) / |grad c|^2 at x (0 where grad c vanishes, as it
-    does unconstrained), are differenced over the step each coordinate takes
+    does at t = 0), are differenced over the step each coordinate takes
     in rounding, and the difference quotient is symmetrized.
     """
     m, dim = x.shape
@@ -468,18 +460,15 @@ def _newton_parts(fun, x: np.ndarray, rows: np.ndarray):
     return f[:m], c[:m], gf0, gc0, 0.5 * (H + H.transpose(0, 2, 1))
 
 def _newton_step(H: np.ndarray, gf: np.ndarray, gc: np.ndarray, c: np.ndarray):
-    """(step, multiplier, step . B step) of each row's Newton-SQP step.
+    """(step, multiplier, step . B step): each row's minimum of
+    gf . s + s . B s / 2 subject to c + gc . s = 0.
 
-    B is the row's matrix of H with its eigenvalues replaced by their
-    moduli, floored at max(1e-6 max|eig|, 1e-10): positive definite, and the
-    Newton matrix itself where that is (Nocedal & Wright, section 3.4).  The
-    step minimizes gf . s + s . B s / 2 subject to c + gc . s = 0, in the
-    range-space form of their section 16.2: with B = V diag(d) V^T from one
-    np.linalg.eigh, B^-1 v = V((V^T v) / d), the multiplier is
-    (c - gc . B^-1 gf) / (gc . B^-1 gc), 0 where that denominator is (where
-    gc = 0), and the step -B^-1 (gf + multiplier gc).  np.linalg.eigh
-    factors each matrix alone, and every sum is by _chain_sum, so each row's
-    is as if alone.
+    B is the row's H with its eigenvalues replaced by their moduli, floored
+    at max(1e-6 max|eig|, 1e-10) (Nocedal & Wright, section 3.4).  From
+    B = V diag(d) V^T, B^-1 v = V((V^T v) / d) gives the range-space step of
+    their section 16.2: multiplier (c - gc . B^-1 gf) / (gc . B^-1 gc), 0
+    where gc = 0, and step -B^-1 (gf + multiplier gc).  Each row's is as if
+    alone: np.linalg.eigh factors each matrix alone, _dot sums by _chain_sum.
     """
     eig, V = np.linalg.eigh(H)
     size = np.abs(eig)
@@ -491,21 +480,18 @@ def _newton_step(H: np.ndarray, gf: np.ndarray, gc: np.ndarray, c: np.ndarray):
     step = -(Bf + mult[:, None] * Bc)
     return step, mult, _dot(d, _dot(Vt, step[:, None, :]) ** 2)
 
-def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
+def _sqp_lockstep(fun, x0s: np.ndarray):
     """min f subject to c = 0 from every row of x0s at once; returns x, f, c, converged.
 
     fun maps an (m, dim) array of points, and the index of the start each
     belongs to, onto f and c, and with grad=True also onto their gradients,
-    each of shape (m, dim); without constrained, c is ignored (fun gives
-    it, and its gradient, as 0).  Each start follows Nocedal & Wright,
+    each of shape (m, dim).  Each start follows Nocedal & Wright,
     Numerical Optimization, Algorithm 18.3, with a modified Newton matrix:
-    * B is the Hessian of the Lagrangian at the least-squares multiplier,
-      by differences of exact gradients (_newton_parts), with each
-      eigenvalue replaced by its modulus, floored (their section 3.4), so
-      that every step descends;
-    * the step and multiplier solve the KKT system [[B, a], [a^T, 0]],
-      a = grad c, in range-space form from B's eigendecomposition
-      (_newton_step, their section 16.2);
+    * the step and multiplier solve the KKT system with B the Hessian of
+      the Lagrangian at the least-squares multiplier, by differences of
+      exact gradients (_newton_parts), its eigenvalues replaced by their
+      moduli, floored (_newton_step), so that every step descends; at
+      t = 0, where fun gives c and grad c as 0, that is -B^-1 grad f;
     * the merit is f + mu |c|, with mu at least their (18.36) bound at
       rho = 1/2, so that the step descends, and otherwise Powell's
       max(|multiplier|, mean of the last mu and |multiplier|), which
@@ -516,20 +502,18 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
       x + alpha step + alpha^2 correction (their remedy for the Maratos
       effect), and each cut tries the arc and then the line, whose
       correction can be far off where the full step is long.  That is two
-      calls: the full step, then every cut of the rows it fails, all fixed
-      by the full step's c.
+      calls: the full step, then one table of every cut of the rows it
+      fails, all fixed by the full step's c.
     A start converges on SLSQP's test, |f change| < _POLISH_FTOL and
     |c| < _POLISH_FTOL, with a step below _POLISH_XTOL in every coordinate
     or one along which the merit's slope lies within its rounding: at the
     quartic-flat top of t = 0, f settles long before x, while on a top
     flat to rounding, such as p = 1's plateau, x would crawl on.  It stops
     unconverged after 200 steps (SLSQP's maxiter in the polish this
-    replaced), where its line search fails, or where grad c vanishes
-    (SLSQP's status 8 and 7).
-    Every operation is elementwise over the starts, and the batched
-    eigendecomposition factors each matrix alone, so each row
-    is what it would be alone where no value of fun depends on the other
-    points of its call.
+    replaced), where its line search fails, or where grad c vanishes but c
+    does not (SLSQP's status 8 and 7).  Every operation is elementwise over
+    the starts, so each row is what it would be alone where no value of fun
+    depends on the other points of its call.
     """
     n, dim = x0s.shape
     rows = np.arange(n)  # the starts still running
@@ -537,17 +521,14 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
     f, c, gf, gc, H = _newton_parts(fun, x, rows)
     x_out, f_out, c_out, conv_out = x.copy(), f.copy(), c.copy(), np.zeros(n, dtype=bool)
     mu = np.zeros(n)
-    cuts = np.arange(1, _LS_CUTS + 1)
     for _ in range(200):
         # a row stops where its Hessian is not finite: a gradient overflowed,
-        # or x ran so far that x_j + h rounds to x_j.  Constrained, it stops
-        # where grad c vanishes, where no step of a radian moves c by a
-        # rounding unit of t_hat <= 1: the |g0| guard, an overflowed norm,
-        # and points where t_hat underflows
+        # or x ran so far that x_j + h rounds to x_j.  It stops where no step
+        # of a radian moves c by a rounding unit of t_hat <= 1 and c is not 0
+        # (never at t = 0): the |g0| guard, an overflowed norm, and points
+        # where t_hat underflows
         gg = _dot(gc, gc)
-        out = ~np.isfinite(H).all(axis=(1, 2))
-        if constrained:
-            out |= ~(gg > _EPS * _EPS)
+        out = ~np.isfinite(H).all(axis=(1, 2)) | (~(gg > _EPS * _EPS) & (c != 0))
         if out.any():
             x_out[rows[out]], f_out[rows[out]], c_out[rows[out]] = x[out], f[out], c[out]
             keep = ~out
@@ -576,23 +557,24 @@ def _sqp_lockstep(fun, x0s: np.ndarray, constrained: bool):
         c_new = np.where(moved, ct, c)
         f_new = np.where(moved, f_new, f)
         x_new = np.where(moved[:, None], x_new, x)
-        # the full step's c fixes every later trial of the rows it fails: cut
-        # j tries the arc at alpha = 2^(1-j), then the line at 2^-j (only the
-        # line unconstrained).  The trials are grouped by row, each row's in
-        # the order of its cuts
+        # the full step's c fixes every trial of the rows it fails: a table
+        # of failing rows by trials, each row taking its first that passes.
+        # The correction is +0.0 where grad c vanishes: each arc at t = 0
+        # repeats the line before it
         fail = (~moved).nonzero()[0]
         if fail.size:
-            bends = [1, 0] if constrained else [0]
-            i = np.repeat(np.arange(fail.size), len(bends) * _LS_CUTS)
-            cut = np.tile(np.repeat(cuts, len(bends)), fail.size)
-            bend = np.tile(bends, fail.size * _LS_CUTS)
-            corr = (-gc[fail] * (ct[fail] / gg[fail])[:, None] if constrained
-                    else np.zeros((fail.size, dim)))
-            at, a = fail[i], np.ldexp(1.0, bend - cut)
-            xt = x[at] + a[:, None] * step[at] + (bend * a * a)[:, None] * corr[i]
-            ft, ct = fun(xt, rows[at])
-            won, hit = _first_per_row(at, passes(ft, ct, at, a))
-            x_new[won], f_new[won], c_new[won], moved[won] = xt[hit], ft[hit], ct[hit], True
+            live = (gg[fail] > 0)[:, None]
+            ratio = np.divide(ct[fail, None], gg[fail, None], out=np.zeros((fail.size, 1)), where=live)
+            corr = np.where(live, -gc[fail] * ratio, 0.0)
+            xt = (x[fail, None] + _LS_ALPHA[:, None] * step[fail, None]
+                  + (_LS_BEND * _LS_ALPHA * _LS_ALPHA)[:, None] * corr[:, None])
+            ft, ct = (v.reshape(fail.size, -1)
+                      for v in fun(xt.reshape(-1, dim), np.repeat(rows[fail], _LS_ALPHA.size)))
+            ok = passes(ft, ct, fail[:, None], _LS_ALPHA)
+            hit = ok.any(axis=1)
+            won, first = fail[hit], ok.argmax(axis=1)[hit]
+            x_new[won], f_new[won], c_new[won] = xt[hit, first], ft[hit, first], ct[hit, first]
+            moved[won] = True
 
         conv = (moved & (np.abs(f_new - f) < _POLISH_FTOL) & (np.abs(c_new) < _POLISH_FTOL)
                 & ((np.abs(x_new - x).max(axis=1) < _POLISH_XTOL) | (-descent <= slack)))
@@ -840,14 +822,14 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
             leaders += block
             owners += [l] * len(block)
             at += len(x0s)
-        # pinned, f(0) = 0 holds by construction and only J is polished: the
-        # SQP runs unconstrained and takes only steps that lower -J, up to the
-        # merit's rounding slack, so every row keeps where it stops, converged
-        # or not
+        # pinned, f(0) = 0 holds by construction and only J is polished: c
+        # and its gradient are 0, so the SQP's step is the modified Newton
+        # step on -J and it takes only steps that lower -J, up to the merit's
+        # rounding slack, so every row keeps where it stops, converged or not
         owners = np.array(owners)
         x, f, c, _ = _sqp_lockstep(
             lambda X, rows, grad=False: _objective_batch(p, k, t, X, owners[rows], grad),
-            np.array(leaders), constrained=not pinned)
+            np.array(leaders))
         for l, found in zip(owners.tolist(), _candidates(cfg, x, f, c)):
             if found is not None:
                 feasible[l].append(found)

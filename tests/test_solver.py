@@ -1055,7 +1055,7 @@ def _polish(cfg, x0s, counts):
     def fun(X, rows, grad=False):
         return solver._objective_batch(cfg.p, cfg.k, cfg.t, X, counts[rows], grad)
 
-    x, f, c, _ = solver._sqp_lockstep(fun, x0s, constrained=cfg.t > 0)
+    x, f, c, _ = solver._sqp_lockstep(fun, x0s)
     return solver._candidates(cfg, x, f, c)
 
 
@@ -1098,7 +1098,7 @@ def test_polish_line_search_halves_in_one_call_at_tiny_p(monkeypatch, k, p, t):
     lockstep = solver._sqp_lockstep
     searches = []  # the rows of each call of each line search
 
-    def recorded(fun, x0s, constrained):
+    def recorded(fun, x0s):
         def counted(X, rows, grad=False):
             if grad:
                 searches.append([])
@@ -1106,7 +1106,7 @@ def test_polish_line_search_halves_in_one_call_at_tiny_p(monkeypatch, k, p, t):
                 searches[-1].append(len(X))
             return fun(X, rows, grad)
 
-        return lockstep(counted, x0s, constrained)
+        return lockstep(counted, x0s)
 
     monkeypatch.setattr(solver, "_sqp_lockstep", recorded)
     sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
@@ -1115,6 +1115,23 @@ def test_polish_line_search_halves_in_one_call_at_tiny_p(monkeypatch, k, p, t):
     assert max(map(len, searches)) == 2
     halvings = [calls[1] for calls in searches if len(calls) == 2]
     assert halvings and all(rows % (2 * solver._LS_CUTS) == 0 for rows in halvings)
+
+
+def test_polish_stops_only_where_the_linearized_constraint_has_no_solution():
+    # row 0 has c = 1 and grad c = 0, so no step meets the constraint: it
+    # stops where it starts, unconverged.  Row 1 has c = 0 and grad c = 0,
+    # no constraint, as at t = 0: it converges to the minimum a of
+    # f = |x - a|^2 / 2
+    a = np.array([0.3, -1.2, 2.0])
+
+    def fun(X, rows, grad=False):
+        f, c = 0.5 * ((X - a) ** 2).sum(axis=1), np.where(rows == 0, 1.0, 0.0)
+        return (f, c, X - a, np.zeros(X.shape)) if grad else (f, c)
+
+    x0s = np.array([[1.0, 0.5, -0.5], [-0.4, 0.8, 0.1]])
+    x, f, c, conv = solver._sqp_lockstep(fun, x0s)
+    assert x[0].tobytes() == x0s[0].tobytes() and c[0] == 1.0 and not conv[0]
+    assert conv[1] and np.abs(x[1] - a).max() < 1e-9 and c[1] == 0.0
 
 
 def test_tiny_p_at_four_starts_reaches_the_1024_start_value():
@@ -1154,14 +1171,14 @@ def test_nan_cross_check_raises(monkeypatch):
 
 
 def test_pinned_polish_keeps_where_the_sqp_stops(monkeypatch):
-    # at t = 0 the SQP runs unconstrained and takes only steps that lower
-    # -J, so each row keeps the J of its end, converged or not; here three
-    # rows stop unconverged, where nearly every pinned row converges
+    # at t = 0 c and its gradient are 0, and the SQP takes only steps that
+    # lower -J, so each row keeps the J of its end, converged or not; here
+    # three rows stop unconverged, where nearly every pinned row converges
     lockstep, candidates = solver._sqp_lockstep, solver._candidates
     ends, found = [], []
 
-    def recorded(fun, x0s, constrained):
-        out = lockstep(fun, x0s, constrained)
+    def recorded(fun, x0s):
+        out = lockstep(fun, x0s)
         ends.append(tuple(v.copy() for v in out))
         return out
 
@@ -1185,18 +1202,18 @@ def test_polish_ends_at_kkt_points(monkeypatch, t):
     lockstep = solver._sqp_lockstep
     runs = []
 
-    def recorded(fun, x0s, constrained, **kwargs):
-        out = lockstep(fun, x0s, constrained, **kwargs)
-        runs.append((fun, constrained, out))
+    def recorded(fun, x0s):
+        out = lockstep(fun, x0s)
+        runs.append((fun, out))
         return out
 
     monkeypatch.setattr(solver, "_sqp_lockstep", recorded)
     maximize_phik(cfg)
-    (fun, constrained, (x, f, c, conv)), = runs
-    assert constrained == (t > 0)
+    (fun, (x, f, c, conv)), = runs
     assert len(x) >= 16 and conv.sum() >= 12
     _, _, gf, gc = fun(x[conv], np.nonzero(conv)[0], grad=True)
-    if constrained:
+    assert (gc == 0.0).all() == (t == 0)
+    if t > 0:
         assert (np.abs(c[conv]) < solver._POLISH_FTOL).all()
         gf = gf - ((gf * gc).sum(axis=1) / (gc * gc).sum(axis=1))[:, None] * gc
     assert np.abs(gf).max() < 1e-4
@@ -1251,19 +1268,3 @@ def test_centroid_adds_as_scipys_reduce_did():
             sim[:, :2] = -0.0  # starts whose vertices all read -0.0
             ref = np.add.reduce(sim[:-1], 0) / N
             assert solver._nm_centroid(sim).tobytes() == ref.tobytes(), (m, N)
-
-
-def test_first_passing_trial_of_each_row_as_np_unique_picked_it():
-    rng = np.random.default_rng(23)
-    several = 0
-    for _ in range(300):
-        m = int(rng.integers(1, 12))
-        rows = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-        at = np.repeat(rows, rng.integers(1, 31, rows.size))
-        ok = rng.random(at.size) < rng.choice([0.0, 0.05, 0.3, 0.9])
-        won, first = np.unique(at[ok], return_index=True)
-        hit = np.nonzero(ok)[0][first]
-        got_won, got_hit = solver._first_per_row(at, ok)
-        assert got_won.tobytes() == won.tobytes() and got_hit.tobytes() == hit.tobytes()
-        several += np.any(np.bincount(at[ok], minlength=m) > 1)
-    assert several >= 100
