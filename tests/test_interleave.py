@@ -24,3 +24,4 @@ def test_interleave_times_curves_against_the_same_commit():
     total, median = map(float, re.fullmatch(
         r"base/head: total (\S+), median per operation (\S+)", out[3]).groups())
     assert total > 0 and median > 0
+    assert out[4] == "600 of 600 operations return the same result on both sides"

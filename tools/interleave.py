@@ -14,8 +14,10 @@ back, the base first in even reps and the head first in odd ones, so a
 change in the machine's speed falls on both alike.
 
 It prints each side's total seconds and failed operations, the ratio of
-the totals (base over head: above 1 where the head is faster), and the
-median of the per-operation ratios.  This is evidence about one layer
+the totals (base over head: above 1 where the head is faster), the
+median of the per-operation ratios, and how many operations return the
+same result on both sides: the same ``repr`` of the value, or an
+exception of the same type.  This is evidence about one layer
 beside a BENCH pair of tools/bench_pairs.py, not a claim: it has no
 process start, no set-up and no speed scaling.
 """
@@ -40,18 +42,18 @@ from bench_pairs import _git, export  # noqa: E402
 SIDES = ("base", "head")
 
 
-def _seconds(hx, op) -> tuple[float, bool]:
+def _run(hx, op) -> tuple[float, bool, str]:
+    """(seconds, ok, the repr of the result or the type name of the exception)."""
     t0 = time.perf_counter()
     try:
-        getattr(hx, op.fn)(*op.args, **op.kwargs)
-        ok = True
-    except Exception:  # a failed operation is counted, as perfbench counts it
-        ok = False
-    return time.perf_counter() - t0, ok
+        result = getattr(hx, op.fn)(*op.args, **op.kwargs)
+    except Exception as exc:  # a failed operation is counted, as perfbench counts it
+        return time.perf_counter() - t0, False, type(exc).__name__
+    return time.perf_counter() - t0, True, repr(result)
 
 
 def interleave(hxs: dict, workload, seeds: list[int], reps: int) -> dict:
-    """Per side, the list of (seconds, ok) of every operation, in one order."""
+    """Per side, the list of _run's (seconds, ok, outcome) of every operation, in one order."""
     for hx in hxs.values():
         for op in workload.warmup(hx):
             getattr(hx, op.fn)(*op.args, **op.kwargs)
@@ -63,7 +65,7 @@ def interleave(hxs: dict, workload, seeds: list[int], reps: int) -> dict:
                    for side, hx in hxs.items()}
             for i in range(len(ops["head"])):
                 for side in order:
-                    times[side].append(_seconds(hxs[side], ops[side][i]))
+                    times[side].append(_run(hxs[side], ops[side][i]))
     return times
 
 
@@ -92,15 +94,17 @@ def main(argv=None) -> int:
             ap.error(f"unknown workload {args.workload!r}")
         times = interleave(hxs, workloads.WORKLOADS[args.workload], seeds, args.reps)
 
-    total = {side: sum(t for t, _ in times[side]) for side in SIDES}
+    total = {side: sum(t for t, _, _ in times[side]) for side in SIDES}
     n = len(times["head"])
     print(f"{args.workload} seeds {args.seeds}, {args.reps} reps: {n} operations a side")
     for side in SIDES:
-        failed = sum(not ok for _, ok in times[side])
+        failed = sum(not ok for _, ok, _ in times[side])
         print(f"{side} {commits[side][:12]}: {total[side]:.4f} s, {failed} failed")
-    per_op = [b / h for (b, _), (h, _) in zip(times["base"], times["head"]) if h > 0]
+    per_op = [b[0] / h[0] for b, h in zip(times["base"], times["head"]) if h[0] > 0]
     print(f"base/head: total {total['base'] / total['head']:.4f}, "
           f"median per operation {statistics.median(per_op):.4f}")
+    same = sum(b[1:] == h[1:] for b, h in zip(times["base"], times["head"]))
+    print(f"{same} of {n} operations return the same result on both sides")
     return 0
 
 

@@ -21,7 +21,7 @@ The sweep draws from ``numpy.random.default_rng(SEED)``: 80 solves with p
 log-uniform in [1e-3, 0.03] (source "tiny p"), then 150 with p
 log-uniform in [1e-3, 8] and every tenth at p = inf (source "domain"),
 then 40 more like "domain" but at t = 0 (source "pinned"), where f(0) = 0
-fixes lam_0 = 0 and the polish runs unconstrained, then 20 at t = 1 with
+fixes lam_0 = 0 and the polish has no constraint, then 20 at t = 1 with
 every fifth at p = inf (source "constant"), where f = 1 is the only
 admissible function.  Each has k uniform in {1, 2, 3}, t uniform in
 [0, 1] outside "pinned" and "constant", the default ``l_range``,
