@@ -156,7 +156,7 @@ def _one_zero_top(k: int, p: float) -> tuple[float, float]:
     x^k / 2 <= D = p/2 <= k x^k, and bisection on the sign of h' finds it.
     There -h'' <= k^2 x^k / p <= k, so at the midpoint of the final bracket,
     of width du <= 1e-12, h falls short of its maximum by at most k du^2,
-    and its rounding costs a few ulp: the solver's 2 _FEAS_TOL margin
+    and its rounding costs a few ulp: the solver's _SKIP_MARGIN of 2e-9
     covers both.  At k = 1 this is the top of the alpha branch, _branch_top.
     """
     if p >= 1:

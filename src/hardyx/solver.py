@@ -14,11 +14,14 @@ loop exact and quadrature-free:
 The scale C is eliminated: ||f|| = 1 and f(0) > 0 pin
 C = conj(g0) / (|g0| ||g||), leaving the smooth objective
 J = Re(conj(g0) a_k) / (|g0| ||g||) under the scalar constraint
-t_hat = |g0| / ||g|| = t, met to _FEAS_TOL.  Every stage of the search
-reads that problem as one objective, f = -J and c = t_hat - t
-(_objective_batch): the explore descends f + _PENALTY |c|, the polish
-minimizes f subject to c = 0, and one test, |c| <= _FEAS_TOL
-(_candidates), admits the polish's ends and the closed-form points alike.
+t_hat = |g0| / ||g|| = t.  The search reads that problem as f = -J and
+c = t_hat - t (_objective_batch): the explore descends f + _PENALTY |c|,
+and the polish minimizes f subject to c = 0.  The constraint is then met
+exactly, not to a tolerance: each end moves along its ray lam = rho mu to
+the root of t_hat = t beside it (_rays).  There ||g|| = |g0| / t, so
+J = t Re(a_k / g0) forms no norm, and the answer is t g / g0.  One test,
+that the ray has a root with every |lam_j| <= 1 (_candidates), admits
+the polish's ends and the closed-form rays alike.
 
 The same identities bound the values t_hat takes at a given zero count.
 With c the coefficients of prod_j (1 - conj(lam_j) z), ||g||^p = sum |c_n|^2
@@ -38,17 +41,18 @@ minimal interpolant at the maximizing r attains it.  At p = infinity,
 where ||g|| = 1, these read t_hat <= 1 at l = k and l = 1, and t_hat >= 1
 at l = 0, where g = 1.  A zero count whose range excludes t is skipped
 before any search.  Above l = 0's floor, for finite p and 0 < t < 1, the
-family's own point lam_j = -a, g = (1 + a z)^{2k/p}, meets t at the root a
+family's own ray mu_j = -1, g = (1 + a z)^{2k/p}, meets t at the root a
 in (0, 1] of t^p sum_n C(k, n)^2 a^{2n} = 1; it joins l = 0's candidates
-as the polish's ends do, without a search (_in_family_point), so l = 0
-has a feasible point wherever t is at or above its floor.
+as the polish's ends do, without a search, so l = 0 has a feasible point
+wherever t is at or above its floor.  The lifted k = 1 extremals join
+their counts' candidates in the same way.
 
 Simplex descent on an exact penalty explores every zero count of a solve
 at once: one Nelder-Mead advances the starts of all counts with the same
 free dimension (every count for finite p) in lockstep, following scipy's
 rules for each start, and evaluates the penalty in one complex array pass,
 each row with its own zero count (_series_batch).  That pass is the
-solver's only evaluation of the series: it agrees with a 30-digit
+search's only evaluation of the series: it agrees with a 30-digit
 evaluation to 1e-13 of the terms' size, and no row's result depends on
 the other rows.  So one pass per step holds the
 reflection and all three second trials of every start, and each start
@@ -58,7 +62,7 @@ pick its basin: near the feasible set the penalty has a kink along
 t_hat = t, which a simplex follows only slowly, and the polish does that
 constrained descent on exact gradients.  At tiny p (below about 0.03)
 with few starts the basin each start picks varies with the budget, and
-the in-family point keeps l = 0 from ending with no feasible point.  One
+the in-family ray keeps l = 0 from ending with no feasible point.  One
 sequential quadratic programming polish then enforces the constraint on
 the leaders of every count of the population in lockstep, each iteration
 evaluating the objective, t_hat and their exact gradients for all of its
@@ -70,7 +74,9 @@ eigenvalues, replaced by their moduli, make a modified Newton matrix; its
 one eigendecomposition gives the step and the multiplier
 (_newton_parts, _newton_step).  Its line search is at most two passes: the
 full step, then every halving of the rows that step fails, all fixed by
-then.  The winner is the smallest zero count with a candidate that ties
+then.  Each end then moves onto t_hat = t along its ray, by a few Newton
+steps on rho alone from the series formed once at the end (_rays).  The
+winner is the smallest zero count with a candidate that ties
 with the top, within _TIE_TOL min(1, |top|) of it, and cluster_count
 counts the distinct configurations among the candidates that tie by the
 same rule.  The value returned is the winner's series Re a_k.  One
@@ -86,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _branch_top, _one_zero_top, _root, phi1, solve_alpha, solve_beta
+from .closed_form import _branch_top, _one_zero_top, phi1, solve_alpha, solve_beta
 from .fn_repr import (_UNIT_TOL, EvaluationError, StructuredExtremal, _is_int,
                       sample_boundary, taylor_coeff)
 from .hardy_norm import _chain_sum, norm_hinf, norm_hp
@@ -102,7 +108,6 @@ __all__ = [
 ]
 
 _PENALTY = 10.0
-_FEAS_TOL = 1e-9
 # a candidate ties with the top value J where it lies within
 # _TIE_TOL min(1, |J|) of it (_ties)
 _TIE_TOL = 1e-9
@@ -174,10 +179,10 @@ class SolveConfig:
 class ExtremalSolution:
     """The answer of ``maximize_phik``.
 
-    ``best`` is g / ||g|| for the winner g, turned by a constant phase so
-    that best(0) = t_hat = |g(0)| / ||g|| > 0, or at t = 0 so that its
-    a_k >= 0.  Its series norm is 1, t_hat meets t to the feasibility
-    tolerance, and ``value`` is the series Re a_k of ``best``.
+    ``best`` is t g / g(0) for the winner g, a root of t_hat =
+    |g(0)| / ||g|| = t on its ray, so that best(0) = t and its norm is 1;
+    at t = 0 it is g / ||g||, turned by a constant phase so that its
+    a_k >= 0.  ``value`` is the series Re a_k of ``best``.
     ``norm_residual`` is | ||best|| - 1 | by quadrature, and ``t_residual``
     is |best(0) - t|.
     """
@@ -194,8 +199,8 @@ class ExtremalSolution:
         # a NaN fails each test
         if not (self.norm_residual < 1e-7):
             raise SolverError(f"norm residual {self.norm_residual} is not below 1e-7")
-        if not (self.t_residual < _FEAS_TOL):
-            raise SolverError(f"t residual {self.t_residual} is not below {_FEAS_TOL}")
+        if not (self.t_residual < 1e-9):
+            raise SolverError(f"t residual {self.t_residual} is not below 1e-9")
         if not (self.value >= 0):
             raise SolverError(f"extremal value {self.value} is not >= 0")
 
@@ -212,6 +217,42 @@ class SandwichReport:
 # exact series arithmetic
 # ---------------------------------------------------------------------------
 
+def _terms(p: float, lams: np.ndarray, l):
+    """(num, E, c): the coefficients through degree k, per row of lams (n, k).
+
+    num is the numerator prod_{j<l} (lam_j - z), an array (k + 1, n); E the
+    list of the k + 1 coefficients of exp(sum_m A_m z^m) (module docstring
+    of _series_batch); c the coefficients (k + 1, n) of
+    prod_j (1 - conj(lam_j) z), or None at p = inf.  Every operation is
+    elementwise over the rows.
+    """
+    n, k = lams.shape
+    lam = lams.T
+    w = lam.conj()
+    zeros = np.arange(k)[:, None] < l  # slot j of a row carries a Blaschke zero
+    num = np.zeros((k + 1, n), dtype=complex)
+    num[0] = 1.0
+    for j in range(int(np.asarray(l).max())):
+        times = lam[j] * num
+        times[1:] -= num[:-1]
+        num = np.where(zeros[j], times, num)
+    weight = zeros - 2.0 / p
+    P = [_chain_sum(weight * w)]
+    power = w
+    for _ in range(1, k):
+        power = power * w
+        P.append(_chain_sum(weight * power))
+    E = [1.0]
+    for d in range(1, k + 1):
+        E.append(_chain_sum([P[d - 1], *(P[m - 1] * E[d - m] for m in range(1, d))]) / d)
+    if math.isinf(p):
+        return num, E, None
+    c = np.zeros((k + 1, n), dtype=complex)
+    c[0] = 1.0
+    for j in range(k):
+        c[1:j + 2] -= w[j] * c[:j + 1]
+    return num, E, c
+
 def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     """(g0, a_k, ||g||) of the unscaled product with l zeros, per row of lams (n, k).
 
@@ -221,9 +262,9 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     m A_m = P_m = sum_{j<l} w_j^m - e sum_{j<k} w_j^m: each Blaschke
     denominator and outer factor is a power of (1 - w_j z).  The
     exponential's coefficients follow from E_0 = 1 and
-    E_d = (1/d) sum_{m<=d} P_m E_{d-m}.  ||g||^p is sum |c_n|^2 over the
-    coefficients of prod_j (1 - w_j z), and reads inf where its p-th root
-    passes the largest double.
+    E_d = (1/d) sum_{m<=d} P_m E_{d-m} (_terms).  ||g||^p is sum |c_n|^2
+    over the coefficients of prod_j (1 - w_j z), and reads inf where its
+    p-th root passes the largest double.
 
     With grad, a fourth item holds the derivatives in each slot j, arrays
     of shape (k, n): d g0/d lam_j, d a_k/d lam_j, d a_k/d w_j and
@@ -243,27 +284,13 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
     the product with every term replaced by its modulus.
     """
     n, k = lams.shape
-    lam = lams.T
-    w = lam.conj()
-    zeros = np.arange(k)[:, None] < l  # slot j of a row carries a Blaschke zero
-    num = np.zeros((k + 1, n), dtype=complex)
-    num[0] = 1.0
-    for j in range(int(np.asarray(l).max())):
-        times = lam[j] * num
-        times[1:] -= num[:-1]
-        num = np.where(zeros[j], times, num)
-    e = 2.0 / p
-    weight = zeros - e
-    P = [_chain_sum(weight * w)]
-    power = w
-    for _ in range(1, k):
-        power = power * w
-        P.append(_chain_sum(weight * power))
-    E = [1.0]
-    for d in range(1, k + 1):
-        E.append(_chain_sum([P[d - 1], *(P[m - 1] * E[d - m] for m in range(1, d))]) / d)
+    num, E, c = _terms(p, lams, l)
     ak = _chain_sum([num[k], *(num[i] * E[k - i] for i in range(k))])
     if grad:
+        lam = lams.T
+        w = lam.conj()
+        zeros = np.arange(k)[:, None] < l
+        weight = zeros - 2.0 / p
         # slot j's numerator without its factor (0 where j carries no zero),
         # and the coefficients of d E/d w_j, each of shape (k, n) per degree
         quot = np.zeros((k + 1, k, n), dtype=complex)
@@ -276,12 +303,8 @@ def _series_batch(p: float, lams: np.ndarray, l, grad: bool = False):
         dak_dlam = _chain_sum([quot[k], *(quot[i] * E[k - i] for i in range(k))])
         dak_dw = _chain_sum(num[i] * F[k - i] for i in range(k))
         derivs = [quot[0], dak_dlam, dak_dw]
-    if not e:
+    if c is None:
         return (num[0], ak, np.ones(n)) + ((derivs + [np.zeros((k, n), dtype=complex)],) if grad else ())
-    c = np.zeros((k + 1, n), dtype=complex)
-    c[0] = 1.0
-    for j in range(k):
-        c[1:j + 2] -= w[j] * c[:j + 1]
     total = _chain_sum(c.real * c.real + c.imag * c.imag)
     with np.errstate(over="ignore"):
         nrm = np.exp(np.log(total) / p)
@@ -593,6 +616,136 @@ def _sqp_lockstep(fun, x0s: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# rays: f(0) = t exactly
+# ---------------------------------------------------------------------------
+
+# the Newton steps a ray's root may take; from a start beside it, it needs
+# one or two (_ray_roots)
+_ROOT_STEPS = 60
+
+def _ray_roots(p: float, t: float, l: np.ndarray, a: np.ndarray, P: np.ndarray,
+               s_max: np.ndarray):
+    """(s, ok) per row: s = log rho^2 at a root of t_hat(rho mu) = t for
+    finite p, found from s = 0, the row's own lambdas; ok where the row has
+    one with every |lam_j| <= 1, that is s <= s_max.
+
+    With u = e^s the series of a row reads ||g||^p = S(u) = 1 + Q(u),
+    Q(u) = sum_{n>=1} a_n u^n, and |g0| = rho^l P (module docstring), so
+    the root solves F(s) = 0 for a concave F:
+    * l = 0: F = log D - log Q(e^s), D = expm1(-p log t), decreasing, with
+      one root;
+    * l >= 1: F = (lp/2) s + p log(P/t) - log1p(Q(e^s)), with at most two
+      roots, one on each side of F's top; the search finds the one to which
+      F's slope at 0 points.
+    From the root's outer side, where F < 0, a Newton step stays on that
+    side, and from between the root and F's top it lands there.  Near the
+    top, where the two roots nearly meet and Newton's steps only halve the
+    distance, a step to the root of F's quadratic model takes over from
+    the outer side: it is taken where it lands short of the top, and
+    otherwise the Newton step.  A Newton step from the outer side that
+    turns back shows that F has no root there.  Every operation is
+    elementwise over the rows.
+    """
+    lt = math.log(t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logP = np.log(P)
+        k = len(a) - 1
+        outer = l == 0
+        # log D = log(e^x - 1), x = -p log t, without overflow
+        logD = -p * lt + math.log(-math.expm1(p * lt))
+        h = 0.5 * l * p
+        c = np.where(outer, logD, p * (logP - lt))
+        degree = np.arange(1, k + 1)[:, None]
+
+        def F(s, at):
+            # F, F' and F'' at s for the rows at: with the terms a_n u^n,
+            # F' = h - mean and F'' = -variance of n under the weights S,
+            # and F's rounding, a few units of its terms' size
+            terms = a[1:, at] * np.exp(degree * s)
+            Q, M, V = _chain_sum(terms), _chain_sum(degree * terms), _chain_sum(degree ** 2 * terms)
+            o = outer[at]
+            S = np.where(o, Q, 1.0 + Q)
+            mean = M / S
+            slope, log_S = h[at] * s, np.where(o, np.log(Q), np.log1p(Q))
+            return (slope + c[at] - log_S, h[at] - mean, mean * mean - V / S,
+                    8 * _EPS * (np.abs(slope) + np.abs(c[at]) + np.abs(log_S)))
+
+        s = np.zeros(len(l))
+        live = np.arange(len(l))
+        sign = np.where(F(s, live)[1] > 0, 1.0, -1.0)  # the step's direction on the outer side
+        ok = np.zeros(len(l), dtype=bool)
+        # the Newton point of the last outer point, to fall back on where a
+        # model step passes the top
+        back, modelled = s.copy(), np.zeros(len(l), dtype=bool)
+        for _ in range(_ROOT_STEPS):
+            if not live.size:
+                break
+            x = s[live]
+            Fv, dF, d2F, noise = F(x, live)
+            up = dF * sign[live] > 0  # short of the top
+            retry = ~up & modelled
+            newton = -Fv / dF
+            disc = np.maximum(dF * dF - 2 * Fv * d2F, 0.0)
+            model = -2 * Fv / (dF + sign[live] * np.sqrt(disc))
+            use_model = up & (Fv < 0)
+            step = np.where(use_model, model, newton)
+            met = up & ((np.abs(Fv) <= noise) | (np.abs(step) <= 4 * _EPS * np.maximum(1.0, np.abs(x))))
+            ok[live[met]] = True
+            # past the top after a Newton step: no root on this side, or at
+            # 0 the double root
+            lost = ~up & ~modelled
+            ok[live[lost & (Fv >= 0)]] = True
+            s[live] = np.where(met | lost, x, np.where(retry, back, x + step))
+            back = np.where(use_model, x + newton, back)
+            modelled = use_model
+            keep = ~(met | lost | ~np.isfinite(Fv))
+            live, back, modelled = live[keep], back[keep], modelled[keep]
+        return s, ok & (s <= s_max)
+
+def _rays(p: float, k: int, t: float, mu: np.ndarray, l):
+    """(J, lams, ok): the value J and lambdas lams = rho mu at the root of
+    t_hat = t on the ray of each row of mu (n, k) beside mu itself
+    (_ray_roots), where ok.
+
+    l is the zero count of every row, or one count per row.  The series is
+    formed once at mu, and rho enters through monomials: g0 = rho^l num_0,
+    a_k = sum_i num_i E_{k-i} rho^{k+l-2i} and ||g||^p = S(rho^2), so on the
+    feasible set, where ||g|| = |g0| / t, J = t Re(a_k / g0) =
+    t sum_i b_i rho^{k-2i}, b_i = Re(num_i E_{k-i} / num_0), and no norm is
+    formed.  At p = inf, where ||g|| = 1, s = (2 log t - sum_{j<l}
+    log|mu_j|^2) / l, and g is the Blaschke product of the factors
+    lam_j - d_j z / (1 - w_j z), d_j = 1 - |lam_j|^2 = -expm1(s +
+    log|mu_j|^2): every coefficient past g0 carries some d_j, so a_k does
+    not cancel as |lam_j| -> 1 near t = 1, and the d_j meet
+    prod_j (1 - d_j) = t^2 with the same logs.
+    """
+    n = len(mu)
+    l = np.broadcast_to(l, n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_m = np.log(mu.real * mu.real + mu.imag * mu.imag)
+        s_max = -log_m.max(axis=1)
+        if math.isinf(p):
+            s = (2 * math.log(t) - _chain_sum([np.where(j < l, log_m[:, j], 0.0) for j in range(k)])) / l
+            lams = np.exp(0.5 * s)[:, None] * mu
+            d = -np.expm1(s[:, None] + log_m)
+            g = [np.ones(n, dtype=complex)] + [np.zeros(n, dtype=complex)] * k
+            for j in range(int(l.max())):
+                w = lams[:, j].conj()
+                B = [lams[:, j], -d[:, j]]
+                for _ in range(2, k + 1):
+                    B.append(B[-1] * w)
+                g = np.where(j < l, [_chain_sum(g[i] * B[m - i] for i in range(m + 1))
+                                     for m in range(k + 1)], g)
+            J = t * (g[k] / g[0]).real
+            return J, lams, (s <= s_max) & np.isfinite(J)
+        num, E, c = _terms(p, mu, l)
+        s, ok = _ray_roots(p, t, l, c.real * c.real + c.imag * c.imag, np.abs(num[0]), s_max)
+        J = t * _chain_sum([(num[i] * E[k - i] / num[0]).real * np.exp(0.5 * (k - 2 * i) * s)
+                            for i in range(int(l.max()) + 1)])
+        return J, np.exp(0.5 * s)[:, None] * mu, ok & np.isfinite(J)
+
+
+# ---------------------------------------------------------------------------
 # parametrization and per-l optimization
 # ---------------------------------------------------------------------------
 
@@ -691,10 +844,11 @@ def _root_pattern(radius: float, k: int):
         for m in range(k)
     ]
 
-def _warm_starts(p: float, k: int, l: int, t: float):
-    """Closed-form k = 1 extremals lifted through z -> z^k; none at t = 0,
-    where solve_alpha gives the root 0 and solve_beta raises."""
-    outs = []
+def _lift_roots(p: float, k: int, l: int, t: float) -> list:
+    """The roots in (0, 1) of the closed-form k = 1 extremals that lift
+    through z -> z^k to zero count l: alpha at l = k, beta at l = 0; none
+    at t = 0, where solve_alpha gives the root 0 and solve_beta raises."""
+    roots = []
     # alpha: all k lambdas carry zeros; beta: the zero-free outer extremal
     for solve, lifts in ((solve_alpha, l == k), (solve_beta, l == 0)):
         if not lifts:
@@ -704,8 +858,16 @@ def _warm_starts(p: float, k: int, l: int, t: float):
         except ValueError:
             continue
         if 0 < root < 1:
-            outs.append(_x_from_lams(_root_pattern(root ** (1.0 / k), k), k, l, p))
-    return outs
+            roots.append(root)
+    return roots
+
+def _warm_starts(p: float, k: int, l: int, t: float):
+    """The lifted k = 1 extremals (_lift_roots) as starts."""
+    return [_x_from_lams(_root_pattern(root ** (1.0 / k), k), k, l, p) for root in _lift_roots(p, k, l, t)]
+
+# t must pass the proven end of a zero count's range of t_hat by this much
+# before the count is skipped: it covers the rounding of the end
+_SKIP_MARGIN = 2e-9
 
 def _unreachable(cfg: SolveConfig, l: int) -> bool:
     """Whether the exact range of t_hat at zero count l excludes t.
@@ -713,56 +875,34 @@ def _unreachable(cfg: SolveConfig, l: int) -> bool:
     f(0) = 0 needs a zero; that is tested by name, since the l = 0 floor
     below underflows to 0 at tiny p.  l = k reaches at most the k = 1
     branch maximum T(p), l = 1 at most U_1(k, p), and l = 0 at least
-    C(2k, k)^{-1/p} (module docstring), each 1 at p = inf.  The margin of
-    2 _FEAS_TOL keeps every point the polish could accept.
+    C(2k, k)^{-1/p} (module docstring), each 1 at p = inf; t must pass
+    them by _SKIP_MARGIN.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
     if t == 0.0 and l == 0:
         return True
-    if l == k and t > _branch_top(p)[1] + 2 * _FEAS_TOL:
+    if l == k and t > _branch_top(p)[1] + _SKIP_MARGIN:
         return True
-    if l == 1 and t > _one_zero_top(k, p)[1] + 2 * _FEAS_TOL:
+    if l == 1 and t > _one_zero_top(k, p)[1] + _SKIP_MARGIN:
         return True
-    return l == 0 and t < math.exp(-math.log(math.comb(2 * k, k)) / p) - 2 * _FEAS_TOL
+    return l == 0 and t < math.exp(-math.log(math.comb(2 * k, k)) / p) - _SKIP_MARGIN
 
-def _candidates(cfg: SolveConfig, X: np.ndarray, f: np.ndarray, c: np.ndarray) -> list:
-    """Per row of X, (J, lams) where it meets t, |c| <= _FEAS_TOL, else None.
+def _candidates(cfg: SolveConfig, lams: np.ndarray, l) -> list:
+    """Per row of lams (n, k), (J, lams) at the root of t_hat = t on its ray
+    beside the row (_rays), or None where the search finds none; at t = 0,
+    where lam_0 = 0 pins f(0) = 0, (J, lams) of the row itself.
 
-    The one feasibility test of a solve: the polish's ends and the
-    closed-form points of _solve_zero_counts pass through it alike.
+    The one feasibility test of a solve: the polish's ends and the rays of
+    _solve_zero_counts's points table pass through it alike.
     """
-    lams = _lams_from_x_batch(X, cfg.k, cfg.t == 0.0)
-    return [(-fv, [complex(z) for z in row]) if abs(cv) <= _FEAS_TOL else None
-            for fv, cv, row in zip(f.tolist(), c.tolist(), lams)]
-
-def _in_family_point(cfg: SolveConfig) -> list:
-    """l = 0's point with every lam_j = -a and t_hat = t, as [x], or [].
-
-    There g = (1 + a z)^{2k/p} and ||g||^p = sum_n C(k, n)^2 a^{2n}, so
-    t_hat = t where h(a) = p log t + log sum_n C(k, n)^2 a^{2n} vanishes.
-    h increases from h(0) = p log t < 0, and h(1) >= 0 exactly where t
-    reaches l = 0's floor C(2k, k)^{-1/p}; below it there is no root.  The
-    point's value is t C(2k/p, k) a^k, and at k = 1 it is the outer
-    extremal.  For finite p and 0 < t < 1.  x joins l = 0's entry of
-    _solve_zero_counts's points table, which evaluates it.
-    """
-    p, t, k = cfg.p, cfg.t, cfg.k
-    sq = [float(math.comb(k, n) ** 2) for n in range(k + 1)]
-    h_lo = p * math.log(t)
-
-    def hdh(a):
-        # sum_n sq_n b^n and its derivative in b = a^2, by Horner
-        b, s, ds = a * a, 0.0, 0.0
-        for c in reversed(sq):
-            ds = ds * b + s
-            s = s * b + c
-        return h_lo + math.log(s), 2.0 * a * ds / s
-
-    h_hi = hdh(1.0)[0]
-    # h(0) rounds to 0 only where p is subnormal
-    if h_hi < 0.0 or not h_lo < 0.0:
-        return []
-    return [_x_from_lams([-_root(hdh, 0.0, 1.0, h_lo, h_hi)] * k, k, 0, p)]
+    p, k, t = cfg.p, cfg.k, cfg.t
+    if t == 0.0:
+        _, ak, nrm = _series_batch(p, lams, l)
+        J, ok = np.abs(ak) / nrm, np.ones(len(lams), dtype=bool)
+    else:
+        J, lams, ok = _rays(p, k, t, lams, l)
+    return [(Jv, [complex(z) for z in row]) if okv else None
+            for Jv, row, okv in zip(J.tolist(), lams, ok.tolist())]
 
 # the upper ends of a random start's r and theta, broadcast over its free slots
 _START_HIGH = np.array([[math.pi / 2.0], [2.0 * math.pi]])
@@ -780,30 +920,39 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
     """Multistart for every zero count of cfg; returns l -> feasible (J, lams).
 
     A zero count whose range of t_hat excludes t gets [] before any search.
-    The closed-form points wait in one table, points = {l: [x]}: with no
-    free coordinate, or at t = 1, where |f(0)| <= ||f|| admits only f = 1,
-    a count's one point lam = 0, feasible at l = 0 alone, and l = 0's
-    in-family point (_in_family_point).  The other counts explore in one
-    lockstep population per free dimension, and their leaders polish in one
+    At t = 1, where |f(0)| <= ||f|| admits only f = 1, l = 0 gets lam = 0
+    and no count is searched.  The other counts explore in one lockstep
+    population per free dimension, and their leaders polish in one
     lockstep SQP: for finite p that is every count, at p = inf (dimension
     2l) each count alone.  Each count keeps its own starts and leaders.
-    After the search each count's points pass through one _objective_batch
-    and _candidates, and the feasible ones follow the polish's ends.
+    Each polish end then moves along its ray to the root of t_hat = t
+    beside it (_candidates).  The rays of a points table join them there:
+    at t = 0 a count's one point lam = 0 where it has no free coordinate;
+    otherwise the lifted k = 1 extremals of _warm_starts, and l = 0's
+    in-family ray mu_j = -1, where g = (1 + a z)^{2k/p}, whose root lies
+    within |lam_j| <= 1 wherever t is at or above l = 0's floor.
     """
     p, t, k = cfg.p, cfg.t, cfg.k
     pinned = t == 0.0
     feasible = {l: [] for l in cfg.l_range}
-    points = {}  # l -> [x], evaluated after the search
+    if t == 1.0:
+        if 0 in feasible:
+            feasible[0].append((0.0, [0j] * k))
+        return feasible
+    points = {}  # l -> lams, passed to _candidates after the search
     groups: dict = {}  # dim -> [(l, starts)]
     for l in cfg.l_range:
         if _unreachable(cfg, l):
             continue
         dim = 2 * len(_free_slots(k, l, p, pinned))
-        if dim == 0 or t == 1.0:
-            points[l] = [np.zeros(dim)]
+        if dim == 0:
+            points[l] = np.zeros((1, k), dtype=complex)
             continue
+        rays = [_root_pattern(root ** (1.0 / k), k) for root in _lift_roots(p, k, l, t)]
         if l == 0:
-            points[l] = _in_family_point(cfg)
+            rays.append([-1.0] * k)
+        if rays:
+            points[l] = np.array(rays, dtype=complex)
         groups.setdefault(dim, []).append((l, _starts(cfg, l, dim)))
 
     for dim, members in groups.items():
@@ -827,17 +976,14 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
         # step on -J and it takes only steps that lower -J, up to the merit's
         # rounding slack, so every row keeps where it stops, converged or not
         owners = np.array(owners)
-        x, f, c, _ = _sqp_lockstep(
+        x, _, _, _ = _sqp_lockstep(
             lambda X, rows, grad=False: _objective_batch(p, k, t, X, owners[rows], grad),
             np.array(leaders))
-        for l, found in zip(owners.tolist(), _candidates(cfg, x, f, c)):
+        for l, found in zip(owners.tolist(), _candidates(cfg, _lams_from_x_batch(x, k, pinned), owners)):
             if found is not None:
                 feasible[l].append(found)
-    for l, xs in points.items():
-        if xs:
-            X = np.array(xs)
-            feasible[l] += [found for found in _candidates(cfg, X, *_objective_batch(p, k, t, X, l))
-                            if found is not None]
+    for l, lams in points.items():
+        feasible[l] += [found for found in _candidates(cfg, lams, l) if found is not None]
     return feasible
 
 
@@ -935,14 +1081,16 @@ def _coeff_inside(fn: StructuredExtremal, k: int) -> complex:
     return taylor_coeff(samples, k) / r ** k
 
 def _build_best(cfg: SolveConfig, lams, l_eff: int) -> StructuredExtremal:
-    """g / ||g|| for the product g of lams, turned so that its value at 0,
-    or at t = 0 its a_k, is >= 0."""
+    """t g / g(0) for the product g of lams; at t = 0, g / ||g|| turned so
+    that its a_k >= 0."""
     p = cfg.p
     lams = [z / abs(z) if abs(z) > 1.0 else z for z in lams]
     (g0,), (ak,), (nrm,) = _series_batch(p, np.array([lams]), l_eff)
-    lead = g0 if cfg.t > 0 else ak
-    phase = np.conj(lead) / abs(lead) if abs(lead) > 0 else 1.0
-    return StructuredExtremal(scale=complex(phase / nrm), p=p, zero_count=l_eff, lambdas=tuple(lams))
+    if cfg.t > 0:
+        scale = cfg.t / g0
+    else:
+        scale = (np.conj(ak) / abs(ak) if abs(ak) > 0 else 1.0) / nrm
+    return StructuredExtremal(scale=complex(scale), p=p, zero_count=l_eff, lambdas=tuple(lams))
 
 def maximize_phik(cfg: SolveConfig) -> ExtremalSolution:
     """Best Re a_k over the structured family at f(0) = t, ||f|| <= 1."""

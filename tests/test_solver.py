@@ -335,7 +335,7 @@ def test_one_zero_ceiling_at_k1_is_the_branch_top(p):
         assert math.isfinite(log_r) and 0 < top < 1
 
 
-def _check_skipped(monkeypatch, p, l, outside, inside):
+def _check_skipped(monkeypatch, p, l, outside, inside, searched=True):
     # every point of the explore, the polish and the one-point counts goes
     # through the objective
     objective = solver._objective_batch
@@ -354,11 +354,12 @@ def _check_skipped(monkeypatch, p, l, outside, inside):
         with pytest.raises(SolverError):
             maximize_phik(SolveConfig(k=2, p=p, t=t, l_range=(l,)))
 
-    # just inside the bound the count is evaluated and meets the constraint
+    # just inside the bound the count is searched, unless t = 1 gives it its
+    # one point, and meets the constraint
     monkeypatch.undo()
     monkeypatch.setattr(solver, "_objective_batch", recorded)
     sol = maximize_phik(SolveConfig(k=2, p=p, t=inside, l_range=(l,), starts=16))
-    assert seen == {l}
+    assert seen == ({l} if searched else set())
     assert sol.per_l_values[l] is not None
     assert sol.t_residual < 1e-9
 
@@ -373,7 +374,7 @@ def _check_skipped(monkeypatch, p, l, outside, inside):
 
 # T(1/2) = 0.3248 caps l = 2, U_1(2, 1/2) = 0.5197 caps l = 1, and
 # C(4, 2)^-2 = 0.0278 floors l = 0; the outside values include one just past
-# the 2 _FEAS_TOL margin
+# the _SKIP_MARGIN of 2e-9
 @pytest.mark.parametrize("l,outside,inside", [
     (2, (0.6, _branch_top(0.5)[1] + 3e-9), _branch_top(0.5)[1] - 1e-7),
     (0, (0.02, 6.0 ** -2 - 3e-9), 6.0 ** -2 + 1e-7),
@@ -385,8 +386,8 @@ def test_unreachable_zero_counts_are_skipped(monkeypatch, l, outside, inside):
 
 def test_unreachable_zero_counts_are_skipped_at_p_inf(monkeypatch):
     # at p = inf g = 1 at l = 0, so its floor t_hat >= 1 is exact: l = 0 is
-    # skipped below the margin and evaluated at t = 1
-    _check_skipped(monkeypatch, INF, 0, (0.5, 1 - 3 * solver._FEAS_TOL), 1.0)
+    # skipped below the margin, and at t = 1 takes its one point, lam = 0
+    _check_skipped(monkeypatch, INF, 0, (0.5, 1 - 1.5 * solver._SKIP_MARGIN), 1.0, searched=False)
 
 
 @pytest.mark.parametrize("k, t", [(2, 1 - 1e-6), (2, 1 - 1e-7), (3, 1 - 1e-6)])
@@ -400,11 +401,10 @@ def test_p_inf_keeps_a_zero_near_the_circle(k, t):
 
 
 def _in_family_candidates(cfg):
-    # the in-family x, evaluated as _solve_zero_counts evaluates its points
-    # table: one _objective_batch and _candidates, feasible rows kept
-    X = np.array(solver._in_family_point(cfg))
-    f, c = solver._objective_batch(cfg.p, cfg.k, cfg.t, X, 0)
-    return [found for found in solver._candidates(cfg, X, f, c) if found is not None]
+    # the in-family ray mu_j = -1, found as _solve_zero_counts finds it in
+    # its points table, by _candidates, feasible rows kept
+    mu = np.full((1, cfg.k), -1.0 + 0j)
+    return [found for found in solver._candidates(cfg, mu, 0) if found is not None]
 
 
 def _mp_in_family(k, p, t):
@@ -425,7 +425,7 @@ def test_in_family_point_matches_a_40_digit_oracle(k, p, t):
     cfg = SolveConfig(k=k, p=p, t=t)
     if t < _lower_t(p, k):
         # below l = 0's floor no a in (0, 1] meets t
-        assert solver._in_family_point(cfg) == []
+        assert _in_family_candidates(cfg) == []
         return
     (J, lams), = _in_family_candidates(cfg)
     a, value = _mp_in_family(k, p, t)
@@ -503,8 +503,9 @@ def test_fft_cross_check_passes_small_p_at_k2(k, p, t):
     sol = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4))
     assert sol.t_residual < 1e-9 and sol.norm_residual < 1e-7
     best = sol.best
-    _, _, (nrm,) = solver._series_batch(p, np.array([best.lambdas]), best.zero_count)
-    assert abs(abs(best.scale) * nrm - 1.0) <= 1e-15
+    # best = t g / g(0), exactly where its ray meets t
+    (g0,), _, _ = solver._series_batch(p, np.array([best.lambdas]), best.zero_count)
+    assert abs(complex(best.scale) * complex(g0) - t) <= 1e-15 * t
     gap = abs(solver._coeff_inside(best, k).real - sol.value)
     assert gap <= 1e-11 * max(1.0, abs(sol.value))
 
@@ -1051,12 +1052,13 @@ def test_newton_step_solves_the_bordered_kkt_system():
 
 def _polish(cfg, x0s, counts):
     # the solve's polish: the lockstep SQP from leaders x0s, row i of zero
-    # count counts[i], and (J, lams) per row where it ends feasible
+    # count counts[i], and (J, lams) per row where its ray meets t
     def fun(X, rows, grad=False):
         return solver._objective_batch(cfg.p, cfg.k, cfg.t, X, counts[rows], grad)
 
-    x, f, c, _ = solver._sqp_lockstep(fun, x0s)
-    return solver._candidates(cfg, x, f, c)
+    x, _, _, _ = solver._sqp_lockstep(fun, x0s)
+    lams = solver._lams_from_x_batch(x, cfg.k, cfg.t == 0.0)
+    return solver._candidates(cfg, lams, counts)
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, math.inf])
