@@ -622,12 +622,18 @@ def _sqp_lockstep(fun, x0s: np.ndarray):
 # the Newton steps a ray's root may take; from a start beside it, it needs
 # one or two (_ray_roots)
 _ROOT_STEPS = 60
+# how far past the wall |lam_j| <= 1 a root may lie in s = log rho^2, as a
+# share of 1 - t, and count as on it: a polish end on the wall meets t to
+# about 1e-13 of it, and its root, as far away, may fall on either side.
+# Near t = 1 the defects 1 - |lam_j|^2 are O(1 - t), so the share keeps
+# them from going negative by more than that share; _build_best puts such
+# a lambda back on the circle
+_WALL_TOL = 1e-12
 
-def _ray_roots(p: float, t: float, l: np.ndarray, a: np.ndarray, P: np.ndarray,
-               s_max: np.ndarray):
+def _ray_roots(p: float, t: float, l: np.ndarray, a: np.ndarray, P: np.ndarray):
     """(s, ok) per row: s = log rho^2 at a root of t_hat(rho mu) = t for
-    finite p, found from s = 0, the row's own lambdas; ok where the row has
-    one with every |lam_j| <= 1, that is s <= s_max.
+    finite p, found from s = 0, the row's own lambdas; ok where the search
+    meets one.
 
     With u = e^s the series of a row reads ||g||^p = S(u) = 1 + Q(u),
     Q(u) = sum_{n>=1} a_n u^n, and |g0| = rho^l P (module docstring), so
@@ -700,12 +706,13 @@ def _ray_roots(p: float, t: float, l: np.ndarray, a: np.ndarray, P: np.ndarray,
             modelled = use_model
             keep = ~(met | lost | ~np.isfinite(Fv))
             live, back, modelled = live[keep], back[keep], modelled[keep]
-        return s, ok & (s <= s_max)
+        return s, ok
 
 def _rays(p: float, k: int, t: float, mu: np.ndarray, l):
     """(J, lams, ok): the value J and lambdas lams = rho mu at the root of
     t_hat = t on the ray of each row of mu (n, k) beside mu itself
-    (_ray_roots), where ok.
+    (_ray_roots), where ok: where the row has one with every |lam_j| <= 1,
+    s <= s_max = -log max|mu_j|^2, to _WALL_TOL (1 - t).
 
     l is the zero count of every row, or one count per row.  The series is
     formed once at mu, and rho enters through monomials: g0 = rho^l num_0,
@@ -737,12 +744,14 @@ def _rays(p: float, k: int, t: float, mu: np.ndarray, l):
                 g = np.where(j < l, [_chain_sum(g[i] * B[m - i] for i in range(m + 1))
                                      for m in range(k + 1)], g)
             J = t * (g[k] / g[0]).real
-            return J, lams, (s <= s_max) & np.isfinite(J)
-        num, E, c = _terms(p, mu, l)
-        s, ok = _ray_roots(p, t, l, c.real * c.real + c.imag * c.imag, np.abs(num[0]), s_max)
-        J = t * _chain_sum([(num[i] * E[k - i] / num[0]).real * np.exp(0.5 * (k - 2 * i) * s)
-                            for i in range(int(l.max()) + 1)])
-        return J, np.exp(0.5 * s)[:, None] * mu, ok & np.isfinite(J)
+            ok = np.ones(n, dtype=bool)
+        else:
+            num, E, c = _terms(p, mu, l)
+            s, ok = _ray_roots(p, t, l, c.real * c.real + c.imag * c.imag, np.abs(num[0]))
+            J = t * _chain_sum([(num[i] * E[k - i] / num[0]).real * np.exp(0.5 * (k - 2 * i) * s)
+                                for i in range(int(l.max()) + 1)])
+            lams = np.exp(0.5 * s)[:, None] * mu
+        return J, lams, ok & (s <= s_max + _WALL_TOL * (1.0 - t)) & np.isfinite(J)
 
 
 # ---------------------------------------------------------------------------
