@@ -69,6 +69,24 @@ def test_small_t_solves_with_a_unit_norm(k, p, t):
         assert abs(sol.value - ref) <= 1e-9 * ref
 
 
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-9, 1e-11, 1e-13])
+@pytest.mark.parametrize("p", [1e-3, 0.5, 2.0, 4.0, INF])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_near_one_meets_phi1(k, p, gap):
+    # at t = 1 - gap the value is O(gap) and steep in t: one ulp of t near 1
+    # is 1.1e-3 of gap = 1e-13, so f(0) = t is met exactly, on each ray.
+    # phi1 is exact at k = 1 and, by F. Wiener's trick, at p >= 1, and a
+    # lower end elsewhere, where the value may not lie below it by more
+    # than its rounding
+    t = 1.0 - gap
+    value = maximize_phik(SolveConfig(k=k, p=p, t=t, starts=4, seed=0)).value
+    ref = phi1(p, t).value
+    if k == 1 or p >= 1:
+        assert abs(value / ref - 1) <= 1e-6, (value, ref)
+    else:
+        assert value / ref - 1 >= -1e-12, (value, ref)
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(
     k=st.integers(min_value=0, max_value=3),

@@ -446,6 +446,47 @@ def test_in_family_point_at_k1_is_the_outer_extremal(p, t):
     assert lams[0] == pytest.approx(-ref.beta, rel=1e-12)
 
 
+def _mp_t_hat(p, lams, l):
+    """t_hat = |g0| / ||g|| of the doubles lams at 40 digits (_mp_parts)."""
+    with mpmath.workdps(40):
+        g0, _, nrm = _mp_parts(p, [mpmath.mpc(z) for z in lams], l)
+        return abs(g0) / nrm
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.5, 4.0])
+def test_ray_root_meets_t_against_a_40_digit_oracle(p):
+    # l = 0: the one root of each ray, from its own lambdas, down to
+    # 1 - t = 1e-13, where the defect Q(u) = expm1(-p log t) is solved with
+    # no cancellation: 1 - t_hat of the returned lambdas, at 40 digits,
+    # within 1e-12 of 1 - t relative
+    for gap in (0.2, 1e-4, 1e-9, 1e-13):
+        t = 1.0 - gap
+        mu = np.array([[-1.0, -1.0], [-0.9, 0.6j], [0.7 + 0.7j, 0.6 - 0.8j]])
+        _, lams, ok = solver._rays(p, 2, t, mu, 0)
+        assert ok.all(), (p, gap)
+        for row in lams:
+            with mpmath.workdps(40):
+                defect = 1 - mpmath.mpf(t)
+                assert abs((1 - _mp_t_hat(p, row, 0)) / defect - 1) <= 1e-12, (p, gap, row)
+    # l = 1: the root to which F's slope at the row points, on each side
+    # of the top of t_hat along the ray; at p = 4 the top lies past the
+    # wall |lam_j| <= 1, so only the lower root is there
+    nu = np.array([1.0, 0.05j])
+    t, starts = {1e-3: (0.01, (0.002, 1.0)), 0.5: (0.3, (0.1, 1.0)), 4.0: (0.5, (0.1,))}[p]
+    found = []
+    for rho in starts:
+        _, (row,), (good,) = solver._rays(p, 2, t, rho * nu[None, :], 1)
+        assert good, (p, rho)
+        with mpmath.workdps(40):
+            assert abs(_mp_t_hat(p, row, 1) / mpmath.mpf(t) - 1) <= 1e-12, (p, rho)
+            # t_hat rises through the lower root and falls through the upper
+            lam = [mpmath.mpc(z) for z in row]
+            side = _mp_t_hat(p, [z * (1 + 1e-8) for z in lam], 1) - _mp_t_hat(p, [z * (1 - 1e-8) for z in lam], 1)
+        assert (side > 0) == (rho == starts[0]), (p, rho)
+        found.append(abs(row[0]))
+    assert len(found) == len(set(found))
+
+
 @pytest.mark.parametrize("k, t", [(2, 1 - 1e-9), (3, 1 - 1e-12), (3, 1 - 1e-9), (3, 1 - 1e-6)])
 def test_tiny_p_near_t_one_solves_at_the_in_family_point(k, t):
     # at a budget of 50 the explore found no feasible leader here; the
@@ -475,10 +516,12 @@ def test_tiny_p_solves_or_raises_a_typed_error(k, p):
     assert sol.value >= J
 
 
-@pytest.mark.parametrize("p", [1e-6, 1e-8])
+@pytest.mark.parametrize("p", [1e-6, 1e-8, 1e-12])
 def test_p_where_f_overflows_inside_the_disc_raises_a_solver_error(p):
-    # the in-family point meets t, but (1 + a z)^(4/p) passes the largest
-    # double on the check's circles, so the value cannot be checked
+    # the in-family ray meets t, but (1 + a z)^(4/p) passes the largest
+    # double on the check's circles, so the value cannot be checked; at
+    # p = 1e-12 a norm formed from the rounded 1 + O(a^2) once lost the
+    # point, and the solve found no feasible structure
     cfg = SolveConfig(k=2, p=p, t=0.5, starts=4)
     assert _in_family_candidates(cfg)
     with pytest.raises(SolverError, match="Cauchy integral"):
@@ -493,6 +536,17 @@ def test_k1_tiny_p_returns_phi1(p):
     ref = phi1(p, 0.5).value
     sol = maximize_phik(SolveConfig(k=1, p=p, t=0.5, starts=4))
     assert abs(sol.value - ref) <= 1e-11 * max(1.0, ref)
+
+
+def test_k1_outer_value_is_the_40_digit_one_to_4_ulp():
+    # 2 t beta / p with beta^2 = t^-p - 1: on the ray J = t Re(a_1 / g0)
+    # forms no norm, whose rounding, about eps / p, the value once carried
+    with mpmath.workdps(40):
+        p, t = mpmath.mpf(0.005), mpmath.mpf(0.5)
+        ref = float(2 * t * mpmath.sqrt(t ** -p - 1) / p)
+    assert repr(ref).startswith("11.7843090752114")
+    value = maximize_phik(SolveConfig(k=1, p=0.005, t=0.5, starts=4)).value
+    assert abs(value - ref) <= 4 * math.ulp(ref), (value, ref)
 
 
 @pytest.mark.parametrize("k, p, t", [(2, 0.05, 0.5), (2, 0.015, 0.2)])

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+import hardyx
+
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "solver_check.py"
 _spec = importlib.util.spec_from_file_location("solver_check", _PATH)
 solver_check = importlib.util.module_from_spec(_spec)
@@ -65,15 +67,17 @@ def test_sweep_draws_its_fixed_configurations():
     domain = [c for part, c in drawn if part == "domain"]
     pinned = [c for part, c in drawn if part == "pinned"]
     constant = [c for part, c in drawn if part == "constant"]
+    near = [c for part, c in drawn if part == "near one"]
     assert [part for part, _ in drawn] == (["tiny p"] * 80 + ["domain"] * 150 + ["pinned"] * 40
-                                           + ["constant"] * 20)
+                                           + ["constant"] * 20 + ["near one"] * 60)
     assert all(1e-3 <= c["p"] <= 0.03 for c in tiny)
-    for wide, every in ((domain, 10), (pinned, 10), (constant, 5)):
+    for wide, every in ((domain, 10), (pinned, 10), (constant, 5), (near, 10)):
         assert sum(c["p"] == math.inf for c in wide) == len(wide) // every
         assert all(1e-3 <= c["p"] <= 8 for c in wide if c["p"] != math.inf)
     assert all(c["t"] == 0.0 for c in pinned)
     assert all(c["t"] == 1.0 for c in constant)
-    assert len({c["k"] for c in pinned}) == len({c["k"] for c in constant}) == 3
+    assert all(1e-13 <= 1 - c["t"] <= 1e-4 for c in near)
+    assert len({c["k"] for c in pinned}) == len({c["k"] for c in constant}) == len({c["k"] for c in near}) == 3
     assert all(c["k"] in (1, 2, 3) and 0 <= c["t"] <= 1 and c["starts"] == 4
                and c["l_range"] == list(range(c["k"] + 1)) for _, c in drawn)
 
@@ -92,7 +96,8 @@ def test_compare_names_every_gain_loss_and_move(capsys):
     assert [line.split()[0] for line in fails] == ["gained", "lost", "moved"]
     # the move of 1e-10 is below the printed bound but not identical to the bit
     assert out[-2] == ("tiny p: 4 -> 4 of 5 succeed, 1 of the 3 on both sides identical to the "
-                       "bit, 0 rose and 1 fell by more than 1e-09, largest relative fall 0.167")
+                       "bit, 0 rose and 1 fell by more than 1e-09, largest relative fall 0.167, "
+                       "0 -> 0 over phi1 where it is exact")
     assert out[-1].endswith("FAIL")
 
 
@@ -111,11 +116,14 @@ def test_compare_gives_each_part_its_rises_and_falls(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-4:-1] == [
         "tiny p: 4 -> 5 of 5 succeed, 0 of the 4 on both sides identical to the bit, "
-        "1 rose and 2 fell by more than 1e-09, largest relative fall 0.25",
+        "1 rose and 2 fell by more than 1e-09, largest relative fall 0.25, 0 -> 0 over phi1 "
+        "where it is exact",
         "domain: 1 -> 1 of 1 succeed, 0 of the 1 on both sides identical to the bit, "
-        "1 rose and 0 fell by more than 1e-09, largest relative fall 0",
+        "1 rose and 0 fell by more than 1e-09, largest relative fall 0, 0 -> 0 over phi1 "
+        "where it is exact",
         "pinned: 1 -> 1 of 1 succeed, 1 of the 1 on both sides identical to the bit, "
-        "0 rose and 0 fell by more than 1e-09, largest relative fall 0"]
+        "0 rose and 0 fell by more than 1e-09, largest relative fall 0, 0 -> 0 over phi1 "
+        "where it is exact"]
 
 
 def test_compare_fails_on_a_changed_zero_count(capsys):
@@ -125,7 +133,8 @@ def test_compare_fails_on_a_changed_zero_count(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("FAIL k=2 p=0.01 t=0.5 ") and out[0].endswith(": l_used 0 -> 1")
     assert out[-2] == ("domain: 1 -> 1 of 1 succeed, 1 of the 1 on both sides identical to the "
-                       "bit, 0 rose and 0 fell by more than 1e-09, largest relative fall 0")
+                       "bit, 0 rose and 0 fell by more than 1e-09, largest relative fall 0, "
+                       "0 -> 0 over phi1 where it is exact")
 
 
 def test_compare_prints_a_bits_line_for_each_move_within_the_bound(capsys):
@@ -171,3 +180,24 @@ def test_compare_takes_sweeps_at_different_starts(tmp_path, capsys):
     many[1]["config"]["t"] = 0.3
     with pytest.raises(SystemExit, match="different solves"):
         solver_check.main(["--compare", write("few", few), write("other", many)])
+
+
+def test_each_part_counts_the_values_over_phi1_where_it_is_exact(capsys):
+    # phi1 is exact at k = 1 and at p >= 1, for 0 < t < 1: a value more
+    # than VALUE_TOL relative above it is an over-read; at k = 2 and p < 1,
+    # or at t = 1, phi1 is no upper end and nothing is counted
+    tol = solver_check.VALUE_TOL
+    exact = hardyx.phi1(2.0, 0.9).value
+
+    def record(k, p, t, value):
+        config = {"k": k, "p": p, "t": t, "l_range": list(range(k + 1)), "starts": 4, "seed": 0}
+        return {"sources": ["near one"], "config": config, "value": value, "l_used": 0,
+                "cluster_count": 1, "per_l_values": {}}
+
+    pairs = [(record(1, 2.0, 0.9, exact * (1 + 3 * tol)), record(1, 2.0, 0.9, exact)),
+             (record(2, 2.0, 0.9, exact * (1 + 0.5 * tol)), record(2, 2.0, 0.9, exact * (1 + 0.5 * tol))),
+             (record(2, 0.5, 0.9, 10.0), record(2, 0.5, 0.9, 10.0)),
+             (record(1, 2.0, 1.0, 0.5), record(1, 2.0, 1.0, 0.5))]
+    assert [solver_check.over_phi1(a) for a, _ in pairs] == [True, False, False, False]
+    solver_check.report(pairs)
+    assert capsys.readouterr().out.splitlines()[-2].endswith(", 1 -> 0 over phi1 where it is exact")

@@ -23,11 +23,14 @@ log-uniform in [1e-3, 8] and every tenth at p = inf (source "domain"),
 then 40 more like "domain" but at t = 0 (source "pinned"), where f(0) = 0
 fixes lam_0 = 0 and the polish has no constraint, then 20 at t = 1 with
 every fifth at p = inf (source "constant"), where f = 1 is the only
-admissible function.  Each has k uniform in {1, 2, 3}, t uniform in
-[0, 1] outside "pinned" and "constant", the default ``l_range``,
-starts = 4 (``--starts`` sets another count) and seed 0.  The parts draw in that order, each k, p and t in
-turn (a part at a fixed t draws no t), so adding a part after the others
-leaves their solves as they were, and so does another ``--starts``.
+admissible function, then 60 like "domain" but with 1 - t log-uniform in
+[1e-13, 1e-4] (source "near one"), where the value is O(1 - t) and one
+ulp of t is a large part of it.  Each has k uniform in {1, 2, 3}, t
+uniform in [0, 1] outside "pinned", "constant" and "near one", the
+default ``l_range``, starts = 4 (``--starts`` sets another count) and
+seed 0.  The parts draw in that order, each k, p and t in turn (a part
+at a fixed t draws no t), so adding a part after the others leaves their
+solves as they were, and so does another ``--starts``.
 ``--sweep`` prints one record a line.  ``--compare`` takes two sweeps at
 different starts as it takes two runs at the same starts, which measures
 how a value depends on the number of starts.
@@ -44,7 +47,9 @@ note where it has one.  Then, per part (the file, perfbench round or
 sweep part of a record's first source), how many solves succeed on each
 side; of those that succeed on both, how many return the same value to
 the bit, how many values rose and how many fell by more than 1e-9, and
-the largest fall relative to the value before.  A change that moves
+the largest fall relative to the value before; and on each side how many
+values lie more than 1e-9 relative above ``phi1`` where it is exact, at
+k = 1 or p >= 1 (F. Wiener's trick) and 0 < t < 1.  A change that moves
 digits lists every printed difference with its explanation.
 """
 
@@ -73,9 +78,12 @@ TESTS = [
 ]
 PERFBENCH_SEEDS = (1, 2)
 SEED = 2020
-# (source, solves, largest p, every how many p = inf, the fixed t or None)
+# (source, solves, largest p, every how many p = inf, t): t is None for t
+# uniform in [0, 1], a number for a fixed t, or the ends of a log-uniform
+# range of 1 - t
 PARTS = (("tiny p", 80, 0.03, None, None), ("domain", 150, 8.0, 10, None),
-         ("pinned", 40, 8.0, 10, 0.0), ("constant", 20, 8.0, 5, 1.0))
+         ("pinned", 40, 8.0, 10, 0.0), ("constant", 20, 8.0, 5, 1.0),
+         ("near one", 60, 8.0, 10, (1e-13, 1e-4)))
 STARTS = 4
 VALUE_TOL = 1e-9
 
@@ -155,11 +163,16 @@ def sweep_configs(starts: int = STARTS) -> list[tuple[str, dict]]:
     with the given starts."""
     rng = np.random.default_rng(SEED)
     out = []
-    for part, n, p_max, inf_every, fixed_t in PARTS:
+    for part, n, p_max, inf_every, t_draw in PARTS:
         for i in range(n):
             k = int(rng.integers(1, 4))
             p = float(math.exp(rng.uniform(math.log(1e-3), math.log(p_max))))
-            t = float(rng.uniform(0.0, 1.0)) if fixed_t is None else fixed_t
+            if t_draw is None:
+                t = float(rng.uniform(0.0, 1.0))
+            elif isinstance(t_draw, tuple):
+                t = 1.0 - float(math.exp(rng.uniform(*map(math.log, t_draw))))
+            else:
+                t = t_draw
             if inf_every and i % inf_every == inf_every - 1:
                 p = math.inf
             out.append((part, _config(hardyx.SolveConfig(k=k, p=p, t=t, starts=starts))))
@@ -204,6 +217,15 @@ def write(path: pathlib.Path) -> int:
     return 0
 
 
+def over_phi1(record: dict) -> bool:
+    """Whether the record's value lies more than VALUE_TOL relative above
+    phi1 where phi1 is exact: at k = 1, or p >= 1, and 0 < t < 1."""
+    c = record["config"]
+    if "value" not in record or not (c["k"] == 1 or c["p"] >= 1) or not 0 < c["t"] < 1:
+        return False
+    return record["value"] > hardyx.phi1(c["p"], c["t"]).value * (1 + VALUE_TOL)
+
+
 def compare(entry: dict, got: dict) -> tuple[list[str], list[str]]:
     """(failures, differences) of a solve against the record it repeats."""
     if "error" in entry or "error" in got:
@@ -237,6 +259,8 @@ def report(pairs) -> bool:
         count["solves"] += 1
         count["before"] += "value" in entry
         count["after"] += "value" in got
+        count["over before"] += over_phi1(entry)
+        count["over after"] += over_phi1(dict(got, config=entry["config"]))
         if "value" in entry and "value" in got:
             count["both"] += 1
             count["same"] += got["value"] == entry["value"]  # JSON keeps every double exactly
@@ -262,7 +286,8 @@ def report(pairs) -> bool:
         print(f"{part}: {c['before']} -> {c['after']} of {c['solves']} succeed, {c['same']} of "
               f"the {c['both']} on both sides identical to the bit, {c['rose']} rose and "
               f"{c['fell']} fell by more than {VALUE_TOL:g}, largest relative fall "
-              f"{c['largest fall']:.3g}")
+              f"{c['largest fall']:.3g}, {c['over before']} -> {c['over after']} over phi1 "
+              f"where it is exact")
     print(f"{sum(c['solves'] for c in parts.values())} entries, largest value gap {worst:.3g}: "
           f"{'pass' if ok else 'FAIL'}")
     return ok
