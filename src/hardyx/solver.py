@@ -935,7 +935,8 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
     lockstep SQP: for finite p that is every count, at p = inf (dimension
     2l) each count alone.  Each count keeps its own starts and leaders.
     Each polish end then moves along its ray to the root of t_hat = t
-    beside it (_candidates).  The rays of a points table join them there:
+    beside it, all in one call of _candidates.  The rays of a points table
+    join them there:
     at t = 0 a count's one point lam = 0 where it has no free coordinate;
     otherwise the lifted k = 1 extremals of _warm_starts, and l = 0's
     in-family ray mu_j = -1, where g = (1 + a z)^{2k/p}, whose root lies
@@ -948,8 +949,9 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
         if 0 in feasible:
             feasible[0].append((0.0, [0j] * k))
         return feasible
-    points = {}  # l -> lams, passed to _candidates after the search
+    points = {}  # l -> lams, passed to _candidates with the polish's ends
     groups: dict = {}  # dim -> [(l, starts)]
+    polished = []  # (lams, l) of the polish's ends, group by group
     for l in cfg.l_range:
         if _unreachable(cfg, l):
             continue
@@ -988,11 +990,13 @@ def _solve_zero_counts(cfg: SolveConfig) -> dict:
         x, _, _, _ = _sqp_lockstep(
             lambda X, rows, grad=False: _objective_batch(p, k, t, X, owners[rows], grad),
             np.array(leaders))
-        for l, found in zip(owners.tolist(), _candidates(cfg, _lams_from_x_batch(x, k, pinned), owners)):
+        polished.append((_lams_from_x_batch(x, k, pinned), owners))
+    polished += [(lams, np.full(len(lams), l)) for l, lams in points.items()]
+    if polished:
+        owners = np.concatenate([l for _, l in polished])
+        for l, found in zip(owners.tolist(), _candidates(cfg, np.concatenate([x for x, _ in polished]), owners)):
             if found is not None:
                 feasible[l].append(found)
-    for l, lams in points.items():
-        feasible[l] += [found for found in _candidates(cfg, lams, l) if found is not None]
     return feasible
 
 
